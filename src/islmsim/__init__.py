@@ -70,7 +70,6 @@ from .policy import (
 )
 from .config import ConfigError, RunConfig, parse_config, serialize_config
 from .output import emit_outputs
-from .cli import main, run_command
 
 __all__ = [
     "__version__",
@@ -94,5 +93,5 @@ __all__ = [
     "run_with_controller", "negative_rate_probe",
     # configuration and IO
     "ConfigError", "RunConfig", "parse_config", "serialize_config",
-    "emit_outputs", "run_command", "main",
+    "emit_outputs",
 ]

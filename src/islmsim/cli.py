@@ -12,6 +12,7 @@ import argparse
 import logging
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .config import ConfigError, MODE_NAMES, RunConfig, parse_config
@@ -81,8 +82,6 @@ def _configure_logging(quiet: bool) -> None:
 
 
 def _apply_overrides(config: RunConfig, args) -> RunConfig:
-    from dataclasses import replace
-
     from .model import ModelParams, ModelSpec
 
     model = config.model
@@ -258,19 +257,20 @@ def _run_simulation(config: RunConfig, spec, dom):
                           spec.spec_id)
         return traj, (), None
     if so.mode == REDUCED_MODE:
+        # t_end and stride are fast time; the singular limit runs on the
+        # slow clock, which is epsilon times faster
+        eps = spec.params.epsilon
         iso = trace_lm_isocline(spec, dom.y_range, dom.y_steps, dom.r_range,
                                 dom.scan_n)
         branch, _ = attach_to_branch(spec, iso, so.y0, so.r0)
-        traj = reduced_simulate(spec, so.y0, branch, so.t_end, iso,
-                                stride=so.stride)
-        jumps = traj.jumps
+        traj = reduced_simulate(spec, so.y0, branch, eps * so.t_end, iso,
+                                stride=None if so.stride is None else eps * so.stride)
     else:
-        traj = integrate(spec, so.y0, so.r0, so.t_end, rtol=so.rtol,
+        full = integrate(spec, so.y0, so.r0, so.t_end, rtol=so.rtol,
                          atol=so.atol, stride=so.stride)
-        jumps = tuple(detect_jumps(traj, spec))
-        traj.jumps = jumps
+        traj = replace(full, jumps=tuple(detect_jumps(full, spec)))
     cycle = detect_cycle(traj, spec)
-    return traj, jumps, cycle
+    return traj, traj.jumps, cycle
 
 
 def _maybe_simulate(config: RunConfig, spec, dom, iso):

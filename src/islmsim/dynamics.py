@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .geometry import Branch, LMIsocline, lm_roots
+from .geometry import Branch, FoldPoint, LMIsocline, lm_roots
 from .model import ModelSpec, excess_goods, excess_money, excess_money_many, excess_money_slope
 
 __all__ = [
@@ -65,7 +65,7 @@ class JumpEvent:
         return abs(self.r_to - self.r_from)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Trajectory:
     t: np.ndarray
     y: np.ndarray
@@ -106,26 +106,34 @@ class CycleSummary:
 def integrate(spec: ModelSpec, y0: float, r0: float, t_end: float,
               rtol: float = 1e-8, atol: float = 1e-10,
               stride: float | None = None, max_step: float = math.inf,
-              t_start: float = 0.0) -> Trajectory:
+              t_start: float = 0.0, drive_slope: float | None = None) -> Trajectory:
     """Integrate the two-speed system with an adaptive embedded RK pair.
 
     Local error control shrinks steps automatically through the fast layers,
     so jumps are resolved without any special handling.  Dense output is
-    sampled every `stride` time units (default: horizon / 2000).
+    sampled every `stride` time units (default: horizon / 2000).  With a
+    `drive_slope`, income follows the ramp dY/dt = drive_slope and only the
+    rate obeys the money market.
     """
     if t_end <= t_start:
         raise ValueError("t_end must exceed t_start")
     if y0 < 0.0:
         raise ValueError("income must start non-negative")
     p = spec.params
-    sl = p.epsilon * p.alpha
     fa = p.beta
 
-    def rhs(_t, state):
-        y, r = state
-        y_eval = y if y > 0.0 else 0.0
-        return (sl * excess_goods(y_eval, r, spec),
-                fa * excess_money(y_eval, r, spec))
+    if drive_slope is None:
+        sl = p.epsilon * p.alpha
+
+        def rhs(_t, state):
+            y, r = state
+            y_eval = y if y > 0.0 else 0.0
+            return (sl * excess_goods(y_eval, r, spec),
+                    fa * excess_money(y_eval, r, spec))
+    else:
+        def rhs(_t, state):
+            y, r = state
+            return (drive_slope, fa * excess_money(y if y > 0.0 else 0.0, r, spec))
 
     if stride is None:
         stride = (t_end - t_start) / 2000.0
@@ -189,42 +197,50 @@ def _branch_with_root(isocline: LMIsocline, y: float, r: float) -> Branch:
     return best
 
 
-def _fold_exit_jump(spec: ModelSpec, isocline: LMIsocline, branch: Branch,
-                    end: tuple[str, int | str], travel: float, t: float
-                    ) -> tuple[JumpEvent, Branch]:
-    """Transfer the state vertically from a fold to the branch that catches it."""
-    if end[0] != "fold":
-        raise ValueError("branch end is not a fold")
-    fold = isocline.folds[end[1]]
-    y_f, r_f = fold.y, fold.r
-    probe_y = max(y_f + math.copysign(1e-9 * max(1.0, abs(y_f)), travel), 0.0)
-    e = excess_money(probe_y, r_f, spec)
-    if e == 0.0:
-        raise FoldStallError(f"fast flow vanishes at fold (y={y_f}, r={r_f})")
-    direction = "up" if e > 0.0 else "down"
-    roots = lm_roots(y_f, spec, isocline.r_range, warn=False)
-    # exclude the fold's own double root: the excess is quartically flat
-    # there, so spurious scan roots can appear within ~1e-5 of the fold rate
-    pad = 1e-4
-    if direction == "up":
-        cands = [x for x in roots if x > r_f + pad]
-        landing = min(cands) if cands else None
+def _fold_window(spec: ModelSpec, fold: FoldPoint) -> tuple[float, float]:
+    """Endpoint rates (p, q) + MP - pi_e of the trap window that made the fold.
+
+    A lower knee sits at its window's start rate, an upper knee at its end.
+    """
+    off = spec.params.maturity_premium - spec.params.expected_inflation
+    k = 0 if fold.kind == "lower-knee" else 1
+    p, q = min(spec.money.window_spans(), key=lambda w: abs(w[k] + off - fold.r))
+    return p + off, q + off
+
+
+def _fold_jump(spec: ModelSpec, fold: FoldPoint, r_range: tuple[float, float]
+               ) -> tuple[str, float]:
+    """Direction and landing rate of the jump released at a fold.
+
+    A lower knee releases an upward jump, an upper knee a downward one.  The
+    branch through the fold spans the whole window in rate, so the landing is
+    the first root beyond the window's other endpoint and the fold's own
+    (quartically flat) double root is never a candidate.
+    """
+    r_p, r_q = _fold_window(spec, fold)
+    roots = lm_roots(fold.y, spec, r_range, warn=False)
+    if fold.kind == "lower-knee":
+        direction = "up"
+        beyond = [x for x in roots if x > r_q]
+        landing = beyond[0] if beyond else None
     else:
-        cands = [x for x in roots if x < r_f - pad]
-        landing = max(cands) if cands else None
+        direction = "down"
+        beyond = [x for x in roots if x < r_p]
+        landing = beyond[-1] if beyond else None
     if landing is None:
         raise ValueError(
             f"malformed isocline: no branch to catch the {direction} jump at "
-            f"(y={y_f}, r={r_f})")
+            f"(y={fold.y}, r={fold.r})")
     if excess_money_slope(landing, spec) >= 0.0:
         raise ValueError(
-            f"malformed isocline: the {direction} jump at (y={y_f}, r={r_f}) "
+            f"malformed isocline: the {direction} jump at (y={fold.y}, r={fold.r}) "
             f"lands on a non-attracting branch at r={landing}")
-    target = _branch_with_root(isocline, y_f, landing)
-    return JumpEvent(t, t, y_f, r_f, landing, direction), target
+    return direction, landing
 
 
-def _slow_flow(spec: ModelSpec, branch: Branch):
+def _slow_flow(spec: ModelSpec, branch: Branch, slope: float | None):
+    if slope is not None:
+        return lambda _t, _state: (slope,)
     alpha = spec.params.alpha
 
     def f(_t, state):
@@ -238,9 +254,12 @@ def _slow_flow(spec: ModelSpec, branch: Branch):
 def advance_reduced(spec: ModelSpec, isocline: LMIsocline, branch: Branch,
                     y: float, t: float, t_stop: float, stride: float,
                     ts: list[float], ys: list[float], rs: list[float],
-                    jumps: list[JumpEvent]) -> tuple[Branch, float, float, str]:
+                    jumps: list[JumpEvent], slope: float | None = None
+                    ) -> tuple[Branch, float, float, str]:
     """Advance the singular-limit state to t_stop, appending samples in place.
 
+    Income follows the slow flow, or the ramp dY/dt = slope when a slope is
+    given; the rate stays slaved to the branch and jumps at its folds.
     Returns the final (branch, income, time, status); status is "horizon"
     when t_stop was reached and "domain-exit" when the state drifted off the
     traced income range through a non-fold branch end.
@@ -258,7 +277,8 @@ def advance_reduced(spec: ModelSpec, isocline: LMIsocline, branch: Branch,
         ev_hi.direction = 1.0
         ev_lo.terminal = True
         ev_lo.direction = -1.0
-        sol = solve_ivp(_slow_flow(spec, branch), (t, t_stop), (y,), method="RK45",
+        flow = _slow_flow(spec, branch, slope)
+        sol = solve_ivp(flow, (t, t_stop), (y,), method="RK45",
                         rtol=1e-10, atol=1e-12, events=[ev_hi, ev_lo],
                         dense_output=True)
         if not sol.success:
@@ -286,20 +306,21 @@ def advance_reduced(spec: ModelSpec, isocline: LMIsocline, branch: Branch,
         t_hit = float(sol.t_events[0][0] if hit_hi else sol.t_events[1][0])
         end = branch.hi_end if hit_hi else branch.lo_end
         y_end = branch.y_hi if hit_hi else branch.y_lo
-        travel = 1.0 if hit_hi else -1.0
         if end[0] != "fold":
             if t_hit > ts[-1]:
                 ts.append(t_hit)
                 ys.append(y_end)
                 rs.append(branch.r_at(y_end))
             return branch, y_end, t_hit, "domain-exit"
-        flow = excess_goods(y_end, branch.r_at(y_end), spec)
-        if flow == 0.0:
+        if flow(t_hit, (y_end,))[0] == 0.0:
             raise FoldStallError(
                 f"slow flow is exactly zero at the fold (y={y_end}); "
                 "the continuation is undefined")
-        jump, branch = _fold_exit_jump(spec, isocline, branch, end, travel, t_hit)
+        fold = isocline.folds[end[1]]
+        direction, landing = _fold_jump(spec, fold, isocline.r_range)
+        jump = JumpEvent(t_hit, t_hit, fold.y, fold.r, landing, direction)
         _append_jump(ts, ys, rs, jumps, jump)
+        branch = _branch_with_root(isocline, fold.y, landing)
         t = t_hit
         y = jump.y_at_jump
     return branch, y, t, "horizon"
@@ -479,11 +500,10 @@ def detect_cycle(traj: Trajectory, spec: ModelSpec | None = None,
     area = _loop_area(window.y, window.r)
     orientation = "counterclockwise" if area > 0.0 else "clockwise"
 
-    if traj.jumps:
-        jumps = tuple(j for j in traj.jumps
-                      if t_loop0 <= j.t_start <= t_loop0 + period)
-    else:
-        jumps = tuple(detect_jumps(window, spec, jump_min=jump_min, y_slip=y_slip))
+    # jumps come from the whole run, so one that the window edge cuts counts
+    # once, in the period where it starts
+    all_jumps = traj.jumps or detect_jumps(traj, spec, jump_min=jump_min, y_slip=y_slip)
+    jumps = tuple(j for j in all_jumps if t_loop0 <= j.t_start < t_loop0 + period)
     y_turning = tuple(sorted({round(j.y_at_jump, 9) for j in jumps}))
     r_extent = (float(np.min(window.r)), float(np.max(window.r)))
     return CycleSummary(period, orientation, jumps, y_turning, r_extent, t_loop0)

@@ -67,7 +67,7 @@ class ISCurve:
         return ISCurve(self.intercept + dr, self.slope, self.y_range)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Branch:
     """One single-valued piece of the LM isocline."""
 
@@ -105,10 +105,10 @@ class FoldPoint:
     kind: str  # "lower-knee" | "upper-knee"
 
 
-@dataclass
+@dataclass(frozen=True)
 class LMIsocline:
-    branches: list[Branch]
-    folds: list[FoldPoint]
+    branches: tuple[Branch, ...]
+    folds: tuple[FoldPoint, ...]
     y_range: tuple[float, float]
     r_range: tuple[float, float]
 
@@ -394,7 +394,7 @@ def trace_lm_isocline(spec: ModelSpec, y_range: tuple[float, float],
 
     # materialise branches, appending exact fold endpoints plus a geometric
     # sample ladder so interpolation stays honest where the branch is steep
-    branches: list[Branch] = []
+    pieces = []
     for ob in closed:
         ys_list, rs_list = list(ob.ys), list(ob.rs)
         for end, side in ((ob.lo_end, "lo"), (ob.hi_end, "hi")):
@@ -424,12 +424,11 @@ def trace_lm_isocline(spec: ModelSpec, y_range: tuple[float, float],
         rs_arr = np.asarray(rs_list)[order]
         ys_arr, rs_arr = _dedupe_samples(ys_arr, rs_arr)
         stability = "stable" if ob.stab < 0 else "unstable"
-        branches.append(Branch(ys_arr, rs_arr, stability, ob.lo_end, ob.hi_end))
+        pieces.append((ys_arr, rs_arr, stability, ob.lo_end, ob.hi_end))
 
-    branches.sort(key=lambda b: (b.y_lo, float(b.rs[0])))
-    for i, b in enumerate(branches):
-        b.index = i
-    return LMIsocline(branches, folds, tuple(y_range), tuple(r_range))
+    pieces.sort(key=lambda piece: (float(piece[0][0]), float(piece[1][0])))
+    branches = tuple(Branch(*piece, index=i) for i, piece in enumerate(pieces))
+    return LMIsocline(branches, tuple(folds), tuple(y_range), tuple(r_range))
 
 
 def _dedupe_samples(ys: np.ndarray, rs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

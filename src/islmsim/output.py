@@ -155,8 +155,8 @@ def isocline_from_document(doc: dict) -> LMIsocline:
             hi_end=tuple(e["hi_end"]),
             index=e["id"],
         ))
-    folds = [FoldPoint(f["y"], f["r"], f["kind"]) for f in doc["folds"]]
-    return LMIsocline(branches, folds, tuple(doc["y_range"]), tuple(doc["r_range"]))
+    folds = tuple(FoldPoint(f["y"], f["r"], f["kind"]) for f in doc["folds"])
+    return LMIsocline(tuple(branches), folds, tuple(doc["y_range"]), tuple(doc["r_range"]))
 
 
 def equilibria_document(equilibria: list[Equilibrium]) -> dict:

@@ -14,17 +14,15 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .dynamics import (
     CORNER_DT,
     FULL_MODE,
     REDUCED_MODE,
-    IntegrationError,
     JumpEvent,
     Trajectory,
-    _append_jump,
-    _fold_exit_jump,
+    _fold_jump,
+    _fold_window,
     advance_reduced,
     attach_to_branch,
     detect_jumps,
@@ -141,66 +139,6 @@ def _with_fiscal_shift(spec: ModelSpec, g: float) -> ModelSpec:
 def _drive_slope(drive: FiscalDrive, y_now: float) -> float:
     y_from = drive.y_from if drive.y_from is not None else y_now
     return (drive.y_to - y_from) / (drive.t_end - drive.t_start)
-
-
-def _advance_driven_reduced(spec: ModelSpec, isocline: LMIsocline, branch: Branch,
-                            y: float, t: float, t_stop: float, slope: float,
-                            stride: float, ts: list, ys: list, rs: list,
-                            jumps: list) -> tuple[Branch, float, float, str]:
-    """Driven singular-limit motion: income follows the ramp, the rate is
-    slaved to the current branch and jumps at fold crossings."""
-    while t < t_stop - 1e-15:
-        if slope > 0.0:
-            y_end, end = branch.y_hi, branch.hi_end
-            t_cross = t + (y_end - y) / slope
-        elif slope < 0.0:
-            y_end, end = branch.y_lo, branch.lo_end
-            t_cross = t + (y_end - y) / slope
-        else:
-            y_end, end, t_cross = math.nan, ("none", ""), math.inf
-        t_next = min(t_stop, t_cross)
-        for tt in np.arange(ts[-1] + stride, t_next, stride):
-            yv = y + slope * (tt - t)
-            y_c = min(max(yv, branch.y_lo), branch.y_hi)
-            ts.append(float(tt))
-            ys.append(float(yv))
-            rs.append(branch.r_at(y_c))
-        if t_cross >= t_stop:
-            y = y + slope * (t_stop - t)
-            if ts[-1] < t_stop - 1e-15:
-                ts.append(t_stop)
-                ys.append(y)
-                rs.append(branch.r_at(min(max(y, branch.y_lo), branch.y_hi)))
-            return branch, y, t_stop, "horizon"
-        if end[0] != "fold":
-            if t_cross > ts[-1]:
-                ts.append(t_cross)
-                ys.append(y_end)
-                rs.append(branch.r_at(y_end))
-            return branch, y_end, t_cross, "domain-exit"
-        travel = 1.0 if slope > 0 else -1.0
-        jump, branch = _fold_exit_jump(spec, isocline, branch, end, travel, t_cross)
-        _append_jump(ts, ys, rs, jumps, jump)
-        t = t_cross
-        y = jump.y_at_jump
-    return branch, y, t, "horizon"
-
-
-def _integrate_driven_full(spec: ModelSpec, y0: float, r0: float, slope: float,
-                           t0: float, t1: float, stride: float,
-                           rtol: float = 1e-8, atol: float = 1e-10) -> Trajectory:
-    """Full-mode segment with income prescribed by the ramp slope."""
-    beta = spec.params.beta
-
-    def rhs(_t, s):
-        return (slope, beta * excess_money(max(s[0], 0.0), s[1], spec))
-
-    n_eval = max(2, int(round((t1 - t0) / stride)) + 1)
-    sol = solve_ivp(rhs, (t0, t1), (y0, r0), method="RK45", rtol=rtol, atol=atol,
-                    t_eval=np.linspace(t0, t1, n_eval))
-    if not sol.success:
-        raise IntegrationError(f"driven integration failed: {sol.message}")
-    return Trajectory(sol.t, sol.y[0], sol.y[1], FULL_MODE, spec.spec_id)
 
 
 def _concat(parts: list[Trajectory], mode: str, spec_id: str,
@@ -336,28 +274,18 @@ def apply_scenario(spec: ModelSpec, scenario: Scenario, y0: float, r0: float,
         if t_b <= t_a:
             continue
         drive = active_drive(t_a)
+        slope = None if drive is None else _drive_slope(drive, y)
         if reduced:
-            if drive is not None:
-                slope = _drive_slope(drive, y)
-                branch, y, t, status = _advance_driven_reduced(
-                    cur_spec, isocline, branch, y, t_a, t_b, slope, stride,
-                    ts, ys_, rs_, jumps)
-            else:
-                branch, y, t, status = advance_reduced(
-                    cur_spec, isocline, branch, y, t_a, t_b, stride,
-                    ts, ys_, rs_, jumps)
+            branch, y, t, status = advance_reduced(
+                cur_spec, isocline, branch, y, t_a, t_b, stride,
+                ts, ys_, rs_, jumps, slope)
             r = branch.r_at(min(max(y, branch.y_lo), branch.y_hi))
             if status == "domain-exit":
                 events.append({"t": t, "kind": "domain-exit", "y": y})
                 break
         else:
-            if drive is not None:
-                slope = _drive_slope(drive, y)
-                part = _integrate_driven_full(cur_spec, y, r, slope, t_a, t_b,
-                                              stride, rtol, atol)
-            else:
-                part = integrate(cur_spec, y, r, t_b, rtol=rtol, atol=atol,
-                                 stride=stride, t_start=t_a)
+            part = integrate(cur_spec, y, r, t_b, rtol=rtol, atol=atol,
+                             stride=stride, t_start=t_a, drive_slope=slope)
             parts.append((part, cur_spec))
             y, r, t = float(part.y[-1]), float(part.r[-1]), float(part.t[-1])
 
@@ -365,8 +293,8 @@ def apply_scenario(spec: ModelSpec, scenario: Scenario, y0: float, r0: float,
         traj = Trajectory(np.asarray(ts), np.asarray(ys_), np.asarray(rs_),
                           REDUCED_MODE, spec.spec_id, tuple(jumps))
     else:
-        traj = _concat([p for p, _ in parts], FULL_MODE, spec.spec_id)
-        traj.jumps = _detect_jumps_segmented(parts, stride)
+        traj = _concat([p for p, _ in parts], FULL_MODE, spec.spec_id,
+                       _detect_jumps_segmented(parts, stride))
     for j in traj.jumps:
         events.append({"t": j.t_start, "kind": "jump", "y": j.y_at_jump,
                        "r_from": j.r_from, "r_to": j.r_to,
@@ -428,29 +356,10 @@ class StabilizationPlan:
     mode: str                     # "branch-match" | "fold-relocation"
     jump_direction: str
     r_target: float               # rate the uncontrolled jump would land on
-    residual: float               # |shifted branch value at the fold - fold rate|
+    residual: float               # |shifted branch value at the fold - fold rate|;
+                                  # for money-stock its floor, the window width q - p
     diagnosis: str = ""
     fired: list = field(default_factory=list)
-
-
-def _fold_jump_target(spec: ModelSpec, isocline: LMIsocline, fold: FoldPoint
-                      ) -> tuple[str, float]:
-    """Direction and landing rate of the jump released at a fold."""
-    travel = 1.0 if fold.kind == "lower-knee" else -1.0
-    probe_y = max(fold.y + math.copysign(1e-9 * max(1.0, abs(fold.y)), travel), 0.0)
-    e = excess_money(probe_y, fold.r, spec)
-    direction = "up" if e > 0.0 else "down"
-    roots = lm_roots(fold.y, spec, isocline.r_range, warn=False)
-    pad = 1e-4  # skip the fold's own (quartically flat) double root
-    if direction == "up":
-        cands = [x for x in roots if x > fold.r + pad]
-        if not cands:
-            raise ValueError("no branch above the fold to land on")
-        return direction, min(cands)
-    cands = [x for x in roots if x < fold.r - pad]
-    if not cands:
-        raise ValueError("no branch below the fold to land on")
-    return direction, max(cands)
 
 
 def _shifted_branch_value(spec: ModelSpec, fold: FoldPoint, direction: str,
@@ -478,26 +387,22 @@ def _shifted_branch_value(spec: ModelSpec, fold: FoldPoint, direction: str,
 
 
 def plan_stabilization(spec: ModelSpec, fold: FoldPoint, instrument: str,
-                       isocline: LMIsocline, *, search_hi_factor: float = 10.0,
-                       n_scan: int = 64, match_tol: float = 1e-8,
+                       isocline: LMIsocline, *, match_tol: float = 1e-8,
                        protect_to_y: float | None = None) -> StabilizationPlan:
     """Compute the monetary shift that defuses the jump at a fold.
 
     The target is the shift after which the post-jump stable branch passes
     through the pre-jump point, so the state has nowhere to jump to.  The
     inflation instrument achieves this in closed form via the exact vertical
-    shift law.  The money-stock instrument is searched by bisection; when no
-    stock change can close the match (the post-jump branch's rate floor sits
-    structurally above the fold rate), the plan reports no-solution and falls
-    back to relocating the fold beyond a protected income instead.
+    shift law.  The money-stock instrument cannot: a stock change dM moves
+    every branch horizontally by dM / (l_y - m_y), so the post-jump branch
+    keeps its rate interval, which starts at the window's other endpoint
+    rate, and never reaches the fold rate.  That plan relocates the fold
+    beyond a protected income instead.
     """
     if instrument not in ("inflation", "money-stock"):
         raise ValueError(f"unknown instrument {instrument!r}")
-    direction, r_target = _fold_jump_target(spec, isocline, fold)
-    if abs(r_target - fold.r) <= match_tol:
-        # the pre-jump point already lies on the target branch
-        return StabilizationPlan(fold, instrument, 0.0, True, "branch-match",
-                                 direction, r_target, abs(r_target - fold.r))
+    direction, r_target = _fold_jump(spec, fold, isocline.r_range)
 
     if instrument == "inflation":
         delta = r_target - fold.r
@@ -507,71 +412,20 @@ def plan_stabilization(spec: ModelSpec, fold: FoldPoint, instrument: str,
         return StabilizationPlan(fold, instrument, delta, residual <= match_tol,
                                  "branch-match", direction, r_target, residual)
 
-    # money stock: bisection on the branch-match objective over [0, hi]
-    sign = 1.0 if direction == "up" else -1.0
-    hi = search_hi_factor * spec.params.m_stock
-    if sign < 0:
-        hi = min(hi, 0.999 * spec.params.m_stock)  # keep the stock positive
-
-    def objective(d: float) -> float | None:
-        v = _shifted_branch_value(spec, fold, direction, isocline.r_range, 0.0,
-                                  sign * d)
-        return None if v is None else v - fold.r
-
-    f0 = objective(0.0)
-    best = abs(f0) if f0 is not None else math.inf
-    bracket = None
-    prev_d, prev_f = 0.0, f0
-    for k in range(1, n_scan + 1):
-        d = hi * k / n_scan
-        f = objective(d)
-        if f is None:
-            break
-        best = min(best, abs(f))
-        if prev_f is not None and (f > 0) != (prev_f > 0):
-            bracket = (prev_d, d)
-            break
-        prev_d, prev_f = d, f
-
-    if bracket is not None:
-        a, b = bracket
-        fa = objective(a)
-        for _ in range(200):
-            if b - a <= match_tol * 0.5:
-                break
-            mid = 0.5 * (a + b)
-            fm = objective(mid)
-            if fm is None:
-                b = mid
-                continue
-            if fm == 0.0:
-                a = b = mid
-                break
-            if (fa > 0) != (fm > 0):
-                b = mid
-            else:
-                a, fa = mid, fm
-        delta = sign * 0.5 * (a + b)
-        check = _shifted_branch_value(spec, fold, direction, isocline.r_range,
-                                      0.0, delta)
-        residual = abs(check - fold.r) if check is not None else math.inf
-        return StabilizationPlan(fold, instrument, delta, residual <= match_tol,
-                                 "branch-match", direction, r_target, residual)
-
-    # No-solution: the post-jump branch cannot reach the fold rate for any
-    # admissible stock change.  Relocate the fold beyond the protected income:
-    # the stock change that places the fold exactly at income y* equals the
+    # The stock change that places the fold exactly at income y* equals the
     # money-market excess at (y*, fold rate) under the current model.
+    r_p, r_q = _fold_window(spec, fold)
+    gap = r_q - r_p
     if protect_to_y is None:
         protect_to_y = fold.y * (1.10 if direction == "up" else 0.90)
     delta = excess_money(protect_to_y, fold.r, spec)
     diagnosis = (
-        f"no stock change in [0, {hi:g}] puts the post-jump branch through the "
-        f"fold point; closest approach {best:g} above the fold rate (the branch "
-        "rate floor is structural); falling back to relocating the fold to "
-        f"income {protect_to_y:g}")
+        "no stock change puts the post-jump branch through the fold point: it "
+        f"moves branches horizontally only, and the post-jump branch's rates "
+        f"stay {gap:g} beyond the fold rate; relocating the fold to income "
+        f"{protect_to_y:g} instead")
     return StabilizationPlan(fold, instrument, delta, False, "fold-relocation",
-                             direction, r_target, best, diagnosis)
+                             direction, r_target, gap, diagnosis)
 
 
 @dataclass
@@ -719,11 +573,9 @@ def _controlled_full(spec: ModelSpec, ramp: FiscalDrive, plan: StabilizationPlan
     t_fired = y_fired = None
     while t < horizon - 1e-12:
         t_next = min(t + monitor_stride, horizon)
-        seg_slope = slope if ramp.t_start <= t < ramp.t_end else 0.0
-        if seg_slope != 0.0:
-            part = _integrate_driven_full(cur_spec, y, r, seg_slope, t, t_next, stride)
-        else:
-            part = integrate(cur_spec, y, r, t_next, stride=stride, t_start=t)
+        seg_slope = slope if ramp.t_start <= t < ramp.t_end and slope != 0.0 else None
+        part = integrate(cur_spec, y, r, t_next, stride=stride, t_start=t,
+                         drive_slope=seg_slope)
         parts.append((part, cur_spec))
         y, r, t = float(part.y[-1]), float(part.r[-1]), float(part.t[-1])
         if t_fired is None:
@@ -736,8 +588,8 @@ def _controlled_full(spec: ModelSpec, ramp: FiscalDrive, plan: StabilizationPlan
                 t_fired, y_fired = t, y
                 events.append({"t": t, "kind": "monetary-step", "y": y,
                                "delta": plan.delta})
-    traj = _concat([p for p, _ in parts], FULL_MODE, spec.spec_id)
-    traj.jumps = _detect_jumps_segmented(parts, stride)
+    traj = _concat([p for p, _ in parts], FULL_MODE, spec.spec_id,
+                   _detect_jumps_segmented(parts, stride))
     return ScenarioResult(traj, events, cur_spec), t_fired, y_fired
 
 

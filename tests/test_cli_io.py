@@ -251,3 +251,32 @@ def test_rerun_reproduces_byte_identical_outputs(tmp_path):
         assert a.keys() == b.keys() and a, cmd
         for name in a:
             assert a[name] == b[name], f"{cmd}/{name} differs between runs"
+
+
+def test_cli_simulate_reduced_runs_the_horizon_in_slow_time(tmp_path):
+    raw = shipped_config("reference")
+    cfg = write_config(tmp_path, raw)
+    assert run_command(["simulate", "--config", str(cfg), "--mode", "reduced",
+                        "--out", str(tmp_path / "o"), "--quiet"]) == 0
+    doc = json.loads((tmp_path / "o" / "simulation.json").read_text())
+    eps = raw["model"]["params"]["epsilon"]
+    assert doc["mode"] == "singular-limit"
+    assert doc["t_span"][1] == pytest.approx(eps * raw["simulate"]["t_end"], rel=1e-12)
+    assert doc["cycle"] is not None
+
+
+def test_module_entry_point_raises_no_runtime_warning():
+    import os
+    import subprocess
+    import sys
+
+    import islmsim
+
+    src = str(Path(islmsim.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m",
+                           "islmsim.cli", "--help"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "usage: islmsim" in proc.stdout

@@ -15,7 +15,7 @@ from islmsim.dynamics import (
 )
 from islmsim.geometry import find_equilibria, trace_lm_isocline
 from islmsim.model import excess_money, excess_money_many
-from islmsim.reference import no_trap_spec, steep_is_spec
+from islmsim.reference import no_trap_spec, reference_spec, steep_is_spec
 
 
 # ---------------------------------------------------------------------------
@@ -242,3 +242,14 @@ def test_cycle_points_include_jump_verticals(ref_reduced_cycle):
     r_probe = 0.5 * (up.r_from + up.r_to)
     near = pts[np.abs(pts[:, 0] - up.y_at_jump) < 1e-3]
     assert np.min(np.abs(near[:, 1] - r_probe)) < 5e-3
+
+
+def test_cycle_counts_a_jump_cut_by_the_window_once():
+    # this transient fraction puts the recurrence point inside a jump
+    spec = reference_spec(epsilon=1e-2)
+    traj = integrate(spec, 1.5, 0.01, 3.0 * 6.1 / 1e-2, stride=0.1)
+    cycle = detect_cycle(traj, spec, transient_frac=5808 / len(traj))
+    assert cycle is not None
+    assert sorted(j.direction for j in cycle.jumps) == ["down", "up"]
+    for j in cycle.jumps:
+        assert cycle.t_start <= j.t_start < cycle.t_start + cycle.period

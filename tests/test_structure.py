@@ -1,0 +1,104 @@
+"""Structural rules of the model, checked against the oracles only.
+
+Folds sit at trap-window endpoint rates, so the jump released at a fold and
+the money-stock plan for it follow from the window layout; frozen model
+objects cannot change after construction.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from islmsim.dynamics import Trajectory, _fold_jump
+from islmsim.geometry import FoldPoint, shift_lm, trace_lm_isocline
+from islmsim.model import ISBlock, ModelParams, ModelSpec, TrapWindow, build_three_phase_money
+from islmsim.policy import plan_stabilization
+
+from oracles import dense_scan_roots, excess_money_by_quadrature, fold_positions, rate_gap_slope
+
+WIDE_Y = (0.0, 40.0)
+WIDE_R = (-0.1, 0.6)
+
+
+@st.composite
+def trap_specs(draw):
+    """Specs with 1-3 trap windows of random position, width, gap and bumps."""
+    windows = []
+    p = draw(st.floats(0.015, 0.05))
+    for _ in range(draw(st.integers(1, 3))):
+        q = p + draw(st.floats(0.02, 0.06))
+        windows.append(TrapWindow(p=p, q=q, amp_l=draw(st.floats(8.0, 25.0)),
+                                  amp_m=draw(st.floats(8.0, 25.0))))
+        p = q + draw(st.floats(0.015, 0.04))
+    money = build_three_phase_money(0.5, 0.1, 20.0, 20.0, 2.2, 0.5, windows)
+    params = ModelParams(alpha=1.0, beta=0.25, epsilon=1e-3,
+                         m_stock=draw(st.floats(2.0, 2.6)),
+                         maturity_premium=0.02,
+                         expected_inflation=draw(st.floats(0.0, 0.03)))
+    is_block = ISBlock(i0=2.0, i_y=0.3, i_r=10.0, s0=0.5, s_y=0.5, s_r=5.0)
+    return ModelSpec(params=params, is_block=is_block, money=money)
+
+
+def _window_rates(spec, r_fold, kind):
+    """Endpoint rates of the window whose start (lower knee) or end (upper
+    knee) is the fold rate."""
+    off = spec.params.maturity_premium - spec.params.expected_inflation
+    k = 0 if kind == "lower-knee" else 1
+    w = min(spec.money.windows, key=lambda w: abs((w.p, w.q)[k] + off - r_fold))
+    return w.p + off, w.q + off
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(trap_specs())
+def test_fold_jump_lands_on_first_root_beyond_the_window(spec):
+    folds = fold_positions(spec, WIDE_Y)
+    assume(len(folds) == 2 * len(spec.money.windows))
+    off = spec.params.maturity_premium - spec.params.expected_inflation
+    for y_f, r_f, kind in folds:
+        direction, landing = _fold_jump(spec, FoldPoint(y_f, r_f, kind), WIDE_R)
+        # past the fold in its travel direction the fast flow pushes the rate
+        travel = 1e-6 if kind == "lower-knee" else -1e-6
+        push = excess_money_by_quadrature(spec, y_f + travel, r_f)
+        assert direction == ("up" if push > 0.0 else "down")
+        r_p, r_q = _window_rates(spec, r_f, kind)
+        roots = dense_scan_roots(spec, y_f, WIDE_R)
+        if direction == "up":
+            want = [r for r in roots if r > r_q][0]
+        else:
+            want = [r for r in roots if r < r_p][-1]
+        assert landing == pytest.approx(want, abs=1e-10)
+        assert rate_gap_slope(spec, landing - off) < 0.0
+
+
+def test_money_stock_plan_relocates_the_fold(all_window_specs):
+    for n in (1, 2, 3):
+        spec, dom = all_window_specs[n]
+        iso = trace_lm_isocline(spec, dom["y_range"], dom["y_steps"], dom["r_range"],
+                                dom["scan_n"])
+        for y_f, r_f, kind in fold_positions(spec, dom["y_range"]):
+            protect = y_f + (0.2 if kind == "lower-knee" else -0.2)
+            plan = plan_stabilization(spec, FoldPoint(y_f, r_f, kind), "money-stock",
+                                      iso, protect_to_y=protect)
+            r_p, r_q = _window_rates(spec, r_f, kind)
+            assert plan.mode == "fold-relocation"
+            assert not plan.matched
+            assert plan.residual == pytest.approx(r_q - r_p, abs=1e-15)
+            assert "no stock change" in plan.diagnosis
+            moved = fold_positions(shift_lm(spec, d_ms=plan.delta), WIDE_Y)
+            y_new = next(y for y, r, k in moved if k == kind and abs(r - r_f) < 1e-12)
+            assert y_new == pytest.approx(protect, abs=1e-9)
+
+
+def test_model_objects_are_frozen(ref_isocline):
+    traj = Trajectory(np.array([0.0, 1.0]), np.zeros(2), np.zeros(2), "full-epsilon", "x")
+    for obj in (ref_isocline.branches[0], ref_isocline, traj):
+        for f in dataclasses.fields(obj):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, f.name, getattr(obj, f.name))
+    assert isinstance(ref_isocline.branches, tuple)
+    assert isinstance(ref_isocline.folds, tuple)
+    assert [b.index for b in ref_isocline.branches] == list(range(len(ref_isocline.branches)))
