@@ -2,9 +2,10 @@
 
 The LM isocline is traced by sweeping income, root-finding the money-market
 excess in the rate, linking roots into branches by continuation, and refining
-the fold points where the branch count changes.  Arc stability is the sign of
-the rate-derivative of the money excess: negative means the fast dynamics
-attract to the branch.
+the fold points where the branch count changes.  The excess is linear in
+income, so one scan of the rate grid serves the whole sweep.  Arc stability
+is the sign of the rate-derivative of the money excess: negative means the
+fast dynamics attract to the branch.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
+    ModelDomainError,
     ModelSpec,
     ModelParams,
     excess_money,
@@ -180,19 +182,26 @@ def _window_rates(spec: ModelSpec) -> list[float]:
     return rates
 
 
-def lm_roots(y: float, spec: ModelSpec, r_range: tuple[float, float],
-             scan_n: int = 500, warn: bool = True) -> list[float]:
-    """All rates solving the money-market equation at the given income.
+def _rate_scan(spec: ModelSpec, r_range: tuple[float, float],
+               scan_n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rate grid of the root scan and the money excess on it at zero income.
 
-    Uniform sign-change scan followed by bisection; roots return ascending.
-    Emits warnings when a bracket straddles a trap-window endpoint (where the
-    excess has zero slope, so a tangency could hide a root pair) and when the
-    root count is even, which generically signals a tangency.
+    The excess is linear in income, E(y, r) = E(0, r) + (l_y - m_y) y, so one
+    grid evaluation serves every income of a trace.
     """
     if scan_n < 200:
         raise ValueError("scan_n must be at least 200")
     grid = np.linspace(r_range[0], r_range[1], scan_n + 1)
-    vals = excess_money_many(y, grid, spec)
+    return grid, excess_money_many(0.0, grid, spec)
+
+
+def _scan_roots(y: float, spec: ModelSpec, scan: tuple[np.ndarray, np.ndarray],
+                warn: bool) -> list[float]:
+    """lm_roots at one income on a precomputed `_rate_scan`."""
+    if y < 0.0:
+        raise ModelDomainError(f"income must be non-negative, got {y}")
+    grid, base = scan
+    vals = base + (spec.money.l_y - spec.money.m_y) * y
     roots: list[float] = []
     endpoint_rates = _window_rates(spec)
     exact = np.nonzero(vals == 0.0)[0]
@@ -213,6 +222,18 @@ def lm_roots(y: float, spec: ModelSpec, r_range: tuple[float, float],
         logger.warning("even root count %d at income %g suggests a tangency",
                        len(roots), y)
     return roots
+
+
+def lm_roots(y: float, spec: ModelSpec, r_range: tuple[float, float],
+             scan_n: int = 500, warn: bool = True) -> list[float]:
+    """All rates solving the money-market equation at the given income.
+
+    Uniform sign-change scan followed by bisection; roots return ascending.
+    Emits warnings when a bracket straddles a trap-window endpoint (where the
+    excess has zero slope, so a tangency could hide a root pair) and when the
+    root count is even, which generically signals a tangency.
+    """
+    return _scan_roots(y, spec, _rate_scan(spec, r_range, scan_n), warn)
 
 
 def _stability_sign(spec: ModelSpec, r: float) -> int:
@@ -316,6 +337,7 @@ def trace_lm_isocline(spec: ModelSpec, y_range: tuple[float, float],
     if r_range is None:
         raise ValueError("r_range is required to bound the rate scan")
     ys = np.linspace(y_range[0], y_range[1], y_steps)
+    scan = _rate_scan(spec, r_range, scan_n)
     fallback_step = (r_range[1] - r_range[0]) / scan_n
     boundary_pad = 2.0 * fallback_step
 
@@ -325,7 +347,7 @@ def trace_lm_isocline(spec: ModelSpec, y_range: tuple[float, float],
     events: list[tuple[float, float, list[_OpenBranch], list[_OpenBranch]]] = []
 
     for k, y in enumerate(ys):
-        roots = lm_roots(float(y), spec, r_range, scan_n, warn=False)
+        roots = _scan_roots(float(y), spec, scan, warn=False)
         stabs = [_stability_sign(spec, r) for r in roots]
 
         # pair roots with open branches: greedy nearest with stability tie-break
@@ -406,7 +428,7 @@ def trace_lm_isocline(spec: ModelSpec, y_range: tuple[float, float],
             last_r = rs_list[0] if side == "lo" else rs_list[-1]
             for j in range(1, 11):
                 y_j = f.y + (span * 0.5 ** j) * (1 if side == "lo" else -1)
-                cands = lm_roots(float(y_j), spec, r_range, scan_n, warn=False)
+                cands = _scan_roots(float(y_j), spec, scan, warn=False)
                 # near the fold the sibling root is closer than the tracking
                 # gap; the merging pair always has opposite stability, so the
                 # branch's own sign disambiguates

@@ -2,13 +2,14 @@
 provenance records, and the per-directory run lock.
 
 All data files are written deterministically (sorted keys, shortest
-round-trip float representation); wall-clock timestamps appear only in the
-provenance record.
+round-trip float representation, strict JSON with non-finite numbers as
+null); wall-clock timestamps appear only in the provenance record.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from pathlib import Path
@@ -111,9 +112,21 @@ def read_trajectory(path: str | Path, mode: str = "full-epsilon",
 # ---------------------------------------------------------------------------
 # structured documents
 
+def _finite_or_null(value):
+    """Copy of a document with every non-finite float replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
+
+
 def write_json_document(path: str | Path, doc: dict) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
+    """Write strict JSON: NaN and infinities are written as null."""
+    text = json.dumps(_finite_or_null(doc), indent=2, sort_keys=True, allow_nan=False)
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def _branch_entry(b: Branch) -> dict:

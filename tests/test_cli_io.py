@@ -1,4 +1,5 @@
 import json
+import math
 from importlib import resources
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from islmsim.output import (
     isocline_from_document,
     read_trajectory,
     trajectory_table,
+    write_json_document,
 )
 
 
@@ -155,6 +157,32 @@ def test_cli_validate_broken_spec_exits_1(tmp_path):
                         "--out", str(tmp_path / "o"), "--quiet"]) == 1
     doc = json.loads((tmp_path / "o" / "validation.json").read_text())
     assert doc["passed"] is False
+
+
+def _strict_json(text: str):
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_cli_validate_writes_strict_json_for_a_nan_worst_value(tmp_path):
+    # no LM root at the low-income edge leaves the check without a worst value
+    raw = shipped_config("reference")
+    raw["model"]["params"]["m_stock"] = 60
+    cfg = write_config(tmp_path, raw)
+    assert run_command(["validate", "--config", str(cfg),
+                        "--out", str(tmp_path / "o"), "--quiet"]) == 1
+    doc = _strict_json((tmp_path / "o" / "validation.json").read_text())
+    failed = [c for c in doc["conditions"] if not c["passed"]]
+    assert failed and all(c["worst_value"] is None for c in failed)
+
+
+def test_json_documents_write_non_finite_numbers_as_null(tmp_path):
+    path = tmp_path / "doc.json"
+    write_json_document(path, {"residual": math.inf, "v": [-math.inf, math.nan, 0.5],
+                               "pair": (1.0, float("nan"))})
+    assert _strict_json(path.read_text()) == {"residual": None, "v": [None, None, 0.5],
+                                              "pair": [1.0, None]}
 
 
 def test_cli_isocline_reference_structure(tmp_path):

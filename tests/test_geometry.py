@@ -10,7 +10,7 @@ from islmsim.geometry import (
     shift_lm,
     trace_lm_isocline,
 )
-from islmsim.model import excess_money, excess_money_slope
+from islmsim.model import ModelDomainError, excess_money, excess_money_slope
 
 from oracles import (
     brute_force_equilibria,
@@ -67,6 +67,18 @@ def test_lm_roots_unique_without_trap(all_window_specs):
 def test_lm_roots_rejects_coarse_scan(ref_spec, ref_domain):
     with pytest.raises(ValueError):
         lm_roots(1.0, ref_spec, ref_domain["r_range"], scan_n=100)
+
+
+def test_negative_income_is_outside_the_model_domain(ref_spec, ref_domain):
+    with pytest.raises(ModelDomainError):
+        lm_roots(-1e-3, ref_spec, ref_domain["r_range"])
+    # also where the rate range holds no root, so no bisection runs
+    with pytest.raises(ModelDomainError):
+        lm_roots(-1e-3, ref_spec, (0.5, 0.6))
+    with pytest.raises(ModelDomainError):
+        trace_lm_isocline(ref_spec, (-0.5, ref_domain["y_range"][1]),
+                          ref_domain["y_steps"], ref_domain["r_range"],
+                          ref_domain["scan_n"])
 
 
 def test_lm_roots_warns_near_window_endpoint_tangency(ref_spec, ref_domain, caplog):

@@ -1,8 +1,9 @@
 """Structural rules of the model, checked against the oracles only.
 
 Folds sit at trap-window endpoint rates, so the jump released at a fold and
-the money-stock plan for it follow from the window layout; frozen model
-objects cannot change after construction.
+the money-stock plan for it follow from the window layout; the money excess
+is linear in income, so one rate scan serves every income of a trace; frozen
+model objects cannot change after construction.
 """
 
 import dataclasses
@@ -13,7 +14,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from islmsim.dynamics import Trajectory, _fold_jump
-from islmsim.geometry import FoldPoint, shift_lm, trace_lm_isocline
+from islmsim.geometry import FoldPoint, lm_roots, shift_lm, trace_lm_isocline
 from islmsim.model import ISBlock, ModelParams, ModelSpec, TrapWindow, build_three_phase_money
 from islmsim.policy import plan_stabilization
 
@@ -24,11 +25,12 @@ WIDE_R = (-0.1, 0.6)
 
 
 @st.composite
-def trap_specs(draw):
-    """Specs with 1-3 trap windows of random position, width, gap and bumps."""
+def trap_specs(draw, min_windows=1):
+    """Specs with `min_windows`-3 trap windows of random position, width, gap
+    and bumps."""
     windows = []
     p = draw(st.floats(0.015, 0.05))
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(draw(st.integers(min_windows, 3))):
         q = p + draw(st.floats(0.02, 0.06))
         windows.append(TrapWindow(p=p, q=q, amp_l=draw(st.floats(8.0, 25.0)),
                                   amp_m=draw(st.floats(8.0, 25.0))))
@@ -72,6 +74,37 @@ def test_fold_jump_lands_on_first_root_beyond_the_window(spec):
             want = [r for r in roots if r < r_p][-1]
         assert landing == pytest.approx(want, abs=1e-10)
         assert rate_gap_slope(spec, landing - off) < 0.0
+
+
+# the tracer's income step on WIDE_Y, and the distance from a fold inside
+# which the merging root pair can share one cell of the 500-point rate scan
+TRACE_STEPS = 700
+Y_STEP = (WIDE_Y[1] - WIDE_Y[0]) / (TRACE_STEPS - 1)
+NEAR_FOLD = 0.01
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(trap_specs(min_windows=0), st.lists(st.floats(*WIDE_Y), min_size=3, max_size=3))
+def test_shared_rate_scan_matches_the_oracles(spec, incomes):
+    folds = fold_positions(spec, WIDE_Y)
+    for y in incomes:
+        if any(abs(y - y_f) < NEAR_FOLD for y_f, _, _ in folds):
+            continue
+        roots = lm_roots(y, spec, WIDE_R, warn=False)
+        want = dense_scan_roots(spec, y, WIDE_R)
+        assert len(roots) == len(want)
+        assert roots == pytest.approx(want, abs=1e-9)
+
+    # two folds within one income step can merge or vanish in the sweep
+    fold_ys = [y_f for y_f, _, _ in folds]
+    assume(all(b - a >= 2.0 * Y_STEP for a, b in zip(fold_ys, fold_ys[1:])))
+    iso = trace_lm_isocline(spec, WIDE_Y, TRACE_STEPS, WIDE_R)
+    traced = sorted((f.y, f.r, f.kind) for f in iso.folds)
+    assert [k for _, _, k in traced] == [k for _, _, k in folds]
+    for (y_t, r_t, _), (y_f, r_f, _) in zip(traced, folds):
+        assert y_t == pytest.approx(y_f, abs=1e-6)
+        assert r_t == pytest.approx(r_f, abs=1e-6)
 
 
 def test_money_stock_plan_relocates_the_fold(all_window_specs):
