@@ -15,7 +15,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .config import ConfigError, MODE_NAMES, RunConfig, parse_config
+from .config import ConfigError, MODE_NAMES, OUTPUT_FORMATS, RunConfig, parse_config
 from .dynamics import (
     FoldStallError,
     IntegrationError,
@@ -82,17 +82,9 @@ def _configure_logging(quiet: bool) -> None:
 
 
 def _apply_overrides(config: RunConfig, args) -> RunConfig:
-    from .model import ModelParams, ModelSpec
-
     model = config.model
     if args.epsilon is not None:
-        p = model.params
-        model = ModelSpec(
-            params=ModelParams(alpha=p.alpha, beta=p.beta, epsilon=args.epsilon,
-                               m_stock=p.m_stock,
-                               maturity_premium=p.maturity_premium,
-                               expected_inflation=p.expected_inflation),
-            is_block=model.is_block, money=model.money)
+        model = replace(model, params=replace(model.params, epsilon=args.epsilon))
     simulate = config.simulate
     scenario = config.scenario
     if args.mode is not None:
@@ -104,12 +96,11 @@ def _apply_overrides(config: RunConfig, args) -> RunConfig:
     formats = config.formats
     if args.format is not None:
         formats = tuple(f.strip() for f in args.format.split(",") if f.strip())
-        bad = set(formats) - {"csv", "json", "svg"}
+        bad = set(formats) - OUTPUT_FORMATS
         if bad:
             raise ConfigError(f"unknown format(s) {sorted(bad)} in --format")
-    return RunConfig(model=model, domain=config.domain, simulate=simulate,
-                     scenario=scenario, stabilize=config.stabilize,
-                     formats=formats)
+    return replace(config, model=model, simulate=simulate, scenario=scenario,
+                   formats=formats)
 
 
 def run_command(argv: list[str] | None = None) -> int:

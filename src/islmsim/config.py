@@ -20,6 +20,7 @@ __all__ = ["ConfigError", "Domain", "SimulateOptions", "ScenarioOptions",
 
 MODE_NAMES = {"full": "full-epsilon", "reduced": "singular-limit"}
 MODE_LABELS = {v: k for k, v in MODE_NAMES.items()}
+OUTPUT_FORMATS = {"csv", "json", "svg"}
 
 
 class ConfigError(ValueError):
@@ -60,6 +61,31 @@ def _number(obj: dict, key: str, path: str, default=None, positive=False,
     if nonnegative and v < 0.0:
         raise ConfigError(f"'{key}' must be non-negative, got {v}", path)
     return v
+
+
+def _mode(obj: dict, default: str, path: str) -> str:
+    mode = obj.get("mode", default)
+    if mode not in MODE_NAMES:
+        raise ConfigError(f"'mode' must be one of {sorted(MODE_NAMES)}", path)
+    return MODE_NAMES[mode]
+
+
+def _drive(obj: dict, path: str, extra: frozenset[str] = frozenset()) -> FiscalDrive:
+    """A fiscal drive: a `fiscal-drive` scenario step or a stabilize ramp."""
+    required = {"t_start", "t_end", "y_to"} | extra
+    _require_keys(obj, required | {"y_from"}, required, path)
+    return FiscalDrive(
+        t_start=_number(obj, "t_start", path, nonnegative=True),
+        t_end=_number(obj, "t_end", path, positive=True),
+        y_to=_number(obj, "y_to", path, nonnegative=True),
+        y_from=None if "y_from" not in obj else _number(obj, "y_from", path))
+
+
+def _drive_dict(d: FiscalDrive) -> dict:
+    out = {"t_start": d.t_start, "t_end": d.t_end, "y_to": d.y_to}
+    if d.y_from is not None:
+        out["y_from"] = d.y_from
+    return out
 
 
 def _pair(obj: dict, key: str, path: str, default=None) -> tuple[float, float]:
@@ -119,11 +145,7 @@ class ScenarioOptions:
         steps = []
         for s in self.scenario.steps:
             if isinstance(s, FiscalDrive):
-                d = {"kind": "fiscal-drive", "t_start": s.t_start, "t_end": s.t_end,
-                     "y_to": s.y_to}
-                if s.y_from is not None:
-                    d["y_from"] = s.y_from
-                steps.append(d)
+                steps.append({"kind": "fiscal-drive", **_drive_dict(s)})
             elif isinstance(s, FiscalShift):
                 steps.append({"kind": "fiscal-shift", "time": s.time, "g": s.g})
             else:
@@ -146,11 +168,8 @@ class StabilizeOptions:
     protect_to_y: float | None = None
 
     def to_dict(self) -> dict:
-        ramp = {"t_start": self.ramp.t_start, "t_end": self.ramp.t_end,
-                "y_to": self.ramp.y_to}
-        if self.ramp.y_from is not None:
-            ramp["y_from"] = self.ramp.y_from
-        d = {"fold": self.fold, "instrument": self.instrument, "ramp": ramp,
+        d = {"fold": self.fold, "instrument": self.instrument,
+             "ramp": _drive_dict(self.ramp),
              "y0": self.y0, "r0": self.r0, "margin_frac": self.margin_frac,
              "mode": MODE_LABELS[self.mode]}
         if self.protect_to_y is not None:
@@ -229,13 +248,7 @@ def _parse_steps(raw: list, horizon: float, path: str) -> Scenario:
             raise ConfigError("each step needs a 'kind'", p)
         kind = s["kind"]
         if kind == "fiscal-drive":
-            _require_keys(s, {"kind", "t_start", "t_end", "y_to", "y_from"},
-                          {"kind", "t_start", "t_end", "y_to"}, p)
-            steps.append(FiscalDrive(
-                t_start=_number(s, "t_start", p, nonnegative=True),
-                t_end=_number(s, "t_end", p, positive=True),
-                y_to=_number(s, "y_to", p, nonnegative=True),
-                y_from=None if "y_from" not in s else _number(s, "y_from", p)))
+            steps.append(_drive(s, p, frozenset({"kind"})))
         elif kind == "fiscal-shift":
             _require_keys(s, {"kind", "time", "g"}, {"kind", "time", "g"}, p)
             steps.append(FiscalShift(time=_number(s, "time", p, nonnegative=True),
@@ -282,14 +295,12 @@ def parse_config_dict(raw: dict, path_label: str = "config") -> RunConfig:
         s = raw["simulate"]
         _require_keys(s, {"y0", "r0", "t_end", "mode", "stride", "rtol", "atol"},
                       {"y0", "r0", "t_end"}, sp)
-        mode = s.get("mode", "full")
-        if mode not in MODE_NAMES:
-            raise ConfigError(f"'mode' must be one of {sorted(MODE_NAMES)}", sp)
+        mode = _mode(s, "full", sp)
         simulate = SimulateOptions(
             y0=_number(s, "y0", sp, nonnegative=True),
             r0=_number(s, "r0", sp),
             t_end=_number(s, "t_end", sp, nonnegative=True),
-            mode=MODE_NAMES[mode],
+            mode=mode,
             stride=None if s.get("stride") is None else _number(s, "stride", sp, positive=True),
             rtol=_number(s, "rtol", sp, default=1e-8, positive=True),
             atol=_number(s, "atol", sp, default=1e-10, positive=True),
@@ -301,15 +312,13 @@ def parse_config_dict(raw: dict, path_label: str = "config") -> RunConfig:
         c = raw["scenario"]
         _require_keys(c, {"horizon", "y0", "r0", "mode", "stride", "steps"},
                       {"horizon", "y0", "r0"}, cp)
-        mode = c.get("mode", "reduced")
-        if mode not in MODE_NAMES:
-            raise ConfigError(f"'mode' must be one of {sorted(MODE_NAMES)}", cp)
+        mode = _mode(c, "reduced", cp)
         horizon = _number(c, "horizon", cp, positive=True)
         scenario = ScenarioOptions(
             scenario=_parse_steps(c.get("steps", []), horizon, cp),
             y0=_number(c, "y0", cp, nonnegative=True),
             r0=_number(c, "r0", cp),
-            mode=MODE_NAMES[mode],
+            mode=mode,
             stride=None if c.get("stride") is None else _number(c, "stride", cp, positive=True),
         )
 
@@ -324,23 +333,14 @@ def parse_config_dict(raw: dict, path_label: str = "config") -> RunConfig:
             raise ConfigError("'fold' must be 'lower-knee' or 'upper-knee'", tp)
         if t["instrument"] not in ("inflation", "money-stock"):
             raise ConfigError("'instrument' must be 'inflation' or 'money-stock'", tp)
-        ramp_raw = t["ramp"]
-        _require_keys(ramp_raw, {"t_start", "t_end", "y_to", "y_from"},
-                      {"t_start", "t_end", "y_to"}, f"{tp}.ramp")
-        ramp = FiscalDrive(
-            t_start=_number(ramp_raw, "t_start", f"{tp}.ramp", nonnegative=True),
-            t_end=_number(ramp_raw, "t_end", f"{tp}.ramp", positive=True),
-            y_to=_number(ramp_raw, "y_to", f"{tp}.ramp", nonnegative=True),
-            y_from=None if "y_from" not in ramp_raw else _number(ramp_raw, "y_from", f"{tp}.ramp"))
-        mode = t.get("mode", "reduced")
-        if mode not in MODE_NAMES:
-            raise ConfigError(f"'mode' must be one of {sorted(MODE_NAMES)}", tp)
+        ramp = _drive(t["ramp"], f"{tp}.ramp")
+        mode = _mode(t, "reduced", tp)
         stabilize = StabilizeOptions(
             fold=t["fold"], instrument=t["instrument"], ramp=ramp,
             y0=_number(t, "y0", tp, nonnegative=True),
             r0=_number(t, "r0", tp),
             margin_frac=_number(t, "margin_frac", tp, default=0.05, nonnegative=True),
-            mode=MODE_NAMES[mode],
+            mode=mode,
             protect_to_y=None if "protect_to_y" not in t else _number(t, "protect_to_y", tp))
 
     formats: tuple[str, ...] = ("csv", "json")
@@ -351,7 +351,7 @@ def parse_config_dict(raw: dict, path_label: str = "config") -> RunConfig:
         fmts = o.get("formats", ["csv", "json"])
         if not isinstance(fmts, list) or not all(isinstance(f, str) for f in fmts):
             raise ConfigError("'formats' must be a list of strings", op)
-        bad = set(fmts) - {"csv", "json", "svg"}
+        bad = set(fmts) - OUTPUT_FORMATS
         if bad:
             raise ConfigError(f"unknown format(s) {sorted(bad)}", op)
         formats = tuple(fmts)

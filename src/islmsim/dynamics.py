@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .geometry import Branch, FoldPoint, LMIsocline, lm_roots
+from .geometry import Branch, FoldPoint, LMIsocline, _window_rates, lm_roots
 from .model import ModelSpec, excess_goods, excess_money, excess_money_many, excess_money_slope
 
 __all__ = [
@@ -202,10 +202,8 @@ def _fold_window(spec: ModelSpec, fold: FoldPoint) -> tuple[float, float]:
 
     A lower knee sits at its window's start rate, an upper knee at its end.
     """
-    off = spec.params.maturity_premium - spec.params.expected_inflation
     k = 0 if fold.kind == "lower-knee" else 1
-    p, q = min(spec.money.window_spans(), key=lambda w: abs(w[k] + off - fold.r))
-    return p + off, q + off
+    return min(_window_rates(spec), key=lambda w: abs(w[k] - fold.r))
 
 
 def _fold_jump(spec: ModelSpec, fold: FoldPoint, r_range: tuple[float, float]

@@ -1,8 +1,9 @@
 """Curve geometry: IS curve, the multivalued LM isocline, folds, and equilibria.
 
 The LM isocline is traced by sweeping income, root-finding the money-market
-excess in the rate, linking roots into branches by continuation, and refining
-the fold points where the branch count changes.  The excess is linear in
+excess in the rate, and linking roots into branches by continuation; where
+the branch count changes, the fold is placed in closed form at the trap-window
+endpoint rate between the merging roots.  The excess is linear in
 income, so one scan of the rate grid serves the whole sweep.  Arc stability
 is the sign of the rate-derivative of the money excess: negative means the
 fast dynamics attract to the branch.
@@ -62,8 +63,7 @@ class ISCurve:
     y_range: tuple[float, float] | None = None
 
     def r_at(self, y):
-        return self.intercept + self.slope * np.asarray(y, dtype=float) \
-            if isinstance(y, np.ndarray) else self.intercept + self.slope * y
+        return self.intercept + self.slope * y
 
     def shifted(self, dr: float) -> "ISCurve":
         return ISCurve(self.intercept + dr, self.slope, self.y_range)
@@ -174,12 +174,15 @@ def _bisect_root(spec: ModelSpec, y: float, lo: float, hi: float,
     return 0.5 * (lo + hi)
 
 
-def _window_rates(spec: ModelSpec) -> list[float]:
+def _window_rates(spec: ModelSpec) -> list[tuple[float, float]]:
+    """Long rates (p, q) + MP - pi_e of each trap window's endpoints.
+
+    The excess slope vanishes there and nowhere else, so every fold of the
+    LM isocline sits at one of these rates: a lower knee at a window start,
+    an upper knee at a window end.
+    """
     off = spec.params.maturity_premium - spec.params.expected_inflation
-    rates = []
-    for p, q in spec.money.window_spans():
-        rates.extend((p + off, q + off))
-    return rates
+    return [(p + off, q + off) for p, q in spec.money.window_spans()]
 
 
 def _rate_scan(spec: ModelSpec, r_range: tuple[float, float],
@@ -203,7 +206,7 @@ def _scan_roots(y: float, spec: ModelSpec, scan: tuple[np.ndarray, np.ndarray],
     grid, base = scan
     vals = base + (spec.money.l_y - spec.money.m_y) * y
     roots: list[float] = []
-    endpoint_rates = _window_rates(spec)
+    endpoint_rates = [r for span in _window_rates(spec) for r in span]
     exact = np.nonzero(vals == 0.0)[0]
     for k in exact:
         roots.append(float(grid[k]))
@@ -264,74 +267,28 @@ class _OpenBranch:
         return 10.0 * max(d1, d2, fallback)
 
 
-def _refine_fold(spec: ModelSpec, y_lo: float, y_hi: float,
-                 pair: tuple[float, float]) -> tuple[float, float, str]:
-    """Pin down a fold from the merging root pair that brackets it.
+def _fold_between(spec: ModelSpec, pair: tuple[float, float]) -> FoldPoint:
+    """The fold where a merging root pair meets, in closed form.
 
-    The fold rate is the zero of the excess slope inside the pair (exact, the
-    slope changes sign transversally there); the fold income is then the zero
-    of the excess itself at that rate, which is strictly monotone in income.
+    Its rate is the one window-endpoint rate between the pair; the excess is
+    linear in income, so its income solves E(0, r) + (l_y - m_y) y = 0.
     """
     r_lo, r_hi = min(pair), max(pair)
-    s_lo = excess_money_slope(r_lo, spec)
-    s_hi = excess_money_slope(r_hi, spec)
-    if s_lo == 0.0:
-        r_fold = r_lo
-    elif s_hi == 0.0:
-        r_fold = r_hi
-    else:
-        if (s_lo > 0) == (s_hi > 0):
-            raise TracingError(
-                f"no slope sign change inside root pair ({r_lo}, {r_hi}); "
-                "discontinuous branch linkage")
-        for _ in range(200):
-            if r_hi - r_lo <= 5e-17 * max(1.0, abs(r_lo), abs(r_hi)):
-                break
-            mid = 0.5 * (r_lo + r_hi)
-            s_mid = excess_money_slope(mid, spec)
-            if s_mid == 0.0:
-                r_lo = r_hi = mid
-                break
-            if (s_lo > 0) != (s_mid > 0):
-                r_hi = mid
-            else:
-                r_lo, s_lo = mid, s_mid
-        r_fold = 0.5 * (r_lo + r_hi)
-
-    ya, yb = y_lo, y_hi
-    fa = excess_money(ya, r_fold, spec)
-    fb = excess_money(yb, r_fold, spec)
-    if fa == 0.0:
-        y_fold = ya
-    elif fb == 0.0:
-        y_fold = yb
-    elif (fa > 0) == (fb > 0):
+    ends = [(r, kind) for span in _window_rates(spec)
+            for r, kind in zip(span, ("lower-knee", "upper-knee")) if r_lo <= r <= r_hi]
+    if len(ends) != 1:
         raise TracingError(
-            f"fold income not bracketed in [{y_lo}, {y_hi}] at rate {r_fold}")
-    else:
-        for _ in range(200):
-            if yb - ya <= 5e-17 * max(1.0, ya, yb):
-                break
-            mid = 0.5 * (ya + yb)
-            fm = excess_money(mid, r_fold, spec)
-            if fm == 0.0:
-                ya = yb = mid
-                break
-            if (fa > 0) != (fm > 0):
-                yb = mid
-            else:
-                ya, fa = mid, fm
-        y_fold = 0.5 * (ya + yb)
-
-    probe = max(1e-9, 0.05 * (max(pair) - min(pair)))
-    kind = "lower-knee" if excess_money_slope(r_fold + probe, spec) > 0 else "upper-knee"
-    return y_fold, r_fold, kind
+            f"{len(ends)} trap-window endpoint rates inside root pair ({r_lo}, {r_hi}); "
+            "discontinuous branch linkage")
+    r_fold, kind = ends[0]
+    y_fold = -excess_money(0.0, r_fold, spec) / (spec.money.l_y - spec.money.m_y)
+    return FoldPoint(y_fold, r_fold, kind)
 
 
 def trace_lm_isocline(spec: ModelSpec, y_range: tuple[float, float],
                       y_steps: int = 700, r_range: tuple[float, float] | None = None,
                       scan_n: int = 500) -> LMIsocline:
-    """Sweep income, link money-market roots into branches, and refine folds."""
+    """Sweep income, link money-market roots into branches, and place the folds."""
     if y_steps < 500:
         raise ValueError("y_steps must be at least 500")
     if r_range is None:
@@ -400,14 +357,8 @@ def trace_lm_isocline(spec: ModelSpec, y_range: tuple[float, float],
                 "away from the scan boundary")
         pair = (group[0].last_r(), group[1].last_r()) if dead == group else \
                (group[0].first_r(), group[1].first_r())
-        try:
-            y_f, r_f, kind = _refine_fold(spec, y_prev, y_curr, pair)
-        except TracingError:
-            raise
-        except Exception as exc:
-            raise TracingError(f"fold refinement failed in [{y_prev}, {y_curr}]: {exc}") from exc
         fi = len(folds)
-        folds.append(FoldPoint(y_f, r_f, kind))
+        folds.append(_fold_between(spec, pair))
         for ob in group:
             if dead == group:
                 ob.hi_end = ("fold", fi)

@@ -13,7 +13,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, asdict
+from bisect import bisect_right
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -63,58 +64,24 @@ class ModelDomainError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# quintic smoothstep machinery (exact zero value and slope at both ends)
+# quintic smoothstep machinery (exact zero value and slope at both ends); plain
+# arithmetic, so every formula serves floats and numpy arrays alike
 
-def _smoothstep(v: float) -> float:
+def _smoothstep(v):
     """Quintic smoothstep on [0, 1]: 0 -> 1 with zero slope at both ends."""
     return v * v * v * (10.0 - 15.0 * v + 6.0 * v * v)
 
 
-def _smoothstep_complement(v: float) -> float:
+def _smoothstep_complement(v):
     """1 - smoothstep(v), factored so it stays exact as v -> 1."""
     w = 1.0 - v
     return w * w * w * (1.0 + 3.0 * v + 6.0 * v * v)
 
 
-def _smoothstep_integral(v: float) -> float:
+def _smoothstep_integral(v):
     """Integral of the quintic smoothstep from 0 to v; equals 0.5 at v = 1."""
     v4 = v * v * v * v
     return v4 * (2.5 - 3.0 * v + v * v)
-
-
-def _bump(u: float) -> float:
-    """Symmetric C1 bump on [0, 1]: zero at the ends, peak 1 at u = 1/2."""
-    if u <= 0.5:
-        return _smoothstep(2.0 * u)
-    return _smoothstep(2.0 - 2.0 * u)
-
-
-def _bump_integral(u: float) -> float:
-    """Integral of the bump from 0 to u; equals 0.5 over the full window."""
-    if u <= 0.5:
-        return 0.5 * _smoothstep_integral(2.0 * u)
-    return 0.5 - 0.5 * _smoothstep_integral(2.0 - 2.0 * u)
-
-
-def _smoothstep_np(v):
-    return v * v * v * (10.0 - 15.0 * v + 6.0 * v * v)
-
-
-def _smoothstep_integral_np(v):
-    v4 = v * v * v * v
-    return v4 * (2.5 - 3.0 * v + v * v)
-
-
-def _bump_np(u):
-    return np.where(u <= 0.5, _smoothstep_np(2.0 * u), _smoothstep_np(2.0 - 2.0 * u))
-
-
-def _bump_integral_np(u):
-    return np.where(
-        u <= 0.5,
-        0.5 * _smoothstep_integral_np(2.0 * u),
-        0.5 - 0.5 * _smoothstep_integral_np(2.0 - 2.0 * u),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -186,20 +153,38 @@ class TrapWindow:
             )
 
 
-# Segment kinds for the piecewise slope functions.
-_FLAT, _SHOULDER_IN, _BUMP, _SHOULDER_OUT = 0, 1, 2, 3
+# Segment kinds of the piecewise slope functions: a constant slope, or a slope
+# scale times smoothstep ("rise", 0 -> 1) or times its complement ("fall").
+_FLAT, _RISE, _FALL = 0, 1, 2
 
 
 @dataclass(frozen=True)
 class _Segment:
-    lo: float
-    hi: float
+    """One piece of (f_L', f_M') = (c_l, c_m) * shape(u), u = (i - ref) / width."""
+
     kind: int
-    amp_l: float          # bump amplitudes; unused for non-bump kinds
-    amp_m: float
-    ref: float            # abscissa at which the cumulative integrals are stored
-    f_l_ref: float        # exact cumulative integrals at ref
-    f_m_ref: float
+    ref: float            # abscissa where the levels f_l, f_m are stored
+    width: float          # piece width (rise and fall only)
+    c_l: float
+    c_m: float
+    f_l: float
+    f_m: float
+
+    def slopes(self, i):
+        if self.kind == _FLAT:
+            return self.c_l, self.c_m
+        u = (i - self.ref) / self.width
+        s = _smoothstep(u) if self.kind == _RISE else _smoothstep_complement(u)
+        return self.c_l * s, self.c_m * s
+
+    def levels(self, i):
+        if self.kind == _FLAT:
+            cum = i - self.ref
+        else:
+            u = (i - self.ref) / self.width
+            g = _smoothstep_integral(u) if self.kind == _RISE else u - _smoothstep_integral(u)
+            cum = self.width * g
+        return self.f_l + self.c_l * cum, self.f_m + self.c_m * cum
 
 
 @dataclass(frozen=True)
@@ -209,7 +194,8 @@ class MoneyBlock:
     L = l0 + l_y*Y + f_L(i_S) and M = m0 + m_y*Y + f_M(i_S), where the slope
     functions f_L' and f_M' equal -l_slope / +m_slope away from the trap
     windows, reverse sign inside each window and vanish exactly at every
-    window endpoint.
+    window endpoint.  The `*_parts` methods take a float, the `*_parts_many`
+    methods an array; both evaluate the same per-segment formulas.
     """
 
     l_y: float
@@ -232,118 +218,38 @@ class MoneyBlock:
             prev_q = w.q
 
     @cached_property
-    def _segments(self) -> tuple[_Segment, ...]:
+    def _table(self) -> tuple[list[float], tuple[_Segment, ...]]:
+        """Segment start abscissae (the first segment's is -inf, left out) and
+        the segments."""
         return _build_segments(self)
-
-    @cached_property
-    def _breaks(self) -> np.ndarray:
-        return np.array([s.lo for s in self._segments[1:]])
-
-    # -- scalar evaluation (hot path for the integrators) ------------------
-
-    def _segment_at(self, i: float) -> _Segment:
-        segs = self._segments
-        for s in segs:
-            if i < s.hi:
-                return s
-        return segs[-1]
 
     def level_parts(self, i: float) -> tuple[float, float]:
         """Return (f_L(i), f_M(i)), the rate-dependent parts of L and M."""
-        s = self._segment_at(i)
-        if s.kind == _FLAT:
-            d = i - s.ref
-            return s.f_l_ref - self.l_slope * d, s.f_m_ref + self.m_slope * d
-        w = s.hi - s.lo
-        u = (i - s.lo) / w
-        if s.kind == _BUMP:
-            cum = _bump_integral(u) * w
-            return s.f_l_ref + s.amp_l * cum, s.f_m_ref - s.amp_m * cum
-        if s.kind == _SHOULDER_IN:
-            cum = (u - _smoothstep_integral(u)) * w
-            return s.f_l_ref - self.l_slope * cum, s.f_m_ref + self.m_slope * cum
-        cum = _smoothstep_integral(u) * w
-        return s.f_l_ref - self.l_slope * cum, s.f_m_ref + self.m_slope * cum
+        breaks, segs = self._table
+        return segs[bisect_right(breaks, i)].levels(i)
 
     def slope_parts(self, i: float) -> tuple[float, float]:
         """Return (f_L'(i), f_M'(i)), the slopes with respect to the short rate."""
-        s = self._segment_at(i)
-        if s.kind == _FLAT:
-            return -self.l_slope, self.m_slope
-        u = (i - s.lo) / (s.hi - s.lo)
-        if s.kind == _BUMP:
-            b = _bump(u)
-            return s.amp_l * b, -s.amp_m * b
-        if s.kind == _SHOULDER_IN:
-            f = _smoothstep_complement(u)
-            return -self.l_slope * f, self.m_slope * f
-        f = _smoothstep(u)
-        return -self.l_slope * f, self.m_slope * f
-
-    # -- vectorised evaluation (validator, tracer, oracles) ----------------
+        breaks, segs = self._table
+        return segs[bisect_right(breaks, i)].slopes(i)
 
     def level_parts_many(self, i) -> tuple[np.ndarray, np.ndarray]:
-        i = np.asarray(i, dtype=float)
-        segs = self._segments
-        idx = np.searchsorted(self._breaks, i, side="right")
-        f_l = np.empty_like(i)
-        f_m = np.empty_like(i)
-        for k, s in enumerate(segs):
-            mask = idx == k
-            if not mask.any():
-                continue
-            x = i[mask]
-            if s.kind == _FLAT:
-                d = x - s.ref
-                f_l[mask] = s.f_l_ref - self.l_slope * d
-                f_m[mask] = s.f_m_ref + self.m_slope * d
-                continue
-            w = s.hi - s.lo
-            u = (x - s.lo) / w
-            if s.kind == _BUMP:
-                cum = _bump_integral_np(u) * w
-                f_l[mask] = s.f_l_ref + s.amp_l * cum
-                f_m[mask] = s.f_m_ref - s.amp_m * cum
-            elif s.kind == _SHOULDER_IN:
-                cum = (u - _smoothstep_integral_np(u)) * w
-                f_l[mask] = s.f_l_ref - self.l_slope * cum
-                f_m[mask] = s.f_m_ref + self.m_slope * cum
-            else:
-                cum = _smoothstep_integral_np(u) * w
-                f_l[mask] = s.f_l_ref - self.l_slope * cum
-                f_m[mask] = s.f_m_ref + self.m_slope * cum
-        return f_l, f_m
+        return self._per_segment(i, _Segment.levels)
 
     def slope_parts_many(self, i) -> tuple[np.ndarray, np.ndarray]:
+        return self._per_segment(i, _Segment.slopes)
+
+    def _per_segment(self, i, part) -> tuple[np.ndarray, np.ndarray]:
         i = np.asarray(i, dtype=float)
-        segs = self._segments
-        idx = np.searchsorted(self._breaks, i, side="right")
-        d_l = np.empty_like(i)
-        d_m = np.empty_like(i)
+        breaks, segs = self._table
+        idx = np.searchsorted(breaks, i, side="right")
+        out_l = np.empty_like(i)
+        out_m = np.empty_like(i)
         for k, s in enumerate(segs):
             mask = idx == k
-            if not mask.any():
-                continue
-            x = i[mask]
-            if s.kind == _FLAT:
-                d_l[mask] = -self.l_slope
-                d_m[mask] = self.m_slope
-                continue
-            u = (x - s.lo) / (s.hi - s.lo)
-            if s.kind == _BUMP:
-                b = _bump_np(u)
-                d_l[mask] = s.amp_l * b
-                d_m[mask] = -s.amp_m * b
-            elif s.kind == _SHOULDER_IN:
-                w = 1.0 - u
-                f = w * w * w * (1.0 + 3.0 * u + 6.0 * u * u)
-                d_l[mask] = -self.l_slope * f
-                d_m[mask] = self.m_slope * f
-            else:
-                f = _smoothstep_np(u)
-                d_l[mask] = -self.l_slope * f
-                d_m[mask] = self.m_slope * f
-        return d_l, d_m
+            if mask.any():
+                out_l[mask], out_m[mask] = part(s, i[mask])
+        return out_l, out_m
 
     def demand(self, y: float, i: float) -> float:
         return self.l0 + self.l_y * y + self.level_parts(i)[0]
@@ -355,17 +261,22 @@ class MoneyBlock:
         return [(w.p, w.q) for w in self.windows]
 
 
-def _build_segments(block: MoneyBlock) -> tuple[_Segment, ...]:
+def _build_segments(block: MoneyBlock) -> tuple[list[float], tuple[_Segment, ...]]:
     """Lay out the piecewise slope structure and integrate it exactly.
 
     Each window gets an inward-tapering shoulder on both sides over which the
-    normal slopes descend smoothly to zero, so the integrated levels are C1
+    normal slopes fall smoothly to zero, so the integrated levels are C1
     while the slopes still vanish exactly at the window endpoints.  The
-    cumulative integrals are anchored at f_L(0) = f_M(0) = 0.
+    reversed-slope bump inside the window rises to its peak at the midpoint
+    and falls back.  Each piece stores its levels at its start, the end value
+    of the piece before it, anchored at f_L(0) = f_M(0) = 0.
     """
     windows = block.windows
     n = len(windows)
-    shoulders: list[tuple[float, float]] = []
+    normal = (-block.l_slope, block.m_slope)
+    # (start, end, kind, slope scales), left to right
+    pieces: list[tuple[float, float, int, tuple[float, float]]] = []
+    cursor = -math.inf
     for j, w in enumerate(windows):
         width = w.q - w.p
         gap_l = w.p if j == 0 else w.p - windows[j - 1].q
@@ -373,53 +284,32 @@ def _build_segments(block: MoneyBlock) -> tuple[_Segment, ...]:
         w_l = min(SHOULDER_WIDTH_FRACTION * width,
                   gap_l if j == 0 else SHOULDER_GAP_FRACTION * gap_l)
         w_r = min(SHOULDER_WIDTH_FRACTION * width, SHOULDER_GAP_FRACTION * gap_r)
-        shoulders.append((w_l, w_r))
-
-    pieces: list[tuple[float, float, int, float, float]] = []
-    cursor = -math.inf
-    for j, w in enumerate(windows):
-        w_l, w_r = shoulders[j]
-        pieces.append((cursor, w.p - w_l, _FLAT, 0.0, 0.0))
-        pieces.append((w.p - w_l, w.p, _SHOULDER_IN, 0.0, 0.0))
-        pieces.append((w.p, w.q, _BUMP, w.amp_l, w.amp_m))
-        pieces.append((w.q, w.q + w_r, _SHOULDER_OUT, 0.0, 0.0))
+        mid = 0.5 * (w.p + w.q)
+        bump = (w.amp_l, -w.amp_m)
+        pieces += [(cursor, w.p - w_l, _FLAT, normal),
+                   (w.p - w_l, w.p, _FALL, normal),
+                   (w.p, mid, _RISE, bump),
+                   (mid, w.q, _FALL, bump),
+                   (w.q, w.q + w_r, _RISE, normal)]
         cursor = w.q + w_r
-    pieces.append((cursor, math.inf, _FLAT, 0.0, 0.0))
+    pieces.append((cursor, math.inf, _FLAT, normal))
 
-    def piece_integrals(width: float, kind: int, amp_l: float, amp_m: float) -> tuple[float, float]:
-        # exact integral of (f_L', f_M') over one full piece
-        if kind == _FLAT:
-            return -block.l_slope * width, block.m_slope * width
-        if kind == _BUMP:
-            return amp_l * 0.5 * width, -amp_m * 0.5 * width
-        # both shoulder kinds integrate |slope|*smoothstep-shape to width/2
-        return -block.l_slope * 0.5 * width, block.m_slope * 0.5 * width
-
-    # Walk left to right, carrying cumulative integrals relative to the first
-    # finite boundary b0; the head piece stores its values at ref = b0.
+    # The head piece is unbounded below, so it stores its levels at its end
+    # (or at zero when there are no windows); levels start at zero there.
     segments: list[_Segment] = []
-    b0 = pieces[0][1] if pieces[0][1] > -math.inf else 0.0
-    f_l = f_m = 0.0  # provisional values at b0
-    segments.append(_Segment(-math.inf, b0, _FLAT, 0.0, 0.0, b0, f_l, f_m))
-    for lo, hi, kind, amp_l, amp_m in pieces[1:]:
-        segments.append(_Segment(lo, hi, kind, amp_l, amp_m, lo, f_l, f_m))
+    f_l = f_m = 0.0
+    for lo, hi, kind, (c_l, c_m) in pieces:
+        ref = lo if lo > -math.inf else (hi if hi < math.inf else 0.0)
+        seg = _Segment(kind, ref, hi - lo, c_l, c_m, f_l, f_m)
+        segments.append(seg)
         if hi < math.inf:
-            d_l, d_m = piece_integrals(hi - lo, kind, amp_l, amp_m)
-            f_l, f_m = f_l + d_l, f_m + d_m
+            f_l, f_m = seg.levels(hi)
+    breaks = [lo for lo, _, _, _ in pieces[1:]]
 
-    if n == 0:
-        segments = [_Segment(-math.inf, math.inf, _FLAT, 0.0, 0.0, 0.0, 0.0, 0.0)]
-        return tuple(segments)
-
-    # Re-anchor so that f_L(0) = f_M(0) = 0 exactly: i = 0 lies in the head
-    # flat piece (shoulders never extend below zero), so the offset is linear.
-    off_l = -block.l_slope * (0.0 - b0)
-    off_m = block.m_slope * (0.0 - b0)
-    return tuple(
-        _Segment(s.lo, s.hi, s.kind, s.amp_l, s.amp_m, s.ref,
-                 s.f_l_ref - off_l, s.f_m_ref - off_m)
-        for s in segments
-    )
+    # Re-anchor so that f_L(0) = f_M(0) = 0 exactly.
+    off_l, off_m = segments[bisect_right(breaks, 0.0)].levels(0.0)
+    return breaks, tuple(replace(s, f_l=s.f_l - off_l, f_m=s.f_m - off_m)
+                         for s in segments)
 
 
 @dataclass(frozen=True)
@@ -497,8 +387,7 @@ def excess_money_many(y, r, spec: ModelSpec) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if np.any(y < 0.0):
         raise ModelDomainError("income must be non-negative")
-    r = np.asarray(r, dtype=float)
-    i = r - spec.params.maturity_premium + spec.params.expected_inflation
+    i = short_rate(np.asarray(r, dtype=float), spec.params)
     m = spec.money
     f_l, f_m = m.level_parts_many(i)
     return (m.l0 - m.m0) + (m.l_y - m.m_y) * y + (f_l - f_m) - spec.params.m_stock
@@ -613,23 +502,20 @@ def validate_properties(spec: ModelSpec, y_range: tuple[float, float],
         ds_dy = (sav(yy + h_y, rr) - sav(yy - h_y, rr)) / (2 * h_y)
         ds_dr = (sav(yy, rr + h_r) - sav(yy, rr - h_r)) / (2 * h_r)
 
-        params = spec.params
         money = spec.money
-        i_of = lambda r: r - params.maturity_premium + params.expected_inflation
+        demand = lambda y, f_l: money.l0 + money.l_y * y + f_l
+        supply = lambda y, f_m: money.m0 + money.m_y * y + f_m
 
-        def level_l(y, i):
-            f_l, _ = money.level_parts_many(i)
-            return money.l0 + money.l_y * y + f_l
-
-        def level_m(y, i):
-            _, f_m = money.level_parts_many(i)
-            return money.m0 + money.m_y * y + f_m
-
-        ii = i_of(rr)
-        dl_dy = (level_l(yy + h_y, ii) - level_l(yy - h_y, ii)) / (2 * h_y)
-        dm_dy = (level_m(yy + h_y, ii) - level_m(yy - h_y, ii)) / (2 * h_y)
-        dl_di = (level_l(yy, i_of(rr + h_r)) - level_l(yy, i_of(rr - h_r))) / (2 * h_r)
-        dm_di = (level_m(yy, i_of(rr + h_r)) - level_m(yy, i_of(rr - h_r))) / (2 * h_r)
+        ii = short_rate(rr, spec.params)
+        f_l, f_m = money.level_parts_many(ii)
+        dl_dy = (demand(yy + h_y, f_l) - demand(yy - h_y, f_l)) / (2 * h_y)
+        dm_dy = (supply(yy + h_y, f_m) - supply(yy - h_y, f_m)) / (2 * h_y)
+        del f_l, f_m  # grid-sized; free each level pair once it is used
+        up_l, up_m = money.level_parts_many(short_rate(rr + h_r, spec.params))
+        dn_l, dn_m = money.level_parts_many(short_rate(rr - h_r, spec.params))
+        dl_di = (demand(yy, up_l) - demand(yy, dn_l)) / (2 * h_r)
+        dm_di = (supply(yy, up_m) - supply(yy, dn_m)) / (2 * h_r)
+        del up_l, up_m, dn_l, dn_m
 
         inside = np.zeros_like(ii, dtype=bool)
         for p, q in money.window_spans():

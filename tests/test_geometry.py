@@ -138,6 +138,19 @@ def test_folds_match_first_principles_oracle(all_window_specs):
             assert gk == ok
 
 
+def test_traced_folds_sit_exactly_at_window_endpoint_rates(all_window_specs):
+    for k in (1, 2, 3):
+        spec, dom = all_window_specs[k]
+        iso = trace_lm_isocline(spec, dom["y_range"], dom["y_steps"],
+                                dom["r_range"], dom["scan_n"])
+        off = spec.params.maturity_premium - spec.params.expected_inflation
+        endpoints = sorted([(w.p + off, "lower-knee") for w in spec.money.windows]
+                           + [(w.q + off, "upper-knee") for w in spec.money.windows])
+        assert sorted((f.r, f.kind) for f in iso.folds) == endpoints, f"k={k}"
+        for f in iso.folds:
+            assert abs(excess_money(f.y, f.r, spec)) <= 1e-12, f"k={k}: {f}"
+
+
 def test_branch_samples_agree_with_independent_rescan(ref_spec, ref_domain, ref_isocline):
     fold_ys = [f.y for f in ref_isocline.folds]
     for b in ref_isocline.branches:

@@ -18,7 +18,8 @@ from islmsim.geometry import FoldPoint, lm_roots, shift_lm, trace_lm_isocline
 from islmsim.model import ISBlock, ModelParams, ModelSpec, TrapWindow, build_three_phase_money
 from islmsim.policy import plan_stabilization
 
-from oracles import dense_scan_roots, excess_money_by_quadrature, fold_positions, rate_gap_slope
+from oracles import (_breakpoints, dense_scan_roots, excess_money_by_quadrature, fold_positions,
+                     rate_gap_slope)
 
 WIDE_Y = (0.0, 40.0)
 WIDE_R = (-0.1, 0.6)
@@ -105,6 +106,31 @@ def test_shared_rate_scan_matches_the_oracles(spec, incomes):
     for (y_t, r_t, _), (y_f, r_f, _) in zip(traced, folds):
         assert y_t == pytest.approx(y_f, abs=1e-6)
         assert r_t == pytest.approx(r_f, abs=1e-6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(trap_specs(min_windows=1), st.floats(-0.05, 0.4))
+def test_scalar_and_vector_money_paths_agree_on_random_specs(spec, i):
+    money = spec.money
+    v_l, v_m = money.level_parts_many(np.array([i]))
+    assert money.level_parts(i) == (v_l[0], v_m[0])
+    w_l, w_m = money.slope_parts_many(np.array([i]))
+    assert money.slope_parts(i) == (w_l[0], w_m[0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(trap_specs(min_windows=1))
+def test_money_parts_are_continuous_across_segment_boundaries(spec):
+    money = spec.money
+    # shoulder starts, window endpoints, bump midpoints and shoulder ends
+    boundaries = _breakpoints(spec, -1.0, 1.0)
+    assert len(boundaries) == 5 * len(money.windows)
+    for b in boundaries:
+        below, above = np.nextafter(b, -np.inf), np.nextafter(b, np.inf)
+        for parts in (money.level_parts, money.slope_parts):
+            at = parts(b)
+            for x in (below, above):
+                assert np.allclose(parts(float(x)), at, rtol=0.0, atol=1e-12), (parts, b, x)
 
 
 def test_money_stock_plan_relocates_the_fold(all_window_specs):
