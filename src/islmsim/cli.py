@@ -27,8 +27,8 @@ from .dynamics import (
     integrate,
     reduced_simulate,
 )
-from .geometry import TracingError, find_equilibria, is_curve, trace_lm_isocline
-from .model import validate_properties
+from .geometry import find_equilibria, is_curve, trace_lm_isocline
+from .model import ConstructionError, ModelDomainError, validate_properties
 from .output import (
     RunLockError,
     acquire_run_lock,
@@ -84,7 +84,10 @@ def _configure_logging(quiet: bool) -> None:
 def _apply_overrides(config: RunConfig, args) -> RunConfig:
     model = config.model
     if args.epsilon is not None:
-        model = replace(model, params=replace(model.params, epsilon=args.epsilon))
+        try:
+            model = replace(model, params=replace(model.params, epsilon=args.epsilon))
+        except ConstructionError as exc:
+            raise ConfigError(str(exc), "--epsilon") from exc
     simulate = config.simulate
     scenario = config.scenario
     if args.mode is not None:
@@ -122,10 +125,10 @@ def run_command(argv: list[str] | None = None) -> int:
         return EXIT_NUMERICAL
     try:
         return _dispatch(args.command, config, out_dir)
-    except (ConfigError, ScenarioError) as exc:
+    except (ConfigError, ScenarioError, ModelDomainError) as exc:
         print(f"islmsim: validation failure: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (TracingError, IntegrationError, FoldStallError) as exc:
+    except (IntegrationError, FoldStallError) as exc:
         print(f"islmsim: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     finally:

@@ -1,18 +1,20 @@
 """Curve geometry: IS curve, the multivalued LM isocline, folds, and equilibria.
 
-The LM isocline is traced by sweeping income, root-finding the money-market
-excess in the rate, and linking roots into branches by continuation; where
-the branch count changes, the fold is placed in closed form at the trap-window
-endpoint rate between the merging roots.  The excess is linear in
-income, so one scan of the rate grid serves the whole sweep.  Arc stability
-is the sign of the rate-derivative of the money excess: negative means the
-fast dynamics attract to the branch.
+The LM isocline's topology is read off the trap-window layout.  The excess
+slope vanishes only at the window-endpoint rates, so those rates cut the rate
+axis into intervals on which it keeps one sign: each interval is one branch,
+stable (the fast dynamics attract to it) outside a window and unstable inside
+one, and each endpoint rate inside the domain is a fold, at the income where
+the excess vanishes there.  The branches are sampled by sweeping income; the
+excess is linear in income, so one scan of the rate grid serves the whole
+sweep, and each root goes to the branch whose interval holds it.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +53,8 @@ TANGENCY_EXCESS_TOL = 1e-7
 
 
 class TracingError(RuntimeError):
-    """Branch continuation failed (discontinuous linkage or malformed data)."""
+    """Isocline tracing failed.  Kept for API compatibility: the tracer reads
+    its topology off the window layout and no longer raises it."""
 
 
 @dataclass(frozen=True)
@@ -239,169 +242,88 @@ def lm_roots(y: float, spec: ModelSpec, r_range: tuple[float, float],
     return _scan_roots(y, spec, _rate_scan(spec, r_range, scan_n), warn)
 
 
-def _stability_sign(spec: ModelSpec, r: float) -> int:
-    s = excess_money_slope(r, spec)
-    return -1 if s < 0 else (1 if s > 0 else 0)
-
-
-@dataclass
-class _OpenBranch:
-    ys: list[float]
-    rs: list[float]
-    stab: int
-    lo_end: tuple[str, int | str] = ("boundary", "y_lo")
-    hi_end: tuple[str, int | str] = ("boundary", "y_hi")
-
-    def last_r(self) -> float:
-        return self.rs[-1]
-
-    def first_r(self) -> float:
-        return self.rs[0]
-
-    def allowed_step(self, fallback: float) -> float:
-        # branches bend fast right after a fold, so give young branches slack
-        if len(self.rs) < 3:
-            return 100.0 * fallback
-        d1 = abs(self.rs[-1] - self.rs[-2])
-        d2 = abs(self.rs[-2] - self.rs[-3])
-        return 10.0 * max(d1, d2, fallback)
-
-
-def _fold_between(spec: ModelSpec, pair: tuple[float, float]) -> FoldPoint:
-    """The fold where a merging root pair meets, in closed form.
-
-    Its rate is the one window-endpoint rate between the pair; the excess is
-    linear in income, so its income solves E(0, r) + (l_y - m_y) y = 0.
-    """
-    r_lo, r_hi = min(pair), max(pair)
-    ends = [(r, kind) for span in _window_rates(spec)
-            for r, kind in zip(span, ("lower-knee", "upper-knee")) if r_lo <= r <= r_hi]
-    if len(ends) != 1:
-        raise TracingError(
-            f"{len(ends)} trap-window endpoint rates inside root pair ({r_lo}, {r_hi}); "
-            "discontinuous branch linkage")
-    r_fold, kind = ends[0]
-    y_fold = -excess_money(0.0, r_fold, spec) / (spec.money.l_y - spec.money.m_y)
-    return FoldPoint(y_fold, r_fold, kind)
-
-
 def trace_lm_isocline(spec: ModelSpec, y_range: tuple[float, float],
                       y_steps: int = 700, r_range: tuple[float, float] | None = None,
                       scan_n: int = 500) -> LMIsocline:
-    """Sweep income, link money-market roots into branches, and place the folds."""
+    """Read folds and branches off the window layout; sample them by an income sweep.
+
+    The sorted window-endpoint rates cut the rate axis into intervals on which
+    the excess slope keeps one sign, so each interval is one branch (stable
+    outside a window, unstable inside one) and each endpoint rate inside the
+    domain is a fold.  A branch's ends follow from its interval: a fold, the
+    end of the income grid, or the rate edge, placed exactly at
+    (Y_LM(edge), edge).  Every root of the sweep goes to the branch whose
+    interval holds it.
+    """
     if y_steps < 500:
         raise ValueError("y_steps must be at least 500")
     if r_range is None:
         raise ValueError("r_range is required to bound the rate scan")
-    ys = np.linspace(y_range[0], y_range[1], y_steps)
+    k_y = spec.money.l_y - spec.money.m_y
+    if k_y == 0.0:
+        raise ModelDomainError("l_y equals m_y: the money excess does not depend on "
+                               "income, so the LM isocline is no graph over income")
+    (y_lo, y_hi), (r_lo, r_hi) = y_range, r_range
+    ends = [r for span in _window_rates(spec) for r in span]
+
+    def income(r: float) -> float:
+        return -excess_money(0.0, r, spec) / k_y
+
+    # even endpoints start a window (lower knee), odd ones end it (upper knee)
+    found = sorted((y, r, j) for j, r in enumerate(ends)
+                   if r_lo < r < r_hi and y_lo <= (y := income(r)) <= y_hi)
+    folds = tuple(FoldPoint(y, r, ("lower-knee", "upper-knee")[j % 2]) for y, r, j in found)
+    fold_of = {j: i for i, (_, _, j) in enumerate(found)}
+
     scan = _rate_scan(spec, r_range, scan_n)
-    fallback_step = (r_range[1] - r_range[0]) / scan_n
-    boundary_pad = 2.0 * fallback_step
+    samples: list[list[tuple[float, float]]] = [[] for _ in range(len(ends) + 1)]
+    for y in np.linspace(y_lo, y_hi, y_steps):
+        for r in _scan_roots(float(y), spec, scan, warn=False):
+            samples[bisect_right(ends, r)].append((float(y), r))
 
-    open_branches: list[_OpenBranch] = []
-    closed: list[_OpenBranch] = []
-    # (y_prev, y_curr, dead branches, born branches)
-    events: list[tuple[float, float, list[_OpenBranch], list[_OpenBranch]]] = []
+    def end_at(r: float, j: int | None, y: float):
+        """The branch end at rate r and income y (j: the window endpoint at r,
+        None on the rate edge), with its exact point if it has one."""
+        if j in fold_of:
+            f = folds[fold_of[j]]
+            return ("fold", fold_of[j]), (f.y, f.r)
+        if not y_lo <= y <= y_hi:
+            return ("boundary", "y_lo" if y < y_lo else "y_hi"), None
+        return ("boundary", "r_lo" if r == r_lo else "r_hi"), (y, r)
 
-    for k, y in enumerate(ys):
-        roots = _scan_roots(float(y), spec, scan, warn=False)
-        stabs = [_stability_sign(spec, r) for r in roots]
-
-        # pair roots with open branches: greedy nearest with stability tie-break
-        unmatched_roots = list(range(len(roots)))
-        unmatched_branches = list(range(len(open_branches)))
-        cands = []
-        for bi in unmatched_branches:
-            br = open_branches[bi]
-            for ri in unmatched_roots:
-                d = abs(roots[ri] - br.last_r())
-                stab_penalty = 0 if stabs[ri] == br.stab else 1
-                cands.append((d, stab_penalty, bi, ri))
-        for d, _, bi, ri in sorted(cands, key=lambda t: (t[0], t[1])):
-            if bi in unmatched_branches and ri in unmatched_roots:
-                br = open_branches[bi]
-                if d > br.allowed_step(fallback_step):
-                    continue  # beyond the continuation allowance; leave unmatched
-                br.ys.append(float(y))
-                br.rs.append(roots[ri])
-                unmatched_branches.remove(bi)
-                unmatched_roots.remove(ri)
-
-        dead = [open_branches[bi] for bi in unmatched_branches]
-        born = [_OpenBranch([float(y)], [roots[ri]], stabs[ri]) for ri in unmatched_roots]
-        if k > 0 and (dead or born):
-            events.append((float(ys[k - 1]), float(y), dead, born))
-        for bi in sorted(unmatched_branches, reverse=True):
-            closed.append(open_branches.pop(bi))
-        open_branches.extend(born)
-
-    closed.extend(open_branches)
-
-    # resolve each branch-count event into a fold or a scan-boundary exit
-    folds: list[FoldPoint] = []
-    for y_prev, y_curr, dead, born in events:
-        group = dead if len(dead) == 2 else (born if len(born) == 2 else None)
-        if group is None:
-            lone = (dead + born)[0]
-            r_end = lone.last_r() if dead else lone.first_r()
-            if r_end < r_range[0] + boundary_pad or r_end > r_range[1] - boundary_pad:
-                side = "r_lo" if r_end < r_range[0] + boundary_pad else "r_hi"
-                if dead:
-                    lone.hi_end = ("boundary", side)
-                else:
-                    lone.lo_end = ("boundary", side)
-                continue
-            raise TracingError(
-                f"discontinuous branch linkage between incomes {y_prev} and "
-                f"{y_curr}: a single branch (rate {r_end}) appeared or vanished "
-                "away from the scan boundary")
-        pair = (group[0].last_r(), group[1].last_r()) if dead == group else \
-               (group[0].first_r(), group[1].first_r())
-        fi = len(folds)
-        folds.append(_fold_between(spec, pair))
-        for ob in group:
-            if dead == group:
-                ob.hi_end = ("fold", fi)
-            else:
-                ob.lo_end = ("fold", fi)
-
-    # materialise branches, appending exact fold endpoints plus a geometric
-    # sample ladder so interpolation stays honest where the branch is steep
     pieces = []
-    for ob in closed:
-        ys_list, rs_list = list(ob.ys), list(ob.rs)
-        for end, side in ((ob.lo_end, "lo"), (ob.hi_end, "hi")):
-            if end[0] != "fold":
-                continue
-            f = folds[end[1]]
-            anchor = ys_list[0] if side == "lo" else ys_list[-1]
-            span = abs(anchor - f.y)
-            last_r = rs_list[0] if side == "lo" else rs_list[-1]
-            for j in range(1, 11):
-                y_j = f.y + (span * 0.5 ** j) * (1 if side == "lo" else -1)
-                cands = _scan_roots(float(y_j), spec, scan, warn=False)
-                # near the fold the sibling root is closer than the tracking
-                # gap; the merging pair always has opposite stability, so the
-                # branch's own sign disambiguates
-                own = [r for r in cands if _stability_sign(spec, r) == ob.stab]
-                if not own:
-                    continue
-                r_near = min(own, key=lambda r: abs(r - last_r))
-                ys_list.append(float(y_j))
-                rs_list.append(float(r_near))
-                last_r = r_near
-            ys_list.append(f.y)
-            rs_list.append(f.r)
-        order = np.argsort(ys_list)
-        ys_arr = np.asarray(ys_list)[order]
-        rs_arr = np.asarray(rs_list)[order]
-        ys_arr, rs_arr = _dedupe_samples(ys_arr, rs_arr)
-        stability = "stable" if ob.stab < 0 else "unstable"
-        pieces.append((ys_arr, rs_arr, stability, ob.lo_end, ob.hi_end))
+    bounds = [-math.inf, *ends, math.inf]
+    for k, pts in enumerate(samples):
+        a, b = max(r_lo, bounds[k]), min(r_hi, bounds[k + 1])
+        if a >= b:
+            continue
+        lo, hi = sorted([(a, k - 1 if a > r_lo else None, income(a)),
+                         (b, k if b < r_hi else None, income(b))], key=lambda e: e[2])
+        if lo[2] > y_hi or hi[2] < y_lo:
+            continue
+        (lo_end, lo_pt), (hi_end, hi_pt) = end_at(*lo), end_at(*hi)
+        for end, pt, sign, far in ((lo_end, lo_pt, 1.0, hi[2]), (hi_end, hi_pt, -1.0, lo[2])):
+            if end[0] == "fold":
+                # a geometric sample ladder towards the fold keeps interpolation
+                # honest where the branch is steep; it halves the gap from the
+                # first sample to a low end, from the last one placed to a high
+                # end (the low fold, on a branch between two folds)
+                anchor = pts[0 if sign > 0 else -1][0] if pts else min(max(far, y_lo), y_hi)
+                for n in range(1, 11):
+                    y_n = pt[0] + sign * abs(anchor - pt[0]) * 0.5 ** n
+                    pts.extend((y_n, r) for r in _scan_roots(y_n, spec, scan, warn=False)
+                               if bisect_right(ends, r) == k)
+                pts.append(pt)
+            elif pt is not None:  # the rate edge
+                pts.insert(0 if sign > 0 else len(pts), pt)
+        arr = np.asarray(pts)[np.argsort([y for y, _ in pts])]
+        ys_arr, rs_arr = _dedupe_samples(arr[:, 0], arr[:, 1])
+        pieces.append((ys_arr, rs_arr, "unstable" if k % 2 else "stable", lo_end, hi_end))
 
-    pieces.sort(key=lambda piece: (float(piece[0][0]), float(piece[1][0])))
+    pieces.sort(key=lambda piece: (float(piece[0][0]), float(piece[1][0]),
+                                   float(piece[0][-1])))
     branches = tuple(Branch(*piece, index=i) for i, piece in enumerate(pieces))
-    return LMIsocline(branches, tuple(folds), tuple(y_range), tuple(r_range))
+    return LMIsocline(branches, folds, tuple(y_range), tuple(r_range))
 
 
 def _dedupe_samples(ys: np.ndarray, rs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -46,6 +46,10 @@ SLOWFAST_EPSILON_THRESHOLD = 0.01
 # |finite difference| below this is reported "degenerate" rather than signed.
 SIGN_DEGENERACY_TOL = 1e-9
 
+# Sampled condition values this close to the worst one tie for the reported
+# worst point (finite-difference rounding reaches about 1e-9 on rate slopes).
+WORST_TIE_TOL = 1e-7
+
 # Finite-difference step, as a fraction of the axis scale.
 FD_STEP_FRACTION = 1e-6
 
@@ -467,8 +471,13 @@ def _signed_check(name: str, values: np.ndarray, want_positive: bool,
     ok = vals[signed] > 0.0
     passed = bool(ok.all()) if ok.size else True
     if vals.size:
-        k = int(np.argmin(np.where(signed, vals, np.inf)))
+        masked = np.where(signed, vals, np.inf).ravel()
+        k = int(np.argmin(masked))
         worst_value = float(values.flat[k])
+        # values within WORST_TIE_TOL of the worst tie up to rounding; the
+        # lowest-income one is reported, so the point does not follow noise
+        tied = np.flatnonzero(masked <= masked[k] + WORST_TIE_TOL)
+        k = int(tied[np.argmin(ys.ravel()[tied])])
         worst_point = (float(ys.flat[k]), float(rs.flat[k]))
     else:
         worst_value, worst_point = math.nan, (math.nan, math.nan)

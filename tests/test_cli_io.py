@@ -259,6 +259,26 @@ def test_cli_mode_and_epsilon_overrides(tmp_path):
     assert doc["mode"] == "singular-limit"
 
 
+def test_cli_epsilon_override_out_of_range_is_a_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, shipped_config("reference"))
+    assert run_command(["validate", "--config", str(cfg),
+                        "--out", str(tmp_path / "o"), "--quiet", "--epsilon", "5"]) == 1
+    err = capsys.readouterr().err
+    assert "islmsim: config error: --epsilon: epsilon must lie in (0, 1]" in err
+    assert "Traceback" not in err
+
+
+def test_cli_isocline_outside_the_model_domain_is_a_validation_failure(tmp_path, capsys):
+    raw = shipped_config("reference")
+    raw["model"]["money"]["m_y"] = raw["model"]["money"]["l_y"]
+    cfg = write_config(tmp_path, raw)
+    assert run_command(["isocline", "--config", str(cfg),
+                        "--out", str(tmp_path / "o"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert "islmsim: validation failure: l_y equals m_y" in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # determinism
 

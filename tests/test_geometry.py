@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from islmsim.geometry import (
-    TracingError,
     classify_jacobian,
     find_equilibria,
     is_curve,
@@ -79,6 +78,14 @@ def test_negative_income_is_outside_the_model_domain(ref_spec, ref_domain):
         trace_lm_isocline(ref_spec, (-0.5, ref_domain["y_range"][1]),
                           ref_domain["y_steps"], ref_domain["r_range"],
                           ref_domain["scan_n"])
+
+
+def test_isocline_needs_an_income_dependent_money_excess(ref_spec, ref_domain):
+    from dataclasses import replace
+    flat = replace(ref_spec, money=replace(ref_spec.money, m_y=ref_spec.money.l_y))
+    with pytest.raises(ModelDomainError, match="l_y equals m_y"):
+        trace_lm_isocline(flat, ref_domain["y_range"], ref_domain["y_steps"],
+                          ref_domain["r_range"], ref_domain["scan_n"])
 
 
 def test_lm_roots_warns_near_window_endpoint_tangency(ref_spec, ref_domain, caplog):
@@ -193,11 +200,18 @@ def test_branch_stability_criterion_is_fast_subsystem_sign(ref_spec, ref_isoclin
         assert (slope < 0.0) == (b.stability == "stable")
 
 
-def test_tracer_rejects_clipped_rate_window(ref_spec, ref_domain):
-    # the scan ceiling sits between the two outer branches, so the upper fold
-    # pair straddles the boundary and linkage must fail loudly
-    with pytest.raises(TracingError):
-        trace_lm_isocline(ref_spec, ref_domain["y_range"], 700, (-0.06, 0.1025), 500)
+def test_tracer_ends_a_clipped_branch_on_the_rate_edge(ref_spec, ref_domain):
+    # the scan ceiling sits just above the upper knee, so the upper stable
+    # branch leaves the rate range before the income grid ends
+    iso = trace_lm_isocline(ref_spec, ref_domain["y_range"], 700, (-0.06, 0.1025), 500)
+    assert sorted(f.r for f in iso.folds) == [0.04, 0.10]
+    knee = next(i for i, f in enumerate(iso.folds) if f.kind == "upper-knee")
+    upper = max(iso.branches, key=lambda b: b.rs[-1])
+    assert upper.stability == "stable"
+    assert upper.lo_end == ("fold", knee)
+    assert upper.hi_end == ("boundary", "r_hi")
+    assert upper.rs[-1] == 0.1025
+    assert abs(excess_money(float(upper.ys[-1]), 0.1025, ref_spec)) <= 1e-12
 
 
 def test_tracer_requires_minimum_resolution(ref_spec, ref_domain):

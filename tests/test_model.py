@@ -231,6 +231,18 @@ def test_reference_spec_passes_validation(ref_spec, ref_domain):
     assert all(c.passed for c in report.conditions)
 
 
+def test_rate_slope_checks_report_the_lowest_income_worst_point(ref_spec, ref_domain):
+    # the rate slopes do not depend on income, so every income at the worst
+    # rate ties up to rounding; the lowest one is reported
+    report = validate_properties(ref_spec, ref_domain["y_range"],
+                                 ref_domain["r_range"], 200)
+    checks = [c for c in report.conditions
+              if c.condition.startswith(("dL_di_S", "dM_di_S"))]
+    assert len(checks) == 4
+    for c in checks:
+        assert c.worst_point[0] == ref_domain["y_range"][0], c.condition
+
+
 def test_validation_rejects_small_grid(ref_spec, ref_domain):
     report = validate_properties(ref_spec, ref_domain["y_range"],
                                  ref_domain["r_range"], 10)

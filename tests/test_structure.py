@@ -77,11 +77,25 @@ def test_fold_jump_lands_on_first_root_beyond_the_window(spec):
         assert rate_gap_slope(spec, landing - off) < 0.0
 
 
-# the tracer's income step on WIDE_Y, and the distance from a fold inside
+# the tracer's number of incomes on WIDE_Y, and the distance from a fold inside
 # which the merging root pair can share one cell of the 500-point rate scan
 TRACE_STEPS = 700
-Y_STEP = (WIDE_Y[1] - WIDE_Y[0]) / (TRACE_STEPS - 1)
 NEAR_FOLD = 0.01
+
+
+def _assert_oracle_folds_and_monotone_branches(spec, iso):
+    """The traced folds are the oracle's; stable branches rise with income and
+    unstable ones fall."""
+    folds = fold_positions(spec, WIDE_Y)
+    assert [f.kind for f in iso.folds] == [k for _, _, k in folds]
+    for f, (y_f, r_f, _) in zip(iso.folds, folds):
+        assert f.y == pytest.approx(y_f, abs=1e-8)
+        assert f.r == pytest.approx(r_f, abs=1e-12)
+    for b in iso.branches:
+        steps = np.diff(b.rs)
+        rising = bool(np.all(steps > 0.0))
+        falling = bool(np.all(steps < 0.0))
+        assert (rising if b.stability == "stable" else falling), (b.index, b.stability)
 
 
 @settings(max_examples=30, deadline=None,
@@ -97,15 +111,38 @@ def test_shared_rate_scan_matches_the_oracles(spec, incomes):
         assert len(roots) == len(want)
         assert roots == pytest.approx(want, abs=1e-9)
 
-    # two folds within one income step can merge or vanish in the sweep
-    fold_ys = [y_f for y_f, _, _ in folds]
-    assume(all(b - a >= 2.0 * Y_STEP for a, b in zip(fold_ys, fold_ys[1:])))
     iso = trace_lm_isocline(spec, WIDE_Y, TRACE_STEPS, WIDE_R)
-    traced = sorted((f.y, f.r, f.kind) for f in iso.folds)
-    assert [k for _, _, k in traced] == [k for _, _, k in folds]
-    for (y_t, r_t, _), (y_f, r_f, _) in zip(traced, folds):
-        assert y_t == pytest.approx(y_f, abs=1e-6)
-        assert r_t == pytest.approx(r_f, abs=1e-6)
+    _assert_oracle_folds_and_monotone_branches(spec, iso)
+
+
+def _rounded_spec(m_stock, pi_e, windows):
+    money = build_three_phase_money(0.5, 0.1, 20.0, 20.0, 2.2, 0.5,
+                                    [TrapWindow(*w) for w in windows])
+    params = ModelParams(alpha=1.0, beta=0.25, epsilon=1e-3, m_stock=m_stock,
+                         maturity_premium=0.02, expected_inflation=pi_e)
+    is_block = ISBlock(i0=2.0, i_y=0.3, i_r=10.0, s0=0.5, s_y=0.5, s_r=5.0)
+    return ModelSpec(params=params, is_block=is_block, money=money)
+
+
+# rounded specs of the family above that root-to-branch continuation got
+# wrong: it gave the lower stable branch the upper branch's root next to the
+# fold at r = 0.028; it traced 3 of 4 folds when the folds at incomes 1.2728
+# and 1.2883 shared one income step; it failed to link the branches at all
+@pytest.mark.parametrize("m_stock, pi_e, windows", [
+    pytest.param(2.397, 0.021, [(0.029, 0.059, 22.4, 20.6)], id="root-beside-a-fold"),
+    pytest.param(2.2958, 0.0203, [(0.0169, 0.0522, 14.94, 8.77),
+                                  (0.0684, 0.1284, 19.09, 11.99),
+                                  (0.1543, 0.2132, 23.26, 22.35)],
+                 id="two-folds-in-one-income-step"),
+    pytest.param(2.214, 0.0088, [(0.0201, 0.0563, 12.09, 15.12),
+                                 (0.0884, 0.1315, 12.14, 20.09),
+                                 (0.1642, 0.201, 15.81, 10.94)],
+                 id="continuation-linkage-failure"),
+])
+def test_isocline_topology_follows_the_window_layout(m_stock, pi_e, windows):
+    spec = _rounded_spec(m_stock, pi_e, windows)
+    iso = trace_lm_isocline(spec, WIDE_Y, TRACE_STEPS, WIDE_R, 500)
+    _assert_oracle_folds_and_monotone_branches(spec, iso)
 
 
 @settings(max_examples=60, deadline=None)
