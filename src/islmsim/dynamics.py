@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.spatial import cKDTree
 
-from .geometry import Branch, FoldPoint, LMIsocline, _window_rates, lm_roots
+from .geometry import Branch, FoldPoint, LMIsocline, _branch_holding, _window_rates, lm_roots
 from .model import ModelSpec, excess_goods, excess_money, excess_money_many, excess_money_slope
 
 __all__ = [
@@ -162,7 +163,7 @@ def integrate(spec: ModelSpec, y0: float, r0: float, t_end: float,
 def attach_to_branch(spec: ModelSpec, isocline: LMIsocline, y: float, r: float
                      ) -> tuple[Branch, float]:
     """Resolve the fast flow from (y, r) to the branch it relaxes onto."""
-    roots = lm_roots(y, spec, isocline.r_range, warn=False)
+    roots = lm_roots(y, spec, isocline.r_range)
     if not roots:
         raise ValueError(f"no isocline branch exists at income {y}")
     e = excess_money(y, r, spec)
@@ -187,14 +188,10 @@ def attach_to_branch(spec: ModelSpec, isocline: LMIsocline, y: float, r: float
 
 
 def _branch_with_root(isocline: LMIsocline, y: float, r: float) -> Branch:
-    best, best_d = None, math.inf
-    for b in isocline.branches_at(y):
-        d = abs(b.r_at(y) - r)
-        if d < best_d:
-            best, best_d = b, d
-    if best is None:
-        raise ValueError(f"no isocline branch covers income {y}")
-    return best
+    branch = _branch_holding(isocline, r)
+    if branch is None:
+        raise ValueError(f"no isocline branch holds the root ({y}, {r})")
+    return branch
 
 
 def _fold_window(spec: ModelSpec, fold: FoldPoint) -> tuple[float, float]:
@@ -216,7 +213,7 @@ def _fold_jump(spec: ModelSpec, fold: FoldPoint, r_range: tuple[float, float]
     (quartically flat) double root is never a candidate.
     """
     r_p, r_q = _fold_window(spec, fold)
-    roots = lm_roots(fold.y, spec, r_range, warn=False)
+    roots = lm_roots(fold.y, spec, r_range)
     if fold.kind == "lower-knee":
         direction = "up"
         beyond = [x for x in roots if x > r_q]
@@ -550,15 +547,7 @@ def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Symmetric Hausdorff distance between two planar point sets."""
     if len(a) == 0 or len(b) == 0:
         raise ValueError("point sets must be non-empty")
-
-    def directed(p, q):
-        worst = 0.0
-        for chunk in np.array_split(p, max(1, len(p) // 512)):
-            dists = np.sqrt(((chunk[:, None, :] - q[None, :, :]) ** 2).sum(axis=2))
-            worst = max(worst, float(dists.min(axis=1).max()))
-        return worst
-
-    return max(directed(a, b), directed(b, a))
+    return float(max(cKDTree(b).query(a)[0].max(), cKDTree(a).query(b)[0].max()))
 
 
 def excess_money_scale(spec: ModelSpec, y_range: tuple[float, float],

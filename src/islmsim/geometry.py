@@ -2,19 +2,23 @@
 
 The LM isocline's topology is read off the trap-window layout.  The excess
 slope vanishes only at the window-endpoint rates, so those rates cut the rate
-axis into intervals on which it keeps one sign: each interval is one branch,
-stable (the fast dynamics attract to it) outside a window and unstable inside
-one, and each endpoint rate inside the domain is a fold, at the income where
-the excess vanishes there.  The branches are sampled by sweeping income; the
-excess is linear in income, so one scan of the rate grid serves the whole
-sweep, and each root goes to the branch whose interval holds it.
+axis into intervals on which the excess is strictly monotone: each interval
+is one branch, stable (the fast dynamics attract to it) outside a window and
+unstable inside one, and each endpoint rate inside the domain is a fold, at
+the income where the excess vanishes there.
+
+Roots come from the same intervals, not from grid sign scans: an interval
+holds a root at a given income exactly when the excess signs at its ends
+differ, and the root is on that interval's branch.  Equilibria are the zeros
+of the excess along the IS line, which is convex or concave between the
+money block's segment breaks mapped onto that line.  Root counts are exact
+up to the folds, so nothing warns about tangencies (`lm_roots` ignores `warn`).
 """
 
 from __future__ import annotations
 
-import logging
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +31,6 @@ from .model import (
     excess_money_many,
     excess_money_slope,
 )
-
-logger = logging.getLogger("islmsim")
 
 __all__ = [
     "TracingError",
@@ -48,7 +50,7 @@ __all__ = [
 DEGENERATE_DET_TOL = 1e-10
 # Node-versus-focus discriminant band.
 DISCRIMINANT_BAND = 1e-12
-# |excess| threshold for accepting a near-tangent equilibrium candidate.
+# |excess| at an extremum of the IS-line excess below which it touches zero.
 TANGENCY_EXCESS_TOL = 1e-7
 
 
@@ -156,18 +158,14 @@ def is_curve(spec: ModelSpec, y_range: tuple[float, float] | None = None) -> ISC
                    y_range=y_range)
 
 
-def _bisect_root(spec: ModelSpec, y: float, lo: float, hi: float,
-                 f_lo: float | None = None) -> float:
-    """Bisection on excess_money(y, .); runs to near machine width."""
-    if f_lo is None:
-        f_lo = excess_money(y, lo, spec)
-    if f_lo == 0.0:
-        return lo
+def _bisect(f, lo: float, hi: float, f_lo: float, rtol: float) -> float:
+    """Bisection of f on [lo, hi], where f(lo) = f_lo and f(hi) differ in
+    sign; runs to a relative width of rtol, near machine width."""
     for _ in range(100):
-        if hi - lo <= 1e-14 * max(1.0, abs(lo), abs(hi)):
+        if hi - lo <= rtol * max(1.0, abs(lo), abs(hi)):
             break
         mid = 0.5 * (lo + hi)
-        f_mid = excess_money(y, mid, spec)
+        f_mid = f(mid)
         if f_mid == 0.0:
             return mid
         if (f_lo > 0) != (f_mid > 0):
@@ -189,57 +187,77 @@ def _window_rates(spec: ModelSpec) -> list[tuple[float, float]]:
 
 
 def _rate_scan(spec: ModelSpec, r_range: tuple[float, float],
-               scan_n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The rate grid of the root scan and the money excess on it at zero income.
+               scan_n: int) -> tuple[list[float], list[float], list[tuple]]:
+    """The rate grid, the money excess E(0, .) on it, and the interval table.
 
-    The excess is linear in income, E(y, r) = E(0, r) + (l_y - m_y) y, so one
-    grid evaluation serves every income of a trace.
+    E(y, r) = E(0, r) + (l_y - m_y) y, so one grid evaluation serves every
+    income of a trace.  Each table row is one interval between window-endpoint
+    rates, where E(0, .) is strictly monotone: its index k among them, its
+    ends a < b, E(0, .) at both ends, and the grid nodes [i0, i1) inside it.
     """
     if scan_n < 200:
         raise ValueError("scan_n must be at least 200")
-    grid = np.linspace(r_range[0], r_range[1], scan_n + 1)
-    return grid, excess_money_many(0.0, grid, spec)
+    r_lo, r_hi = r_range
+    nodes = np.linspace(r_lo, r_hi, scan_n + 1)
+    grid, base = nodes.tolist(), excess_money_many(0.0, nodes, spec).tolist()
+    bounds = [-math.inf, *(r for span in _window_rates(spec) for r in span), math.inf]
+    table = []
+    for k in range(len(bounds) - 1):
+        a, b = max(r_lo, bounds[k]), min(r_hi, bounds[k + 1])
+        if a < b:
+            table.append((k, a, b, excess_money(0.0, a, spec), excess_money(0.0, b, spec),
+                          bisect_right(grid, a), bisect_left(grid, b)))
+    return grid, base, table
 
 
-def _scan_roots(y: float, spec: ModelSpec, scan: tuple[np.ndarray, np.ndarray],
-                warn: bool) -> list[float]:
-    """lm_roots at one income on a precomputed `_rate_scan`."""
+def _interval_root(y: float, spec: ModelSpec, scan, row) -> float | None:
+    """The root of the monotone E(y, .) in one table interval, if its end signs
+    differ (a root on an end belongs to the interval above it, or to the top
+    one on the rate edge); binary search narrows the bracket to a grid cell."""
+    grid, base, _ = scan
+    _, a, b, e_a, e_b, i0, i1 = row
+    c = (spec.money.l_y - spec.money.m_y) * y
+    f_a, f_b = e_a + c, e_b + c
+    if f_a == 0.0:
+        return a
+    if f_b == 0.0:
+        return b if b == grid[-1] else None
+    up = f_a > 0.0
+    if (f_b > 0.0) == up:
+        return None
+    lo, hi, f_lo = a, b, f_a
+    while i0 < i1:
+        m = (i0 + i1) // 2
+        f_m = base[m] + c
+        if f_m == 0.0:
+            return grid[m]
+        if (f_m > 0.0) == up:
+            lo, f_lo, i0 = grid[m], f_m, m + 1
+        else:
+            hi, i1 = grid[m], m
+    return _bisect(lambda r: excess_money(y, r, spec), lo, hi, f_lo, 1e-14)
+
+
+def _scan_roots(y: float, spec: ModelSpec, scan) -> list[tuple[int, float]]:
+    """(interval index, rate) of every root at one income on a `_rate_scan`,
+    ascending in rate."""
     if y < 0.0:
         raise ModelDomainError(f"income must be non-negative, got {y}")
-    grid, base = scan
-    vals = base + (spec.money.l_y - spec.money.m_y) * y
-    roots: list[float] = []
-    endpoint_rates = [r for span in _window_rates(spec) for r in span]
-    exact = np.nonzero(vals == 0.0)[0]
-    for k in exact:
-        roots.append(float(grid[k]))
-    flips = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-    for k in flips:
-        lo, hi = float(grid[k]), float(grid[k + 1])
-        if warn:
-            for w in endpoint_rates:
-                if lo < w < hi:
-                    logger.warning(
-                        "root bracket [%g, %g] at income %g straddles a trap-window "
-                        "endpoint rate %g; tangency risk", lo, hi, y, w)
-        roots.append(_bisect_root(spec, y, lo, hi, float(vals[k])))
-    roots.sort()
-    if warn and roots and len(roots) % 2 == 0:
-        logger.warning("even root count %d at income %g suggests a tangency",
-                       len(roots), y)
-    return roots
+    return [(row[0], r) for row in scan[2]
+            if (r := _interval_root(y, spec, scan, row)) is not None]
 
 
 def lm_roots(y: float, spec: ModelSpec, r_range: tuple[float, float],
              scan_n: int = 500, warn: bool = True) -> list[float]:
     """All rates solving the money-market equation at the given income.
 
-    Uniform sign-change scan followed by bisection; roots return ascending.
-    Emits warnings when a bracket straddles a trap-window endpoint (where the
-    excess has zero slope, so a tangency could hide a root pair) and when the
-    root count is even, which generically signals a tangency.
+    Each interval between window-endpoint rates, where the excess is strictly
+    monotone, holds at most one root, found by bisection to near machine
+    width; roots return ascending.  `scan_n` (at least 200) sets the rate grid
+    that narrows each bracket.  `warn` is ignored: counts are exact up to the
+    folds, so no tangency is left to warn about.
     """
-    return _scan_roots(y, spec, _rate_scan(spec, r_range, scan_n), warn)
+    return [r for _, r in _scan_roots(y, spec, _rate_scan(spec, r_range, scan_n))]
 
 
 def trace_lm_isocline(spec: ModelSpec, y_range: tuple[float, float],
@@ -252,8 +270,8 @@ def trace_lm_isocline(spec: ModelSpec, y_range: tuple[float, float],
     outside a window, unstable inside one) and each endpoint rate inside the
     domain is a fold.  A branch's ends follow from its interval: a fold, the
     end of the income grid, or the rate edge, placed exactly at
-    (Y_LM(edge), edge).  Every root of the sweep goes to the branch whose
-    interval holds it.
+    (Y_LM(edge), edge).  At each income of the sweep, each interval whose end
+    signs differ gives its branch one sample.
     """
     if y_steps < 500:
         raise ValueError("y_steps must be at least 500")
@@ -264,22 +282,20 @@ def trace_lm_isocline(spec: ModelSpec, y_range: tuple[float, float],
         raise ModelDomainError("l_y equals m_y: the money excess does not depend on "
                                "income, so the LM isocline is no graph over income")
     (y_lo, y_hi), (r_lo, r_hi) = y_range, r_range
-    ends = [r for span in _window_rates(spec) for r in span]
+    scan = _rate_scan(spec, r_range, scan_n)
+    table = scan[2]
 
-    def income(r: float) -> float:
-        return -excess_money(0.0, r, spec) / k_y
-
-    # even endpoints start a window (lower knee), odd ones end it (upper knee)
-    found = sorted((y, r, j) for j, r in enumerate(ends)
-                   if r_lo < r < r_hi and y_lo <= (y := income(r)) <= y_hi)
+    # endpoint j is the low end of interval j + 1; even endpoints start a
+    # window (lower knee), odd ones end it (upper knee)
+    found = sorted((y, a, k - 1) for k, a, _, e_a, *_ in table
+                   if a > r_lo and y_lo <= (y := -e_a / k_y) <= y_hi)
     folds = tuple(FoldPoint(y, r, ("lower-knee", "upper-knee")[j % 2]) for y, r, j in found)
     fold_of = {j: i for i, (_, _, j) in enumerate(found)}
 
-    scan = _rate_scan(spec, r_range, scan_n)
-    samples: list[list[tuple[float, float]]] = [[] for _ in range(len(ends) + 1)]
+    samples: dict[int, list[tuple[float, float]]] = {row[0]: [] for row in table}
     for y in np.linspace(y_lo, y_hi, y_steps):
-        for r in _scan_roots(float(y), spec, scan, warn=False):
-            samples[bisect_right(ends, r)].append((float(y), r))
+        for k, r in _scan_roots(float(y), spec, scan):
+            samples[k].append((float(y), r))
 
     def end_at(r: float, j: int | None, y: float):
         """The branch end at rate r and income y (j: the window endpoint at r,
@@ -292,27 +308,26 @@ def trace_lm_isocline(spec: ModelSpec, y_range: tuple[float, float],
         return ("boundary", "r_lo" if r == r_lo else "r_hi"), (y, r)
 
     pieces = []
-    bounds = [-math.inf, *ends, math.inf]
-    for k, pts in enumerate(samples):
-        a, b = max(r_lo, bounds[k]), min(r_hi, bounds[k + 1])
-        if a >= b:
-            continue
-        lo, hi = sorted([(a, k - 1 if a > r_lo else None, income(a)),
-                         (b, k if b < r_hi else None, income(b))], key=lambda e: e[2])
+    for row in table:
+        k, a, b, e_a, e_b = row[:5]
+        pts = samples[k]
+        lo, hi = sorted([(a, k - 1 if a > r_lo else None, -e_a / k_y),
+                         (b, k if b < r_hi else None, -e_b / k_y)], key=lambda e: e[2])
         if lo[2] > y_hi or hi[2] < y_lo:
             continue
         (lo_end, lo_pt), (hi_end, hi_pt) = end_at(*lo), end_at(*hi)
-        for end, pt, sign, far in ((lo_end, lo_pt, 1.0, hi[2]), (hi_end, hi_pt, -1.0, lo[2])):
+        # a geometric sample ladder towards a fold keeps interpolation honest
+        # where the branch is steep: it halves the gap from the sweep's sample
+        # nearest that end, taken before either ladder adds samples
+        anchors = ((pts[0][0], pts[-1][0]) if pts else
+                   (min(max(hi[2], y_lo), y_hi), min(max(lo[2], y_lo), y_hi)))
+        for end, pt, sign, anchor in ((lo_end, lo_pt, 1.0, anchors[0]),
+                                      (hi_end, hi_pt, -1.0, anchors[1])):
             if end[0] == "fold":
-                # a geometric sample ladder towards the fold keeps interpolation
-                # honest where the branch is steep; it halves the gap from the
-                # first sample to a low end, from the last one placed to a high
-                # end (the low fold, on a branch between two folds)
-                anchor = pts[0 if sign > 0 else -1][0] if pts else min(max(far, y_lo), y_hi)
                 for n in range(1, 11):
                     y_n = pt[0] + sign * abs(anchor - pt[0]) * 0.5 ** n
-                    pts.extend((y_n, r) for r in _scan_roots(y_n, spec, scan, warn=False)
-                               if bisect_right(ends, r) == k)
+                    if (r := _interval_root(y_n, spec, scan, row)) is not None:
+                        pts.append((y_n, r))
                 pts.append(pt)
             elif pt is not None:  # the rate edge
                 pts.insert(0 if sign > 0 else len(pts), pt)
@@ -374,92 +389,81 @@ def find_equilibria(spec: ModelSpec, y_range: tuple[float, float],
                     scan_n: int = 2001) -> list[Equilibrium]:
     """Intersections of the IS curve with the LM isocline, classified.
 
-    Works on the scalar function excess_money(Y, R_IS(Y)): its zeros are
-    exactly the equilibria.  Sign-change roots are polished by bisection;
-    touching (tangent) zeros are picked up by a local-minimum probe and
-    reported as degenerate instead of classified.
+    The equilibria are the zeros of phi(Y) = excess_money(Y, R_IS(Y)).  The
+    money block's segment breaks, mapped onto the IS line, cut the income
+    range into pieces on which the excess slope is monotone, so phi' is
+    monotone and phi convex or concave there: a piece holds at most two
+    roots, one on each side of the root Y* of phi', and each side whose ends
+    differ in sign is bisected.  Degeneracy rule: when |phi(Y*)| is below
+    TANGENCY_EXCESS_TOL, or the two roots lie within one income step
+    (y_hi - y_lo) / (scan_n - 1) of each other, the pair is one tangent
+    equilibrium at Y*, reported "center-degenerate" with degenerate set.
+    Each equilibrium's branch is the isocline branch whose rate span holds it.
     """
+    if scan_n < 2:
+        raise ValueError("scan_n must be at least 2")
     curve = is_curve(spec)
-    ys = np.linspace(y_range[0], y_range[1], scan_n)
-    phi = excess_money_many(ys, curve.r_at(ys), spec)
+    k_y = spec.money.l_y - spec.money.m_y
+    y_lo, y_hi = y_range
+
+    def phi(y: float) -> float:
+        return excess_money(y, curve.r_at(y), spec)
+
+    def dphi(y: float) -> float:
+        return k_y + curve.slope * excess_money_slope(curve.r_at(y), spec)
+
+    knots = [y_lo, y_hi]
+    if curve.slope != 0.0:
+        off = spec.params.maturity_premium - spec.params.expected_inflation
+        breaks, _ = spec.money._table
+        knots[1:1] = sorted(y for i in breaks
+                            if y_lo < (y := (i + off - curve.intercept) / curve.slope) < y_hi)
+
+    found: list[tuple[float, bool]] = []   # (income, tangent)
+    step = (y_hi - y_lo) / (scan_n - 1)
+    for u, v in zip(knots[:-1], knots[1:]):
+        f_u, f_v = phi(u), phi(v)
+        # a root on a knot belongs to the piece it starts, or to the last one
+        if f_u == 0.0:
+            found.append((u, False))
+        if f_v == 0.0 and v == y_hi:
+            found.append((v, False))
+        sides, touching = [(u, f_u, v, f_v)], False
+        d_u, d_v = dphi(u), dphi(v)
+        if d_u != 0.0 and d_v != 0.0 and (d_u > 0.0) != (d_v > 0.0):
+            y_x = _bisect(dphi, u, v, d_u, 1e-15)
+            f_x = phi(y_x)
+            sides = [(u, f_u, y_x, f_x), (y_x, f_x, v, f_v)]
+            touching = abs(f_x) < TANGENCY_EXCESS_TOL
+        pair = [_bisect(phi, a, b, f_a, 1e-15) for a, f_a, b, f_b in sides
+                if f_a != 0.0 and f_b != 0.0 and (f_a > 0.0) != (f_b > 0.0)]
+        if touching or len(pair) == 2 and pair[1] - pair[0] < step:
+            found.append((y_x, True))
+        else:
+            found.extend((y, False) for y in pair)
 
     results: list[Equilibrium] = []
-    roots: list[float] = [float(ys[k]) for k in np.nonzero(phi == 0.0)[0]]
-    flips = np.nonzero(np.sign(phi[:-1]) * np.sign(phi[1:]) < 0)[0]
-    for k in flips:
-        a, b = float(ys[k]), float(ys[k + 1])
-        fa = float(phi[k])
-        for _ in range(100):
-            if b - a <= 1e-15 * max(1.0, abs(a), abs(b)):
-                break
-            mid = 0.5 * (a + b)
-            fm = excess_money(mid, curve.r_at(mid), spec)
-            if fm == 0.0:
-                a = b = mid
-                break
-            if (fa > 0) != (fm > 0):
-                b = mid
-            else:
-                a, fa = mid, fm
-        roots.append(0.5 * (a + b))
-    for y_star in sorted(roots):
-        r_star = curve.r_at(y_star)
+    for y_star, tangent in sorted(found):
+        r_star = float(curve.r_at(y_star))
         cls, eig, tr, det, disc, degen = classify_jacobian(*_jacobian(spec, r_star))
-        results.append(Equilibrium(y_star, float(r_star), cls, eig, tr, det, disc, degen,
-                                   _nearest_branch(isocline, y_star, float(r_star))))
-
-    # tangency probe: interior local minima of |phi| that nearly touch zero
-    absphi = np.abs(phi)
-    for k in range(1, len(ys) - 1):
-        if absphi[k] <= absphi[k - 1] and absphi[k] <= absphi[k + 1]:
-            if np.sign(phi[k - 1]) * np.sign(phi[k + 1]) < 0:
-                continue  # a sign change already handled above
-            y_min, f_min = _minimize_absphi(spec, curve, float(ys[k - 1]), float(ys[k + 1]))
-            if f_min < TANGENCY_EXCESS_TOL:
-                r_min = float(curve.r_at(y_min))
-                if any(abs(e.y - y_min) < 1e-6 for e in results):
-                    continue
-                _, eig, tr, det, disc, _ = classify_jacobian(*_jacobian(spec, r_min))
-                results.append(Equilibrium(y_min, r_min, "center-degenerate", eig,
-                                           tr, det, disc, True,
-                                           _nearest_branch(isocline, y_min, r_min)))
-    results.sort(key=lambda e: e.y)
+        if tangent:
+            cls, degen = "center-degenerate", True
+        branch = _branch_holding(isocline, r_star)
+        results.append(Equilibrium(y_star, r_star, cls, eig, tr, det, disc, degen,
+                                   -1 if branch is None else branch.index))
     return results
 
 
-def _minimize_absphi(spec: ModelSpec, curve: ISCurve, a: float, b: float
-                     ) -> tuple[float, float]:
-    f = lambda y: abs(excess_money(y, curve.r_at(y), spec))
-    # golden-section search
-    gr = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - gr * (b - a)
-    d = a + gr * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(200):
-        if abs(b - a) < 1e-13 * max(1.0, abs(a), abs(b)):
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - gr * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + gr * (b - a)
-            fd = f(d)
-    y = 0.5 * (a + b)
-    return y, f(y)
-
-
-def _nearest_branch(isocline: LMIsocline | None, y: float, r: float) -> int:
+def _branch_holding(isocline: LMIsocline | None, r: float) -> Branch | None:
+    """The branch whose rate span holds r.  Branches lie in disjoint rate
+    intervals, so at most one does (two share an end rate only at a fold)."""
     if isocline is None:
-        return -1
-    best, best_d = -1, math.inf
+        return None
     for b in isocline.branches:
-        if b.covers(y):
-            d = abs(b.r_at(y) - r)
-            if d < best_d:
-                best, best_d = b.index, d
-    return best
+        lo, hi = sorted((float(b.rs[0]), float(b.rs[-1])))
+        if lo - 1e-12 <= r <= hi + 1e-12:
+            return b
+    return None
 
 
 def shift_lm(spec: ModelSpec, d_pi: float = 0.0, d_ms: float = 0.0) -> ModelSpec:

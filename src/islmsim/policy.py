@@ -376,7 +376,7 @@ def _shifted_branch_value(spec: ModelSpec, fold: FoldPoint, direction: str,
     shifted = shift_lm(spec, d_pi=d_pi, d_ms=d_ms)
     lo, hi = r_range
     pad_range = (lo - abs(d_pi) - 0.2 * (hi - lo), hi + abs(d_pi) + 0.2 * (hi - lo))
-    roots = lm_roots(fold.y, shifted, pad_range, warn=False)
+    roots = lm_roots(fold.y, shifted, pad_range)
     stable = [x for x in roots if excess_money_slope(x, shifted) < 0.0]
     atol = 1e-6
     if direction == "up":

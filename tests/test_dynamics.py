@@ -227,6 +227,15 @@ def test_hausdorff_basics():
         hausdorff_distance(a, np.empty((0, 2)))
 
 
+def test_hausdorff_matches_the_pairwise_formula():
+    rng = np.random.default_rng(7)
+    for n_a, n_b in ((1, 1), (3, 50), (200, 17), (400, 400)):
+        a, b = rng.normal(size=(n_a, 2)), rng.uniform(-2.0, 2.0, size=(n_b, 2))
+        d = np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2))
+        want = max(d.min(axis=1).max(), d.min(axis=0).max())
+        assert hausdorff_distance(a, b) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 def test_densify_polyline_bounds_gaps():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
     dense = densify_polyline(pts, 0.05, closed=False)

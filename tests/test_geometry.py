@@ -88,15 +88,13 @@ def test_isocline_needs_an_income_dependent_money_excess(ref_spec, ref_domain):
                           ref_domain["r_range"], ref_domain["scan_n"])
 
 
-def test_lm_roots_warns_near_window_endpoint_tangency(ref_spec, ref_domain, caplog):
-    import logging
-
+def test_lm_roots_counts_roots_right_up_to_the_fold(ref_spec, ref_domain):
     # approaching the lower-knee fold, the merging pair closes onto the
-    # window-endpoint rate; some bracket then straddles it and must be flagged
-    with caplog.at_level(logging.WARNING, logger="islmsim"):
-        for off in np.geomspace(1e-9, 1e-6, 40):
-            lm_roots(3.25 - float(off), ref_spec, ref_domain["r_range"])
-    assert any("tangency" in rec.message for rec in caplog.records)
+    # window-endpoint rate, inside one cell of the 500-point rate grid
+    for off in np.geomspace(1e-9, 1e-6, 40):
+        y = 3.25 - float(off)
+        want = dense_scan_roots(ref_spec, y, ref_domain["r_range"])
+        assert len(lm_roots(y, ref_spec, ref_domain["r_range"])) == len(want), off
 
 
 def test_lm_roots_residuals(ref_spec, ref_domain):
@@ -218,6 +216,23 @@ def test_tracer_requires_minimum_resolution(ref_spec, ref_domain):
     with pytest.raises(ValueError):
         trace_lm_isocline(ref_spec, ref_domain["y_range"], 100,
                           ref_domain["r_range"], 500)
+
+
+def test_fold_ladders_reach_both_folds_of_a_branch():
+    from pathlib import Path
+
+    from islmsim.config import parse_config
+
+    cfg = parse_config(Path(__file__).parents[1] / "src/islmsim/configs/reference.json")
+    dom = cfg.domain
+    iso = trace_lm_isocline(cfg.model, dom.y_range, dom.y_steps, dom.r_range, dom.scan_n)
+    step = (dom.y_range[1] - dom.y_range[0]) / (dom.y_steps - 1)
+    (branch,) = [b for b in iso.branches if b.stability == "unstable"]
+    for end in (branch.lo_end, branch.hi_end):
+        fold = iso.folds[end[1]]
+        gaps = np.abs(branch.ys - fold.y)
+        assert gaps.min() == 0.0  # the fold itself
+        assert np.sort(gaps)[1] <= step / 1024, fold
 
 
 # ---------------------------------------------------------------------------

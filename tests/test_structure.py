@@ -14,12 +14,13 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from islmsim.dynamics import Trajectory, _fold_jump
-from islmsim.geometry import FoldPoint, lm_roots, shift_lm, trace_lm_isocline
-from islmsim.model import ISBlock, ModelParams, ModelSpec, TrapWindow, build_three_phase_money
+from islmsim.geometry import FoldPoint, find_equilibria, lm_roots, shift_lm, trace_lm_isocline
+from islmsim.model import (ISBlock, ModelParams, ModelSpec, TrapWindow, build_three_phase_money,
+                           excess_money)
 from islmsim.policy import plan_stabilization
 
-from oracles import (_breakpoints, dense_scan_roots, excess_money_by_quadrature, fold_positions,
-                     rate_gap_slope)
+from oracles import (_breakpoints, brute_force_equilibria, dense_scan_roots,
+                     excess_money_by_quadrature, fold_positions, rate_gap_slope)
 
 WIDE_Y = (0.0, 40.0)
 WIDE_R = (-0.1, 0.6)
@@ -41,7 +42,12 @@ def trap_specs(draw, min_windows=1):
                          m_stock=draw(st.floats(2.0, 2.6)),
                          maturity_premium=0.02,
                          expected_inflation=draw(st.floats(0.0, 0.03)))
-    is_block = ISBlock(i0=2.0, i_y=0.3, i_r=10.0, s0=0.5, s_y=0.5, s_r=5.0)
+    # a falling IS line (i_y < s_y) starting at R_IS(0) in (0.02, 0.6)
+    i_y = draw(st.floats(0.05, 0.45))
+    s_y = draw(st.floats(i_y + 0.05, 0.95))
+    i_r, s_r = draw(st.floats(1.0, 15.0)), draw(st.floats(1.0, 15.0))
+    i0 = 0.5 + draw(st.floats(0.02, 0.6)) * (i_r + s_r)
+    is_block = ISBlock(i0=i0, i_y=i_y, i_r=i_r, s0=0.5, s_y=s_y, s_r=s_r)
     return ModelSpec(params=params, is_block=is_block, money=money)
 
 
@@ -77,10 +83,8 @@ def test_fold_jump_lands_on_first_root_beyond_the_window(spec):
         assert rate_gap_slope(spec, landing - off) < 0.0
 
 
-# the tracer's number of incomes on WIDE_Y, and the distance from a fold inside
-# which the merging root pair can share one cell of the 500-point rate scan
+# the tracer's number of incomes on WIDE_Y
 TRACE_STEPS = 700
-NEAR_FOLD = 0.01
 
 
 def _assert_oracle_folds_and_monotone_branches(spec, iso):
@@ -100,19 +104,46 @@ def _assert_oracle_folds_and_monotone_branches(spec, iso):
 
 @settings(max_examples=30, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(trap_specs(min_windows=0), st.lists(st.floats(*WIDE_Y), min_size=3, max_size=3))
-def test_shared_rate_scan_matches_the_oracles(spec, incomes):
-    folds = fold_positions(spec, WIDE_Y)
-    for y in incomes:
-        if any(abs(y - y_f) < NEAR_FOLD for y_f, _, _ in folds):
-            continue
-        roots = lm_roots(y, spec, WIDE_R, warn=False)
+@given(trap_specs(min_windows=0), st.lists(st.floats(*WIDE_Y), min_size=3, max_size=3),
+       st.lists(st.floats(1e-7, 1e-2), min_size=1, max_size=2))
+def test_shared_rate_scan_matches_the_oracles(spec, incomes, fold_offsets):
+    # random incomes, and incomes on both sides of every fold, where the
+    # merging root pair closes onto the window-endpoint rate
+    near = [y_f + s * off for y_f, _, _ in fold_positions(spec, WIDE_Y)
+            for off in fold_offsets for s in (-1.0, 1.0)]
+    for y in incomes + [y for y in near if y >= 0.0]:
+        roots = lm_roots(y, spec, WIDE_R)
         want = dense_scan_roots(spec, y, WIDE_R)
-        assert len(roots) == len(want)
+        assert len(roots) == len(want), y
         assert roots == pytest.approx(want, abs=1e-9)
 
     iso = trace_lm_isocline(spec, WIDE_Y, TRACE_STEPS, WIDE_R)
     _assert_oracle_folds_and_monotone_branches(spec, iso)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(trap_specs(min_windows=0), st.integers(0, 3))
+def test_equilibria_match_the_brute_force_oracle(spec, through):
+    if through < len(spec.money.windows):
+        # re-aim the IS line through the middle of one window's unstable arc
+        w, b = spec.money.windows[through], spec.is_block
+        r_t = 0.5 * (w.p + w.q) + spec.params.maturity_premium - spec.params.expected_inflation
+        y_t = -excess_money(0.0, r_t, spec) / (spec.money.l_y - spec.money.m_y)
+        assume(WIDE_Y[0] < y_t < WIDE_Y[1])
+        i0 = b.s0 + (b.i_r + b.s_r) * r_t - (b.i_y - b.s_y) * y_t
+        spec = dataclasses.replace(spec, is_block=dataclasses.replace(b, i0=i0))
+    eqs = find_equilibria(spec, WIDE_Y)
+    # a root pair inside one cell of the oracle's 400 x 400 grid is beyond
+    # its resolution, and so is a tangency; its finite differences and its
+    # Newton steps need a few cells of room from the ends of the income range
+    assume(not any(e.degenerate for e in eqs))
+    assume(all(WIDE_Y[0] + 0.5 < e.y < WIDE_Y[1] - 0.5 for e in eqs))
+    oracle = brute_force_equilibria(spec, WIDE_Y, WIDE_R)
+    assert [e.classification for e in eqs] == [cls for _, _, cls in oracle]
+    for e, (oy, orr, _) in zip(eqs, oracle):
+        assert e.y == pytest.approx(oy, abs=1e-7)
+        assert e.r == pytest.approx(orr, abs=1e-8)
 
 
 def _rounded_spec(m_stock, pi_e, windows):
