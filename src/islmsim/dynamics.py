@@ -54,6 +54,24 @@ class FoldStallError(RuntimeError):
 
 @dataclass(frozen=True)
 class JumpEvent:
+    """One jump: the fast flow carrying the rate across a trap window.
+
+    In a singular-limit run the jump takes no time: `t_start == t_end` is
+    the instant the slow flow reaches the fold, `y_at_jump` the fold income,
+    `r_from` the fold rate and `r_to` the landing on the next stable branch.
+
+    In a full-system run the fields come from two samples (`detect_jumps`):
+
+    - `t_start`, `r_from`: the departure sample, the last one in the rate
+      gap the jump leaves (at or below the window start for an up jump).
+    - `t_end`, `r_to`: the arrival sample, the first one past the far end
+      of the window.  `r_to` is not the settled landing: on the reference
+      model at eps 1e-2 and stride 0.1 up jumps read 0.114-0.120 there and
+      settle at 0.137.
+    - `y_at_jump`: the mean income of the two samples.
+    - `direction`: "up" when the arrival lies above the window, else "down".
+    """
+
     t_start: float
     t_end: float
     y_at_jump: float
@@ -364,75 +382,77 @@ def reduced_simulate(spec: ModelSpec, y0: float, branch0: int | Branch, t_end: f
 # ---------------------------------------------------------------------------
 # event detection
 
-def detect_jumps(traj: Trajectory, spec: ModelSpec | None = None,
-                 jump_min: float | None = None, y_slip: float | None = None,
-                 threshold: float | None = None, merge_gap: int = 1
-                 ) -> list[JumpEvent]:
-    """Find maximal intervals of fast rate motion with nearly frozen income.
+def detect_jumps(traj: Trajectory, spec: ModelSpec) -> list[JumpEvent]:
+    """Jumps of a trajectory under one model, as trap-window traversals.
 
-    The rate threshold defaults to ten times the typical fast speed implied
-    by the trajectory's own money-market excess, with a robust floor based on
-    the median sampled speed.
+    On a full-system run each event departs at the last sample in the rate
+    gap it leaves (`t_start`, `r_from`) and arrives at the first sample past
+    the window's far end (`t_end`, `r_to`: where the rate crossed, not where
+    it settles); `y_at_jump` is their mean income.  On a singular-limit run
+    the departure is the pre-jump corner, so `r_from` is exactly the fold
+    rate.  The rule is `_window_traversals`.
     """
-    n = len(traj)
-    if n < 2:
-        return []
-    t, y, r = traj.t, traj.y, traj.r
-    dt = np.diff(t)
-    rate = np.abs(np.diff(r)) / dt
+    return _window_traversals([(traj, spec)])
 
-    if jump_min is None:
-        if spec is not None and spec.money.windows:
-            jump_min = 0.25 * min(w.q - w.p for w in spec.money.windows)
-        else:
-            jump_min = 0.05 * max(float(np.ptp(r)), 1e-12)
-    if y_slip is None:
-        y_slip = 0.02 * max(float(np.ptp(y)), 1e-12) + 1e-9
 
-    if threshold is None:
-        med_rate = float(np.median(rate))
-        if spec is not None:
-            beta = spec.params.beta
-            med_excess = float(np.median(np.abs(
-                excess_money_many(np.maximum(y, 0.0), r, spec))))
-            threshold = max(10.0 * beta * med_excess, 50.0 * med_rate, 1e-12)
-        else:
-            threshold = max(50.0 * med_rate, 1e-12)
+def _window_traversals(parts: list[tuple[Trajectory, ModelSpec]]) -> list[JumpEvent]:
+    """Jumps across consecutive (trajectory, spec) parts of one run.
 
-    fast = rate > threshold
-    events: list[JumpEvent] = []
-    groups: list[tuple[int, int]] = []
-    i = 0
-    while i < len(fast):
-        if fast[i]:
-            j = i
-            while j + 1 < len(fast) and fast[j + 1]:
-                j += 1
-            groups.append((i, j))
-            i = j + 1
-        else:
-            i += 1
-    merged: list[tuple[int, int]] = []
-    for g in groups:
-        if merged and g[0] - merged[-1][1] <= merge_gap:
-            merged[-1] = (merged[-1][0], g[1])
-        else:
-            merged.append(g)
-    for i0, i1 in merged:
-        r_from, r_to = float(r[i0]), float(r[i1 + 1])
-        dy = abs(float(y[i1 + 1]) - float(y[i0]))
-        if abs(r_to - r_from) < jump_min or dy > y_slip:
+    The stable branches lie in the rate gaps between the trap windows, so
+    the fast flow moves the state from gap to gap only by jumping.  A
+    sample's level counts the window endpoints it has passed (r > r_p,
+    r >= r_q) by its own part's window rates: level 2g is gap g, odd levels
+    lie inside a window.  A jump joins two consecutive samples in different
+    gaps, so a canard (an excursion that returns to its gap) is no jump, nor
+    is the first exit of a run that starts inside a window.  Besides:
+
+    - a part whose first sample, the state at a spec change, changes level
+      restarts the count, since the change moved a window, not the state;
+    - an up jump goes on through the gap it arrives in when the money excess
+      at the arrival income is still positive at the gap's top, so no branch
+      can stop it there; likewise down.
+    """
+    t, y, r, level, fresh, part_of, models = [], [], [], [], [], [], []
+    for traj, spec in parts:
+        if not len(traj):
             continue
-        events.append(JumpEvent(float(t[i0]), float(t[i1 + 1]),
-                                0.5 * (float(y[i0]) + float(y[i1 + 1])),
-                                r_from, r_to,
-                                "up" if r_to > r_from else "down"))
+        rates = np.asarray(_window_rates(spec)).reshape(-1, 2)
+        lv = ((traj.r[:, None] > rates[:, 0]).sum(axis=1)
+              + (traj.r[:, None] >= rates[:, 1]).sum(axis=1))
+        cut = np.zeros(len(lv), dtype=bool)
+        cut[0] = bool(level) and lv[0] != level[-1][-1]
+        for a, v in ((t, traj.t), (y, traj.y), (r, traj.r), (level, lv), (fresh, cut),
+                     (part_of, np.full(len(lv), len(models)))):
+            a.append(v)
+        models.append((spec, rates))
+    if not t:
+        return []
+    t, y, r, level, part_of = (np.concatenate(a) for a in (t, y, r, level, part_of))
+    epoch = np.cumsum(np.concatenate(fresh))
+    outside = np.nonzero(level % 2 == 0)[0]
+    moves = np.nonzero(np.diff(level[outside]) != 0)[0]
+
+    events: list[JumpEvent] = []
+    dep = arr = 0
+    for i, j in zip(outside[moves], outside[moves + 1]):
+        if epoch[i] != epoch[j]:
+            continue
+        up = bool(level[j] > level[i])
+        if events and (events[-1].direction == "up") == up and epoch[arr] == epoch[i]:
+            spec, rates = models[part_of[arr]]
+            gap = level[arr] // 2
+            edge = rates[gap, 0] if up else rates[gap - 1, 1]
+            if (excess_money(max(float(y[arr]), 0.0), float(edge), spec) > 0.0) == up:
+                events.pop()
+                i = dep
+        dep, arr = i, j
+        events.append(JumpEvent(float(t[i]), float(t[j]), 0.5 * (float(y[i]) + float(y[j])),
+                                float(r[i]), float(r[j]), "up" if up else "down"))
     return events
 
 
 def detect_cycle(traj: Trajectory, spec: ModelSpec | None = None,
-                 radius: float = 1e-4, transient_frac: float = 0.2,
-                 jump_min: float | None = None, y_slip: float | None = None
+                 radius: float = 1e-4, transient_frac: float = 0.2
                  ) -> CycleSummary | None:
     """Detect a closed loop by recurrence to a reference point.
 
@@ -497,7 +517,7 @@ def detect_cycle(traj: Trajectory, spec: ModelSpec | None = None,
 
     # jumps come from the whole run, so one that the window edge cuts counts
     # once, in the period where it starts
-    all_jumps = traj.jumps or detect_jumps(traj, spec, jump_min=jump_min, y_slip=y_slip)
+    all_jumps = traj.jumps or (detect_jumps(traj, spec) if spec is not None else ())
     jumps = tuple(j for j in all_jumps if t_loop0 <= j.t_start < t_loop0 + period)
     y_turning = tuple(sorted({round(j.y_at_jump, 9) for j in jumps}))
     r_extent = (float(np.min(window.r)), float(np.max(window.r)))

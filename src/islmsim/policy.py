@@ -23,9 +23,9 @@ from .dynamics import (
     Trajectory,
     _fold_jump,
     _fold_window,
+    _window_traversals,
     advance_reduced,
     attach_to_branch,
-    detect_jumps,
     detect_cycle,
     integrate,
 )
@@ -141,49 +141,19 @@ def _drive_slope(drive: FiscalDrive, y_now: float) -> float:
     return (drive.y_to - y_from) / (drive.t_end - drive.t_start)
 
 
-def _concat(parts: list[Trajectory], mode: str, spec_id: str,
-            jumps: tuple[JumpEvent, ...] = ()) -> Trajectory:
-    ts = [parts[0].t]
-    ys = [parts[0].y]
-    rs = [parts[0].r]
-    for p in parts[1:]:
+def _concat(parts: list[tuple[Trajectory, ModelSpec]], spec_id: str) -> Trajectory:
+    """One full-system trajectory from consecutive parts and their models,
+    with the jumps across all of them."""
+    ts = [parts[0][0].t]
+    ys = [parts[0][0].y]
+    rs = [parts[0][0].r]
+    for p, _ in parts[1:]:
         skip = 1 if len(p.t) and len(ts[-1]) and p.t[0] <= ts[-1][-1] else 0
         ts.append(p.t[skip:])
         ys.append(p.y[skip:])
         rs.append(p.r[skip:])
     return Trajectory(np.concatenate(ts), np.concatenate(ys), np.concatenate(rs),
-                      mode, spec_id, jumps)
-
-
-def _detect_jumps_segmented(parts: list[tuple[Trajectory, ModelSpec]],
-                            stride: float, jump_min: float | None = None
-                            ) -> tuple[JumpEvent, ...]:
-    """Jump detection across spec changes: each epoch is scanned against its
-    own model so threshold estimates are not polluted, then events that a
-    segment boundary split in two are merged."""
-    if jump_min is None:
-        spec0 = parts[0][1]
-        if spec0.money.windows:
-            jump_min = 0.25 * min(w.q - w.p for w in spec0.money.windows)
-    # verticality tolerance scales with the whole run, not single epochs, and
-    # stays loose enough for driven ramps where income moves during the layer
-    span = max(float(max(p.y.max() for p, _ in parts)
-                     - min(p.y.min() for p, _ in parts)), 1e-12)
-    y_slip = 0.1 * span + 1e-9
-    raw: list[JumpEvent] = []
-    for part, spec in parts:
-        raw.extend(detect_jumps(part, spec, jump_min=jump_min, y_slip=y_slip))
-    raw.sort(key=lambda j: j.t_start)
-    merged: list[JumpEvent] = []
-    for j in raw:
-        if merged and j.direction == merged[-1].direction \
-                and j.t_start - merged[-1].t_end <= 2.0 * stride:
-            prev = merged[-1]
-            merged[-1] = JumpEvent(prev.t_start, j.t_end, prev.y_at_jump,
-                                   prev.r_from, j.r_to, prev.direction)
-        else:
-            merged.append(j)
-    return tuple(merged)
+                      FULL_MODE, spec_id, tuple(_window_traversals(parts)))
 
 
 def apply_scenario(spec: ModelSpec, scenario: Scenario, y0: float, r0: float,
@@ -233,7 +203,7 @@ def apply_scenario(spec: ModelSpec, scenario: Scenario, y0: float, r0: float,
                                        None, initial=True)
         ts, ys_, rs_ = [t], [y], [r]
     else:
-        parts: list[Trajectory] = []
+        parts: list[tuple[Trajectory, ModelSpec]] = []
         ts, ys_, rs_ = [], [], []  # unused in full mode
 
     def active_drive(t_seg):
@@ -293,8 +263,7 @@ def apply_scenario(spec: ModelSpec, scenario: Scenario, y0: float, r0: float,
         traj = Trajectory(np.asarray(ts), np.asarray(ys_), np.asarray(rs_),
                           REDUCED_MODE, spec.spec_id, tuple(jumps))
     else:
-        traj = _concat([p for p, _ in parts], FULL_MODE, spec.spec_id,
-                       _detect_jumps_segmented(parts, stride))
+        traj = _concat(parts, spec.spec_id)
     for j in traj.jumps:
         events.append({"t": j.t_start, "kind": "jump", "y": j.y_at_jump,
                        "r_from": j.r_from, "r_to": j.r_to,
@@ -588,8 +557,7 @@ def _controlled_full(spec: ModelSpec, ramp: FiscalDrive, plan: StabilizationPlan
                 t_fired, y_fired = t, y
                 events.append({"t": t, "kind": "monetary-step", "y": y,
                                "delta": plan.delta})
-    traj = _concat([p for p, _ in parts], FULL_MODE, spec.spec_id,
-                   _detect_jumps_segmented(parts, stride))
+    traj = _concat(parts, spec.spec_id)
     return ScenarioResult(traj, events, cur_spec), t_fired, y_fired
 
 
@@ -611,12 +579,12 @@ def negative_rate_probe(spec: ModelSpec, scenario: Scenario | None,
         if (j.r_from > 0.0 > j.r_to) or (j.r_from < 0.0 < j.r_to):
             crossings.append({"t": j.t_start, "kind": "jump-crossing",
                               "level_from": j.r_from, "level_to": j.r_to})
-    in_jump = np.zeros(len(traj), dtype=bool)
-    for j in traj.jumps:
-        in_jump |= (traj.t >= j.t_start - 1e-9) & (traj.t <= j.t_end + 1e-9)
+    # a sign change between two samples of one jump, the singular limit's
+    # pre-jump corner included, is that jump's
+    spans = [(j.t_start - CORNER_DT * max(1.0, abs(j.t_start)), j.t_end) for j in traj.jumps]
     r = traj.r
     for k in np.nonzero(np.sign(r[:-1]) * np.sign(r[1:]) < 0)[0]:
-        if in_jump[k] or in_jump[k + 1]:
+        if any(a <= traj.t[k] and traj.t[k + 1] <= b for a, b in spans):
             continue
         frac = r[k] / (r[k] - r[k + 1])
         crossings.append({"t": float(traj.t[k] + frac * (traj.t[k + 1] - traj.t[k])),

@@ -109,7 +109,12 @@ def dense_scan_roots(spec: ModelSpec, y: float, r_range: tuple[float, float],
 
 
 def fd_jacobian(spec: ModelSpec, y: float, r: float, h: float = 1e-7) -> np.ndarray:
-    """Finite-difference Jacobian of (alpha*(I-S), beta*(L-M-M_S))."""
+    """Finite-difference Jacobian of (alpha*(I-S), beta*(L-M-M_S)).
+
+    Within h of income 0 the income column is a forward difference, which
+    stays in the model domain; both excesses are linear in income, so it is
+    exact to rounding.
+    """
     p = spec.params
 
     def f(yy, rr):
@@ -117,7 +122,10 @@ def fd_jacobian(spec: ModelSpec, y: float, r: float, h: float = 1e-7) -> np.ndar
                          p.beta * excess_money(yy, rr, spec)])
 
     j = np.empty((2, 2))
-    j[:, 0] = (f(y + h, r) - f(y - h, r)) / (2 * h)
+    if y < h:
+        j[:, 0] = (f(y + h, r) - f(y, r)) / h
+    else:
+        j[:, 0] = (f(y + h, r) - f(y - h, r)) / (2 * h)
     j[:, 1] = (f(y, r + h) - f(y, r - h)) / (2 * h)
     return j
 

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from islmsim.dynamics import (
+    FULL_MODE,
     Trajectory,
+    _window_traversals,
     attach_to_branch,
     cycle_points,
     densify_polyline,
@@ -13,7 +15,7 @@ from islmsim.dynamics import (
     integrate,
     reduced_simulate,
 )
-from islmsim.geometry import find_equilibria, trace_lm_isocline
+from islmsim.geometry import find_equilibria, shift_lm, trace_lm_isocline
 from islmsim.model import excess_money, excess_money_many
 from islmsim.reference import no_trap_spec, reference_spec, steep_is_spec
 
@@ -125,6 +127,54 @@ def test_two_jumps_per_reduced_period(ref_spec, ref_reduced_cycle):
     assert {j.direction for j in per_period} == {"up", "down"}
 
 
+def _synthetic(t, r, y=3.0):
+    t = np.asarray(t, dtype=float)
+    return Trajectory(t, np.full(len(t), y), np.asarray(r, dtype=float), FULL_MODE, "synthetic")
+
+
+def test_excursion_that_returns_to_its_gap_is_no_jump(ref_spec):
+    # the reference window spans rates (0.04, 0.10); a canard enters it from
+    # below and falls back, the later excursion crosses it
+    r = [0.02, 0.03, 0.05, 0.08, 0.09, 0.06, 0.03, 0.035, 0.07, 0.12, 0.13]
+    jumps = detect_jumps(_synthetic(range(len(r)), r), ref_spec)
+    assert [(j.t_start, j.t_end, j.r_from, j.r_to, j.direction) for j in jumps] == \
+        [(7.0, 9.0, 0.035, 0.12, "up")]
+
+
+def test_first_exit_of_a_run_started_inside_a_window_is_no_jump(ref_spec):
+    r = [0.07, 0.09, 0.11, 0.13, 0.12, 0.08, 0.05, 0.03]
+    jumps = detect_jumps(_synthetic(range(len(r)), r), ref_spec)
+    assert [(j.t_start, j.t_end, j.direction) for j in jumps] == [(4.0, 7.0, "down")]
+
+
+def test_a_crossing_cut_by_a_spec_change_is_one_jump(ref_spec):
+    # the step moves the window to (0.035, 0.095): the rate 0.07 at the cut
+    # is inside it under both specs
+    shifted = shift_lm(ref_spec, d_pi=0.005)
+    a = _synthetic([0.0, 1.0, 2.0, 3.0], [0.02, 0.03, 0.05, 0.07])
+    b = _synthetic([3.0, 4.0, 5.0], [0.07, 0.09, 0.12])
+    jumps = _window_traversals([(a, ref_spec), (b, shifted)])
+    assert [(j.t_start, j.t_end, j.r_from, j.r_to, j.direction) for j in jumps] == \
+        [(1.0, 5.0, 0.03, 0.12, "up")]
+
+
+def test_a_spec_change_that_moves_a_window_across_the_state_is_no_jump(ref_spec):
+    # the step moves the window to (-0.03, 0.03), below the state at 0.035
+    shifted = shift_lm(ref_spec, d_pi=0.07)
+    a = _synthetic([0.0, 1.0, 2.0], [0.02, 0.03, 0.035])
+    b = _synthetic([2.0, 3.0, 4.0], [0.035, 0.034, 0.033])
+    assert _window_traversals([(a, ref_spec), (b, shifted)]) == []
+
+
+def test_reduced_jumps_are_found_again_from_the_fold_rate(ref_spec, ref_reduced_cycle):
+    traj, _ = ref_reduced_cycle
+    found = detect_jumps(traj, ref_spec)
+    assert len(found) == len(traj.jumps)
+    for j, want in zip(found, traj.jumps):
+        assert (j.direction, j.y_at_jump, j.r_from, j.r_to, j.t_end) == \
+            (want.direction, want.y_at_jump, want.r_from, want.r_to, want.t_start)
+
+
 def test_full_run_jump_directions_match_reduced(ref_spec, eps_ladder, ref_isocline):
     spec, traj, cycle = eps_ladder[1e-3]
     assert len(cycle.jumps) == 2
@@ -176,6 +226,8 @@ def test_no_cycle_without_trap_window(ref_domain):
     for y0, r0 in ((0.5, 0.0), (2.0, 0.1), (4.8, -0.02)):
         traj = integrate(spec, y0, r0, 800.0, stride=1.0)
         assert detect_cycle(traj, spec) is None
+        # the relaxation onto the only branch crosses no window
+        assert detect_jumps(traj, spec) == []
 
 
 def test_reduced_and_full_periods_agree(ref_reduced_cycle, eps_ladder):

@@ -16,7 +16,8 @@ from islmsim.policy import (
     plan_stabilization,
     run_with_controller,
 )
-from islmsim.reference import reference_spec
+from islmsim.reference import (census_runs, multiwindow_domain, reference_spec, three_window_spec,
+                               two_window_spec)
 
 
 @pytest.fixture
@@ -220,6 +221,49 @@ def test_margin_zero_full_mode_is_flagged_late(ref_spec, ref_isocline,
     assert any(j.t_start <= report.t_fired for j in report.controlled.jumps)
 
 
+def test_controller_firing_is_no_jump_in_full_mode(ref_spec, ref_isocline,
+                                                   lower_fold, kw):
+    plan = plan_stabilization(ref_spec, lower_fold, "inflation", ref_isocline)
+    spec = reference_spec(epsilon=1e-3)
+    ramp = FiscalDrive(0.0, 50.0, y_to=3.5)
+    # fired late, after the up jump: the rate's move onto the shifted branch
+    # above the window is no jump, and the monitoring cuts split none
+    late = run_with_controller(spec, ramp, plan, 2.8, 0.0247,
+                               mode="full-epsilon", margin_frac=0.0,
+                               horizon=50.0, stride=0.05, monitor_stride=8.0, **kw)
+    assert [j.direction for j in late.controlled.jumps] == ["up"]
+    assert late.controlled.jumps[0].t_start == pytest.approx(
+        late.uncontrolled.jumps[0].t_start, abs=1e-9)
+    # fired in time: the step moves the window from above the state to
+    # below it, which is no jump either
+    in_time = run_with_controller(spec, ramp, plan, 2.8, 0.0247,
+                                  mode="full-epsilon", margin_frac=0.05,
+                                  horizon=50.0, stride=0.05, monitor_stride=1.0, **kw)
+    assert in_time.jumps_uncontrolled == 1
+    assert in_time.jumps_controlled == 0
+    assert not in_time.controller_late
+
+
+@pytest.mark.parametrize("n_windows, make_spec", [(2, two_window_spec),
+                                                  (3, three_window_spec)])
+def test_full_mode_census_counts_one_jump_per_fold(n_windows, make_spec):
+    # the outer jumps cross two or three windows and the gaps between them;
+    # the extra three-window ramp lands between windows, then jumps on
+    eps = 1e-2
+    spec, dom = make_spec(epsilon=eps), multiwindow_domain()
+    horizon = 4.0 / eps
+    runs = [(run["y0"], run["r0_hint"], run["y_to"], [run["direction"]])
+            for run in census_runs(n_windows)]
+    if n_windows == 3:
+        runs.append((3.3, 0.062, 4.05, ["up", "up"]))
+    for y0, r0, y_to, directions in runs:
+        ramp = FiscalDrive(0.0, horizon, y_to=y_to)
+        result = apply_scenario(spec, Scenario((ramp,), horizon), y0, r0, "full-epsilon",
+                                y_range=dom["y_range"], r_range=dom["r_range"],
+                                stride=horizon / 2000.0, validate=False)
+        assert [j.direction for j in result.jumps] == directions, (y0, r0, y_to)
+
+
 # ---------------------------------------------------------------------------
 # negative-rate probe
 
@@ -228,6 +272,17 @@ def test_probe_reports_no_crossing_above_zero(ref_spec, kw):
     assert report["status"] == "above-zero"
     assert report["crossings"] == []
     assert report["min_rate"] > 0.0
+
+
+def test_full_mode_probe_books_every_zero_crossing(kw):
+    # the rate crosses zero four times: down and back up in the initial
+    # relaxation, in the fast fall after the down jump's arrival sample
+    # (0.032 and below) and in the drift back up
+    spec = shift_lm(reference_spec(epsilon=1e-2), d_pi=0.008)
+    report = negative_rate_probe(spec, None, 1.5, 0.01, mode="full-epsilon",
+                                 horizon=1220.0, stride=0.25, **kw)
+    assert len(report["crossings"]) == 4
+    assert report["status"] == "crossing"
 
 
 def test_probe_reports_crossing_after_inflation_shift(ref_spec, kw):

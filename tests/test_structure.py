@@ -18,6 +18,7 @@ from islmsim.geometry import FoldPoint, find_equilibria, lm_roots, shift_lm, tra
 from islmsim.model import (ISBlock, ModelParams, ModelSpec, TrapWindow, build_three_phase_money,
                            excess_money)
 from islmsim.policy import plan_stabilization
+from islmsim.reference import no_trap_spec
 
 from oracles import (_breakpoints, brute_force_equilibria, dense_scan_roots,
                      excess_money_by_quadrature, fold_positions, rate_gap_slope)
@@ -139,6 +140,20 @@ def test_equilibria_match_the_brute_force_oracle(spec, through):
     # Newton steps need a few cells of room from the ends of the income range
     assume(not any(e.degenerate for e in eqs))
     assume(all(WIDE_Y[0] + 0.5 < e.y < WIDE_Y[1] - 0.5 for e in eqs))
+    oracle = brute_force_equilibria(spec, WIDE_Y, WIDE_R)
+    assert [e.classification for e in eqs] == [cls for _, _, cls in oracle]
+    for e, (oy, orr, _) in zip(eqs, oracle):
+        assert e.y == pytest.approx(oy, abs=1e-7)
+        assert e.r == pytest.approx(orr, abs=1e-8)
+
+
+def test_brute_force_oracle_finds_an_equilibrium_next_to_income_zero():
+    # the equilibrium lies in the oracle's first income cell, so its Newton
+    # steps take the Jacobian closer to income 0 than the difference step
+    spec = dataclasses.replace(no_trap_spec(), is_block=ISBlock(
+        i0=0.51, i_y=0.25, i_r=1.0, s0=0.5, s_y=0.5, s_r=1.0))
+    eqs = find_equilibria(spec, WIDE_Y)
+    assert len(eqs) == 1 and eqs[0].y < 0.1
     oracle = brute_force_equilibria(spec, WIDE_Y, WIDE_R)
     assert [e.classification for e in eqs] == [cls for _, _, cls in oracle]
     for e, (oy, orr, _) in zip(eqs, oracle):
