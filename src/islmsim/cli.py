@@ -16,17 +16,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import ConfigError, MODE_NAMES, OUTPUT_FORMATS, RunConfig, parse_config
-from .dynamics import (
-    FoldStallError,
-    IntegrationError,
-    REDUCED_MODE,
-    Trajectory,
-    attach_to_branch,
-    detect_cycle,
-    detect_jumps,
-    integrate,
-    reduced_simulate,
-)
+from .dynamics import FoldStallError, IntegrationError, REDUCED_MODE, Trajectory, detect_cycle
 from .geometry import find_equilibria, is_curve, trace_lm_isocline
 from .model import ConstructionError, ModelDomainError, validate_properties
 from .output import (
@@ -40,7 +30,7 @@ from .output import (
     validation_document,
     write_provenance,
 )
-from .policy import ScenarioError, apply_scenario, plan_stabilization, run_with_controller
+from .policy import Scenario, ScenarioError, apply_scenario, plan_stabilization, run_with_controller
 from .svg import render_portrait
 
 import numpy as np
@@ -250,19 +240,14 @@ def _run_simulation(config: RunConfig, spec, dom):
         traj = Trajectory(np.empty(0), np.empty(0), np.empty(0), so.mode,
                           spec.spec_id)
         return traj, (), None
-    if so.mode == REDUCED_MODE:
-        # t_end and stride are fast time; the singular limit runs on the
-        # slow clock, which is epsilon times faster
-        eps = spec.params.epsilon
-        iso = trace_lm_isocline(spec, dom.y_range, dom.y_steps, dom.r_range,
-                                dom.scan_n)
-        branch, _ = attach_to_branch(spec, iso, so.y0, so.r0)
-        traj = reduced_simulate(spec, so.y0, branch, eps * so.t_end, iso,
-                                stride=None if so.stride is None else eps * so.stride)
-    else:
-        full = integrate(spec, so.y0, so.r0, so.t_end, rtol=so.rtol,
-                         atol=so.atol, stride=so.stride)
-        traj = replace(full, jumps=tuple(detect_jumps(full, spec)))
+    # t_end and stride are fast time; the singular limit runs on the slow
+    # clock, which is epsilon times faster
+    scale = spec.params.epsilon if so.mode == REDUCED_MODE else 1.0
+    traj = apply_scenario(spec, Scenario((), scale * so.t_end), so.y0, so.r0, so.mode,
+                          y_range=dom.y_range, r_range=dom.r_range,
+                          y_steps=dom.y_steps, scan_n=dom.scan_n,
+                          stride=None if so.stride is None else scale * so.stride,
+                          validate=False, rtol=so.rtol, atol=so.atol).trajectory
     cycle = detect_cycle(traj, spec)
     return traj, traj.jumps, cycle
 

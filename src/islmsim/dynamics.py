@@ -332,24 +332,35 @@ def advance_reduced(spec: ModelSpec, isocline: LMIsocline, branch: Branch,
         fold = isocline.folds[end[1]]
         direction, landing = _fold_jump(spec, fold, isocline.r_range)
         jump = JumpEvent(t_hit, t_hit, fold.y, fold.r, landing, direction)
-        _append_jump(ts, ys, rs, jumps, jump)
+        _append_vertical_move(ts, ys, rs, t_hit, fold.y, fold.r, landing)
+        jumps.append(jump)
         branch = _branch_with_root(isocline, fold.y, landing)
         t = t_hit
         y = jump.y_at_jump
     return branch, y, t, "horizon"
 
 
-def _append_jump(ts: list[float], ys: list[float], rs: list[float],
-                 jumps: list[JumpEvent], jump: JumpEvent) -> None:
-    corner_t = jump.t_start - CORNER_DT * max(1.0, abs(jump.t_start))
+def _append_vertical_move(ts: list[float], ys: list[float], rs: list[float],
+                          t: float, y: float, r_from: float, r_to: float) -> None:
+    """Write the samples of a zero-time move of the rate at income y.
+
+    A fold jump and a reattachment after a model change both take this form.
+    The pre-move corner (t - CORNER_DT, y, r_from) goes in when it falls after
+    the last sample; the landing (t, y, r_to) is appended, or overwrites the
+    last sample when that one is already at t.
+    """
+    corner_t = t - CORNER_DT * max(1.0, abs(t))
     if corner_t > ts[-1]:
         ts.append(corner_t)
-        ys.append(jump.y_at_jump)
-        rs.append(jump.r_from)
-    ts.append(jump.t_start)
-    ys.append(jump.y_at_jump)
-    rs.append(jump.r_to)
-    jumps.append(jump)
+        ys.append(y)
+        rs.append(r_from)
+    if t > ts[-1]:
+        ts.append(t)
+        ys.append(y)
+        rs.append(r_to)
+    else:
+        ys[-1] = y
+        rs[-1] = r_to
 
 
 def reduced_simulate(spec: ModelSpec, y0: float, branch0: int | Branch, t_end: float,

@@ -21,6 +21,7 @@ from .dynamics import (
     REDUCED_MODE,
     JumpEvent,
     Trajectory,
+    _append_vertical_move,
     _fold_jump,
     _fold_window,
     _window_traversals,
@@ -29,7 +30,7 @@ from .dynamics import (
     detect_cycle,
     integrate,
 )
-from .geometry import Branch, FoldPoint, LMIsocline, is_curve, lm_roots, shift_lm, trace_lm_isocline
+from .geometry import FoldPoint, LMIsocline, is_curve, lm_roots, shift_lm, trace_lm_isocline
 from .model import ISBlock, ModelSpec, excess_money, validate_properties
 
 __all__ = [
@@ -55,7 +56,11 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class FiscalDrive:
-    """Drive income along a linear ramp between two instants."""
+    """Drive income along a linear ramp between two instants.
+
+    The slope is fixed when the drive starts, from `y_from` or else the
+    income then, so a step inside the drive leaves its end point at `y_to`.
+    """
 
     t_start: float
     t_end: float
@@ -199,8 +204,7 @@ def apply_scenario(spec: ModelSpec, scenario: Scenario, y0: float, r0: float,
 
     if reduced:
         isocline = trace_lm_isocline(cur_spec, y_range, y_steps, cur_r_range, scan_n)
-        branch, r = _attach_with_event(cur_spec, isocline, y, r, t, events,
-                                       None, initial=True)
+        branch, r = attach_to_branch(cur_spec, isocline, y, r)
         ts, ys_, rs_ = [t], [y], [r]
     else:
         parts: list[tuple[Trajectory, ModelSpec]] = []
@@ -212,7 +216,8 @@ def apply_scenario(spec: ModelSpec, scenario: Scenario, y0: float, r0: float,
                 return d
         return None
 
-    for idx, (t_a, t_b) in enumerate(zip(timeline[:-1], timeline[1:])):
+    slope = None
+    for t_a, t_b in zip(timeline[:-1], timeline[1:]):
         # apply instantaneous steps scheduled at t_a
         for step_i, s in enumerate(instants):
             if s.time != t_a:
@@ -238,13 +243,20 @@ def apply_scenario(spec: ModelSpec, scenario: Scenario, y0: float, r0: float,
                         f"{[c.condition for c in rep.failures()]}")
             if reduced:
                 isocline = trace_lm_isocline(cur_spec, y_range, y_steps, cur_r_range, scan_n)
-                branch, r = _attach_with_event(cur_spec, isocline, y, r, t_a,
-                                               events, (ts, ys_, rs_))
+                branch, r_new = attach_to_branch(cur_spec, isocline, y, r)
+                if abs(r_new - r) > 1e-12:
+                    events.append({"t": t_a, "kind": "reattach", "y": y,
+                                   "r_from": r, "r_to": r_new})
+                    _append_vertical_move(ts, ys_, rs_, t_a, y, r, r_new)
+                r = r_new
 
-        if t_b <= t_a:
-            continue
+        # a drive's slope is fixed when it starts, so a step inside it
+        # leaves the ramp's end point where it was
         drive = active_drive(t_a)
-        slope = None if drive is None else _drive_slope(drive, y)
+        if drive is None:
+            slope = None
+        elif drive.t_start == t_a:
+            slope = _drive_slope(drive, y)
         if reduced:
             branch, y, t, status = advance_reduced(
                 cur_spec, isocline, branch, y, t_a, t_b, stride,
@@ -270,30 +282,6 @@ def apply_scenario(spec: ModelSpec, scenario: Scenario, y0: float, r0: float,
                        "direction": j.direction})
     events.sort(key=lambda e: e["t"])
     return ScenarioResult(traj, events, cur_spec)
-
-
-def _attach_with_event(spec: ModelSpec, isocline: LMIsocline, y: float, r: float,
-                       t: float, events: list,
-                       sample_sink: tuple | None, initial: bool = False
-                       ) -> tuple[Branch, float]:
-    branch, r_new = attach_to_branch(spec, isocline, y, r)
-    if not initial and abs(r_new - r) > 1e-12:
-        events.append({"t": t, "kind": "reattach", "y": y,
-                       "r_from": r, "r_to": r_new})
-        if sample_sink is not None:
-            ts, ys_, rs_ = sample_sink
-            corner_t = t - CORNER_DT * max(1.0, abs(t))
-            if ts and corner_t > ts[-1]:
-                ts.append(corner_t)
-                ys_.append(y)
-                rs_.append(r)
-            if not ts or t > ts[-1]:
-                ts.append(t)
-                ys_.append(y)
-                rs_.append(r_new)
-            else:
-                rs_[-1] = r_new
-    return branch, r_new
 
 
 # ---------------------------------------------------------------------------
@@ -449,6 +437,19 @@ def _first_crossing_time(traj: Trajectory, level: float, upward: bool) -> float 
     return float(t[k] + frac * (t[k + 1] - t[k]))
 
 
+def _first_monitored_crossing(traj: Trajectory, level: float, upward: bool,
+                              every: float, horizon: float
+                              ) -> tuple[float | None, float | None]:
+    """First instant k * every (k = 1, 2, ...), or the horizon, at which the
+    income is at or past the level, and the income there."""
+    t_mon = np.append(np.arange(1, math.ceil(horizon / every)) * every, horizon)
+    y_mon = np.interp(t_mon, traj.t, traj.y)
+    hits = np.nonzero(y_mon >= level if upward else y_mon <= level)[0]
+    if len(hits) == 0:
+        return None, None
+    return float(t_mon[hits[0]]), float(y_mon[hits[0]])
+
+
 def run_with_controller(spec: ModelSpec, ramp: FiscalDrive, plan: StabilizationPlan,
                         y0: float, r0: float, *,
                         y_range: tuple[float, float], r_range: tuple[float, float],
@@ -458,10 +459,14 @@ def run_with_controller(spec: ModelSpec, ramp: FiscalDrive, plan: StabilizationP
                         scan_n: int = 500) -> ControllerReport:
     """Run the fiscal ramp with and without the planned monetary response.
 
-    The controller monitors income and fires the plan's step when the state
-    comes within the trigger margin of the watched fold.  In the singular
-    limit the trigger time is exact; in the full system monitoring is sampled
-    at `monitor_stride`, so a late trigger is possible and is reported.
+    The controller watches the uncontrolled run's income and fires the plan's
+    step when it comes within the trigger margin of the watched fold.  In the
+    singular limit the firing time is the exact crossing of the trigger
+    level.  In the full system income is monitored at the instants
+    k * monitor_stride (k = 1, 2, ...) and at the horizon, and the step fires
+    at the first of them at which income is at or past the trigger, so a late
+    trigger is possible and is reported.  The controlled run is
+    `apply_scenario` on the ramp and that step.
     """
     if horizon is None:
         horizon = ramp.t_end
@@ -474,43 +479,27 @@ def run_with_controller(spec: ModelSpec, ramp: FiscalDrive, plan: StabilizationP
 
     base = apply_scenario(spec, Scenario((ramp,), horizon), y0, r0, mode, **kwargs)
 
-    slope = _drive_slope(ramp, y0)
-    approaching_up = slope > 0
+    approaching_up = _drive_slope(ramp, y0) > 0
     trigger_y = fold.y - margin if approaching_up else fold.y + margin
-
-    t_fired = y_fired = None
     if mode == REDUCED_MODE:
-        # the controller watches income: fire when the uncontrolled path first
-        # crosses the trigger level moving toward the fold
         t_fired = _first_crossing_time(base.trajectory, trigger_y, approaching_up)
-        if t_fired is not None:
-            y_fired = trigger_y
-        steps: tuple = (ramp,)
-        if t_fired is not None:
-            step = MonetaryStep(t_fired,
-                                d_pi=plan.delta if plan.instrument == "inflation" else 0.0,
-                                d_ms=plan.delta if plan.instrument == "money-stock" else 0.0)
-            steps = (ramp, step)
-        controlled = apply_scenario(spec, Scenario(steps, horizon), y0, r0, mode,
-                                    **kwargs)
+        y_fired = None if t_fired is None else trigger_y
     else:
-        controlled, t_fired, y_fired = _controlled_full(
-            spec, ramp, plan, y0, r0, trigger_y, approaching_up, horizon,
-            stride, monitor_stride or stride * 10.0)
+        t_fired, y_fired = _first_monitored_crossing(
+            base.trajectory, trigger_y, approaching_up,
+            monitor_stride or stride * 10.0, horizon)
 
-    if t_fired is not None:
-        plan.fired.append({"t": t_fired, "y": y_fired, "delta": plan.delta,
-                           "instrument": plan.instrument, "mode": mode})
-
-    jumps_base = list(base.jumps)
-    jumps_ctrl = list(controlled.jumps)
-    if t_fired is None:
-        late = bool(jumps_ctrl)
-    else:
-        late = any(j.t_start <= t_fired for j in jumps_ctrl)
-
+    controlled = base
+    late = bool(base.jumps)
     r_band = 0.0
     if t_fired is not None:
+        instrument = "d_pi" if plan.instrument == "inflation" else "d_ms"
+        step = MonetaryStep(t_fired, **{instrument: plan.delta})
+        controlled = apply_scenario(spec, Scenario((ramp, step), horizon), y0, r0,
+                                    mode, **kwargs)
+        plan.fired.append({"t": t_fired, "y": y_fired, "delta": plan.delta,
+                           "instrument": plan.instrument, "mode": mode})
+        late = any(j.t_start <= t_fired for j in controlled.jumps)
         tr = controlled.trajectory
         after = tr.t >= t_fired
         if after.any():
@@ -521,44 +510,12 @@ def run_with_controller(spec: ModelSpec, ramp: FiscalDrive, plan: StabilizationP
     return ControllerReport(
         uncontrolled=base, controlled=controlled, plan=plan,
         t_fired=t_fired, y_fired=y_fired,
-        jumps_uncontrolled=len(jumps_base), jumps_controlled=len(jumps_ctrl),
+        jumps_uncontrolled=len(base.jumps), jumps_controlled=len(controlled.jumps),
         max_rate_uncontrolled=_max_rate(base.trajectory),
         max_rate_controlled=_max_rate(controlled.trajectory),
         r_band_controlled=r_band,
         controller_late=late,
     )
-
-
-def _controlled_full(spec: ModelSpec, ramp: FiscalDrive, plan: StabilizationPlan,
-                     y0: float, r0: float, trigger_y: float, approaching_up: bool,
-                     horizon: float, stride: float, monitor_stride: float
-                     ) -> tuple[ScenarioResult, float | None, float | None]:
-    """Full-mode controlled run with sampled monitoring of the trigger."""
-    slope = _drive_slope(ramp, y0)
-    parts: list[tuple[Trajectory, ModelSpec]] = []
-    events: list[dict] = []
-    t, y, r = 0.0, y0, r0
-    cur_spec = spec
-    t_fired = y_fired = None
-    while t < horizon - 1e-12:
-        t_next = min(t + monitor_stride, horizon)
-        seg_slope = slope if ramp.t_start <= t < ramp.t_end and slope != 0.0 else None
-        part = integrate(cur_spec, y, r, t_next, stride=stride, t_start=t,
-                         drive_slope=seg_slope)
-        parts.append((part, cur_spec))
-        y, r, t = float(part.y[-1]), float(part.r[-1]), float(part.t[-1])
-        if t_fired is None:
-            crossed = y >= trigger_y if approaching_up else y <= trigger_y
-            if crossed:
-                cur_spec = shift_lm(
-                    cur_spec,
-                    d_pi=plan.delta if plan.instrument == "inflation" else 0.0,
-                    d_ms=plan.delta if plan.instrument == "money-stock" else 0.0)
-                t_fired, y_fired = t, y
-                events.append({"t": t, "kind": "monetary-step", "y": y,
-                               "delta": plan.delta})
-    traj = _concat(parts, spec.spec_id)
-    return ScenarioResult(traj, events, cur_spec), t_fired, y_fired
 
 
 def negative_rate_probe(spec: ModelSpec, scenario: Scenario | None,
@@ -574,18 +531,35 @@ def negative_rate_probe(spec: ModelSpec, scenario: Scenario | None,
                             r_range=r_range, y_steps=y_steps, scan_n=scan_n,
                             stride=stride, validate=False)
     traj = result.trajectory
+    r = traj.r
+    flips = list(np.nonzero(np.sign(r[:-1]) * np.sign(r[1:]) < 0)[0])
+    # A jump crosses zero when it departs and lands on opposite sides, and the
+    # first sign change after its departure (in the singular limit, its
+    # pre-jump corner) is its own.  A full-system jump's r_to is only its
+    # arrival sample, so its landing is the first root past r_to under the
+    # model in force at the jump; whether the samples show the fall below zero
+    # before or after the arrival then does not depend on the stride.
     crossings: list[dict] = []
     for j in traj.jumps:
-        if (j.r_from > 0.0 > j.r_to) or (j.r_from < 0.0 < j.r_to):
+        landing = j.r_to
+        if mode == FULL_MODE:
+            moves = [s for s in scenario.instantaneous()
+                     if isinstance(s, MonetaryStep) and s.time <= j.t_start]
+            d_pi = sum(s.d_pi for s in moves)
+            model = shift_lm(spec, d_pi=d_pi, d_ms=sum(s.d_ms for s in moves))
+            roots = lm_roots(j.y_at_jump, model,
+                             (r_range[0] - abs(d_pi), r_range[1] + abs(d_pi)))
+            up = j.direction == "up"
+            ahead = [x for x in roots if (x >= j.r_to if up else x <= j.r_to)]
+            landing = (min if up else max)(ahead, default=j.r_to)
+        if np.sign(j.r_from) * np.sign(landing) < 0:
             crossings.append({"t": j.t_start, "kind": "jump-crossing",
-                              "level_from": j.r_from, "level_to": j.r_to})
-    # a sign change between two samples of one jump, the singular limit's
-    # pre-jump corner included, is that jump's
-    spans = [(j.t_start - CORNER_DT * max(1.0, abs(j.t_start)), j.t_end) for j in traj.jumps]
-    r = traj.r
-    for k in np.nonzero(np.sign(r[:-1]) * np.sign(r[1:]) < 0)[0]:
-        if any(a <= traj.t[k] and traj.t[k + 1] <= b for a, b in spans):
-            continue
+                              "level_from": j.r_from, "level_to": landing})
+            departure = j.t_start - CORNER_DT * max(1.0, abs(j.t_start))
+            own = next((k for k in flips if traj.t[k] >= departure), None)
+            if own is not None:
+                flips.remove(own)
+    for k in flips:
         frac = r[k] / (r[k] - r[k + 1])
         crossings.append({"t": float(traj.t[k] + frac * (traj.t[k + 1] - traj.t[k])),
                           "kind": "drift-crossing",

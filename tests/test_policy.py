@@ -125,6 +125,26 @@ def test_order_sensitivity_of_money_step_and_fold_crossing(ref_spec, kw, lower_f
     assert n_late == 1    # the jump had already fired
 
 
+@pytest.mark.parametrize("epsilon, mode, r0, horizon, t_step, stride", [
+    (None, "singular-limit", 0.02, 3.5, 1.0, None),
+    (1e-2, "full-epsilon", 0.0247, 350.0, 100.0, 0.25),
+], ids=["singular-limit", "full-epsilon"])
+def test_a_null_step_inside_a_drive_keeps_its_end_and_jumps(epsilon, mode, r0, horizon,
+                                                            t_step, stride, kw):
+    # the drive's slope is set when it starts, not again at the step
+    spec = reference_spec() if epsilon is None else reference_spec(epsilon=epsilon)
+    ramp = FiscalDrive(0.0, horizon, y_to=3.5)
+    plain, stepped = (
+        apply_scenario(spec, Scenario(steps, horizon), 2.8, r0, mode, stride=stride,
+                       validate=False, **kw)
+        for steps in ((ramp,), (ramp, MonetaryStep(t_step))))
+    assert stepped.trajectory.y[-1] == pytest.approx(3.5, abs=1e-9)
+    assert [j.direction for j in stepped.jumps] == [j.direction for j in plain.jumps] == ["up"]
+    for a, b in zip(stepped.jumps, plain.jumps):
+        assert a.t_start == pytest.approx(b.t_start, abs=1e-9)
+        assert a.y_at_jump == pytest.approx(b.y_at_jump, abs=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # fiscal representations
 
@@ -244,6 +264,36 @@ def test_controller_firing_is_no_jump_in_full_mode(ref_spec, ref_isocline,
     assert not in_time.controller_late
 
 
+def test_full_mode_controlled_drive_stops_at_its_end(ref_spec, ref_isocline,
+                                                     lower_fold, kw):
+    # the drive ends at t = 45, between the monitoring instants 40 and 48: the
+    # controlled run stops driving there, and income stays near the target
+    plan = plan_stabilization(ref_spec, lower_fold, "inflation", ref_isocline)
+    ramp = FiscalDrive(0.0, 45.0, y_to=3.4)
+    report = run_with_controller(reference_spec(epsilon=1e-3), ramp, plan, 2.8, 0.0247,
+                                 mode="full-epsilon", margin_frac=0.05,
+                                 horizon=50.0, stride=0.05, monitor_stride=8.0, **kw)
+    assert report.jumps_controlled == 0
+    tr = report.controlled.trajectory
+    k = int(np.argmin(np.abs(tr.t - 48.0)))
+    assert tr.t[k] == pytest.approx(48.0, abs=1e-9)
+    assert tr.y[k] == pytest.approx(ramp.y_to, abs=0.005)
+
+
+def test_full_mode_controlled_run_follows_the_uncontrolled_one_until_firing(
+        ref_spec, ref_isocline, lower_fold, kw):
+    plan = plan_stabilization(ref_spec, lower_fold, "inflation", ref_isocline)
+    ramp = FiscalDrive(0.0, 50.0, y_to=3.5)
+    report = run_with_controller(reference_spec(epsilon=1e-3), ramp, plan, 2.8, 0.0247,
+                                 mode="full-epsilon", margin_frac=0.0,
+                                 horizon=50.0, stride=0.05, monitor_stride=8.0, **kw)
+    assert report.t_fired == 40.0
+    ctrl, base = report.controlled.trajectory, report.uncontrolled.trajectory
+    n = int(np.count_nonzero(base.t < report.t_fired))
+    np.testing.assert_array_equal(ctrl.t[:n], base.t[:n])
+    np.testing.assert_allclose(ctrl.r[:n], base.r[:n], rtol=0.0, atol=1e-9)
+
+
 @pytest.mark.parametrize("n_windows, make_spec", [(2, two_window_spec),
                                                   (3, three_window_spec)])
 def test_full_mode_census_counts_one_jump_per_fold(n_windows, make_spec):
@@ -283,6 +333,19 @@ def test_full_mode_probe_books_every_zero_crossing(kw):
                                  horizon=1220.0, stride=0.25, **kw)
     assert len(report["crossings"]) == 4
     assert report["status"] == "crossing"
+
+
+def test_full_mode_probe_books_the_jump_crossing_at_every_stride(kw):
+    # the down jump's arrival sample is above zero and its landing below: the
+    # fall through zero is the jump's whether or not a sample shows it first
+    spec = shift_lm(reference_spec(epsilon=1e-2), d_pi=0.008)
+    kinds = {}
+    for stride in (0.1, 0.25, 0.5, 1.0):
+        report = negative_rate_probe(spec, None, 1.5, 0.01, mode="full-epsilon",
+                                     horizon=1220.0, stride=stride, **kw)
+        kinds[stride] = [c["kind"] for c in report["crossings"]]
+    assert all(k == kinds[0.1] for k in kinds.values()), kinds
+    assert kinds[0.1].count("jump-crossing") == 1
 
 
 def test_probe_reports_crossing_after_inflation_shift(ref_spec, kw):
