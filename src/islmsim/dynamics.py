@@ -17,7 +17,8 @@ from scipy.integrate import solve_ivp
 from scipy.spatial import cKDTree
 
 from .geometry import Branch, FoldPoint, LMIsocline, _branch_holding, _window_rates, lm_roots
-from .model import ModelSpec, excess_goods, excess_money, excess_money_many, excess_money_slope
+from .model import (ModelSpec, _read_only, excess_goods, excess_money, excess_money_many,
+                    excess_money_slope)
 
 __all__ = [
     "IntegrationError",
@@ -86,6 +87,8 @@ class JumpEvent:
 
 @dataclass(frozen=True)
 class Trajectory:
+    """Sampled run of the state; the sample arrays are read-only."""
+
     t: np.ndarray
     y: np.ndarray
     r: np.ndarray
@@ -94,6 +97,8 @@ class Trajectory:
     jumps: tuple[JumpEvent, ...] = ()
 
     def __post_init__(self):
+        for name in ("t", "y", "r"):
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
         if len(self.t) and np.any(np.diff(self.t) <= 0.0):
             raise ValueError("trajectory times must be strictly increasing")
 

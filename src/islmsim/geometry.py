@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .model import (
     ModelDomainError,
     ModelSpec,
     ModelParams,
+    _read_only,
     excess_money,
     excess_money_many,
     excess_money_slope,
@@ -76,7 +78,7 @@ class ISCurve:
 
 @dataclass(frozen=True)
 class Branch:
-    """One single-valued piece of the LM isocline."""
+    """One single-valued piece of the LM isocline; its samples are read-only."""
 
     ys: np.ndarray
     rs: np.ndarray
@@ -84,6 +86,10 @@ class Branch:
     lo_end: tuple[str, int | str]        # ("fold", index) or ("boundary", side)
     hi_end: tuple[str, int | str]
     index: int = -1
+
+    def __post_init__(self):
+        for name in ("ys", "rs"):
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
 
     def r_at(self, y: float) -> float:
         if not self.covers(y):
@@ -272,11 +278,26 @@ def trace_lm_isocline(spec: ModelSpec, y_range: tuple[float, float],
     end of the income grid, or the rate edge, placed exactly at
     (Y_LM(edge), edge).  At each income of the sweep, each interval whose end
     signs differ gives its branch one sample.
+
+    The last result is remembered: a call that repeats the previous call's
+    model and domain (equal, not necessarily the same objects) returns the
+    same read-only isocline, and any other call traces afresh.  One slot
+    covers a model that is traced and then run, and holds one isocline;
+    `functools.lru_cache` keeps it, so threads may share the tracer.
     """
     if y_steps < 500:
         raise ValueError("y_steps must be at least 500")
     if r_range is None:
         raise ValueError("r_range is required to bound the rate scan")
+    (y_lo, y_hi), (r_lo, r_hi) = y_range, r_range
+    return _trace_lm_isocline(spec, (float(y_lo), float(y_hi)), y_steps,
+                              (float(r_lo), float(r_hi)), scan_n)
+
+
+@lru_cache(maxsize=1)
+def _trace_lm_isocline(spec: ModelSpec, y_range: tuple[float, float], y_steps: int,
+                       r_range: tuple[float, float], scan_n: int) -> LMIsocline:
+    """`trace_lm_isocline` on float range pairs, memoised on its last call."""
     k_y = spec.money.l_y - spec.money.m_y
     if k_y == 0.0:
         raise ModelDomainError("l_y equals m_y: the money excess does not depend on "
@@ -338,7 +359,7 @@ def trace_lm_isocline(spec: ModelSpec, y_range: tuple[float, float],
     pieces.sort(key=lambda piece: (float(piece[0][0]), float(piece[1][0]),
                                    float(piece[0][-1])))
     branches = tuple(Branch(*piece, index=i) for i, piece in enumerate(pieces))
-    return LMIsocline(branches, folds, tuple(y_range), tuple(r_range))
+    return LMIsocline(branches, folds, y_range, r_range)
 
 
 def _dedupe_samples(ys: np.ndarray, rs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -211,6 +211,8 @@ class MoneyBlock:
     windows: tuple[TrapWindow, ...] = ()
 
     def __post_init__(self):
+        # a tuple, so that every spec can be hashed (the isocline memo keys on it)
+        object.__setattr__(self, "windows", tuple(self.windows))
         # income-response sign conditions (0 < m_y < l_y) are validator
         # territory so broken configurations get diagnosed, not rejected here
         if self.l_slope <= 0.0 or self.m_slope <= 0.0:
@@ -360,6 +362,14 @@ class ModelSpec:
         )
 
 
+def _read_only(a) -> np.ndarray:
+    """A read-only view of an array, for the samples a frozen object holds;
+    the caller's array keeps its own flags."""
+    view = np.asarray(a).view()
+    view.flags.writeable = False
+    return view
+
+
 # ---------------------------------------------------------------------------
 # operations
 
@@ -413,7 +423,7 @@ def build_three_phase_money(l_y: float, m_y: float, l_slope: float, m_slope: flo
     (the slopes would never reverse sign inside the window).
     """
     return MoneyBlock(l_y=l_y, m_y=m_y, l_slope=l_slope, m_slope=m_slope,
-                      l0=l0, m0=m0, windows=tuple(windows))
+                      l0=l0, m0=m0, windows=windows)
 
 
 # ---------------------------------------------------------------------------

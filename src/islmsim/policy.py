@@ -217,7 +217,7 @@ def apply_scenario(spec: ModelSpec, scenario: Scenario, y0: float, r0: float,
         return None
 
     slope = None
-    for t_a, t_b in zip(timeline[:-1], timeline[1:]):
+    for t_a, t_b in zip(timeline, [*timeline[1:], None]):
         # apply instantaneous steps scheduled at t_a
         for step_i, s in enumerate(instants):
             if s.time != t_a:
@@ -249,6 +249,8 @@ def apply_scenario(spec: ModelSpec, scenario: Scenario, y0: float, r0: float,
                                    "r_from": r, "r_to": r_new})
                     _append_vertical_move(ts, ys_, rs_, t_a, y, r, r_new)
                 r = r_new
+        if t_b is None:  # steps at the horizon start no segment
+            break
 
         # a drive's slope is fixed when it starts, so a step inside it
         # leaves the ramp's end point where it was

@@ -301,6 +301,19 @@ def test_rerun_reproduces_byte_identical_outputs(tmp_path):
             assert a[name] == b[name], f"{cmd}/{name} differs between runs"
 
 
+def test_a_run_in_between_leaves_stabilize_outputs_unchanged(tmp_path):
+    ramp = write_config(tmp_path, shipped_config("fiscal_ramp"), "ramp.json")
+    three = write_config(tmp_path, shipped_config("three_window"), "three.json")
+    runs = [("stabilize", ramp, "a"), ("isocline", three, "iso"), ("stabilize", ramp, "b")]
+    for cmd, cfg, out in runs:
+        assert run_command([cmd, "--config", str(cfg), "--out", str(tmp_path / out),
+                            "--quiet"]) == 0
+    a, b = _data_files(tmp_path / "a"), _data_files(tmp_path / "b")
+    assert a.keys() == b.keys() and a
+    for name in a:
+        assert a[name] == b[name], f"stabilize/{name} differs after another run"
+
+
 def test_cli_simulate_reduced_runs_the_horizon_in_slow_time(tmp_path):
     raw = shipped_config("reference")
     cfg = write_config(tmp_path, raw)

@@ -29,6 +29,19 @@ def test_trajectory_requires_increasing_time():
                    "full-epsilon", "x")
 
 
+def test_trajectory_samples_are_read_only(ref_spec, ref_reduced_cycle):
+    traj, _ = ref_reduced_cycle
+    with pytest.raises(ValueError):
+        traj.r[0] = 1.0
+    full = integrate(ref_spec, 1.5, 0.01, 1.0, stride=0.1)
+    with pytest.raises(ValueError):
+        full.r[:] = 0.0
+    # the caller's own array keeps its flags
+    t = np.array([0.0, 1.0])
+    Trajectory(t, np.zeros(2), np.zeros(2), "full-epsilon", "x")
+    t[0] = -1.0
+
+
 def test_integration_stays_at_stable_equilibrium(ref_domain):
     spec = no_trap_spec()
     eq = find_equilibria(spec, ref_domain["y_range"])[0]

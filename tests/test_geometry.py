@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from islmsim import geometry
 from islmsim.geometry import (
     classify_jacobian,
     find_equilibria,
@@ -10,6 +11,7 @@ from islmsim.geometry import (
     trace_lm_isocline,
 )
 from islmsim.model import ModelDomainError, excess_money, excess_money_slope
+from islmsim.reference import reference_spec
 
 from oracles import (
     brute_force_equilibria,
@@ -216,6 +218,71 @@ def test_tracer_requires_minimum_resolution(ref_spec, ref_domain):
     with pytest.raises(ValueError):
         trace_lm_isocline(ref_spec, ref_domain["y_range"], 100,
                           ref_domain["r_range"], 500)
+
+
+# ---------------------------------------------------------------------------
+# the memo of the last trace
+
+def _ref_trace_args(ref_domain):
+    return (ref_domain["y_range"], ref_domain["y_steps"], ref_domain["r_range"],
+            ref_domain["scan_n"])
+
+
+def test_a_repeated_trace_returns_the_remembered_isocline(ref_domain):
+    y_range, y_steps, r_range, scan_n = _ref_trace_args(ref_domain)
+    assert y_range == (0.0, 5.0)
+    first = trace_lm_isocline(reference_spec(), y_range, y_steps, r_range, scan_n)
+    # an equal model in a new object, and the income range given as ints
+    again = trace_lm_isocline(reference_spec(), (0, 5), y_steps, list(r_range), scan_n)
+    assert again is first
+    assert all(type(v) is float for v in (*again.y_range, *again.r_range))
+
+    geometry._trace_lm_isocline.cache_clear()
+    fresh = trace_lm_isocline(reference_spec(), y_range, y_steps, r_range, scan_n)
+    assert fresh is not first
+    assert (fresh.folds, fresh.y_range, fresh.r_range) == (first.folds, first.y_range,
+                                                           first.r_range)
+    assert len(fresh.branches) == len(first.branches)
+    for a, b in zip(fresh.branches, first.branches):
+        assert (a.stability, a.lo_end, a.hi_end, a.index) == (b.stability, b.lo_end,
+                                                              b.hi_end, b.index)
+        assert np.array_equal(a.ys, b.ys) and np.array_equal(a.rs, b.rs)
+
+
+def test_a_changed_model_or_domain_traces_afresh(ref_spec, ref_domain):
+    y_range, y_steps, r_range, scan_n = _ref_trace_args(ref_domain)
+    base = (ref_spec, y_range, y_steps, r_range, scan_n)
+    changed = [
+        (shift_lm(ref_spec, d_pi=0.001), y_range, y_steps, r_range, scan_n),
+        (ref_spec, (y_range[0], y_range[1] + 0.5), y_steps, r_range, scan_n),
+        (ref_spec, y_range, y_steps, (r_range[0], r_range[1] + 0.01), scan_n),
+        (ref_spec, y_range, y_steps + 1, r_range, scan_n),
+        (ref_spec, y_range, y_steps, r_range, scan_n + 1),
+    ]
+    for args in changed:
+        first = trace_lm_isocline(*base)
+        misses = geometry._trace_lm_isocline.cache_info().misses
+        other = trace_lm_isocline(*args)
+        assert other is not first
+        assert geometry._trace_lm_isocline.cache_info().misses == misses + 1
+
+
+def test_bad_trace_arguments_raise_on_every_call(ref_spec, ref_domain):
+    y_range, y_steps, r_range, scan_n = _ref_trace_args(ref_domain)
+    for _ in range(2):
+        trace_lm_isocline(ref_spec, y_range, y_steps, r_range, scan_n)
+        with pytest.raises(ValueError, match="y_steps"):
+            trace_lm_isocline(ref_spec, y_range, 100, r_range, scan_n)
+        with pytest.raises(ValueError, match="r_range"):
+            trace_lm_isocline(ref_spec, y_range, y_steps, None, scan_n)
+
+
+def test_traced_branch_samples_are_read_only(ref_isocline):
+    branch = ref_isocline.branches[0]
+    with pytest.raises(ValueError):
+        branch.ys[0] = 1.0
+    with pytest.raises(ValueError):
+        branch.rs[:] = 0.0
 
 
 def test_fold_ladders_reach_both_folds_of_a_branch():

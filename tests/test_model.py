@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from islmsim.geometry import trace_lm_isocline
 from islmsim.model import (
     ConstructionError,
     ISBlock,
     ModelDomainError,
     ModelParams,
     ModelSpec,
+    MoneyBlock,
     TrapWindow,
     build_three_phase_money,
     excess_goods,
@@ -154,6 +156,22 @@ def test_construction_rejections():
         make_params(epsilon=-1.0)
     with pytest.raises(ConstructionError):
         make_params(m_stock=0.0)
+
+
+def test_a_block_built_from_a_list_hashes_and_traces(ref_domain):
+    spec = reference_spec()
+    m = spec.money
+    fields = dict(l_y=m.l_y, m_y=m.m_y, l_slope=m.l_slope, m_slope=m.m_slope,
+                  l0=m.l0, m0=m.m0)
+    block = MoneyBlock(**fields, windows=list(m.windows))
+    assert block.windows == m.windows and isinstance(block.windows, tuple)
+    assert block == MoneyBlock(**fields, windows=tuple(m.windows))
+    assert hash(block) == hash(m)
+    listed = ModelSpec(spec.params, spec.is_block, block)
+    assert hash(listed) == hash(spec)
+    iso = trace_lm_isocline(listed, ref_domain["y_range"], ref_domain["y_steps"],
+                            ref_domain["r_range"], ref_domain["scan_n"])
+    assert len(iso.folds) == 2
 
 
 def test_slow_fast_flag():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from islmsim import geometry
 from islmsim.dynamics import attach_to_branch, reduced_simulate
 from islmsim.geometry import is_curve, lm_roots, shift_lm, trace_lm_isocline
 from islmsim.model import excess_money
@@ -96,6 +97,22 @@ def test_monetary_step_shifts_branches_exactly(ref_spec, ref_isocline, kw):
     k = int(corner[0])
     assert result.trajectory.y[k + 1] == result.trajectory.y[k]
     assert result.trajectory.r[k + 1] != result.trajectory.r[k]
+
+
+@pytest.mark.parametrize("mode", ["singular-limit", "full-epsilon"])
+def test_a_step_at_the_horizon_is_applied(ref_spec, kw, mode):
+    result = apply_scenario(ref_spec, Scenario((MonetaryStep(2.0, d_pi=0.01),), 2.0),
+                            1.5, 0.01, mode, **kw)
+    steps = [e for e in result.events if e["kind"] == "monetary-step"]
+    assert [e["t"] for e in steps] == [2.0]
+    assert result.final_spec.params.expected_inflation == pytest.approx(0.03, abs=1e-15)
+    assert result.trajectory.t[-1] == 2.0
+    if mode == "singular-limit":
+        # the reattachment lands on the shifted branch at the horizon itself;
+        # both rates are read off sampled branches, hence the tolerance
+        (move,) = [e for e in result.events if e["kind"] == "reattach"]
+        assert move["r_to"] == pytest.approx(move["r_from"] - 0.01, abs=1e-6)
+        assert result.trajectory.r[-1] == move["r_to"]
 
 
 def test_intermediate_spec_validation_names_the_step(ref_spec, kw):
@@ -226,6 +243,19 @@ def test_controller_prevents_the_jump(ref_spec, lower_fold, kw):
             plan.r_target - lower_fold.r) + 1e-9
         assert report.y_fired == pytest.approx(0.95 * lower_fold.y, abs=1e-6)
         assert plan.fired  # the firing is logged on the plan
+
+
+def test_controller_traces_the_start_model_once(ref_spec, lower_fold, kw):
+    # the caller traces the start model to plan; the controller's uncontrolled
+    # and controlled runs reuse that trace, and only the shifted model is new
+    geometry._trace_lm_isocline.cache_clear()
+    iso = trace_lm_isocline(ref_spec, kw["y_range"], 700, kw["r_range"], 500)
+    plan = plan_stabilization(ref_spec, lower_fold, "inflation", iso)
+    report = run_with_controller(ref_spec, FiscalDrive(0.0, 3.5, y_to=3.5), plan,
+                                 2.8, 0.02, mode="singular-limit", **kw)
+    assert report.t_fired is not None
+    info = geometry._trace_lm_isocline.cache_info()
+    assert (info.misses, info.hits) == (2, 2)
 
 
 def test_margin_zero_full_mode_is_flagged_late(ref_spec, ref_isocline,
