@@ -18,7 +18,7 @@ from scipy.spatial import cKDTree
 
 from .geometry import Branch, FoldPoint, LMIsocline, _branch_holding, _window_rates, lm_roots
 from .model import (ModelSpec, _read_only, excess_goods, excess_money, excess_money_many,
-                    excess_money_slope)
+                    excess_money_slope, short_rate)
 
 __all__ = [
     "IntegrationError",
@@ -40,6 +40,30 @@ __all__ = [
 # Time offset used to keep the pre-jump corner sample strictly before the
 # post-jump sample in singular-limit trajectories.
 CORNER_DT = 1e-9
+
+# Gauss-Legendre order of the free-leg time integral, the panels it puts on
+# each piece of the integrand between segment breaks, and the iteration cap
+# of the safeguarded Newton inversions that place the samples.
+QUAD_ORDER = 16
+QUAD_PANELS = 8
+NEWTON_MAX_ITER = 100
+
+
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1], by
+    Newton steps on the Legendre recurrence.  Unlike an eigensolver, this
+    sets up no LAPACK workspace (about 0.9 MB of resident memory) at import."""
+    x = np.cos(np.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
+    for _ in range(8):
+        p, p_prev = x, np.ones_like(x)
+        for k in range(2, n + 1):
+            p, p_prev = ((2 * k - 1) * x * p - (k - 1) * p_prev) / k, p
+        dp = n * (x * p - p_prev) / (x * x - 1.0)
+        x = x - p / dp
+    return x, 2.0 / ((1.0 - x * x) * dp * dp)
+
+
+_GL_NODES, _GL_WEIGHTS = _gauss_legendre(QUAD_ORDER)
 
 FULL_MODE = "full-epsilon"
 REDUCED_MODE = "singular-limit"
@@ -85,9 +109,10 @@ class JumpEvent:
         return abs(self.r_to - self.r_from)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Sampled run of the state; the sample arrays are read-only."""
+    """Sampled run of the state; the sample arrays are read-only.  Equality
+    is identity, and a trajectory hashes by identity."""
 
     t: np.ndarray
     y: np.ndarray
@@ -256,81 +281,195 @@ def _fold_jump(spec: ModelSpec, fold: FoldPoint, r_range: tuple[float, float]
     return direction, landing
 
 
-def _slow_flow(spec: ModelSpec, branch: Branch, slope: float | None):
-    if slope is not None:
-        return lambda _t, _state: (slope,)
-    alpha = spec.params.alpha
+class _RateCoordinate:
+    """The LM isocline of one model parametrized by its rate R.
 
-    def f(_t, state):
-        y = float(state[0])
-        y_c = min(max(y, branch.y_lo), branch.y_hi)
-        return (alpha * excess_goods(max(y_c, 0.0), branch.r_at(y_c), spec),)
+    The money excess is E(Y, R) = E(0, R) + (l_y - m_y) Y, so the isocline
+    income is Y(R) = -E(0, R) / (l_y - m_y) with slope
+    Y'(R) = -E_R(R) / (l_y - m_y), both exact from the money block; the goods
+    excess along it is G(R) = I - S at (Y(R), R).  On a stable branch the
+    slow flow dY/dt = alpha G is dt/dR = Y'(R) / (alpha G(R)), a smooth
+    function of R between the money block's segment breaks.
+    """
 
-    return f
+    def __init__(self, spec: ModelSpec):
+        b, p = spec.is_block, spec.params
+        self.spec = spec
+        self.k_y = spec.money.l_y - spec.money.m_y
+        self.alpha = p.alpha
+        self.g0, self.g_y, self.g_r = b.i0 - b.s0, b.i_y - b.s_y, b.i_r + b.s_r
+        self.breaks = np.asarray(spec.money._table[0]) \
+            + (p.maturity_premium - p.expected_inflation)
+
+    def income(self, r):
+        return -excess_money_many(0.0, r, self.spec) / self.k_y
+
+    def income_slope(self, r):
+        d_l, d_m = self.spec.money.slope_parts_many(short_rate(np.asarray(r), self.spec.params))
+        return (d_m - d_l) / self.k_y
+
+    def goods(self, y, r):
+        return self.g0 + self.g_y * y - self.g_r * r
+
+    def goods_along(self, r):
+        """G(R), the goods excess at (Y(R), R)."""
+        return self.goods(self.income(r), r)
+
+    def time_slope(self, r):
+        """dt/dR along the branch."""
+        return self.income_slope(r) / (self.alpha * self.goods_along(r))
+
+    def time_from(self, r_a, r):
+        """Slow time from rate r_a to rate r (elementwise), by one Gauss-Legendre
+        rule; exact up to rounding when no segment break lies between them."""
+        half = 0.5 * (r - r_a)
+        nodes = (r_a + half)[:, None] + half[:, None] * _GL_NODES
+        return half * (self.time_slope(nodes.ravel()).reshape(nodes.shape) @ _GL_WEIGHTS)
+
+
+def _invert(f, df, target: np.ndarray, x_lo: np.ndarray, x_hi: np.ndarray,
+            x0: np.ndarray, tol: np.ndarray) -> np.ndarray:
+    """Solve f(x, k) = target elementwise by safeguarded Newton steps.
+
+    `k` holds the indices of the elements still open.  f - target is at most
+    zero at x_lo and at least zero at x_hi (either may be the larger x); each
+    residual narrows that bracket, and a Newton step that would leave it is
+    replaced by bisection.  An element is done when its residual is within
+    `tol` or its bracket is a few ulps wide.
+    """
+    x, x_lo, x_hi = x0.copy(), x_lo.copy(), x_hi.copy()
+    k = np.arange(len(x))
+    for _ in range(NEWTON_MAX_ITER):
+        res = f(x[k], k) - target[k]
+        lo, hi = np.where(res < 0.0, x[k], x_lo[k]), np.where(res > 0.0, x[k], x_hi[k])
+        x_lo[k], x_hi[k] = lo, hi
+        open_ = ((np.abs(res) > tol[k])
+                 & (np.abs(hi - lo) > 4.0 * np.spacing(np.maximum(np.abs(lo), np.abs(hi)))))
+        k, res, lo, hi = k[open_], res[open_], lo[open_], hi[open_]
+        if not len(k):
+            break
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = x[k] - res / df(x[k], k)
+        inside = np.isfinite(step) & (step > np.minimum(lo, hi)) & (step < np.maximum(lo, hi))
+        x[k] = np.where(inside, step, 0.5 * (lo + hi))
+    return x
+
+
+def _branch_rates(geo: _RateCoordinate, branch: Branch, y: np.ndarray) -> np.ndarray:
+    """Rates where the branch reaches the incomes y: Y(R) = y, started from
+    the interpolated branch samples and bracketed by their neighbours."""
+    ys, rs = branch.ys, branch.rs
+    j = np.searchsorted(ys, y)
+    lo = rs[np.clip(j - 2, 0, len(ys) - 1)]
+    hi = rs[np.clip(j + 1, 0, len(ys) - 1)]
+    tol = 1e-13 * np.maximum(1.0, np.abs(y))
+    return _invert(lambda r, _k: geo.income(r), lambda r, _k: geo.income_slope(r),
+                   y, lo, hi, np.interp(y, ys, rs), tol)
+
+
+class _FreeLeg:
+    """Slow time t(R) along a branch from (r0, t0) to r_end, with no
+    equilibrium in between: Gauss-Legendre panels, QUAD_PANELS to each
+    piece between the money block's segment breaks.  The integrand vanishes
+    at a fold, so the arrival time there is finite."""
+
+    def __init__(self, geo: _RateCoordinate, r0: float, r_end: float, t0: float):
+        lo, hi = sorted((r0, r_end))
+        cuts = [r0, *geo.breaks[(geo.breaks > lo) & (geo.breaks < hi)][::1 if r_end > r0 else -1],
+                r_end]
+        self.geo = geo
+        self.ends = np.concatenate(
+            [np.linspace(a, b, QUAD_PANELS + 1)[:-1] for a, b in zip(cuts[:-1], cuts[1:])]
+            + [[r_end]])
+        self.times = t0 + np.concatenate(
+            [[0.0], np.cumsum(geo.time_from(self.ends[:-1], self.ends[1:]))])
+        self.t_end = float(self.times[-1])
+
+    def rates_at(self, t: np.ndarray) -> np.ndarray:
+        """Rates reached at the times t: the panel ends interpolated, then
+        polished by Newton steps on t(R) - t, whose derivative is dt/dR."""
+        j = np.clip(np.searchsorted(self.times, t, side="right") - 1, 0, len(self.times) - 2)
+        r_a, r_b, t_a, t_b = self.ends[j], self.ends[j + 1], self.times[j], self.times[j + 1]
+        x0 = r_a + (r_b - r_a) * np.clip((t - t_a) / (t_b - t_a), 0.0, 1.0)
+        tol = 1e-13 * np.maximum(1.0, np.abs(t))
+        return _invert(lambda r, k: t_a[k] + self.geo.time_from(r_a[k], r),
+                       lambda r, _k: self.geo.time_slope(r), t, r_a, r_b, x0, tol)
+
+
+def _append_samples(ts: list[float], ys: list[float], rs: list[float],
+                    t: np.ndarray, y: np.ndarray, r: np.ndarray) -> None:
+    ts.extend(t.tolist())
+    ys.extend(y.tolist())
+    rs.extend(r.tolist())
 
 
 def advance_reduced(spec: ModelSpec, isocline: LMIsocline, branch: Branch,
-                    y: float, t: float, t_stop: float, stride: float,
+                    y: float, r: float, t: float, t_stop: float, stride: float,
                     ts: list[float], ys: list[float], rs: list[float],
                     jumps: list[JumpEvent], slope: float | None = None
-                    ) -> tuple[Branch, float, float, str]:
-    """Advance the singular-limit state to t_stop, appending samples in place.
+                    ) -> tuple[Branch, float, float, float, str]:
+    """Advance the singular-limit state (y, r) on `branch` to t_stop,
+    appending samples in place.
 
     Income follows the slow flow, or the ramp dY/dt = slope when a slope is
-    given; the rate stays slaved to the branch and jumps at its folds.
-    Returns the final (branch, income, time, status); status is "horizon"
-    when t_stop was reached and "domain-exit" when the state drifted off the
-    traced income range through a non-fold branch end.
+    given; the rate stays slaved to the branch and jumps at its folds.  Each
+    leg runs in the rate coordinate: a ramp reaches the branch end at a
+    closed-form time and its sample rates solve Y(R) = Y(t); a free leg
+    takes its arrival time and sample rates from the quadrature of
+    dt/dR = Y'(R) / (alpha G(R)).  The goods excess G falls along the branch
+    as R rises, so when its sign at the leg's end differs from its sign at
+    the start an equilibrium lies ahead: the integral diverges, and the leg
+    integrates the smooth 1-D flow dR/dt = alpha G / Y' instead.
+
+    Returns the final (branch, income, rate, time, status); status is
+    "horizon" when t_stop was reached and "domain-exit" when the state
+    drifted off the traced income range through a non-fold branch end.
     """
+    geo = _RateCoordinate(spec)
     while t < t_stop - 1e-12:
-        y_hi_stop, y_lo_stop = branch.y_hi, branch.y_lo
+        drift = geo.goods(y, r) if slope is None else slope
+        up = drift > 0.0
+        end = branch.hi_end if up else branch.lo_end
+        y_end = branch.y_hi if up else branch.y_lo
+        r_end = float(branch.rs[-1] if up else branch.rs[0])
+        g_end = geo.goods(y_end, r_end)
+        rates_at = None  # the free flow's rate as a function of time
+        if drift == 0.0:  # at rest: an equilibrium, or a flat ramp
+            t_hit = math.inf
+        elif slope is not None:
+            t_hit = t + (y_end - y) / slope
+        elif (g_end > 0.0) != up and not (g_end == 0.0 and end[0] == "fold"):
+            rates_at, t_hit = _equilibrium_flow(geo, r, r_end, t, t_stop), math.inf
+        else:
+            leg = _FreeLeg(geo, r, r_end, t)
+            rates_at, t_hit = leg.rates_at, leg.t_end
 
-        def ev_hi(_t, s, stop=y_hi_stop):
-            return s[0] - stop
+        stop = t_hit > t_stop
+        times = np.arange(ts[-1] + stride, min(t_hit, t_stop), stride)
+        if stop:
+            times = np.append(times, t_stop)
+        if rates_at is not None:
+            r_k = rates_at(times)
+            y_k = geo.income(r_k)
+        elif drift != 0.0:
+            y_k = y + slope * (times - t)
+            r_k = _branch_rates(geo, branch, y_k)
+        else:
+            y_k, r_k = np.full(len(times), y), np.full(len(times), r)
+        if stop:
+            # the state at t_stop is a sample unless the last one is already there
+            n = len(times) - ((times[-2] if len(times) > 1 else ts[-1]) >= t_stop - 1e-12)
+            _append_samples(ts, ys, rs, times[:n], y_k[:n], r_k[:n])
+            return branch, float(y_k[-1]), float(r_k[-1]), t_stop, "horizon"
+        _append_samples(ts, ys, rs, times, y_k, r_k)
 
-        def ev_lo(_t, s, stop=y_lo_stop):
-            return s[0] - stop
-
-        ev_hi.terminal = True
-        ev_hi.direction = 1.0
-        ev_lo.terminal = True
-        ev_lo.direction = -1.0
-        flow = _slow_flow(spec, branch, slope)
-        sol = solve_ivp(flow, (t, t_stop), (y,), method="RK45",
-                        rtol=1e-10, atol=1e-12, events=[ev_hi, ev_lo],
-                        dense_output=True)
-        if not sol.success:
-            raise IntegrationError(f"slow-flow integration failed: {sol.message}")
-        seg_t_end = float(sol.t[-1])
-        sample_ts = np.arange(ts[-1] + stride, seg_t_end, stride)
-        if len(sample_ts):
-            for tt, yv in zip(sample_ts, sol.sol(sample_ts)[0]):
-                y_c = min(max(float(yv), branch.y_lo), branch.y_hi)
-                ts.append(float(tt))
-                ys.append(float(yv))
-                rs.append(branch.r_at(y_c))
-
-        hit_hi = len(sol.t_events[0]) > 0
-        hit_lo = len(sol.t_events[1]) > 0
-        if not (hit_hi or hit_lo):
-            # reached t_stop on this branch (equilibrium approach or slow drift)
-            y = float(sol.y[0][-1])
-            if ts[-1] < t_stop - 1e-12:
-                ts.append(t_stop)
-                ys.append(y)
-                rs.append(branch.r_at(min(max(y, branch.y_lo), branch.y_hi)))
-            return branch, y, t_stop, "horizon"
-
-        t_hit = float(sol.t_events[0][0] if hit_hi else sol.t_events[1][0])
-        end = branch.hi_end if hit_hi else branch.lo_end
-        y_end = branch.y_hi if hit_hi else branch.y_lo
         if end[0] != "fold":
             if t_hit > ts[-1]:
                 ts.append(t_hit)
                 ys.append(y_end)
-                rs.append(branch.r_at(y_end))
-            return branch, y_end, t_hit, "domain-exit"
-        if flow(t_hit, (y_end,))[0] == 0.0:
+                rs.append(r_end)
+            return branch, y_end, r_end, t_hit, "domain-exit"
+        if slope is None and g_end == 0.0:
             raise FoldStallError(
                 f"slow flow is exactly zero at the fold (y={y_end}); "
                 "the continuation is undefined")
@@ -340,9 +479,34 @@ def advance_reduced(spec: ModelSpec, isocline: LMIsocline, branch: Branch,
         _append_vertical_move(ts, ys, rs, t_hit, fold.y, fold.r, landing)
         jumps.append(jump)
         branch = _branch_with_root(isocline, fold.y, landing)
-        t = t_hit
-        y = jump.y_at_jump
-    return branch, y, t, "horizon"
+        t, y, r = t_hit, fold.y, landing
+    return branch, y, r, t, "horizon"
+
+
+def _equilibrium_flow(geo: _RateCoordinate, r: float, r_end: float, t: float,
+                      t_stop: float):
+    """Rates reached on the way from r towards the equilibrium that lies before
+    the branch end r_end, as a function of time up to t_stop: the 1-D flow
+    dR/dt = alpha G / Y' by RK45 with dense output.  No fold lies on the
+    way, so Y' does not vanish.  Steps stay within the contraction time
+    1 / |d(dR/dt)/dR| at the equilibrium, so the dense output resolves the
+    exponential approach and does not overshoot it."""
+    g = geo.goods_along(np.array([r, r_end]))
+    lo, hi = (r_end, r) if g[0] > 0.0 else (r, r_end)
+    r_eq = _invert(lambda rr, _k: geo.goods_along(rr),
+                   lambda rr, _k: geo.g_y * geo.income_slope(rr) - geo.g_r,
+                   np.zeros(1), np.array([lo]), np.array([hi]),
+                   np.array([r + (r_end - r) * g[0] / (g[0] - g[1])]), np.array([1e-15]))
+    rate = abs(geo.alpha * (geo.g_y - geo.g_r / float(geo.income_slope(r_eq)[0])))
+
+    def flow(_t, state):
+        return geo.alpha * geo.goods_along(state[:1]) / geo.income_slope(state[:1])
+
+    sol = solve_ivp(flow, (t, t_stop), (r,), method="RK45", rtol=1e-10, atol=1e-12,
+                    dense_output=True, max_step=1.0 / rate)
+    if not sol.success:
+        raise IntegrationError(f"slow-flow integration failed: {sol.message}")
+    return lambda times: sol.sol(times)[0]
 
 
 def _append_vertical_move(ts: list[float], ys: list[float], rs: list[float],
@@ -385,11 +549,12 @@ def reduced_simulate(spec: ModelSpec, y0: float, branch0: int | Branch, t_end: f
     if stride is None:
         stride = (t_end - t_start) / 2000.0
 
+    r0 = float(_branch_rates(_RateCoordinate(spec), branch, np.array([float(y0)]))[0])
     ts: list[float] = [t_start]
     ys: list[float] = [y0]
-    rs: list[float] = [branch.r_at(y0)]
+    rs: list[float] = [r0]
     jumps: list[JumpEvent] = []
-    advance_reduced(spec, isocline, branch, y0, t_start, t_end, stride,
+    advance_reduced(spec, isocline, branch, y0, r0, t_start, t_end, stride,
                     ts, ys, rs, jumps)
     return Trajectory(np.asarray(ts), np.asarray(ys), np.asarray(rs),
                       REDUCED_MODE, spec.spec_id, tuple(jumps))

@@ -76,9 +76,10 @@ class ISCurve:
         return ISCurve(self.intercept + dr, self.slope, self.y_range)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Branch:
-    """One single-valued piece of the LM isocline; its samples are read-only."""
+    """One single-valued piece of the LM isocline; its samples are read-only.
+    Equality is identity, and a branch hashes by identity."""
 
     ys: np.ndarray
     rs: np.ndarray
@@ -118,8 +119,11 @@ class FoldPoint:
     kind: str  # "lower-knee" | "upper-knee"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LMIsocline:
+    """The traced isocline: its branches and folds over one domain.  Equality
+    is identity, and an isocline hashes by identity."""
+
     branches: tuple[Branch, ...]
     folds: tuple[FoldPoint, ...]
     y_range: tuple[float, float]

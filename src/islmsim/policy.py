@@ -260,10 +260,9 @@ def apply_scenario(spec: ModelSpec, scenario: Scenario, y0: float, r0: float,
         elif drive.t_start == t_a:
             slope = _drive_slope(drive, y)
         if reduced:
-            branch, y, t, status = advance_reduced(
-                cur_spec, isocline, branch, y, t_a, t_b, stride,
+            branch, y, r, t, status = advance_reduced(
+                cur_spec, isocline, branch, y, r, t_a, t_b, stride,
                 ts, ys_, rs_, jumps, slope)
-            r = branch.r_at(min(max(y, branch.y_lo), branch.y_hi))
             if status == "domain-exit":
                 events.append({"t": t, "kind": "domain-exit", "y": y})
                 break

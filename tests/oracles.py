@@ -196,3 +196,34 @@ def brute_force_equilibria(spec: ModelSpec, y_range: tuple[float, float],
         found.append((y, r, classify_by_eigenvalues(eigs)))
     found.sort()
     return found
+
+
+def reduced_period_by_quadrature(spec: ModelSpec, y_range: tuple[float, float],
+                                 r_range: tuple[float, float]) -> float:
+    """Singular-limit period of a one-window relaxation cycle by adaptive
+    quadrature of dt = Y'(R) dR / (alpha (I - S)) in the rate coordinate.
+
+    The cycle climbs the lower stable arc from the down-jump landing to the
+    lower knee and descends the upper arc from the up-jump landing to the
+    upper knee; the landings come from dense scans at the fold incomes.
+    """
+    (y_up, r_up, _), (y_down, r_down, _) = sorted(
+        fold_positions(spec, y_range), key=lambda f: f[2] != "lower-knee")
+    k_y = spec.money.l_y - spec.money.m_y
+    off = spec.params.maturity_premium - spec.params.expected_inflation
+
+    def dt_dr(r: float) -> float:
+        y = -excess_money(0.0, r, spec) / k_y
+        return -rate_gap_slope(spec, r - off) / k_y / (spec.params.alpha
+                                                      * excess_goods(y, r, spec))
+
+    def leg(r_a: float, r_b: float) -> float:
+        pts = _breakpoints(spec, r_a - off, r_b - off)
+        val, err = quad(dt_dr, r_a, r_b, limit=800,
+                        points=None if pts is None else [x + off for x in pts])
+        assert err < 1e-10
+        return abs(val)
+
+    land_up = [r for r in dense_scan_roots(spec, y_up, r_range) if r > r_down][0]
+    land_down = [r for r in dense_scan_roots(spec, y_down, r_range) if r < r_up][-1]
+    return leg(land_down, r_up) + leg(land_up, r_down)

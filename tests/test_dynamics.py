@@ -17,7 +17,10 @@ from islmsim.dynamics import (
 )
 from islmsim.geometry import find_equilibria, shift_lm, trace_lm_isocline
 from islmsim.model import excess_money, excess_money_many
+from islmsim.policy import FiscalDrive, Scenario, apply_scenario
 from islmsim.reference import no_trap_spec, reference_spec, steep_is_spec
+
+from oracles import reduced_period_by_quadrature
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +121,57 @@ def test_attach_resolves_fast_flow_direction(ref_spec, ref_isocline):
     branch2, r2 = attach_to_branch(ref_spec, ref_isocline, 2.0, 0.03)
     assert r2 < 0.03
     assert branch2.index != branch.index
+
+
+def test_reduced_samples_lie_exactly_on_the_isocline(ref_spec, ref_reduced_cycle):
+    traj, _ = ref_reduced_cycle
+    assert np.abs(excess_money_many(traj.y, traj.r, ref_spec)).max() <= 1e-10
+
+
+def test_reduced_period_matches_the_rate_quadrature(ref_spec, ref_domain, ref_reduced_cycle):
+    _, cycle = ref_reduced_cycle
+    want = reduced_period_by_quadrature(ref_spec, ref_domain["y_range"], ref_domain["r_range"])
+    assert want == pytest.approx(6.0104710, abs=1e-7)
+    assert cycle.period == pytest.approx(want, abs=1e-8)
+
+
+def test_reduced_up_jumps_repeat_at_one_period(ref_reduced_cycle):
+    traj, _ = ref_reduced_cycle
+    gaps = np.diff([j.t_start for j in traj.jumps if j.direction == "up"])
+    assert len(gaps) >= 6
+    assert np.ptp(gaps[:6]) <= 1e-12
+
+
+def test_ramp_reaches_its_fold_at_the_closed_form_time(ref_spec, ref_isocline, ref_domain):
+    fold = next(f for f in ref_isocline.folds if f.kind == "lower-knee")
+    y0, t0, t1, y_to = 1.5, 0.5, 3.5, fold.y + 0.6
+    _, r0 = attach_to_branch(ref_spec, ref_isocline, y0, 0.01)
+    ramp = FiscalDrive(t0, t1, y_to=y_to)
+    result = apply_scenario(ref_spec, Scenario((ramp,), 4.0), y0, r0,
+                            y_range=ref_domain["y_range"], r_range=ref_domain["r_range"],
+                            validate=False)
+    # the state drifts freely until t0, where the ramp takes it from y_a
+    traj = result.trajectory
+    (y_a,) = traj.y[traj.t == t0]
+    jump = result.jumps[0]
+    assert jump.direction == "up"
+    assert jump.t_start == pytest.approx(t0 + (fold.y - y_a) / ((y_to - y_a) / (t1 - t0)),
+                                         abs=1e-12)
+
+
+def test_reduced_free_flow_settles_on_the_equilibrium_from_one_side(ref_domain):
+    spec = steep_is_spec()
+    iso = trace_lm_isocline(spec, ref_domain["y_range"], 700,
+                            ref_domain["r_range"], 500)
+    e_low = next(e for e in find_equilibria(spec, ref_domain["y_range"], iso)
+                 if e.classification.startswith("stable") and e.y > 2.5)
+    branch, _ = attach_to_branch(spec, iso, 1.6, 0.0)
+    traj = reduced_simulate(spec, 1.6, branch, 60.0, iso)
+    # income rises towards the crossing, never passes it and ends on it
+    assert np.all(np.diff(traj.y) >= 0.0)
+    assert np.all(traj.y <= e_low.y)
+    assert traj.y[-1] == pytest.approx(e_low.y, abs=1e-9)
+    assert np.abs(excess_money_many(traj.y, traj.r, spec)).max() <= 1e-10
 
 
 # ---------------------------------------------------------------------------

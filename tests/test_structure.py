@@ -14,10 +14,11 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from islmsim.dynamics import Trajectory, _fold_jump
-from islmsim.geometry import FoldPoint, find_equilibria, lm_roots, shift_lm, trace_lm_isocline
+from islmsim.geometry import (FoldPoint, _trace_lm_isocline, find_equilibria, lm_roots,
+                              shift_lm, trace_lm_isocline)
 from islmsim.model import (ISBlock, ModelParams, ModelSpec, TrapWindow, build_three_phase_money,
-                           excess_money)
-from islmsim.policy import plan_stabilization
+                           excess_money, excess_money_many)
+from islmsim.policy import FiscalDrive, Scenario, apply_scenario, plan_stabilization
 from islmsim.reference import no_trap_spec
 
 from oracles import (_breakpoints, brute_force_equilibria, dense_scan_roots,
@@ -244,3 +245,41 @@ def test_model_objects_are_frozen(ref_isocline):
     assert isinstance(ref_isocline.branches, tuple)
     assert isinstance(ref_isocline.folds, tuple)
     assert [b.index for b in ref_isocline.branches] == list(range(len(ref_isocline.branches)))
+
+
+def test_model_objects_compare_and_hash_by_identity(ref_spec, ref_domain, ref_reduced_cycle):
+    # two tracings of one model, their branches, and a trajectory and its slice
+    args = (ref_spec, ref_domain["y_range"], ref_domain["y_steps"], ref_domain["r_range"],
+            ref_domain["scan_n"])
+    _trace_lm_isocline.cache_clear()
+    first = trace_lm_isocline(*args)
+    _trace_lm_isocline.cache_clear()
+    second = trace_lm_isocline(*args)
+    traj, _ = ref_reduced_cycle
+    for a, b in ((first, second), (first.branches[0], second.branches[0]),
+                 (traj, traj.slice(traj.t[0], traj.t[-1]))):
+        assert a is not b
+        assert not a == b
+        assert a == a
+        assert len({a, b, a}) == 2
+
+
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(trap_specs(), st.booleans())
+def test_singular_limit_samples_lie_on_the_isocline(spec, upward):
+    # a census-style ramp across every fold, then free flow: every sample,
+    # jump corners and landings included, solves the money market
+    iso = trace_lm_isocline(spec, WIDE_Y, TRACE_STEPS, WIDE_R)
+    assume(len(iso.folds) == 2 * len(spec.money.windows))
+    fold_ys = [f.y for f in iso.folds]
+    y_lo, y_hi = max(min(fold_ys) - 0.5, 0.0), min(max(fold_ys) + 0.5, WIDE_Y[1])
+    y0, y_to = (y_lo, y_hi) if upward else (y_hi, y_lo)
+    roots = lm_roots(y0, spec, WIDE_R)
+    ramp = FiscalDrive(0.0, 2.0, y_to=y_to)
+    result = apply_scenario(spec, Scenario((ramp,), 4.0), y0, roots[0] if upward else roots[-1],
+                            y_range=WIDE_Y, r_range=WIDE_R, y_steps=TRACE_STEPS,
+                            validate=False)
+    traj = result.trajectory
+    assert result.jumps
+    assert np.abs(excess_money_many(traj.y, traj.r, spec)).max() <= 1e-10
