@@ -32,7 +32,6 @@ from .geometry import (
     FoldPoint,
     ISCurve,
     LMIsocline,
-    TracingError,
     find_equilibria,
     is_curve,
     lm_roots,
@@ -80,8 +79,7 @@ __all__ = [
     "validate_properties",
     # curve geometry
     "ISCurve", "Branch", "FoldPoint", "LMIsocline", "Equilibrium",
-    "TracingError", "is_curve", "lm_roots", "trace_lm_isocline",
-    "find_equilibria", "shift_lm",
+    "is_curve", "lm_roots", "trace_lm_isocline", "find_equilibria", "shift_lm",
     # slow-fast dynamics
     "Trajectory", "JumpEvent", "CycleSummary", "IntegrationError",
     "FoldStallError", "integrate", "reduced_simulate", "detect_jumps",

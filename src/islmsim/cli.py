@@ -156,23 +156,23 @@ def _dispatch(command: str, config: RunConfig, out_dir: Path) -> int:
         elif command == "equilibria":
             docs["equilibria"] = equilibria_document(eqs)
         else:
-            traj, jumps = _maybe_simulate(config, spec, dom, iso)
+            traj = _maybe_simulate(config, spec, dom)
             svgs["portrait"] = render_portrait(
-                iso, is_curve(spec), eqs, traj, jumps,
-                dom.y_range, dom.r_range,
+                iso, is_curve(spec), eqs, traj, dom.y_range, dom.r_range,
                 title=f"phase portrait (spec {spec.spec_id})")
             if traj is not None and "json" in want:
                 cycle = detect_cycle(traj, spec)
-                docs["simulation"] = simulation_document(traj, jumps, cycle, None)
+                docs["simulation"] = simulation_document(traj, cycle, None)
 
     elif command == "simulate":
         if config.simulate is None:
             raise ConfigError("the 'simulate' section is required for this command")
-        traj, jumps, cycle = _run_simulation(config, spec, dom)
+        traj = _run_simulation(config, spec, dom)
+        cycle = detect_cycle(traj, spec)
         docs["simulation"] = simulation_document(
-            traj, jumps, cycle, "trajectory.csv" if "csv" in want else None)
+            traj, cycle, "trajectory.csv" if "csv" in want else None)
         if "csv" in want:
-            trajs["trajectory"] = (traj, jumps)
+            trajs["trajectory"] = traj
 
     elif command == "scenario":
         if config.scenario is None:
@@ -184,13 +184,12 @@ def _dispatch(command: str, config: RunConfig, out_dir: Path) -> int:
                                 stride=so.stride)
         traj = result.trajectory
         cycle = detect_cycle(traj, result.final_spec)
-        doc = simulation_document(traj, traj.jumps, cycle,
-                                  "trajectory.csv" if "csv" in want else None)
+        doc = simulation_document(traj, cycle, "trajectory.csv" if "csv" in want else None)
         doc["kind"] = "scenario"
         doc["events"] = result.events
         docs["scenario"] = doc
         if "csv" in want:
-            trajs["trajectory"] = (traj, traj.jumps)
+            trajs["trajectory"] = traj
 
     elif command == "stabilize":
         if config.stabilize is None:
@@ -221,10 +220,8 @@ def _dispatch(command: str, config: RunConfig, out_dir: Path) -> int:
         }
         docs["stabilize"] = doc
         if "csv" in want:
-            trajs["uncontrolled"] = (report.uncontrolled.trajectory,
-                                     report.uncontrolled.trajectory.jumps)
-            trajs["controlled"] = (report.controlled.trajectory,
-                                   report.controlled.trajectory.jumps)
+            trajs["uncontrolled"] = report.uncontrolled.trajectory
+            trajs["controlled"] = report.controlled.trajectory
 
     if "json" not in want:
         docs = {}
@@ -234,36 +231,28 @@ def _dispatch(command: str, config: RunConfig, out_dir: Path) -> int:
     return status
 
 
-def _run_simulation(config: RunConfig, spec, dom):
+def _run_simulation(config: RunConfig, spec, dom) -> Trajectory:
     so = config.simulate
     if so.t_end <= 0.0:
-        traj = Trajectory(np.empty(0), np.empty(0), np.empty(0), so.mode,
-                          spec.spec_id)
-        return traj, (), None
+        return Trajectory(np.empty(0), np.empty(0), np.empty(0), so.mode, spec.spec_id)
     # t_end and stride are fast time; the singular limit runs on the slow
     # clock, which is epsilon times faster
     scale = spec.params.epsilon if so.mode == REDUCED_MODE else 1.0
-    traj = apply_scenario(spec, Scenario((), scale * so.t_end), so.y0, so.r0, so.mode,
+    return apply_scenario(spec, Scenario((), scale * so.t_end), so.y0, so.r0, so.mode,
                           y_range=dom.y_range, r_range=dom.r_range,
                           y_steps=dom.y_steps, scan_n=dom.scan_n,
                           stride=None if so.stride is None else scale * so.stride,
                           validate=False, rtol=so.rtol, atol=so.atol).trajectory
-    cycle = detect_cycle(traj, spec)
-    return traj, traj.jumps, cycle
 
 
-def _maybe_simulate(config: RunConfig, spec, dom, iso):
-    if config.simulate is None and config.scenario is None:
-        return None, ()
+def _maybe_simulate(config: RunConfig, spec, dom) -> Trajectory | None:
     if config.scenario is not None:
         so = config.scenario
-        result = apply_scenario(spec, so.scenario, so.y0, so.r0, so.mode,
-                                y_range=dom.y_range, r_range=dom.r_range,
-                                y_steps=dom.y_steps, scan_n=dom.scan_n,
-                                stride=so.stride, validate=False)
-        return result.trajectory, result.trajectory.jumps
-    traj, jumps, _ = _run_simulation(config, spec, dom)
-    return traj, jumps
+        return apply_scenario(spec, so.scenario, so.y0, so.r0, so.mode,
+                              y_range=dom.y_range, r_range=dom.r_range,
+                              y_steps=dom.y_steps, scan_n=dom.scan_n,
+                              stride=so.stride, validate=False).trajectory
+    return None if config.simulate is None else _run_simulation(config, spec, dom)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -16,9 +16,12 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.spatial import cKDTree
 
-from .geometry import Branch, FoldPoint, LMIsocline, _branch_holding, _window_rates, lm_roots
+# `lm_roots` stays bound here, unused: bench/test_inputs.py::
+# test_tracer_wraps_every_binding_and_restores_them asserts this binding
+from .geometry import (Branch, FoldPoint, LMIsocline, _interval_branch, _landing,
+                       _window_rates, lm_roots)
 from .model import (ModelSpec, _read_only, excess_goods, excess_money, excess_money_many,
-                    excess_money_slope, short_rate)
+                    short_rate)
 
 __all__ = [
     "IntegrationError",
@@ -210,24 +213,19 @@ def integrate(spec: ModelSpec, y0: float, r0: float, t_end: float,
 
 def attach_to_branch(spec: ModelSpec, isocline: LMIsocline, y: float, r: float
                      ) -> tuple[Branch, float]:
-    """Resolve the fast flow from (y, r) to the branch it relaxes onto."""
-    roots = lm_roots(y, spec, isocline.r_range)
-    if not roots:
-        raise ValueError(f"no isocline branch exists at income {y}")
+    """Resolve the fast flow from (y, r) to the branch it relaxes onto.
+
+    A positive money excess pushes the rate up, a negative one down, to the
+    first root that way (`_landing`); at zero excess the nearer of the first
+    roots either way is taken, the lower one on a tie.
+    """
     e = excess_money(y, r, spec)
-    if e > 0.0:
-        above = [x for x in roots if x >= r]
-        if not above:
-            raise ValueError(f"fast flow from (y={y}, r={r}) escapes the scanned range")
-        target = above[0]
-    elif e < 0.0:
-        below = [x for x in roots if x <= r]
-        if not below:
-            raise ValueError(f"fast flow from (y={y}, r={r}) escapes the scanned range")
-        target = below[-1]
-    else:
-        target = min(roots, key=lambda x: abs(x - r))
-    branch = _branch_with_root(isocline, y, target)
+    ways = (False, True) if e == 0.0 else (e > 0.0,)
+    found = [kx for up in ways if (kx := _landing(spec, y, r, up, isocline.r_range))]
+    if not found:
+        raise ValueError(f"fast flow from (y={y}, r={r}) escapes the scanned range")
+    k, target = min(found, key=lambda kx: abs(kx[1] - r))
+    branch = _landing_branch(isocline, k, y, target)
     if branch.stability != "stable":
         raise ValueError(
             f"fast flow from (y={y}, r={r}) lands on an unstable branch; "
@@ -235,8 +233,9 @@ def attach_to_branch(spec: ModelSpec, isocline: LMIsocline, y: float, r: float
     return branch, target
 
 
-def _branch_with_root(isocline: LMIsocline, y: float, r: float) -> Branch:
-    branch = _branch_holding(isocline, r)
+def _landing_branch(isocline: LMIsocline, k: int, y: float, r: float) -> Branch:
+    """The branch of rate interval k through the root (y, r)."""
+    branch = _interval_branch(isocline, k, y)
     if branch is None:
         raise ValueError(f"no isocline branch holds the root ({y}, {r})")
     return branch
@@ -251,33 +250,36 @@ def _fold_window(spec: ModelSpec, fold: FoldPoint) -> tuple[float, float]:
     return min(_window_rates(spec), key=lambda w: abs(w[k] - fold.r))
 
 
-def _fold_jump(spec: ModelSpec, fold: FoldPoint, r_range: tuple[float, float]
-               ) -> tuple[str, float]:
-    """Direction and landing rate of the jump released at a fold.
+def _fold_landing(spec: ModelSpec, fold: FoldPoint, r_range: tuple[float, float]
+                  ) -> tuple[str, int, float]:
+    """Direction, landing interval and landing rate of the jump released at a fold.
 
     A lower knee releases an upward jump, an upper knee a downward one.  The
     branch through the fold spans the whole window in rate, so the landing is
-    the first root beyond the window's other endpoint and the fold's own
-    (quartically flat) double root is never a candidate.
+    the first root from the window's other endpoint on (`_landing`) and the
+    fold's own (quartically flat) double root is never a candidate.  The
+    landing interval must lie between windows, where branches attract.
     """
     r_p, r_q = _fold_window(spec, fold)
-    roots = lm_roots(fold.y, spec, r_range)
-    if fold.kind == "lower-knee":
-        direction = "up"
-        beyond = [x for x in roots if x > r_q]
-        landing = beyond[0] if beyond else None
-    else:
-        direction = "down"
-        beyond = [x for x in roots if x < r_p]
-        landing = beyond[-1] if beyond else None
+    up = fold.kind == "lower-knee"
+    direction = "up" if up else "down"
+    landing = _landing(spec, fold.y, r_q if up else r_p, up, r_range)
     if landing is None:
         raise ValueError(
             f"malformed isocline: no branch to catch the {direction} jump at "
             f"(y={fold.y}, r={fold.r})")
-    if excess_money_slope(landing, spec) >= 0.0:
+    k, x = landing
+    if k % 2:
         raise ValueError(
             f"malformed isocline: the {direction} jump at (y={fold.y}, r={fold.r}) "
-            f"lands on a non-attracting branch at r={landing}")
+            f"lands on a non-attracting branch at r={x}")
+    return direction, k, x
+
+
+def _fold_jump(spec: ModelSpec, fold: FoldPoint, r_range: tuple[float, float]
+               ) -> tuple[str, float]:
+    """Direction and landing rate of the jump released at a fold (`_fold_landing`)."""
+    direction, _, landing = _fold_landing(spec, fold, r_range)
     return direction, landing
 
 
@@ -357,14 +359,12 @@ def _invert(f, df, target: np.ndarray, x_lo: np.ndarray, x_hi: np.ndarray,
 
 def _branch_rates(geo: _RateCoordinate, branch: Branch, y: np.ndarray) -> np.ndarray:
     """Rates where the branch reaches the incomes y: Y(R) = y, started from
-    the interpolated branch samples and bracketed by their neighbours."""
+    the interpolated branch samples and bracketed by the branch's end rates."""
     ys, rs = branch.ys, branch.rs
-    j = np.searchsorted(ys, y)
-    lo = rs[np.clip(j - 2, 0, len(ys) - 1)]
-    hi = rs[np.clip(j + 1, 0, len(ys) - 1)]
     tol = 1e-13 * np.maximum(1.0, np.abs(y))
     return _invert(lambda r, _k: geo.income(r), lambda r, _k: geo.income_slope(r),
-                   y, lo, hi, np.interp(y, ys, rs), tol)
+                   y, np.full(len(y), rs[0]), np.full(len(y), rs[-1]),
+                   np.interp(y, ys, rs), tol)
 
 
 class _FreeLeg:
@@ -474,11 +474,11 @@ def advance_reduced(spec: ModelSpec, isocline: LMIsocline, branch: Branch,
                 f"slow flow is exactly zero at the fold (y={y_end}); "
                 "the continuation is undefined")
         fold = isocline.folds[end[1]]
-        direction, landing = _fold_jump(spec, fold, isocline.r_range)
+        direction, k, landing = _fold_landing(spec, fold, isocline.r_range)
         jump = JumpEvent(t_hit, t_hit, fold.y, fold.r, landing, direction)
         _append_vertical_move(ts, ys, rs, t_hit, fold.y, fold.r, landing)
         jumps.append(jump)
-        branch = _branch_with_root(isocline, fold.y, landing)
+        branch = _landing_branch(isocline, k, fold.y, landing)
         t, y, r = t_hit, fold.y, landing
     return branch, y, r, t, "horizon"
 
@@ -688,8 +688,7 @@ def detect_cycle(traj: Trajectory, spec: ModelSpec | None = None,
     if period <= 0.0:
         return None
 
-    t_loop0 = float(returns[0]) - period if returns else float(t[0])
-    t_loop0 = max(t_loop0, float(t[0]))
+    t_loop0 = max(returns[0] - period, float(t[0]))
     window = traj.slice(t_loop0, t_loop0 + period)
     if len(window) < 3:
         return None

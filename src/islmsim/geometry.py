@@ -9,10 +9,12 @@ the income where the excess vanishes there.
 
 Roots come from the same intervals, not from grid sign scans: an interval
 holds a root at a given income exactly when the excess signs at its ends
-differ, and the root is on that interval's branch.  Equilibria are the zeros
-of the excess along the IS line, which is convex or concave between the
-money block's segment breaks mapped onto that line.  Root counts are exact
-up to the folds, so nothing warns about tangencies (`lm_roots` ignores `warn`).
+differ, and the root is on that interval's branch.  The fast flow from a
+point lands on the first root beyond it in the direction the excess pushes
+the rate (`_landing`), on the branch of that root's interval.  Equilibria are
+the zeros of the excess along the IS line, which is convex or concave between
+the money block's segment breaks mapped onto that line.  Root counts are
+exact up to the folds, so nothing warns about tangencies.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .model import (
 )
 
 __all__ = [
-    "TracingError",
     "ISCurve",
     "Branch",
     "FoldPoint",
@@ -54,11 +55,7 @@ DEGENERATE_DET_TOL = 1e-10
 DISCRIMINANT_BAND = 1e-12
 # |excess| at an extremum of the IS-line excess below which it touches zero.
 TANGENCY_EXCESS_TOL = 1e-7
-
-
-class TracingError(RuntimeError):
-    """Isocline tracing failed.  Kept for API compatibility: the tracer reads
-    its topology off the window layout and no longer raises it."""
+ROOT_SCAN_N = 500  # rate grid of `lm_roots` and `_landing`
 
 
 @dataclass(frozen=True)
@@ -79,7 +76,9 @@ class ISCurve:
 @dataclass(frozen=True, eq=False)
 class Branch:
     """One single-valued piece of the LM isocline; its samples are read-only.
-    Equality is identity, and a branch hashes by identity."""
+    Equality is identity, and a branch hashes by identity.  `interval` is the
+    index k of its rate interval (even k between windows, stable; odd k inside
+    one), or -1 for a branch rebuilt from samples alone."""
 
     ys: np.ndarray
     rs: np.ndarray
@@ -87,6 +86,7 @@ class Branch:
     lo_end: tuple[str, int | str]        # ("fold", index) or ("boundary", side)
     hi_end: tuple[str, int | str]
     index: int = -1
+    interval: int = -1
 
     def __post_init__(self):
         for name in ("ys", "rs"):
@@ -99,7 +99,7 @@ class Branch:
         return float(np.interp(y, self.ys, self.rs))
 
     def covers(self, y: float) -> bool:
-        return self.ys[0] - 1e-12 <= y <= self.ys[-1] + 1e-12
+        return self.ys[0] <= y <= self.ys[-1]
 
     @property
     def y_lo(self) -> float:
@@ -131,9 +131,6 @@ class LMIsocline:
 
     def branches_at(self, y: float) -> list[Branch]:
         return [b for b in self.branches if b.covers(y)]
-
-    def stable_branches_at(self, y: float) -> list[Branch]:
-        return [b for b in self.branches_at(y) if b.stability == "stable"]
 
     def max_branch_count(self) -> int:
         ys = sorted({b.y_lo for b in self.branches} | {b.y_hi for b in self.branches})
@@ -258,16 +255,40 @@ def _scan_roots(y: float, spec: ModelSpec, scan) -> list[tuple[int, float]]:
 
 
 def lm_roots(y: float, spec: ModelSpec, r_range: tuple[float, float],
-             scan_n: int = 500, warn: bool = True) -> list[float]:
+             scan_n: int = ROOT_SCAN_N) -> list[float]:
     """All rates solving the money-market equation at the given income.
 
     Each interval between window-endpoint rates, where the excess is strictly
     monotone, holds at most one root, found by bisection to near machine
     width; roots return ascending.  `scan_n` (at least 200) sets the rate grid
-    that narrows each bracket.  `warn` is ignored: counts are exact up to the
-    folds, so no tangency is left to warn about.
+    that narrows each bracket.
     """
     return [r for _, r in _scan_roots(y, spec, _rate_scan(spec, r_range, scan_n))]
+
+
+def _landing(spec: ModelSpec, y: float, r: float, up: bool,
+             r_range: tuple[float, float]) -> tuple[int, float] | None:
+    """Where the fast flow from (y, r) going up (or down) comes to rest: the
+    interval index k and the lowest root x >= r (or the highest x <= r), read
+    from the interval table walked from r; None when there is none.  The scan
+    is `lm_roots`' on the same range, so x equals its value.  A root on a
+    window start is a lower knee, the top of the stable interval below it."""
+    if y < 0.0:
+        raise ModelDomainError(f"income must be non-negative, got {y}")
+    scan = _rate_scan(spec, r_range, ROOT_SCAN_N)
+    for row in scan[2] if up else reversed(scan[2]):
+        k, a, b = row[:3]
+        if b < r if up else a > r:
+            continue
+        x = _interval_root(y, spec, scan, row)
+        if x is not None and (x >= r if up else x <= r):
+            return (k - 1 if k % 2 and x == a > r_range[0] else k), x
+    return None
+
+
+def _interval_branch(isocline: LMIsocline, k: int, y: float) -> Branch | None:
+    """The branch of rate interval k that covers income y, if there is one."""
+    return next((b for b in isocline.branches if b.interval == k and b.covers(y)), None)
 
 
 def trace_lm_isocline(spec: ModelSpec, y_range: tuple[float, float],
@@ -358,11 +379,12 @@ def _trace_lm_isocline(spec: ModelSpec, y_range: tuple[float, float], y_steps: i
                 pts.insert(0 if sign > 0 else len(pts), pt)
         arr = np.asarray(pts)[np.argsort([y for y, _ in pts])]
         ys_arr, rs_arr = _dedupe_samples(arr[:, 0], arr[:, 1])
-        pieces.append((ys_arr, rs_arr, "unstable" if k % 2 else "stable", lo_end, hi_end))
+        pieces.append((ys_arr, rs_arr, "unstable" if k % 2 else "stable", lo_end, hi_end, k))
 
     pieces.sort(key=lambda piece: (float(piece[0][0]), float(piece[1][0]),
                                    float(piece[0][-1])))
-    branches = tuple(Branch(*piece, index=i) for i, piece in enumerate(pieces))
+    branches = tuple(Branch(*piece[:5], index=i, interval=piece[5])
+                     for i, piece in enumerate(pieces))
     return LMIsocline(branches, folds, y_range, r_range)
 
 
@@ -423,13 +445,16 @@ def find_equilibria(spec: ModelSpec, y_range: tuple[float, float],
     TANGENCY_EXCESS_TOL, or the two roots lie within one income step
     (y_hi - y_lo) / (scan_n - 1) of each other, the pair is one tangent
     equilibrium at Y*, reported "center-degenerate" with degenerate set.
-    Each equilibrium's branch is the isocline branch whose rate span holds it.
+    Each equilibrium's branch is the one of its rate interval that covers its
+    income; a window-endpoint rate belongs to the interval above it, as in
+    `_interval_root`.
     """
     if scan_n < 2:
         raise ValueError("scan_n must be at least 2")
     curve = is_curve(spec)
     k_y = spec.money.l_y - spec.money.m_y
     y_lo, y_hi = y_range
+    ends = [r for span in _window_rates(spec) for r in span]
 
     def phi(y: float) -> float:
         return excess_money(y, curve.r_at(y), spec)
@@ -473,22 +498,11 @@ def find_equilibria(spec: ModelSpec, y_range: tuple[float, float],
         cls, eig, tr, det, disc, degen = classify_jacobian(*_jacobian(spec, r_star))
         if tangent:
             cls, degen = "center-degenerate", True
-        branch = _branch_holding(isocline, r_star)
+        branch = (None if isocline is None
+                  else _interval_branch(isocline, bisect_right(ends, r_star), y_star))
         results.append(Equilibrium(y_star, r_star, cls, eig, tr, det, disc, degen,
                                    -1 if branch is None else branch.index))
     return results
-
-
-def _branch_holding(isocline: LMIsocline | None, r: float) -> Branch | None:
-    """The branch whose rate span holds r.  Branches lie in disjoint rate
-    intervals, so at most one does (two share an end rate only at a fold)."""
-    if isocline is None:
-        return None
-    for b in isocline.branches:
-        lo, hi = sorted((float(b.rs[0]), float(b.rs[-1])))
-        if lo - 1e-12 <= r <= hi + 1e-12:
-            return b
-    return None
 
 
 def shift_lm(spec: ModelSpec, d_pi: float = 0.0, d_ms: float = 0.0) -> ModelSpec:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__ as _version
-from .dynamics import CycleSummary, JumpEvent, Trajectory
+from .dynamics import CycleSummary, Trajectory
 from .geometry import Branch, Equilibrium, FoldPoint, LMIsocline
 from .model import ValidationReport
 
@@ -76,12 +76,10 @@ def release_run_lock(lock: Path) -> None:
 # ---------------------------------------------------------------------------
 # trajectory table (columnar text)
 
-def trajectory_table(traj: Trajectory, jumps: tuple[JumpEvent, ...] | None = None) -> str:
+def trajectory_table(traj: Trajectory) -> str:
     """Columnar text with the frozen header t,Y,R,regime."""
-    if jumps is None:
-        jumps = traj.jumps
     in_jump = np.zeros(len(traj), dtype=bool)
-    for j in jumps:
+    for j in traj.jumps:
         in_jump |= (traj.t >= j.t_start - 1e-12) & (traj.t <= j.t_end + 1e-12)
     lines = ["t,Y,R,regime"]
     for t, y, r, jflag in zip(traj.t, traj.y, traj.r, in_jump):
@@ -90,9 +88,8 @@ def trajectory_table(traj: Trajectory, jumps: tuple[JumpEvent, ...] | None = Non
     return "\n".join(lines) + "\n"
 
 
-def write_trajectory(path: str | Path, traj: Trajectory,
-                     jumps: tuple[JumpEvent, ...] | None = None) -> None:
-    Path(path).write_text(trajectory_table(traj, jumps), encoding="utf-8")
+def write_trajectory(path: str | Path, traj: Trajectory) -> None:
+    Path(path).write_text(trajectory_table(traj), encoding="utf-8")
 
 
 def read_trajectory(path: str | Path, mode: str = "full-epsilon",
@@ -156,6 +153,8 @@ def isocline_document(iso: LMIsocline,
 
 
 def isocline_from_document(doc: dict) -> LMIsocline:
+    """The isocline of a document, for drawing and counting only: its branches
+    have no rate interval (-1), so no fast-flow landing can be looked up on it."""
     if doc.get("kind") != "isocline":
         raise ValueError("not an isocline document")
     branches = []
@@ -217,7 +216,7 @@ def validation_document(report: ValidationReport) -> dict:
     return doc
 
 
-def simulation_document(traj: Trajectory, jumps, cycle: CycleSummary | None,
+def simulation_document(traj: Trajectory, cycle: CycleSummary | None,
                         trajectory_file: str | None) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
@@ -226,7 +225,7 @@ def simulation_document(traj: Trajectory, jumps, cycle: CycleSummary | None,
         "spec_id": traj.spec_id,
         "samples": len(traj),
         "t_span": [float(traj.t[0]), float(traj.t[-1])] if len(traj) else [],
-        "jumps": jumps_document(jumps),
+        "jumps": jumps_document(traj.jumps),
         "cycle": cycle_document(cycle),
         "trajectory_file": trajectory_file,
     }
@@ -252,12 +251,12 @@ def write_provenance(out_dir: str | Path, config_echo: dict, command: str) -> Pa
 
 
 def emit_outputs(out_dir: str | Path, documents: dict[str, dict],
-                 trajectories: dict[str, tuple[Trajectory, tuple]] | None = None,
+                 trajectories: dict[str, Trajectory] | None = None,
                  svgs: dict[str, str] | None = None) -> list[Path]:
     """Write every artifact of a run into its output directory.
 
     `documents` maps file stems to structured documents, `trajectories` maps
-    stems to (trajectory, jump events), and `svgs` maps stems to rendered
+    stems to trajectories (each with its jumps), and `svgs` maps stems to rendered
     markup.  Returns the list of written paths.
     """
     out_dir = Path(out_dir)
@@ -267,9 +266,9 @@ def emit_outputs(out_dir: str | Path, documents: dict[str, dict],
         path = out_dir / f"{stem}.json"
         write_json_document(path, doc)
         written.append(path)
-    for stem, (traj, jumps) in (trajectories or {}).items():
+    for stem, traj in (trajectories or {}).items():
         path = out_dir / f"{stem}.csv"
-        write_trajectory(path, traj, jumps)
+        write_trajectory(path, traj)
         written.append(path)
     for stem, markup in (svgs or {}).items():
         path = out_dir / f"{stem}.svg"

@@ -22,7 +22,7 @@ from .dynamics import (
     JumpEvent,
     Trajectory,
     _append_vertical_move,
-    _fold_jump,
+    _fold_landing,
     _fold_window,
     _window_traversals,
     advance_reduced,
@@ -30,7 +30,10 @@ from .dynamics import (
     detect_cycle,
     integrate,
 )
-from .geometry import FoldPoint, LMIsocline, is_curve, lm_roots, shift_lm, trace_lm_isocline
+# `lm_roots` stays bound here, unused: bench/test_inputs.py::
+# test_tracer_wraps_every_binding_and_restores_them asserts this binding
+from .geometry import (ROOT_SCAN_N, FoldPoint, LMIsocline, _interval_root, _landing,
+                       _rate_scan, is_curve, lm_roots, shift_lm, trace_lm_isocline)
 from .model import ISBlock, ModelSpec, excess_money, validate_properties
 
 __all__ = [
@@ -126,13 +129,20 @@ class Scenario:
 
 @dataclass
 class ScenarioResult:
+    """A scenario run; `models` holds the models in force as (t, spec) pairs:
+    the start, then one after each applied step."""
+
     trajectory: Trajectory
     events: list[dict]
-    final_spec: ModelSpec
+    models: list[tuple[float, ModelSpec]]
 
     @property
     def jumps(self) -> tuple[JumpEvent, ...]:
         return self.trajectory.jumps
+
+    @property
+    def final_spec(self) -> ModelSpec:
+        return self.models[-1][1]
 
 
 def _with_fiscal_shift(spec: ModelSpec, g: float) -> ModelSpec:
@@ -180,6 +190,7 @@ def apply_scenario(spec: ModelSpec, scenario: Scenario, y0: float, r0: float,
         stride = scenario.horizon / 2000.0
     events: list[dict] = []
     jumps: list[JumpEvent] = []
+    models = [(0.0, spec)]
 
     if validate:
         rep = validate_properties(spec, y_range, r_range, grid_n)
@@ -235,6 +246,7 @@ def apply_scenario(spec: ModelSpec, scenario: Scenario, y0: float, r0: float,
                                max(cur_r_range[1], cur_r_range[1] - s.d_pi))
                 events.append({"t": t_a, "kind": "monetary-step",
                                "d_pi": s.d_pi, "d_ms": s.d_ms})
+            models.append((t_a, cur_spec))
             if validate:
                 rep = validate_properties(cur_spec, y_range, cur_r_range, grid_n)
                 if not rep.passed:
@@ -282,7 +294,7 @@ def apply_scenario(spec: ModelSpec, scenario: Scenario, y0: float, r0: float,
                        "r_from": j.r_from, "r_to": j.r_to,
                        "direction": j.direction})
     events.sort(key=lambda e: e["t"])
-    return ScenarioResult(traj, events, cur_spec)
+    return ScenarioResult(traj, events, models)
 
 
 # ---------------------------------------------------------------------------
@@ -320,28 +332,20 @@ class StabilizationPlan:
     fired: list = field(default_factory=list)
 
 
-def _shifted_branch_value(spec: ModelSpec, fold: FoldPoint, direction: str,
+def _shifted_branch_value(spec: ModelSpec, fold: FoldPoint, k: int,
                           r_range: tuple[float, float], d_pi: float, d_ms: float
                           ) -> float | None:
     """Value at the fold income of the shifted isocline's post-jump branch.
 
-    The post-jump branch is the attracting branch on the jump side of the
-    fold; a small tolerance keeps it identifiable when it passes exactly
-    through the fold point (the stabilization target).
+    The post-jump branch is the one of the jump's landing interval k: an LM
+    shift moves the window-endpoint rates but does not renumber the intervals.
     """
-    from .model import excess_money_slope
-
     shifted = shift_lm(spec, d_pi=d_pi, d_ms=d_ms)
     lo, hi = r_range
     pad_range = (lo - abs(d_pi) - 0.2 * (hi - lo), hi + abs(d_pi) + 0.2 * (hi - lo))
-    roots = lm_roots(fold.y, shifted, pad_range)
-    stable = [x for x in roots if excess_money_slope(x, shifted) < 0.0]
-    atol = 1e-6
-    if direction == "up":
-        cands = [x for x in stable if x >= fold.r - atol]
-        return min(cands) if cands else None
-    cands = [x for x in stable if x <= fold.r + atol]
-    return max(cands) if cands else None
+    scan = _rate_scan(shifted, pad_range, ROOT_SCAN_N)
+    row = next((row for row in scan[2] if row[0] == k), None)
+    return None if row is None else _interval_root(fold.y, shifted, scan, row)
 
 
 def plan_stabilization(spec: ModelSpec, fold: FoldPoint, instrument: str,
@@ -360,12 +364,11 @@ def plan_stabilization(spec: ModelSpec, fold: FoldPoint, instrument: str,
     """
     if instrument not in ("inflation", "money-stock"):
         raise ValueError(f"unknown instrument {instrument!r}")
-    direction, r_target = _fold_jump(spec, fold, isocline.r_range)
+    direction, k, r_target = _fold_landing(spec, fold, isocline.r_range)
 
     if instrument == "inflation":
         delta = r_target - fold.r
-        check = _shifted_branch_value(spec, fold, direction, isocline.r_range,
-                                      delta, 0.0)
+        check = _shifted_branch_value(spec, fold, k, isocline.r_range, delta, 0.0)
         residual = abs(check - fold.r) if check is not None else math.inf
         return StabilizationPlan(fold, instrument, delta, residual <= match_tol,
                                  "branch-match", direction, r_target, residual)
@@ -537,22 +540,19 @@ def negative_rate_probe(spec: ModelSpec, scenario: Scenario | None,
     # A jump crosses zero when it departs and lands on opposite sides, and the
     # first sign change after its departure (in the singular limit, its
     # pre-jump corner) is its own.  A full-system jump's r_to is only its
-    # arrival sample, so its landing is the first root past r_to under the
+    # arrival sample, so its landing is the first root from r_to on under the
     # model in force at the jump; whether the samples show the fall below zero
     # before or after the arrival then does not depend on the stride.
     crossings: list[dict] = []
     for j in traj.jumps:
         landing = j.r_to
         if mode == FULL_MODE:
-            moves = [s for s in scenario.instantaneous()
-                     if isinstance(s, MonetaryStep) and s.time <= j.t_start]
-            d_pi = sum(s.d_pi for s in moves)
-            model = shift_lm(spec, d_pi=d_pi, d_ms=sum(s.d_ms for s in moves))
-            roots = lm_roots(j.y_at_jump, model,
+            model = next(m for t_m, m in reversed(result.models) if t_m <= j.t_start)
+            d_pi = model.params.expected_inflation - spec.params.expected_inflation
+            found = _landing(model, j.y_at_jump, j.r_to, j.direction == "up",
                              (r_range[0] - abs(d_pi), r_range[1] + abs(d_pi)))
-            up = j.direction == "up"
-            ahead = [x for x in roots if (x >= j.r_to if up else x <= j.r_to)]
-            landing = (min if up else max)(ahead, default=j.r_to)
+            if found is not None:
+                landing = found[1]
         if np.sign(j.r_from) * np.sign(landing) < 0:
             crossings.append({"t": j.t_start, "kind": "jump-crossing",
                               "level_from": j.r_from, "level_to": landing})

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import JumpEvent, Trajectory
+from .dynamics import Trajectory
 from .geometry import Equilibrium, ISCurve, LMIsocline
 
 __all__ = ["render_portrait"]
@@ -88,11 +88,11 @@ def render_portrait(isocline: LMIsocline | None = None,
                     curve: ISCurve | None = None,
                     equilibria: list[Equilibrium] | None = None,
                     trajectory: Trajectory | None = None,
-                    jumps: tuple[JumpEvent, ...] | None = None,
                     y_range: tuple[float, float] | None = None,
                     r_range: tuple[float, float] | None = None,
                     title: str = "phase portrait") -> str:
-    """Render the phase plane as standalone SVG markup."""
+    """Render the phase plane as standalone SVG markup, with the trajectory's
+    jumps drawn as vertical segments."""
     if y_range is None:
         y_range = isocline.y_range if isocline else (0.0, 1.0)
     if r_range is None:
@@ -126,8 +126,7 @@ def render_portrait(isocline: LMIsocline | None = None,
         parts.append(frame.polyline(trajectory.y, trajectory.r, "trajectory",
                                     TRAJ_COLOR, 1.0))
 
-    for j in (jumps if jumps is not None else
-              (trajectory.jumps if trajectory is not None else ())):
+    for j in trajectory.jumps if trajectory is not None else ():
         x = _fmt(frame.x(j.y_at_jump))
         parts.append(f'<line class="jump" x1="{x}" y1="{_fmt(frame.y(j.r_from))}" '
                      f'x2="{x}" y2="{_fmt(frame.y(j.r_to))}" stroke="{JUMP_COLOR}" '

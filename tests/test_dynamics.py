@@ -123,6 +123,25 @@ def test_attach_resolves_fast_flow_direction(ref_spec, ref_isocline):
     assert branch2.index != branch.index
 
 
+def test_attach_at_a_knee_income_lands_on_the_knee_of_a_stable_branch(ref_spec, ref_isocline):
+    # at a fold income the flow from the stable side stops at the knee, the
+    # end of the stable branch; the unstable branch ends there too
+    for i, knee in enumerate(ref_isocline.folds):
+        below = knee.kind == "lower-knee"
+        branch, r = attach_to_branch(ref_spec, ref_isocline, knee.y,
+                                     knee.r - 0.01 if below else knee.r + 0.01)
+        assert r == knee.r
+        assert branch.stability == "stable"
+        assert (branch.hi_end if below else branch.lo_end) == ("fold", i)
+
+
+def test_attach_past_the_traced_income_range_raises(ref_spec, ref_isocline):
+    # the money market has a root at income 5.5, but the isocline covers
+    # incomes 0-5 only, so no branch holds it
+    with pytest.raises(ValueError, match="no isocline branch holds the root"):
+        attach_to_branch(ref_spec, ref_isocline, 5.5, 0.05)
+
+
 def test_reduced_samples_lie_exactly_on_the_isocline(ref_spec, ref_reduced_cycle):
     traj, _ = ref_reduced_cycle
     assert np.abs(excess_money_many(traj.y, traj.r, ref_spec)).max() <= 1e-10

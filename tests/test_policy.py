@@ -115,6 +115,21 @@ def test_a_step_at_the_horizon_is_applied(ref_spec, kw, mode):
         assert result.trajectory.r[-1] == move["r_to"]
 
 
+@pytest.mark.parametrize("mode", ["singular-limit", "full-epsilon"])
+def test_scenario_result_keeps_the_model_timeline(ref_spec, kw, mode):
+    steps = (FiscalShift(0.5, 0.05), MonetaryStep(1.0, d_pi=0.01),
+             MonetaryStep(1.5, d_ms=0.1))
+    result = apply_scenario(ref_spec, Scenario(steps, 2.0), 1.5, 0.01, mode, **kw)
+    # the start, then one model after each instantaneous step
+    assert [t for t, _ in result.models] == [0.0, 0.5, 1.0, 1.5]
+    start, shifted, inflated, stocked = (m for _, m in result.models)
+    assert start is ref_spec
+    assert shifted.is_block.i0 == ref_spec.is_block.i0 + 0.05
+    assert inflated.params.expected_inflation == ref_spec.params.expected_inflation + 0.01
+    assert stocked.params.m_stock == ref_spec.params.m_stock + 0.1
+    assert result.final_spec is stocked
+
+
 def test_intermediate_spec_validation_names_the_step(ref_spec, kw):
     steps = (MonetaryStep(1.0, d_ms=-1.99),)  # stock would drop to 0.01, fine
     apply_scenario(ref_spec, Scenario(steps, 2.0), 1.5, 0.01,

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from islmsim.dynamics import Trajectory, _fold_jump
+from islmsim.dynamics import Trajectory, _fold_jump, attach_to_branch
 from islmsim.geometry import (FoldPoint, _trace_lm_isocline, find_equilibria, lm_roots,
                               shift_lm, trace_lm_isocline)
 from islmsim.model import (ISBlock, ModelParams, ModelSpec, TrapWindow, build_three_phase_money,
@@ -146,6 +146,50 @@ def test_equilibria_match_the_brute_force_oracle(spec, through):
     for e, (oy, orr, _) in zip(eqs, oracle):
         assert e.y == pytest.approx(oy, abs=1e-7)
         assert e.r == pytest.approx(orr, abs=1e-8)
+    # each equilibrium's branch is the one of its rate interval, and covers it
+    iso = trace_lm_isocline(spec, WIDE_Y, TRACE_STEPS, WIDE_R)
+    for e in find_equilibria(spec, WIDE_Y, iso):
+        assert e.branch_index >= 0
+        assert iso.branches[e.branch_index].covers(e.y)
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(trap_specs(), st.data())
+def test_fast_flow_lands_on_the_first_root_in_its_direction(spec, data):
+    # the money excess pushes the rate up when positive and down when
+    # negative; the flow stops at the first root that way, on a stable branch.
+    # Starts are drawn around the folds and windows, where the rate lines
+    # hold several roots, inside windows too
+    iso = trace_lm_isocline(spec, WIDE_Y, TRACE_STEPS, WIDE_R)
+    fold_ys = [f.y for f in iso.folds] or list(WIDE_Y)
+    off = spec.params.maturity_premium - spec.params.expected_inflation
+    ws = spec.money.windows
+    y = data.draw(st.floats(max(min(fold_ys) - 1.0, WIDE_Y[0]),
+                            min(max(fold_ys) + 1.0, WIDE_Y[1])))
+    r = data.draw(st.floats(max(ws[0].p + off - 0.05, WIDE_R[0]),
+                            min(ws[-1].q + off + 0.05, WIDE_R[1])))
+    # within rounding of a fold income the excess at the knee is flat down to
+    # rounding noise, below the scan's resolution (an exact fold income has
+    # its own test in test_dynamics.py)
+    assume(all(abs(y - f.y) > 1e-9 for f in iso.folds))
+    roots = dense_scan_roots(spec, y, WIDE_R)
+    e = excess_money(y, r, spec)
+    if e > 0.0:
+        ahead = [x for x in roots if x >= r]
+    elif e < 0.0:
+        ahead = [x for x in reversed(roots) if x <= r]
+    else:
+        ahead = sorted(roots, key=lambda x: abs(x - r))
+    if not ahead:
+        with pytest.raises(ValueError):
+            attach_to_branch(spec, iso, y, r)
+        return
+    branch, target = attach_to_branch(spec, iso, y, r)
+    assert target == pytest.approx(ahead[0], abs=1e-10)
+    assert branch.stability == "stable"
+    assert branch.covers(y)
+    assert min(branch.rs[0], branch.rs[-1]) <= target <= max(branch.rs[0], branch.rs[-1])
 
 
 def test_brute_force_oracle_finds_an_equilibrium_next_to_income_zero():
