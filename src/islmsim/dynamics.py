@@ -157,8 +157,8 @@ class CycleSummary:
 
 def integrate(spec: ModelSpec, y0: float, r0: float, t_end: float,
               rtol: float = 1e-8, atol: float = 1e-10,
-              stride: float | None = None, max_step: float = math.inf,
-              t_start: float = 0.0, drive_slope: float | None = None) -> Trajectory:
+              stride: float | None = None, t_start: float = 0.0,
+              drive_slope: float | None = None) -> Trajectory:
     """Integrate the two-speed system with an adaptive embedded RK pair.
 
     Local error control shrinks steps automatically through the fast layers,
@@ -193,7 +193,7 @@ def integrate(spec: ModelSpec, y0: float, r0: float, t_end: float,
     t_eval = np.linspace(t_start, t_end, n_eval)
 
     sol = solve_ivp(rhs, (t_start, t_end), (y0, r0), method="RK45",
-                    rtol=rtol, atol=atol, t_eval=t_eval, max_step=max_step)
+                    rtol=rtol, atol=atol, t_eval=t_eval)
     if not sol.success:
         t_last = sol.t[-1] if len(sol.t) else t_start
         state = sol.y[:, -1] if sol.y.size else (y0, r0)
@@ -276,13 +276,6 @@ def _fold_landing(spec: ModelSpec, fold: FoldPoint, r_range: tuple[float, float]
     return direction, k, x
 
 
-def _fold_jump(spec: ModelSpec, fold: FoldPoint, r_range: tuple[float, float]
-               ) -> tuple[str, float]:
-    """Direction and landing rate of the jump released at a fold (`_fold_landing`)."""
-    direction, _, landing = _fold_landing(spec, fold, r_range)
-    return direction, landing
-
-
 class _RateCoordinate:
     """The LM isocline of one model parametrized by its rate R.
 
@@ -359,12 +352,13 @@ def _invert(f, df, target: np.ndarray, x_lo: np.ndarray, x_hi: np.ndarray,
 
 def _branch_rates(geo: _RateCoordinate, branch: Branch, y: np.ndarray) -> np.ndarray:
     """Rates where the branch reaches the incomes y: Y(R) = y, started from
-    the interpolated branch samples and bracketed by the branch's end rates."""
-    ys, rs = branch.ys, branch.rs
+    the chord between the branch's exact end points and bracketed by their
+    rates, so the result does not depend on the sample density."""
+    ends, rates = branch.ys[[0, -1]], branch.rs[[0, -1]]
     tol = 1e-13 * np.maximum(1.0, np.abs(y))
     return _invert(lambda r, _k: geo.income(r), lambda r, _k: geo.income_slope(r),
-                   y, np.full(len(y), rs[0]), np.full(len(y), rs[-1]),
-                   np.interp(y, ys, rs), tol)
+                   y, np.full(len(y), rates[0]), np.full(len(y), rates[1]),
+                   np.interp(y, ends, rates), tol)
 
 
 class _FreeLeg:

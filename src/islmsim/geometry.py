@@ -75,7 +75,8 @@ class ISCurve:
 
 @dataclass(frozen=True, eq=False)
 class Branch:
-    """One single-valued piece of the LM isocline; its samples are read-only.
+    """One single-valued piece of the LM isocline.  Its samples are read-only
+    drawing output: results read only its end points, which are exact.
     Equality is identity, and a branch hashes by identity.  `interval` is the
     index k of its rate interval (even k between windows, stable; odd k inside
     one), or -1 for a branch rebuilt from samples alone."""
@@ -91,12 +92,6 @@ class Branch:
     def __post_init__(self):
         for name in ("ys", "rs"):
             object.__setattr__(self, name, _read_only(getattr(self, name)))
-
-    def r_at(self, y: float) -> float:
-        if not self.covers(y):
-            raise ValueError(f"income {y} outside branch domain "
-                             f"[{self.ys[0]}, {self.ys[-1]}]")
-        return float(np.interp(y, self.ys, self.rs))
 
     def covers(self, y: float) -> bool:
         return self.ys[0] <= y <= self.ys[-1]

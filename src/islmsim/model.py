@@ -583,23 +583,16 @@ def _boundary_condition(spec: ModelSpec, y_range, r_range) -> ConditionResult:
     b = spec.is_block
     denom = b.i_r + b.s_r
     r_is = ((b.i0 - b.s0) + (b.i_y - b.s_y) * y0) / denom if denom else math.nan
-    # lowest root of excess_money(y0, .) over a scan widened below r_range
-    lo = min(r_range[0], r_is) - abs(r_range[1] - r_range[0])
-    grid = np.linspace(lo, r_range[1], 4001)
-    vals = excess_money_many(y0, grid, spec)
-    sign_flip = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-    if sign_flip.size == 0:
+    # lowest root of excess_money(y0, .) over a range widened below r_range,
+    # from the rate-interval table; geometry imports this module
+    from .geometry import lm_roots
+    roots = lm_roots(y0, spec, (min(r_range[0], r_is) - abs(r_range[1] - r_range[0]),
+                                r_range[1]))
+    if not roots:
         return ConditionResult("R_IS above lowest LM branch at low income", False, 1, 0,
                                math.nan, (y0, math.nan),
                                detail="no LM root found at the low-income edge")
-    a, c = grid[sign_flip[0]], grid[sign_flip[0] + 1]
-    for _ in range(80):
-        mid = 0.5 * (a + c)
-        if excess_money(y0, a, spec) * excess_money(y0, mid, spec) <= 0.0:
-            c = mid
-        else:
-            a = mid
-    r_lm = 0.5 * (a + c)
+    r_lm = roots[0]
     margin = r_is - r_lm
     return ConditionResult("R_IS above lowest LM branch at low income",
                            bool(margin > 0), 1, 0, float(margin), (float(y0), float(r_lm)))

@@ -11,7 +11,7 @@ instant; the state stays continuous while the isocline moves under it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -317,7 +317,7 @@ def is_shift_equivalence_check(spec: ModelSpec, g: float,
     }
 
 
-@dataclass
+@dataclass(frozen=True)
 class StabilizationPlan:
     fold: FoldPoint
     instrument: str               # "inflation" | "money-stock"
@@ -329,7 +329,6 @@ class StabilizationPlan:
     residual: float               # |shifted branch value at the fold - fold rate|;
                                   # for money-stock its floor, the window width q - p
     diagnosis: str = ""
-    fired: list = field(default_factory=list)
 
 
 def _shifted_branch_value(spec: ModelSpec, fold: FoldPoint, k: int,
@@ -501,8 +500,6 @@ def run_with_controller(spec: ModelSpec, ramp: FiscalDrive, plan: StabilizationP
         step = MonetaryStep(t_fired, **{instrument: plan.delta})
         controlled = apply_scenario(spec, Scenario((ramp, step), horizon), y0, r0,
                                     mode, **kwargs)
-        plan.fired.append({"t": t_fired, "y": y_fired, "delta": plan.delta,
-                           "instrument": plan.instrument, "mode": mode})
         late = any(j.t_start <= t_fired for j in controlled.jumps)
         tr = controlled.trajectory
         after = tr.t >= t_fired

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from islmsim import geometry
-from islmsim.dynamics import attach_to_branch, reduced_simulate
-from islmsim.geometry import is_curve, lm_roots, shift_lm, trace_lm_isocline
+from islmsim.dynamics import Trajectory, attach_to_branch, reduced_simulate
+from islmsim.geometry import find_equilibria, is_curve, lm_roots, shift_lm, trace_lm_isocline
 from islmsim.model import excess_money
 from islmsim.policy import (
     FiscalDrive,
@@ -257,7 +257,17 @@ def test_controller_prevents_the_jump(ref_spec, lower_fold, kw):
         assert report.r_band_controlled <= abs(
             plan.r_target - lower_fold.r) + 1e-9
         assert report.y_fired == pytest.approx(0.95 * lower_fold.y, abs=1e-6)
-        assert plan.fired  # the firing is logged on the plan
+
+
+def test_a_reused_plan_is_unchanged_by_controller_runs(ref_spec, ref_isocline, lower_fold, kw):
+    fresh = plan_stabilization(ref_spec, lower_fold, "inflation", ref_isocline)
+    plan = plan_stabilization(ref_spec, lower_fold, "inflation", ref_isocline)
+    ramp = FiscalDrive(0.0, 3.5, y_to=3.5)
+    for _ in range(2):
+        report = run_with_controller(ref_spec, ramp, plan, 2.8, 0.02,
+                                     mode="singular-limit", **kw)
+        assert report.t_fired is not None
+    assert plan == fresh
 
 
 def test_controller_traces_the_start_model_once(ref_spec, lower_fold, kw):
@@ -410,3 +420,45 @@ def test_probe_touching_classification(ref_spec, kw):
                                  touch_tol=1e-6, **kw)
     assert report["touching"]
     assert report["status"] == "touching"
+
+
+# ---------------------------------------------------------------------------
+# sample density
+
+def _sample_density_results(spec, lower_fold, kw, y_steps):
+    """Every result of the reduced runs and the geometry, traced at y_steps."""
+    iso = trace_lm_isocline(spec, kw["y_range"], y_steps, kw["r_range"], 500)
+    runs = dict(y_steps=y_steps, **kw)
+    branch, r0 = attach_to_branch(spec, iso, 2.8, 0.02)
+    driven = apply_scenario(spec, Scenario((FiscalDrive(0.0, 6.0, y_to=3.5),
+                                            MonetaryStep(2.0, d_pi=0.004),
+                                            MonetaryStep(4.0, d_ms=0.05)), 8.0),
+                            2.8, 0.02, "singular-limit", validate=False, **runs)
+    out = [branch.interval, branch.y_lo, branch.y_hi, r0, driven.events,
+           find_equilibria(spec, kw["y_range"], iso),
+           reduced_simulate(spec, 2.8, branch, 4.0, iso)]
+    for instrument, protect in (("inflation", None), ("money-stock", 3.6)):
+        plan = plan_stabilization(spec, lower_fold, instrument, iso, protect_to_y=protect)
+        report = run_with_controller(spec, FiscalDrive(0.0, 3.5, y_to=3.5), plan,
+                                     2.8, 0.02, mode="singular-limit", **runs)
+        out += [plan, report.to_dict(), report.controlled.trajectory]
+    probe = negative_rate_probe(shift_lm(spec, d_pi=0.008),
+                                Scenario((FiscalDrive(0.0, 2.0, y_to=1.0),), 12.0),
+                                1.5, 0.01, **runs)
+    out += [probe, driven.trajectory]
+    return out
+
+
+def test_results_do_not_depend_on_the_sample_density(ref_spec, lower_fold, kw):
+    # the samples are drawing output: every number below comes from the
+    # rate-interval table and the branches' exact end points
+    want = _sample_density_results(ref_spec, lower_fold, kw, 700)
+    for y_steps in (500, 1400):
+        got = _sample_density_results(ref_spec, lower_fold, kw, y_steps)
+        for a, b in zip(got, want):
+            if isinstance(a, Trajectory):  # equality is identity
+                for name in ("t", "y", "r"):
+                    np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+                assert a.jumps == b.jumps
+            else:
+                assert a == b, y_steps

@@ -13,11 +13,11 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from islmsim.dynamics import Trajectory, _fold_jump, attach_to_branch
-from islmsim.geometry import (FoldPoint, _trace_lm_isocline, find_equilibria, lm_roots,
-                              shift_lm, trace_lm_isocline)
+from islmsim.dynamics import Trajectory, _fold_landing, attach_to_branch
+from islmsim.geometry import (FoldPoint, _trace_lm_isocline, find_equilibria, is_curve,
+                              lm_roots, shift_lm, trace_lm_isocline)
 from islmsim.model import (ISBlock, ModelParams, ModelSpec, TrapWindow, build_three_phase_money,
-                           excess_money, excess_money_many)
+                           excess_money, excess_money_many, validate_properties)
 from islmsim.policy import FiscalDrive, Scenario, apply_scenario, plan_stabilization
 from islmsim.reference import no_trap_spec
 
@@ -70,7 +70,7 @@ def test_fold_jump_lands_on_first_root_beyond_the_window(spec):
     assume(len(folds) == 2 * len(spec.money.windows))
     off = spec.params.maturity_premium - spec.params.expected_inflation
     for y_f, r_f, kind in folds:
-        direction, landing = _fold_jump(spec, FoldPoint(y_f, r_f, kind), WIDE_R)
+        direction, _, landing = _fold_landing(spec, FoldPoint(y_f, r_f, kind), WIDE_R)
         # past the fold in its travel direction the fast flow pushes the rate
         travel = 1e-6 if kind == "lower-knee" else -1e-6
         push = excess_money_by_quadrature(spec, y_f + travel, r_f)
@@ -121,6 +121,21 @@ def test_shared_rate_scan_matches_the_oracles(spec, incomes, fold_offsets):
 
     iso = trace_lm_isocline(spec, WIDE_Y, TRACE_STEPS, WIDE_R)
     _assert_oracle_folds_and_monotone_branches(spec, iso)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(trap_specs(min_windows=0))
+def test_validator_low_income_root_is_the_lowest_dense_scan_root(spec):
+    # the boundary check's LM root at the low-income edge, on the rate range
+    # it widens below WIDE_R by the range's width
+    cond = next(c for c in validate_properties(spec, WIDE_Y, WIDE_R).conditions
+                if c.condition == "R_IS above lowest LM branch at low income")
+    y0, r_lm = cond.worst_point
+    r_lo = min(WIDE_R[0], is_curve(spec).intercept) - (WIDE_R[1] - WIDE_R[0])
+    roots = dense_scan_roots(spec, y0, (r_lo, WIDE_R[1]))
+    assert roots
+    assert r_lm == pytest.approx(roots[0], abs=1e-10)
 
 
 @settings(max_examples=40, deadline=None,
