@@ -20,8 +20,7 @@ from scipy.spatial import cKDTree
 # test_tracer_wraps_every_binding_and_restores_them asserts this binding
 from .geometry import (Branch, FoldPoint, LMIsocline, _interval_branch, _landing,
                        _window_rates, lm_roots)
-from .model import (ModelSpec, _read_only, excess_goods, excess_money, excess_money_many,
-                    short_rate)
+from .model import ModelSpec, _read_only, excess_money, excess_money_many, short_rate
 
 __all__ = [
     "IntegrationError",
@@ -173,19 +172,19 @@ def integrate(spec: ModelSpec, y0: float, r0: float, t_end: float,
         raise ValueError("income must start non-negative")
     p = spec.params
     fa = p.beta
+    money, goods = spec._excess_money, spec._excess_goods
 
     if drive_slope is None:
         sl = p.epsilon * p.alpha
 
         def rhs(_t, state):
-            y, r = state
+            y, r = state.tolist()
             y_eval = y if y > 0.0 else 0.0
-            return (sl * excess_goods(y_eval, r, spec),
-                    fa * excess_money(y_eval, r, spec))
+            return (sl * goods(y_eval, r), fa * money(y_eval, r))
     else:
         def rhs(_t, state):
-            y, r = state
-            return (drive_slope, fa * excess_money(y if y > 0.0 else 0.0, r, spec))
+            y, r = state.tolist()
+            return (drive_slope, fa * money(y if y > 0.0 else 0.0, r))
 
     if stride is None:
         stride = (t_end - t_start) / 2000.0
@@ -292,7 +291,8 @@ class _RateCoordinate:
         self.spec = spec
         self.k_y = spec.money.l_y - spec.money.m_y
         self.alpha = p.alpha
-        self.g0, self.g_y, self.g_r = b.i0 - b.s0, b.i_y - b.s_y, b.i_r + b.s_r
+        self.goods = spec._excess_goods  # G(y, r), for floats and arrays
+        self.g_y, self.g_r = b.i_y - b.s_y, b.i_r + b.s_r
         self.breaks = np.asarray(spec.money._table[0]) \
             + (p.maturity_premium - p.expected_inflation)
 
@@ -302,9 +302,6 @@ class _RateCoordinate:
     def income_slope(self, r):
         d_l, d_m = self.spec.money.slope_parts_many(short_rate(np.asarray(r), self.spec.params))
         return (d_m - d_l) / self.k_y
-
-    def goods(self, y, r):
-        return self.g0 + self.g_y * y - self.g_r * r
 
     def goods_along(self, r):
         """G(R), the goods excess at (Y(R), R)."""

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -237,7 +237,7 @@ def _interval_root(y: float, spec: ModelSpec, scan, row) -> float | None:
             lo, f_lo, i0 = grid[m], f_m, m + 1
         else:
             hi, i1 = grid[m], m
-    return _bisect(lambda r: excess_money(y, r, spec), lo, hi, f_lo, 1e-14)
+    return _bisect(partial(spec._excess_money, y), lo, hi, f_lo, 1e-14)
 
 
 def _scan_roots(y: float, spec: ModelSpec, scan) -> list[tuple[int, float]]:
@@ -451,8 +451,10 @@ def find_equilibria(spec: ModelSpec, y_range: tuple[float, float],
     y_lo, y_hi = y_range
     ends = [r for span in _window_rates(spec) for r in span]
 
+    money = spec._excess_money
+
     def phi(y: float) -> float:
-        return excess_money(y, curve.r_at(y), spec)
+        return money(y, curve.r_at(y))
 
     def dphi(y: float) -> float:
         return k_y + curve.slope * excess_money_slope(curve.r_at(y), spec)
@@ -460,7 +462,7 @@ def find_equilibria(spec: ModelSpec, y_range: tuple[float, float],
     knots = [y_lo, y_hi]
     if curve.slope != 0.0:
         off = spec.params.maturity_premium - spec.params.expected_inflation
-        breaks, _ = spec.money._table
+        breaks = spec.money._table[0]
         knots[1:1] = sorted(y for i in breaks
                             if y_lo < (y := (i + off - curve.intercept) / curve.slope) < y_hi)
 

@@ -14,7 +14,7 @@ import hashlib
 import json
 import math
 from bisect import bisect_right
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -162,33 +162,41 @@ class TrapWindow:
 _FLAT, _RISE, _FALL = 0, 1, 2
 
 
-@dataclass(frozen=True)
-class _Segment:
-    """One piece of (f_L', f_M') = (c_l, c_m) * shape(u), u = (i - ref) / width."""
+def _segment_parts(kind: int, ref: float, width: float, c_l: float, c_m: float,
+                   f_l: float, f_m: float):
+    """The (levels, slopes) functions of one piece of
+    (f_L', f_M') = (c_l, c_m) * shape(u), u = (i - ref) / width, whose levels
+    are (f_l, f_m) at `ref`.  Each kind's formulas are written once and serve
+    floats and arrays alike; the constants are captured, so a scalar call is
+    one function call."""
+    if kind == _FLAT:
+        def levels(i):
+            cum = i - ref
+            return f_l + c_l * cum, f_m + c_m * cum
 
-    kind: int
-    ref: float            # abscissa where the levels f_l, f_m are stored
-    width: float          # piece width (rise and fall only)
-    c_l: float
-    c_m: float
-    f_l: float
-    f_m: float
+        def slopes(_i):
+            return c_l, c_m
+        return levels, slopes
 
-    def slopes(self, i):
-        if self.kind == _FLAT:
-            return self.c_l, self.c_m
-        u = (i - self.ref) / self.width
-        s = _smoothstep(u) if self.kind == _RISE else _smoothstep_complement(u)
-        return self.c_l * s, self.c_m * s
+    rise = kind == _RISE
 
-    def levels(self, i):
-        if self.kind == _FLAT:
-            cum = i - self.ref
-        else:
-            u = (i - self.ref) / self.width
-            g = _smoothstep_integral(u) if self.kind == _RISE else u - _smoothstep_integral(u)
-            cum = self.width * g
-        return self.f_l + self.c_l * cum, self.f_m + self.c_m * cum
+    def levels(i):
+        u = (i - ref) / width
+        g = _smoothstep_integral(u) if rise else u - _smoothstep_integral(u)
+        cum = width * g
+        return f_l + c_l * cum, f_m + c_m * cum
+
+    def slopes(i):
+        u = (i - ref) / width
+        s = _smoothstep(u) if rise else _smoothstep_complement(u)
+        return c_l * s, c_m * s
+    return levels, slopes
+
+
+def _fields_state(self) -> dict:
+    """Pickle and copy state of a frozen dataclass: its fields only.  The
+    evaluators cached on it are closures, rebuilt on first use."""
+    return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -223,38 +231,39 @@ class MoneyBlock:
                 raise ConstructionError("trap windows must be disjoint and sorted ascending")
             prev_q = w.q
 
+    __getstate__ = _fields_state
+
     @cached_property
-    def _table(self) -> tuple[list[float], tuple[_Segment, ...]]:
-        """Segment start abscissae (the first segment's is -inf, left out) and
-        the segments."""
+    def _table(self) -> tuple[list[float], tuple, tuple]:
+        """Segment start abscissae (the first segment's is -inf, left out),
+        and each segment's levels and slopes functions (`_segment_parts`)."""
         return _build_segments(self)
 
     def level_parts(self, i: float) -> tuple[float, float]:
         """Return (f_L(i), f_M(i)), the rate-dependent parts of L and M."""
-        breaks, segs = self._table
-        return segs[bisect_right(breaks, i)].levels(i)
+        breaks, levels, _ = self._table
+        return levels[bisect_right(breaks, i)](i)
 
     def slope_parts(self, i: float) -> tuple[float, float]:
         """Return (f_L'(i), f_M'(i)), the slopes with respect to the short rate."""
-        breaks, segs = self._table
-        return segs[bisect_right(breaks, i)].slopes(i)
+        breaks, _, slopes = self._table
+        return slopes[bisect_right(breaks, i)](i)
 
     def level_parts_many(self, i) -> tuple[np.ndarray, np.ndarray]:
-        return self._per_segment(i, _Segment.levels)
+        return self._per_segment(i, self._table[1])
 
     def slope_parts_many(self, i) -> tuple[np.ndarray, np.ndarray]:
-        return self._per_segment(i, _Segment.slopes)
+        return self._per_segment(i, self._table[2])
 
-    def _per_segment(self, i, part) -> tuple[np.ndarray, np.ndarray]:
+    def _per_segment(self, i, parts) -> tuple[np.ndarray, np.ndarray]:
         i = np.asarray(i, dtype=float)
-        breaks, segs = self._table
-        idx = np.searchsorted(breaks, i, side="right")
+        idx = np.searchsorted(self._table[0], i, side="right")
         out_l = np.empty_like(i)
         out_m = np.empty_like(i)
-        for k, s in enumerate(segs):
+        for k, part in enumerate(parts):
             mask = idx == k
             if mask.any():
-                out_l[mask], out_m[mask] = part(s, i[mask])
+                out_l[mask], out_m[mask] = part(i[mask])
         return out_l, out_m
 
     def demand(self, y: float, i: float) -> float:
@@ -267,7 +276,7 @@ class MoneyBlock:
         return [(w.p, w.q) for w in self.windows]
 
 
-def _build_segments(block: MoneyBlock) -> tuple[list[float], tuple[_Segment, ...]]:
+def _build_segments(block: MoneyBlock) -> tuple[list[float], tuple, tuple]:
     """Lay out the piecewise slope structure and integrate it exactly.
 
     Each window gets an inward-tapering shoulder on both sides over which the
@@ -302,20 +311,19 @@ def _build_segments(block: MoneyBlock) -> tuple[list[float], tuple[_Segment, ...
 
     # The head piece is unbounded below, so it stores its levels at its end
     # (or at zero when there are no windows); levels start at zero there.
-    segments: list[_Segment] = []
+    segments = []    # (kind, ref, width, c_l, c_m, f_l, f_m)
     f_l = f_m = 0.0
     for lo, hi, kind, (c_l, c_m) in pieces:
         ref = lo if lo > -math.inf else (hi if hi < math.inf else 0.0)
-        seg = _Segment(kind, ref, hi - lo, c_l, c_m, f_l, f_m)
-        segments.append(seg)
+        segments.append((kind, ref, hi - lo, c_l, c_m, f_l, f_m))
         if hi < math.inf:
-            f_l, f_m = seg.levels(hi)
+            f_l, f_m = _segment_parts(*segments[-1])[0](hi)
     breaks = [lo for lo, _, _, _ in pieces[1:]]
 
     # Re-anchor so that f_L(0) = f_M(0) = 0 exactly.
-    off_l, off_m = segments[bisect_right(breaks, 0.0)].levels(0.0)
-    return breaks, tuple(replace(s, f_l=s.f_l - off_l, f_m=s.f_m - off_m)
-                         for s in segments)
+    off_l, off_m = _segment_parts(*segments[bisect_right(breaks, 0.0)])[0](0.0)
+    parts = [_segment_parts(*seg[:5], seg[5] - off_l, seg[6] - off_m) for seg in segments]
+    return breaks, tuple(lv for lv, _ in parts), tuple(sl for _, sl in parts)
 
 
 @dataclass(frozen=True)
@@ -325,6 +333,18 @@ class ModelSpec:
     params: ModelParams
     is_block: ISBlock
     money: MoneyBlock
+
+    __getstate__ = _fields_state
+
+    # the model's evaluators, built on first use (closures, so pickles and
+    # copies leave them out)
+    @cached_property
+    def _excess_money(self):
+        return _money_excess(self)
+
+    @cached_property
+    def _excess_goods(self):
+        return _goods_excess(self.is_block)
 
     def to_dict(self) -> dict:
         d = {
@@ -378,22 +398,46 @@ def short_rate(r: float, params: ModelParams) -> float:
     return r - params.maturity_premium + params.expected_inflation
 
 
+def _goods_excess(b: ISBlock):
+    """The goods excess G(y, r) = I - S of one model, for floats and arrays
+    alike, with no domain check (`excess_goods` adds one)."""
+    g0, g_y, g_r = b.i0 - b.s0, b.i_y - b.s_y, b.i_r + b.s_r
+
+    def excess(y, r):
+        return g0 + g_y * y - g_r * r
+    return excess
+
+
 def excess_goods(y: float, r: float, spec: ModelSpec) -> float:
     """I(y, r) - S(y, r); its sign drives the slow income variable."""
     if y < 0.0:
         raise ModelDomainError(f"income must be non-negative, got {y}")
-    b = spec.is_block
-    return (b.i0 - b.s0) + (b.i_y - b.s_y) * y - (b.i_r + b.s_r) * r
+    return spec._excess_goods(y, r)
 
 
 def excess_money(y: float, r: float, spec: ModelSpec) -> float:
     """L - M - M_S at the implied short rate; its sign drives the fast rate."""
-    if y < 0.0:
-        raise ModelDomainError(f"income must be non-negative, got {y}")
-    i = short_rate(r, spec.params)
-    m = spec.money
-    f_l, f_m = m.level_parts(i)
-    return (m.l0 - m.m0) + (m.l_y - m.m_y) * y + (f_l - f_m) - spec.params.m_stock
+    return spec._excess_money(y, r)
+
+
+def _money_excess(spec: ModelSpec):
+    """The scalar money excess E(y, r) of one model: one `bisect_right` finds
+    the segment, whose levels function runs on captured constants.  The
+    arithmetic is `excess_money_many`'s, in the same order, so the two agree
+    bit for bit.  Scalar hot loops take it once per model
+    (`ModelSpec._excess_money`) and call it directly."""
+    p, m = spec.params, spec.money
+    mp, pi_e, m_stock = p.maturity_premium, p.expected_inflation, p.m_stock
+    c0, k_y = m.l0 - m.m0, m.l_y - m.m_y
+    breaks, levels, _ = m._table
+
+    def excess(y, r):
+        if y < 0.0:
+            raise ModelDomainError(f"income must be non-negative, got {y}")
+        i = r - mp + pi_e  # `short_rate`
+        f_l, f_m = levels[bisect_right(breaks, i)](i)
+        return c0 + k_y * y + (f_l - f_m) - m_stock
+    return excess
 
 
 def excess_money_many(y, r, spec: ModelSpec) -> np.ndarray:

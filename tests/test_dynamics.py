@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from islmsim.dynamics import (
     FULL_MODE,
@@ -16,9 +17,9 @@ from islmsim.dynamics import (
     reduced_simulate,
 )
 from islmsim.geometry import find_equilibria, shift_lm, trace_lm_isocline
-from islmsim.model import excess_money, excess_money_many
+from islmsim.model import excess_goods, excess_money, excess_money_many
 from islmsim.policy import FiscalDrive, Scenario, apply_scenario
-from islmsim.reference import no_trap_spec, reference_spec, steep_is_spec
+from islmsim.reference import no_trap_spec, reference_spec, steep_is_spec, three_window_spec
 
 from oracles import reduced_period_by_quadrature
 
@@ -43,6 +44,35 @@ def test_trajectory_samples_are_read_only(ref_spec, ref_reduced_cycle):
     t = np.array([0.0, 1.0])
     Trajectory(t, np.zeros(2), np.zeros(2), "full-epsilon", "x")
     t[0] = -1.0
+
+
+@pytest.mark.parametrize("make_spec, eps, t_end, drive_slope", [
+    pytest.param(reference_spec, 1e-2, 2 * 6.1 / 1e-2, None, id="reference-free"),
+    pytest.param(three_window_spec, 1e-2, 2 * 6.1 / 1e-2, None, id="three-window-free"),
+    pytest.param(reference_spec, 1e-3, 300.0, 0.01, id="reference-ramp"),
+])
+def test_integrate_matches_an_independent_rk45_run(make_spec, eps, t_end, drive_slope):
+    # the same RK45 problem with a right-hand side from the public excess
+    # functions, income clamped at 0, gives the same samples bit for bit
+    spec = make_spec(epsilon=eps)
+    p = spec.params
+    y0, r0, stride, rtol, atol = 1.5, 0.01, 1.0, 1e-8, 1e-10
+    traj = integrate(spec, y0, r0, t_end, rtol=rtol, atol=atol, stride=stride,
+                     drive_slope=drive_slope)
+
+    def rhs(_t, state):
+        y, r = max(state[0], 0.0), state[1]
+        dy = (p.epsilon * p.alpha * excess_goods(y, r, spec) if drive_slope is None
+              else drive_slope)
+        return dy, p.beta * excess_money(y, r, spec)
+
+    t_eval = np.linspace(0.0, t_end, int(round(t_end / stride)) + 1)
+    sol = solve_ivp(rhs, (0.0, t_end), (y0, r0), method="RK45", rtol=rtol, atol=atol,
+                    t_eval=t_eval)
+    assert sol.success
+    assert np.array_equal(traj.t, sol.t)
+    assert np.array_equal(traj.y, sol.y[0])
+    assert np.array_equal(traj.r, sol.y[1])
 
 
 def test_integration_stays_at_stable_equilibrium(ref_domain):

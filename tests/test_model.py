@@ -1,11 +1,13 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from islmsim.geometry import trace_lm_isocline
+from islmsim.geometry import shift_lm, trace_lm_isocline
 from islmsim.model import (
     ConstructionError,
     ISBlock,
@@ -207,6 +209,37 @@ def test_scalar_and_vector_money_paths_agree(i):
     w_l, w_m = money.slope_parts_many(np.array([i]))
     assert d_l == w_l[0]
     assert d_m == w_m[0]
+
+
+def test_an_evaluated_spec_pickles_and_copies_unchanged():
+    # the evaluators cached on a spec and its money block are closures;
+    # pickles and copies carry the fields only
+    spec = two_window_spec()
+    points = [(y, r) for y in (0.0, 1.3, 4.2) for r in (-0.05, 0.031, 0.07, 0.2)]
+    before = [(excess_money(y, r, spec), excess_goods(y, r, spec)) for y, r in points]
+    spec.money.level_parts(0.05)
+    for copied in (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec), copy.copy(spec)):
+        assert copied == spec
+        assert hash(copied) == hash(spec)
+        assert copied.spec_id == spec.spec_id
+        assert copied.to_dict() == spec.to_dict()
+        assert [(excess_money(y, r, copied), excess_goods(y, r, copied))
+                for y, r in points] == before
+    assert pickle.loads(pickle.dumps(spec.money)) == spec.money
+
+
+def test_a_shifted_spec_evaluates_like_a_fresh_one():
+    # shift_lm shares the money block but no evaluator of the source spec
+    spec = two_window_spec()
+    points = [(y, r) for y in (0.0, 1.3, 4.2) for r in (-0.05, 0.031, 0.07, 0.2)]
+    [excess_money(y, r, spec) for y, r in points]
+    shifted = shift_lm(spec, d_pi=0.013, d_ms=-0.21)
+    fresh = ModelSpec.from_dict(shifted.to_dict())
+    assert fresh == shifted
+    for y, r in points:
+        assert excess_money(y, r, shifted) == excess_money(y, r, fresh)
+        assert excess_goods(y, r, shifted) == excess_goods(y, r, fresh)
+    assert excess_money(1.3, 0.07, shifted) != excess_money(1.3, 0.07, spec)
 
 
 def test_excess_money_monotonicity_pattern(ref_spec):

@@ -261,6 +261,21 @@ def test_scalar_and_vector_money_paths_agree_on_random_specs(spec, i):
     assert money.slope_parts(i) == (w_l[0], w_m[0])
 
 
+@settings(max_examples=60, deadline=None)
+@given(trap_specs(min_windows=0), st.floats(0.0, 40.0), st.floats(-0.1, 0.6))
+def test_scalar_and_vector_money_excess_agree_exactly(spec, y, r):
+    # the scalar evaluator bypasses `level_parts`; it must match the vector
+    # path bit for bit, also one ulp either side of every segment break and
+    # window endpoint (as long rates)
+    off = spec.params.maturity_premium - spec.params.expected_inflation
+    rates = [r]
+    for b in _breakpoints(spec, -1.0, 1.0) or []:
+        r_b = b + off
+        rates += [np.nextafter(r_b, -np.inf), r_b, np.nextafter(r_b, np.inf)]
+    for x in rates:
+        assert excess_money(y, float(x), spec) == excess_money_many(y, x, spec)[()], (y, x)
+
+
 @settings(max_examples=40, deadline=None)
 @given(trap_specs(min_windows=1))
 def test_money_parts_are_continuous_across_segment_boundaries(spec):
