@@ -8,6 +8,7 @@ values (defaults filled in) for the run's provenance record.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -46,6 +47,18 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], path: str):
         raise ConfigError(f"missing required key(s) {sorted(missing)}", path)
 
 
+def _finite(x, key: str, path: str) -> float:
+    """A JSON number as a float; NaN, infinities and integers too large for a
+    float are rejected."""
+    try:
+        x = float(x)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise ConfigError(f"'{key}' must be finite, got {x}", path)
+    return x
+
+
 def _number(obj: dict, key: str, path: str, default=None, positive=False,
             nonnegative=False):
     if key not in obj:
@@ -55,7 +68,7 @@ def _number(obj: dict, key: str, path: str, default=None, positive=False,
     v = obj[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"'{key}' must be a number, got {v!r}", path)
-    v = float(v)
+    v = _finite(v, key, path)
     if positive and v <= 0.0:
         raise ConfigError(f"'{key}' must be positive, got {v}", path)
     if nonnegative and v < 0.0:
@@ -97,7 +110,7 @@ def _pair(obj: dict, key: str, path: str, default=None) -> tuple[float, float]:
     if (not isinstance(v, (list, tuple)) or len(v) != 2
             or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in v)):
         raise ConfigError(f"'{key}' must be a pair of numbers", path)
-    lo, hi = float(v[0]), float(v[1])
+    lo, hi = _finite(v[0], key, path), _finite(v[1], key, path)
     if hi <= lo:
         raise ConfigError(f"'{key}' must be a non-degenerate range, got [{lo}, {hi}]",
                           path)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property
@@ -516,109 +517,120 @@ class ValidationReport:
         }
 
 
-def _signed_check(name: str, values: np.ndarray, want_positive: bool,
-                  ys: np.ndarray, rs: np.ndarray, detail: str = "") -> ConditionResult:
-    """Check the sign of sampled derivative values, skipping degenerate points."""
+def _signed_check(name: str, values: np.ndarray, want_positive: bool, y: float,
+                  rs: np.ndarray, weight: int) -> ConditionResult:
+    """Check the sign of derivative values taken at income `y` and the rates
+    `rs`, each value standing for `weight` grid points; degenerate values are
+    counted, not signed."""
     signed = np.abs(values) > SIGN_DEGENERACY_TOL
-    n_deg = int(values.size - signed.sum())
+    n_signed = int(signed.sum())
     vals = values if want_positive else -values
-    ok = vals[signed] > 0.0
-    passed = bool(ok.all()) if ok.size else True
-    if vals.size:
-        masked = np.where(signed, vals, np.inf).ravel()
-        k = int(np.argmin(masked))
-        worst_value = float(values.flat[k])
-        # values within WORST_TIE_TOL of the worst tie up to rounding; the
-        # lowest-income one is reported, so the point does not follow noise
-        tied = np.flatnonzero(masked <= masked[k] + WORST_TIE_TOL)
-        k = int(tied[np.argmin(ys.ravel()[tied])])
-        worst_point = (float(ys.flat[k]), float(rs.flat[k]))
-    else:
-        worst_value, worst_point = math.nan, (math.nan, math.nan)
-    return ConditionResult(name, passed, int(signed.sum()), n_deg, worst_value, worst_point, detail)
+    passed = bool(np.all(vals[signed] > 0.0))
+    masked = np.where(signed, vals, np.inf)
+    k = int(np.argmin(masked))
+    # values within WORST_TIE_TOL of the worst tie up to rounding; every value
+    # is taken at the lowest income, and the lowest-rate tie is reported, so
+    # the point does not follow noise
+    tie = int(np.argmax(masked <= masked[k] + WORST_TIE_TOL))
+    return ConditionResult(name, passed, weight * n_signed,
+                           weight * (values.size - n_signed), float(values[k]),
+                           (y, float(rs[tie])))
+
+
+def _finite_range(name: str, pair) -> tuple[float, float]:
+    lo, hi = map(float, pair)
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"{name} must be a finite increasing range, got {pair!r}")
+    return lo, hi
 
 
 def validate_properties(spec: ModelSpec, y_range: tuple[float, float],
                         r_range: tuple[float, float], grid_n: int = 200) -> ValidationReport:
-    """Numerically verify every behavioural sign condition on a grid.
+    """Numerically verify every behavioural sign condition on a grid of
+    `grid_n` incomes by `grid_n` rates.
 
     All derivatives are taken by central finite differences, so the checks are
-    independent of the closed forms used elsewhere.  Trap-window interiors are
-    held to the reversed rate-slope signs, exteriors to the standard ones.
-    Never raises; malformed inputs come back as a failed report.
+    independent of the closed forms used elsewhere.  The model is separable:
+    the goods block is linear, and L and M are linear in income plus a
+    function of the short rate.  So each difference is taken once along the
+    axis it varies on, at the lowest income, and counted over the grid: a
+    constant slope stands for all grid_n**2 points, a rate slope at one rate
+    for that rate's grid_n points.  Trap-window interiors are held to the
+    reversed rate-slope signs, exteriors to the standard ones.
+    Never raises; malformed inputs come back as a failed report that carries
+    them as given.
     """
     try:
-        if grid_n < 100:
+        n = operator.index(grid_n)
+        if n < 100:
             raise ValueError("grid_n must be at least 100 per axis")
-        ys = np.linspace(y_range[0], y_range[1], grid_n)
-        rs = np.linspace(r_range[0], r_range[1], grid_n)
-        yy, rr = np.meshgrid(ys, rs, indexing="ij")
-        h_y = FD_STEP_FRACTION * max(1.0, abs(y_range[1] - y_range[0]))
-        h_r = FD_STEP_FRACTION * max(1.0, abs(r_range[1] - r_range[0]))
+        y_lo, y_hi = _finite_range("y_range", y_range)
+        r_lo, r_hi = _finite_range("r_range", r_range)
+        rs = np.linspace(r_lo, r_hi, n)
+        h_y = FD_STEP_FRACTION * max(1.0, y_hi - y_lo)
+        h_r = FD_STEP_FRACTION * max(1.0, r_hi - r_lo)
 
         b = spec.is_block
         inv = lambda y, r: b.i0 + b.i_y * y - b.i_r * r
         sav = lambda y, r: b.s0 + b.s_y * y + b.s_r * r
 
-        di_dy = (inv(yy + h_y, rr) - inv(yy - h_y, rr)) / (2 * h_y)
-        di_dr = (inv(yy, rr + h_r) - inv(yy, rr - h_r)) / (2 * h_r)
-        ds_dy = (sav(yy + h_y, rr) - sav(yy - h_y, rr)) / (2 * h_y)
-        ds_dr = (sav(yy, rr + h_r) - sav(yy, rr - h_r)) / (2 * h_r)
+        di_dy = (inv(y_lo + h_y, r_lo) - inv(y_lo - h_y, r_lo)) / (2 * h_y)
+        di_dr = (inv(y_lo, r_lo + h_r) - inv(y_lo, r_lo - h_r)) / (2 * h_r)
+        ds_dy = (sav(y_lo + h_y, r_lo) - sav(y_lo - h_y, r_lo)) / (2 * h_y)
+        ds_dr = (sav(y_lo, r_lo + h_r) - sav(y_lo, r_lo - h_r)) / (2 * h_r)
 
         money = spec.money
         demand = lambda y, f_l: money.l0 + money.l_y * y + f_l
         supply = lambda y, f_m: money.m0 + money.m_y * y + f_m
 
-        ii = short_rate(rr, spec.params)
-        f_l, f_m = money.level_parts_many(ii)
-        dl_dy = (demand(yy + h_y, f_l) - demand(yy - h_y, f_l)) / (2 * h_y)
-        dm_dy = (supply(yy + h_y, f_m) - supply(yy - h_y, f_m)) / (2 * h_y)
-        del f_l, f_m  # grid-sized; free each level pair once it is used
-        up_l, up_m = money.level_parts_many(short_rate(rr + h_r, spec.params))
-        dn_l, dn_m = money.level_parts_many(short_rate(rr - h_r, spec.params))
-        dl_di = (demand(yy, up_l) - demand(yy, dn_l)) / (2 * h_r)
-        dm_di = (supply(yy, up_m) - supply(yy, dn_m)) / (2 * h_r)
-        del up_l, up_m, dn_l, dn_m
+        f_l, f_m = money.level_parts(short_rate(r_lo, spec.params))
+        dl_dy = (demand(y_lo + h_y, f_l) - demand(y_lo - h_y, f_l)) / (2 * h_y)
+        dm_dy = (supply(y_lo + h_y, f_m) - supply(y_lo - h_y, f_m)) / (2 * h_y)
+        up_l, up_m = money.level_parts_many(short_rate(rs + h_r, spec.params))
+        dn_l, dn_m = money.level_parts_many(short_rate(rs - h_r, spec.params))
+        dl_di = (demand(y_lo, up_l) - demand(y_lo, dn_l)) / (2 * h_r)
+        dm_di = (supply(y_lo, up_m) - supply(y_lo, dn_m)) / (2 * h_r)
 
-        inside = np.zeros_like(ii, dtype=bool)
+        ii = short_rate(rs, spec.params)
+        inside = np.zeros(n, dtype=bool)
         for p, q in money.window_spans():
             inside |= (ii > p) & (ii < q)
         outside = ~inside
 
+        def constant(name, value, want_positive):
+            return _signed_check(name, np.array([value]), want_positive, y_lo, rs[:1], n * n)
+
+        def rate_slope(name, values, where, want_positive):
+            return _signed_check(name, values[where], want_positive, y_lo, rs[where], n)
+
         conds = [
-            _signed_check("dI_dY > 0", di_dy, True, yy, rr),
-            _signed_check("dI_dY < 1", 1.0 - di_dy, True, yy, rr),
-            _signed_check("dI_dR < 0", di_dr, False, yy, rr),
-            _signed_check("dS_dY > 0", ds_dy, True, yy, rr),
-            _signed_check("dS_dY < 1", 1.0 - ds_dy, True, yy, rr),
-            _signed_check("dS_dR > 0", ds_dr, True, yy, rr),
-            _signed_check("dI_dY < dS_dY (decreasing IS)", ds_dy - di_dy, True, yy, rr),
-            _signed_check("dL_dY > 0", dl_dy, True, yy, rr),
-            _signed_check("dM_dY > 0", dm_dy, True, yy, rr),
-            _signed_check("dM_dY < dL_dY", dl_dy - dm_dy, True, yy, rr),
+            constant("dI_dY > 0", di_dy, True),
+            constant("dI_dY < 1", 1.0 - di_dy, True),
+            constant("dI_dR < 0", di_dr, False),
+            constant("dS_dY > 0", ds_dy, True),
+            constant("dS_dY < 1", 1.0 - ds_dy, True),
+            constant("dS_dR > 0", ds_dr, True),
+            constant("dI_dY < dS_dY (decreasing IS)", ds_dy - di_dy, True),
+            constant("dL_dY > 0", dl_dy, True),
+            constant("dM_dY > 0", dm_dy, True),
+            constant("dM_dY < dL_dY", dl_dy - dm_dy, True),
         ]
         if outside.any():
-            conds.append(_signed_check(
-                "dL_di_S < 0 outside trap windows", dl_di[outside], False,
-                yy[outside], rr[outside]))
-            conds.append(_signed_check(
-                "dM_di_S > 0 outside trap windows", dm_di[outside], True,
-                yy[outside], rr[outside]))
+            conds.append(rate_slope("dL_di_S < 0 outside trap windows", dl_di, outside, False))
+            conds.append(rate_slope("dM_di_S > 0 outside trap windows", dm_di, outside, True))
         if inside.any():
-            conds.append(_signed_check(
-                "dL_di_S > 0 inside trap windows (reversed)", dl_di[inside], True,
-                yy[inside], rr[inside]))
-            conds.append(_signed_check(
-                "dM_di_S < 0 inside trap windows (reversed)", dm_di[inside], False,
-                yy[inside], rr[inside]))
+            conds.append(rate_slope("dL_di_S > 0 inside trap windows (reversed)",
+                                    dl_di, inside, True))
+            conds.append(rate_slope("dM_di_S < 0 inside trap windows (reversed)",
+                                    dm_di, inside, False))
 
         conds.append(_boundary_condition(spec, y_range, r_range))
         passed = all(c.passed for c in conds)
-        return ValidationReport(passed, tuple(conds), tuple(y_range), tuple(r_range), grid_n)
+        return ValidationReport(passed, tuple(conds), tuple(y_range), tuple(r_range), n)
     except Exception as exc:  # contract: report, never raise
         fail = ConditionResult("validation run", False, 0, 0, math.nan,
                                (math.nan, math.nan), detail=str(exc))
-        return ValidationReport(False, (fail,), tuple(y_range), tuple(r_range), int(grid_n))
+        return ValidationReport(False, (fail,), y_range, r_range, grid_n)
 
 
 def _boundary_condition(spec: ModelSpec, y_range, r_range) -> ConditionResult:

@@ -4,7 +4,8 @@ Everything here recomputes expected values through routes the library does
 not use: numerical quadrature of the slope functions instead of closed-form
 integrals, brute-force dense scans instead of continuation, finite-difference
 Jacobians and eigenvalue classification instead of the analytic trace and
-determinant shortcut.
+determinant shortcut, and sign validation at every point of the full grid
+instead of once along the axis each derivative varies on.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from islmsim.model import ModelSpec, excess_goods, excess_money
+from islmsim.model import (FD_STEP_FRACTION, SIGN_DEGENERACY_TOL, WORST_TIE_TOL,
+                           ConditionResult, ModelSpec, ValidationReport, _boundary_condition,
+                           excess_goods, excess_money, short_rate)
 
 
 def rate_gap_slope(spec: ModelSpec, i: float) -> float:
@@ -227,3 +230,111 @@ def reduced_period_by_quadrature(spec: ModelSpec, y_range: tuple[float, float],
     land_up = [r for r in dense_scan_roots(spec, y_up, r_range) if r > r_down][0]
     land_down = [r for r in dense_scan_roots(spec, y_down, r_range) if r < r_up][-1]
     return leg(land_down, r_up) + leg(land_up, r_down)
+
+
+# ---------------------------------------------------------------------------
+# sign validation on the full grid
+
+def _grid_signed_check(name: str, values: np.ndarray, want_positive: bool,
+                       ys: np.ndarray, rs: np.ndarray, detail: str = "") -> ConditionResult:
+    """Check the sign of sampled derivative values, skipping degenerate points."""
+    signed = np.abs(values) > SIGN_DEGENERACY_TOL
+    n_deg = int(values.size - signed.sum())
+    vals = values if want_positive else -values
+    ok = vals[signed] > 0.0
+    passed = bool(ok.all()) if ok.size else True
+    if vals.size:
+        masked = np.where(signed, vals, np.inf).ravel()
+        k = int(np.argmin(masked))
+        worst_value = float(values.flat[k])
+        # values within WORST_TIE_TOL of the worst tie up to rounding; the
+        # lowest-income one is reported, so the point does not follow noise
+        tied = np.flatnonzero(masked <= masked[k] + WORST_TIE_TOL)
+        k = int(tied[np.argmin(ys.ravel()[tied])])
+        worst_point = (float(ys.flat[k]), float(rs.flat[k]))
+    else:
+        worst_value, worst_point = math.nan, (math.nan, math.nan)
+    return ConditionResult(name, passed, int(signed.sum()), n_deg, worst_value, worst_point, detail)
+
+
+def grid_validation(spec: ModelSpec, y_range: tuple[float, float],
+                    r_range: tuple[float, float], grid_n: int = 200) -> ValidationReport:
+    """`validate_properties` by brute force: every central difference is
+    taken at each of the grid_n x grid_n points, with no use of the model's
+    separability, and each point is counted and tie-broken on its own.
+
+    Trap-window interiors are held to the reversed rate-slope signs,
+    exteriors to the standard ones; the boundary condition is the library's.
+    """
+    try:
+        if grid_n < 100:
+            raise ValueError("grid_n must be at least 100 per axis")
+        ys = np.linspace(y_range[0], y_range[1], grid_n)
+        rs = np.linspace(r_range[0], r_range[1], grid_n)
+        yy, rr = np.meshgrid(ys, rs, indexing="ij")
+        h_y = FD_STEP_FRACTION * max(1.0, abs(y_range[1] - y_range[0]))
+        h_r = FD_STEP_FRACTION * max(1.0, abs(r_range[1] - r_range[0]))
+
+        b = spec.is_block
+        inv = lambda y, r: b.i0 + b.i_y * y - b.i_r * r
+        sav = lambda y, r: b.s0 + b.s_y * y + b.s_r * r
+
+        di_dy = (inv(yy + h_y, rr) - inv(yy - h_y, rr)) / (2 * h_y)
+        di_dr = (inv(yy, rr + h_r) - inv(yy, rr - h_r)) / (2 * h_r)
+        ds_dy = (sav(yy + h_y, rr) - sav(yy - h_y, rr)) / (2 * h_y)
+        ds_dr = (sav(yy, rr + h_r) - sav(yy, rr - h_r)) / (2 * h_r)
+
+        money = spec.money
+        demand = lambda y, f_l: money.l0 + money.l_y * y + f_l
+        supply = lambda y, f_m: money.m0 + money.m_y * y + f_m
+
+        ii = short_rate(rr, spec.params)
+        f_l, f_m = money.level_parts_many(ii)
+        dl_dy = (demand(yy + h_y, f_l) - demand(yy - h_y, f_l)) / (2 * h_y)
+        dm_dy = (supply(yy + h_y, f_m) - supply(yy - h_y, f_m)) / (2 * h_y)
+        del f_l, f_m  # grid-sized; free each level pair once it is used
+        up_l, up_m = money.level_parts_many(short_rate(rr + h_r, spec.params))
+        dn_l, dn_m = money.level_parts_many(short_rate(rr - h_r, spec.params))
+        dl_di = (demand(yy, up_l) - demand(yy, dn_l)) / (2 * h_r)
+        dm_di = (supply(yy, up_m) - supply(yy, dn_m)) / (2 * h_r)
+        del up_l, up_m, dn_l, dn_m
+
+        inside = np.zeros_like(ii, dtype=bool)
+        for p, q in money.window_spans():
+            inside |= (ii > p) & (ii < q)
+        outside = ~inside
+
+        conds = [
+            _grid_signed_check("dI_dY > 0", di_dy, True, yy, rr),
+            _grid_signed_check("dI_dY < 1", 1.0 - di_dy, True, yy, rr),
+            _grid_signed_check("dI_dR < 0", di_dr, False, yy, rr),
+            _grid_signed_check("dS_dY > 0", ds_dy, True, yy, rr),
+            _grid_signed_check("dS_dY < 1", 1.0 - ds_dy, True, yy, rr),
+            _grid_signed_check("dS_dR > 0", ds_dr, True, yy, rr),
+            _grid_signed_check("dI_dY < dS_dY (decreasing IS)", ds_dy - di_dy, True, yy, rr),
+            _grid_signed_check("dL_dY > 0", dl_dy, True, yy, rr),
+            _grid_signed_check("dM_dY > 0", dm_dy, True, yy, rr),
+            _grid_signed_check("dM_dY < dL_dY", dl_dy - dm_dy, True, yy, rr),
+        ]
+        if outside.any():
+            conds.append(_grid_signed_check(
+                "dL_di_S < 0 outside trap windows", dl_di[outside], False,
+                yy[outside], rr[outside]))
+            conds.append(_grid_signed_check(
+                "dM_di_S > 0 outside trap windows", dm_di[outside], True,
+                yy[outside], rr[outside]))
+        if inside.any():
+            conds.append(_grid_signed_check(
+                "dL_di_S > 0 inside trap windows (reversed)", dl_di[inside], True,
+                yy[inside], rr[inside]))
+            conds.append(_grid_signed_check(
+                "dM_di_S < 0 inside trap windows (reversed)", dm_di[inside], False,
+                yy[inside], rr[inside]))
+
+        conds.append(_boundary_condition(spec, y_range, r_range))
+        passed = all(c.passed for c in conds)
+        return ValidationReport(passed, tuple(conds), tuple(y_range), tuple(r_range), grid_n)
+    except Exception as exc:  # contract: report, never raise
+        fail = ConditionResult("validation run", False, 0, 0, math.nan,
+                               (math.nan, math.nan), detail=str(exc))
+        return ValidationReport(False, (fail,), tuple(y_range), tuple(r_range), int(grid_n))

@@ -87,6 +87,35 @@ def test_degenerate_range_is_rejected(tmp_path):
         parse_config(write_config(tmp_path, raw))
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("domain", "y_range", [0.0, math.nan]),
+    ("domain", "r_range", [-0.1, math.inf]),
+    ("domain", "grid_n", math.nan),
+    ("domain", "y_steps", math.inf),
+    ("simulate", "r0", -math.inf),
+])
+def test_non_finite_numbers_are_config_errors(tmp_path, capsys, section, key, value):
+    # json writes NaN and Infinity, and reads them back, unless told not to
+    raw = shipped_config("reference")
+    raw[section][key] = value
+    cfg = write_config(tmp_path, raw)
+    with pytest.raises(ConfigError, match=f"'{key}' must be finite"):
+        parse_config(cfg)
+    assert run_command(["validate", "--config", str(cfg),
+                        "--out", str(tmp_path / "o"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert "islmsim: config error:" in err and key in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o" / "validation.json").exists()
+
+
+def test_an_integer_too_large_for_a_float_is_a_config_error(tmp_path):
+    raw = shipped_config("reference")
+    raw["model"]["params"]["m_stock"] = 10 ** 400
+    with pytest.raises(ConfigError, match="'m_stock' must be finite"):
+        parse_config(write_config(tmp_path, raw))
+
+
 # ---------------------------------------------------------------------------
 # documents and tables
 

@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -326,6 +327,63 @@ def test_validation_never_raises_on_garbage():
     spec = reference_spec()
     report = validate_properties(spec, (0.0, 5.0), (0.3, 0.3 + 0.0), 120)
     assert not report.passed  # degenerate range reported, not raised
+
+
+@pytest.mark.parametrize("y_range, r_range, grid_n", [
+    ((0.0, 5.0), (-0.1, 0.2), None),
+    ((0.0, 5.0), (-0.1, 0.2), "200"),
+    ((0.0, 5.0), (-0.1, 0.2), 200.5),
+    (None, (-0.1, 0.2), 200),
+    ((0.0, 5.0), None, 200),
+])
+def test_malformed_arguments_give_a_failed_report(ref_spec, y_range, r_range, grid_n):
+    report = validate_properties(ref_spec, y_range, r_range, grid_n)
+    assert not report.passed
+    assert [c.condition for c in report.conditions] == ["validation run"]
+    assert (report.y_range, report.r_range, report.grid_n) == (y_range, r_range, grid_n)
+
+
+@pytest.mark.parametrize("y_range, r_range", [
+    ((0.0, math.nan), (-0.06, 0.22)),
+    ((math.nan, 5.0), (-0.06, 0.22)),
+    ((0.0, 5.0), (-0.06, math.inf)),
+    ((-math.inf, 5.0), (-0.06, 0.22)),
+    ((5.0, 0.0), (-0.06, 0.22)),
+    ((0.0, 5.0), (0.22, -0.06)),
+])
+def test_a_non_finite_or_decreasing_range_fails_validation(ref_spec, y_range, r_range):
+    # on a NaN range every sample would read "degenerate" and every check pass
+    report = validate_properties(ref_spec, y_range, r_range, 200)
+    assert not report.passed
+    assert "finite increasing range" in report.conditions[0].detail
+
+
+@pytest.mark.parametrize("grid_n", [200, 1000])
+def test_validation_memory_does_not_grow_with_the_grid(ref_spec, ref_domain, grid_n):
+    # each difference is taken once per rate node or once in all, never at
+    # every grid point: one grid-sized array is 0.32 MB at 200 and 8 MB at 1000
+    validate_properties(ref_spec, ref_domain["y_range"], ref_domain["r_range"], grid_n)
+    tracemalloc.start()
+    try:
+        report = validate_properties(ref_spec, ref_domain["y_range"],
+                                     ref_domain["r_range"], grid_n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 0.5e6
+
+
+def test_validation_counts_every_grid_point(ref_spec, ref_domain):
+    # a constant slope stands for all grid_n**2 points, a rate slope for its
+    # rate node's column of grid_n; inside and outside split the columns
+    n = 150
+    report = validate_properties(ref_spec, ref_domain["y_range"], ref_domain["r_range"], n)
+    counts = {c.condition: c.n_checked + c.n_degenerate for c in report.conditions}
+    assert counts["dI_dY > 0"] == counts["dM_dY < dL_dY"] == n * n
+    for money in ("dL_di_S", "dM_di_S"):
+        split = [v for k, v in counts.items() if k.startswith(money)]
+        assert len(split) == 2 and sum(split) == n * n and all(v % n == 0 for v in split)
 
 
 def test_boundary_condition_checked(ref_spec, ref_domain):

@@ -16,13 +16,15 @@ from hypothesis import strategies as st
 from islmsim.dynamics import Trajectory, _fold_landing, attach_to_branch
 from islmsim.geometry import (FoldPoint, _trace_lm_isocline, find_equilibria, is_curve,
                               lm_roots, shift_lm, trace_lm_isocline)
-from islmsim.model import (ISBlock, ModelParams, ModelSpec, TrapWindow, build_three_phase_money,
-                           excess_money, excess_money_many, validate_properties)
+from islmsim.model import (FD_STEP_FRACTION, SIGN_DEGENERACY_TOL, ISBlock, ModelParams,
+                           ModelSpec, TrapWindow, build_three_phase_money, excess_money,
+                           excess_money_many, short_rate, validate_properties)
 from islmsim.policy import FiscalDrive, Scenario, apply_scenario, plan_stabilization
 from islmsim.reference import no_trap_spec
 
 from oracles import (_breakpoints, brute_force_equilibria, dense_scan_roots,
-                     excess_money_by_quadrature, fold_positions, rate_gap_slope)
+                     excess_money_by_quadrature, fold_positions, grid_validation,
+                     rate_gap_slope)
 
 WIDE_Y = (0.0, 40.0)
 WIDE_R = (-0.1, 0.6)
@@ -136,6 +138,65 @@ def test_validator_low_income_root_is_the_lowest_dense_scan_root(spec):
     roots = dense_scan_roots(spec, y0, (r_lo, WIDE_R[1]))
     assert roots
     assert r_lm == pytest.approx(roots[0], abs=1e-10)
+
+
+@st.composite
+def validation_cases(draw):
+    """A 0-3 window spec, intact or broken the way `test_model.py` breaks
+    one (an investment slope above one, or money supply more income-responsive
+    than demand), on a drawn domain and grid density."""
+    spec = draw(trap_specs(min_windows=0))
+    broken = draw(st.sampled_from([None, "investment", "income-ordering"]))
+    if broken == "investment":
+        spec = dataclasses.replace(spec, is_block=dataclasses.replace(spec.is_block, i_y=1.2))
+    elif broken == "income-ordering":
+        spec = dataclasses.replace(spec, money=dataclasses.replace(spec.money, l_y=0.1, m_y=0.5))
+    y_lo, r_lo = draw(st.floats(0.0, 5.0)), draw(st.floats(-0.15, 0.05))
+    y_range = (y_lo, y_lo + draw(st.floats(1.0, 40.0)))
+    r_range = (r_lo, r_lo + draw(st.floats(0.1, 0.7)))
+    return spec, y_range, r_range, draw(st.sampled_from([100, 137, 200]))
+
+
+def _rate_slopes_near_the_tolerance(spec, y_range, r_range, grid_n):
+    """For the L and the M rate slopes: how many rate nodes have a slope,
+    taken at the lowest income, within rounding of SIGN_DEGENERACY_TOL, and
+    that rounding band.  The grid oracle takes the same difference at every
+    income, each row rounding L + l_y Y with its own ulp, so it can count such
+    a node's column part signed, part degenerate."""
+    m = spec.money
+    rs = np.linspace(*r_range, grid_n)
+    h_r = FD_STEP_FRACTION * max(1.0, r_range[1] - r_range[0])
+    up = m.level_parts_many(short_rate(rs + h_r, spec.params))
+    dn = m.level_parts_many(short_rate(rs - h_r, spec.params))
+    near = []
+    for c0, c_y, k in ((m.l0, m.l_y, 0), (m.m0, m.m_y, 1)):
+        c = c0 + c_y * y_range[0]
+        slope = ((c + up[k]) - (c + dn[k])) / (2 * h_r)
+        top = abs(c0) + abs(c_y) * y_range[1] + max(np.abs(up[k]).max(), np.abs(dn[k]).max())
+        band = 1e-10 + 2 * np.spacing(top) / (2 * h_r)
+        near.append((int((np.abs(np.abs(slope) - SIGN_DEGENERACY_TOL) <= band).sum()), band))
+    return dict(zip(("dL_di_S", "dM_di_S"), near))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(validation_cases())
+def test_validator_matches_the_grid_oracle(case):
+    spec, y_range, r_range, grid_n = case
+    got = validate_properties(spec, y_range, r_range, grid_n)
+    want = grid_validation(spec, y_range, r_range, grid_n)
+    assert got.passed == want.passed
+    assert [c.condition for c in got.conditions] == [c.condition for c in want.conditions]
+    near_tol = _rate_slopes_near_the_tolerance(spec, y_range, r_range, grid_n)
+    for a, b in zip(got.conditions, want.conditions):
+        near, band = near_tol.get(a.condition[:7], (0, 0.0))
+        assert a.passed == b.passed, a.condition
+        assert a.n_checked + a.n_degenerate == b.n_checked + b.n_degenerate, a.condition
+        assert abs(a.n_degenerate - b.n_degenerate) <= grid_n * near, a.condition
+        if near and abs(abs(b.worst_value) - SIGN_DEGENERACY_TOL) <= band:
+            continue  # the oracle's worst may be one row of a split column
+        assert a.worst_point == pytest.approx(b.worst_point, abs=0.0, nan_ok=True), a.condition
+        assert a.worst_value == pytest.approx(b.worst_value, abs=1e-8, nan_ok=True), a.condition
 
 
 @settings(max_examples=40, deadline=None,
