@@ -78,8 +78,8 @@ def _number(obj: dict, key: str, path: str, default=None, positive=False,
 
 def _mode(obj: dict, default: str, path: str) -> str:
     mode = obj.get("mode", default)
-    if mode not in MODE_NAMES:
-        raise ConfigError(f"'mode' must be one of {sorted(MODE_NAMES)}", path)
+    if not isinstance(mode, str) or mode not in MODE_NAMES:
+        raise ConfigError(f"'mode' must be one of {sorted(MODE_NAMES)}, got {mode!r}", path)
     return MODE_NAMES[mode]
 
 

@@ -13,14 +13,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import RK45, solve_ivp
 from scipy.spatial import cKDTree
 
 # `lm_roots` stays bound here, unused: bench/test_inputs.py::
 # test_tracer_wraps_every_binding_and_restores_them asserts this binding
 from .geometry import (Branch, FoldPoint, LMIsocline, _interval_branch, _landing,
                        _window_rates, lm_roots)
-from .model import ModelSpec, _read_only, excess_money, excess_money_many, short_rate
+from .model import (ModelDomainError, ModelSpec, _read_only, excess_money, excess_money_many,
+                    short_rate)
 
 __all__ = [
     "IntegrationError",
@@ -161,8 +162,10 @@ def integrate(spec: ModelSpec, y0: float, r0: float, t_end: float,
     """Integrate the two-speed system with an adaptive embedded RK pair.
 
     Local error control shrinks steps automatically through the fast layers,
-    so jumps are resolved without any special handling.  Dense output is
-    sampled every `stride` time units (default: horizon / 2000).  With a
+    so jumps are resolved without any special handling.  Each step's dense
+    output is sampled at the `stride` grid points it covers (default stride:
+    horizon / 2000), written in place into arrays sized for the whole run, so
+    memory follows the number of samples, not the number of steps.  With a
     `drive_slope`, income follows the ramp dY/dt = drive_slope and only the
     rate obeys the money market.
     """
@@ -186,25 +189,34 @@ def integrate(spec: ModelSpec, y0: float, r0: float, t_end: float,
             y, r = state.tolist()
             return (drive_slope, fa * money(y if y > 0.0 else 0.0, r))
 
+    t_start, t_end = float(t_start), float(t_end)
     if stride is None:
         stride = (t_end - t_start) / 2000.0
     n_eval = max(2, int(round((t_end - t_start) / stride)) + 1)
-    t_eval = np.linspace(t_start, t_end, n_eval)
+    t = np.linspace(t_start, t_end, n_eval)
+    samples = np.empty((2, n_eval))
 
-    sol = solve_ivp(rhs, (t_start, t_end), (y0, r0), method="RK45",
-                    rtol=rtol, atol=atol, t_eval=t_eval)
-    if not sol.success:
-        t_last = sol.t[-1] if len(sol.t) else t_start
-        state = sol.y[:, -1] if sol.y.size else (y0, r0)
-        raise IntegrationError(
-            f"integration failed at t={t_last} (y={state[0]}, r={state[1]}): {sol.message}")
-    if not np.all(np.isfinite(sol.y)):
+    # The steps solve_ivp takes with t_eval, with each step's samples written
+    # in place instead of kept in per-step chunks and stacked at the end.
+    solver = RK45(rhs, t_start, (y0, r0), t_end, rtol=rtol, atol=atol)
+    n = 0
+    while solver.status == "running":
+        message = solver.step()
+        if solver.status == "failed":
+            t_last, (y_last, r_last) = (t[n - 1], samples[:, n - 1]) if n else (t_start, (y0, r0))
+            raise IntegrationError(
+                f"integration failed at t={t_last} (y={y_last}, r={r_last}): {message}")
+        m = int(np.searchsorted(t, solver.t, side="right"))
+        if m > n:
+            samples[:, n:m] = solver.dense_output()(t[n:m])
+            n = m
+    if not np.all(np.isfinite(samples)):
         raise IntegrationError("non-finite state encountered during integration")
-    if np.any(sol.y[0] < -1e-9):
-        k = int(np.argmax(sol.y[0] < -1e-9))
+    if np.any(samples[0] < -1e-9):
+        k = int(np.argmax(samples[0] < -1e-9))
         raise IntegrationError(
-            f"income left the domain (y={sol.y[0][k]} at t={sol.t[k]})")
-    return Trajectory(sol.t, sol.y[0], sol.y[1], FULL_MODE, spec.spec_id)
+            f"income left the domain (y={samples[0][k]} at t={t[k]})")
+    return Trajectory(t, samples[0], samples[1], FULL_MODE, spec.spec_id)
 
 
 # ---------------------------------------------------------------------------
@@ -256,17 +268,19 @@ def _fold_landing(spec: ModelSpec, fold: FoldPoint, r_range: tuple[float, float]
     A lower knee releases an upward jump, an upper knee a downward one.  The
     branch through the fold spans the whole window in rate, so the landing is
     the first root from the window's other endpoint on (`_landing`) and the
-    fold's own (quartically flat) double root is never a candidate.  The
-    landing interval must lie between windows, where branches attract.
+    fold's own (quartically flat) double root is never a candidate.  A jump
+    with no root before the edge of `r_range` leaves the rate range, a
+    `ModelDomainError`.  The landing interval must lie between windows, where
+    branches attract.
     """
     r_p, r_q = _fold_window(spec, fold)
     up = fold.kind == "lower-knee"
     direction = "up" if up else "down"
     landing = _landing(spec, fold.y, r_q if up else r_p, up, r_range)
     if landing is None:
-        raise ValueError(
-            f"malformed isocline: no branch to catch the {direction} jump at "
-            f"(y={fold.y}, r={fold.r})")
+        raise ModelDomainError(
+            f"the {direction} jump at (y={fold.y}, r={fold.r}) leaves the rate range "
+            f"[{r_range[0]}, {r_range[1]}]: no branch inside it catches the jump")
     k, x = landing
     if k % 2:
         raise ValueError(

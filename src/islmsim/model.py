@@ -65,7 +65,8 @@ class ConstructionError(ValueError):
 
 
 class ModelDomainError(ValueError):
-    """An evaluation was requested outside the model domain (income < 0)."""
+    """An evaluation was requested outside the model domain (income < 0), or
+    a jump leaves the rate range with no branch inside it to catch it."""
 
 
 # ---------------------------------------------------------------------------

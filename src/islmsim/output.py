@@ -12,6 +12,7 @@ import json
 import math
 import os
 import time
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -76,20 +77,36 @@ def release_run_lock(lock: Path) -> None:
 # ---------------------------------------------------------------------------
 # trajectory table (columnar text)
 
+# Rows per block: the regime mask is computed, and the table written, one block
+# of rows at a time, so writing a table holds no string of the whole of it.
+TABLE_BLOCK_ROWS = 1024
+
+
+def _table_rows(traj: Trajectory):
+    """The lines of the trajectory table, header first, each ending in a newline."""
+    yield "t,Y,R,regime\n"
+    for a in range(0, len(traj), TABLE_BLOCK_ROWS):
+        block = slice(a, a + TABLE_BLOCK_ROWS)
+        t = traj.t[block]
+        in_jump = np.zeros(len(t), dtype=bool)
+        for j in traj.jumps:
+            in_jump |= (t >= j.t_start - 1e-12) & (t <= j.t_end + 1e-12)
+        for ti, yi, ri, jump in zip(t.tolist(), traj.y[block].tolist(),
+                                    traj.r[block].tolist(), in_jump.tolist()):
+            yield f"{ti!r},{yi!r},{ri!r},{'jump' if jump else 'slow'}\n"
+
+
 def trajectory_table(traj: Trajectory) -> str:
     """Columnar text with the frozen header t,Y,R,regime."""
-    in_jump = np.zeros(len(traj), dtype=bool)
-    for j in traj.jumps:
-        in_jump |= (traj.t >= j.t_start - 1e-12) & (traj.t <= j.t_end + 1e-12)
-    lines = ["t,Y,R,regime"]
-    for t, y, r, jflag in zip(traj.t, traj.y, traj.r, in_jump):
-        regime = "jump" if jflag else "slow"
-        lines.append(f"{float(t)!r},{float(y)!r},{float(r)!r},{regime}")
-    return "\n".join(lines) + "\n"
+    return "".join(_table_rows(traj))
 
 
 def write_trajectory(path: str | Path, traj: Trajectory) -> None:
-    Path(path).write_text(trajectory_table(traj), encoding="utf-8")
+    """Write `trajectory_table(traj)` a block of rows at a time."""
+    rows = _table_rows(traj)
+    with open(path, "w", encoding="utf-8") as fh:
+        while block := "".join(islice(rows, TABLE_BLOCK_ROWS)):
+            fh.write(block)
 
 
 def read_trajectory(path: str | Path, mode: str = "full-epsilon",

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -8,8 +9,9 @@ import pytest
 
 from islmsim.cli import run_command
 from islmsim.config import ConfigError, parse_config, parse_config_dict, serialize_config
-from islmsim.dynamics import Trajectory
+from islmsim.dynamics import JumpEvent, Trajectory
 from islmsim.output import (
+    TABLE_BLOCK_ROWS,
     RunLockError,
     acquire_run_lock,
     isocline_document,
@@ -17,6 +19,7 @@ from islmsim.output import (
     read_trajectory,
     trajectory_table,
     write_json_document,
+    write_trajectory,
 )
 
 
@@ -116,6 +119,20 @@ def test_an_integer_too_large_for_a_float_is_a_config_error(tmp_path):
         parse_config(write_config(tmp_path, raw))
 
 
+@pytest.mark.parametrize("mode", [[], {}])
+def test_a_mode_that_is_not_a_string_is_a_config_error(tmp_path, capsys, mode):
+    raw = shipped_config("fiscal_ramp")
+    raw["stabilize"]["mode"] = mode
+    cfg = write_config(tmp_path, raw)
+    with pytest.raises(ConfigError, match=r"\.stabilize: 'mode' must be one of"):
+        parse_config(cfg)
+    assert run_command(["validate", "--config", str(cfg),
+                        "--out", str(tmp_path / "o"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert "islmsim: config error:" in err and "stabilize" in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # documents and tables
 
@@ -138,6 +155,47 @@ def test_trajectory_round_trip(tmp_path):
     assert np.array_equal(back.t, traj.t)
     assert np.array_equal(back.y, traj.y)
     assert np.array_equal(back.r, traj.r)
+
+
+def _jumping_trajectory(n: int) -> Trajectory:
+    """n samples and two jumps, the first across a block boundary of the table."""
+    t = np.arange(n) * 0.01
+    b = TABLE_BLOCK_ROWS
+    jumps = (JumpEvent(t[b - 3], t[b + 3], 1.0, 0.02, 0.12, "up"),
+             JumpEvent(t[n // 2], t[n // 2 + 5], 2.0, 0.12, 0.02, "down"))
+    return Trajectory(t, 1.0 + np.sin(t), 0.05 + 0.01 * np.cos(t),
+                      "full-epsilon", "abc", jumps)
+
+
+def test_written_trajectory_equals_its_table_row_by_row(tmp_path):
+    traj = _jumping_trajectory(3 * TABLE_BLOCK_ROWS + 7)
+    path = tmp_path / "traj.csv"
+    write_trajectory(path, traj)
+    text = trajectory_table(traj)
+    assert path.read_bytes() == text.encode("utf-8")
+    # one row at a time, the regime from the jump intervals directly
+    rows = ["t,Y,R,regime\n"]
+    for t, y, r in zip(traj.t.tolist(), traj.y.tolist(), traj.r.tolist()):
+        jump = any(j.t_start - 1e-12 <= t <= j.t_end + 1e-12 for j in traj.jumps)
+        rows.append(f"{t!r},{y!r},{r!r},{'jump' if jump else 'slow'}\n")
+    assert text == "".join(rows)
+    assert text.count(",jump\n") == 7 + 6
+
+
+def test_writing_a_trajectory_holds_no_whole_table(tmp_path):
+    # the table of 200k rows is about 10 MB; the writer holds a block of rows
+    traj = _jumping_trajectory(200_000)
+    path = tmp_path / "traj.csv"
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        write_trajectory(path, traj)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 10_000_000
+    assert peak < 1_000_000
 
 
 def test_isocline_document_round_trip(ref_isocline):
@@ -306,6 +364,23 @@ def test_cli_isocline_outside_the_model_domain_is_a_validation_failure(tmp_path,
     err = capsys.readouterr().err
     assert "islmsim: validation failure: l_y equals m_y" in err
     assert "Traceback" not in err
+
+
+def test_a_jump_that_leaves_the_rate_range_is_a_validation_failure(tmp_path, capsys):
+    # The spec passes validation, but the first window's up jump finds no
+    # branch below the top of r_range.
+    raw = shipped_config("fiscal_ramp")
+    raw["model"]["money"]["windows"][0]["amp_l"] = 1e300
+    cfg = write_config(tmp_path, raw)
+    assert run_command(["validate", "--config", str(cfg),
+                        "--out", str(tmp_path / "validate"), "--quiet"]) == 0
+    for cmd in ("scenario", "stabilize"):
+        assert run_command([cmd, "--config", str(cfg),
+                            "--out", str(tmp_path / cmd), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert "islmsim: validation failure: the up jump" in err
+        assert "leaves the rate range" in err
+        assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
 from islmsim.dynamics import (
     FULL_MODE,
+    IntegrationError,
     Trajectory,
     _window_traversals,
     attach_to_branch,
@@ -73,6 +76,32 @@ def test_integrate_matches_an_independent_rk45_run(make_spec, eps, t_end, drive_
     assert np.array_equal(traj.t, sol.t)
     assert np.array_equal(traj.y, sol.y[0])
     assert np.array_equal(traj.r, sol.y[1])
+
+
+def test_integrate_holds_each_sample_once():
+    # At eps 1e-3 and stride 1.0 RK45 takes many steps per sample; a chunk
+    # of samples kept per sampled step, stacked at the end, peaks at about
+    # 14x the output.  Samples written in place peak near 1.4x.
+    # A first, untraced run builds the model's evaluators and fills the
+    # interpreter's free lists, which tracemalloc would count as held.
+    spec = reference_spec(epsilon=1e-3)
+    integrate(spec, 1.5, 0.01, 3000.0, stride=1.0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        traj = integrate(spec, 1.5, 0.01, 3000.0, stride=1.0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(traj) == 3001
+    assert peak <= 2 * (traj.t.nbytes + traj.y.nbytes + traj.r.nbytes)
+
+
+def test_integrate_raises_when_income_leaves_the_domain(ref_spec):
+    # a falling drive takes income from 0.5 to -0.5
+    with pytest.raises(IntegrationError, match="income left the domain"):
+        integrate(ref_spec, 0.5, 0.01, 100.0, stride=1.0, drive_slope=-0.01)
 
 
 def test_integration_stays_at_stable_equilibrium(ref_domain):
