@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+# `solve_ivp` stays bound here, unused: the bench/tracer.py target
+# `dynamics.solve_ivp` needs it, and the traced CI smoke fails on an absent one
 from scipy.integrate import RK45, solve_ivp
 from scipy.spatial import cKDTree
 
@@ -325,13 +327,6 @@ class _RateCoordinate:
         """dt/dR along the branch."""
         return self.income_slope(r) / (self.alpha * self.goods_along(r))
 
-    def time_from(self, r_a, r):
-        """Slow time from rate r_a to rate r (elementwise), by one Gauss-Legendre
-        rule; exact up to rounding when no segment break lies between them."""
-        half = 0.5 * (r - r_a)
-        nodes = (r_a + half)[:, None] + half[:, None] * _GL_NODES
-        return half * (self.time_slope(nodes.ravel()).reshape(nodes.shape) @ _GL_WEIGHTS)
-
 
 def _invert(f, df, target: np.ndarray, x_lo: np.ndarray, x_hi: np.ndarray,
             x0: np.ndarray, tol: np.ndarray) -> np.ndarray:
@@ -373,32 +368,67 @@ def _branch_rates(geo: _RateCoordinate, branch: Branch, y: np.ndarray) -> np.nda
 
 
 class _FreeLeg:
-    """Slow time t(R) along a branch from (r0, t0) to r_end, with no
-    equilibrium in between: Gauss-Legendre panels, QUAD_PANELS to each
-    piece between the money block's segment breaks.  The integrand vanishes
-    at a fold, so the arrival time there is finite."""
+    """Slow time t(R) along a branch from (r0, t0) towards r_end, by
+    Gauss-Legendre panels, QUAD_PANELS to each piece between the money
+    block's segment breaks; finite at a fold, where dt/dR vanishes.  When G
+    has opposite signs g0 at r0 and g_end at r_end (and the end is no fold
+    where it vanishes), the leg heads for the equilibrium R* between them.
+    G' = g_y Y' - g_r is nonzero on a stable branch, so dt/dR has a simple
+    pole at R* with residue c = Y'(R*) / (alpha G'(R*)).  No ODE is solved:
+    the clock is c log((R - R*) / (r0 - R*)) plus the quadrature of the rest."""
 
-    def __init__(self, geo: _RateCoordinate, r0: float, r_end: float, t0: float):
+    def __init__(self, geo: _RateCoordinate, r0: float, r_end: float, t0: float,
+                 g0: float, g_end: float, to_fold: bool):
+        self.geo, self.c = geo, 0.0
+        if (g_end > 0.0) != (g0 > 0.0) and not (g_end == 0.0 and to_fold):
+            # G = 0 from the chord; G falls as R rises, so x_lo is the upper rate
+            problem = np.array([[0.0], [max(r0, r_end)], [min(r0, r_end)],
+                                [r0 + (r_end - r0) * g0 / (g0 - g_end)], [1e-15]])
+            r_end = float(_invert(lambda r, _k: geo.goods_along(r),
+                                  lambda r, _k: geo.g_y * geo.income_slope(r) - geo.g_r,
+                                  *problem)[0])
+            y_s = float(geo.income_slope(np.array([r_end]))[0])
+            self.c = y_s / (geo.alpha * (geo.g_y * y_s - geo.g_r))
         lo, hi = sorted((r0, r_end))
         cuts = [r0, *geo.breaks[(geo.breaks > lo) & (geo.breaks < hi)][::1 if r_end > r0 else -1],
                 r_end]
-        self.geo = geo
-        self.ends = np.concatenate(
+        self.r_end, self.ends = r_end, np.concatenate(
             [np.linspace(a, b, QUAD_PANELS + 1)[:-1] for a, b in zip(cuts[:-1], cuts[1:])]
             + [[r_end]])
-        self.times = t0 + np.concatenate(
-            [[0.0], np.cumsum(geo.time_from(self.ends[:-1], self.ends[1:]))])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.times = t0 + np.concatenate(
+                [[0.0], np.cumsum(self.time_from(self.ends[:-1], self.ends[1:]))])
         self.t_end = float(self.times[-1])
+        if self.c and not np.all(self.times[1:] > self.times[:-1]):  # r0 is R* to rounding
+            self.t_end, self.rates_at = math.inf, lambda t: np.full(len(t), r0)
+
+    def time_from(self, r_a, r):
+        """Slow time from rate r_a to rate r (elementwise) by one Gauss-Legendre
+        rule of dt/dR, less the pole at R* and plus its log when there is one."""
+        half = 0.5 * (r - r_a)
+        nodes = (r_a + half)[:, None] + half[:, None] * _GL_NODES
+        slope = self.geo.time_slope(nodes.ravel()).reshape(nodes.shape)
+        if not self.c:
+            return half * (slope @ _GL_WEIGHTS)
+        return (half * ((slope - self.c / (nodes - self.r_end)) @ _GL_WEIGHTS)
+                + self.c * np.log((r - self.r_end) / (r_a - self.r_end)))
 
     def rates_at(self, t: np.ndarray) -> np.ndarray:
-        """Rates reached at the times t: the panel ends interpolated, then
+        """Rates reached at the times t: the panel ends interpolated, or the
+        log model R* + (r_a - R*) exp((t - t_a) / c) within the panel, then
         polished by Newton steps on t(R) - t, whose derivative is dt/dR."""
         j = np.clip(np.searchsorted(self.times, t, side="right") - 1, 0, len(self.times) - 2)
         r_a, r_b, t_a, t_b = self.ends[j], self.ends[j + 1], self.times[j], self.times[j + 1]
-        x0 = r_a + (r_b - r_a) * np.clip((t - t_a) / (t_b - t_a), 0.0, 1.0)
+        if self.c:
+            inner = np.nextafter(r_b, r_a)  # short of R*, where the clock is inf
+            x0 = np.clip(self.r_end + (r_a - self.r_end) * np.exp((t - t_a) / self.c),
+                         np.minimum(r_a, inner), np.maximum(r_a, inner))
+        else:
+            x0 = r_a + (r_b - r_a) * np.clip((t - t_a) / (t_b - t_a), 0.0, 1.0)
         tol = 1e-13 * np.maximum(1.0, np.abs(t))
-        return _invert(lambda r, k: t_a[k] + self.geo.time_from(r_a[k], r),
-                       lambda r, _k: self.geo.time_slope(r), t, r_a, r_b, x0, tol)
+        with np.errstate(divide="ignore"):  # the log is -inf at R* itself
+            return _invert(lambda r, k: t_a[k] + self.time_from(r_a[k], r),
+                           lambda r, _k: self.geo.time_slope(r), t, r_a, r_b, x0, tol)
 
 
 def _append_samples(ts: list[float], ys: list[float], rs: list[float],
@@ -417,14 +447,11 @@ def advance_reduced(spec: ModelSpec, isocline: LMIsocline, branch: Branch,
     appending samples in place.
 
     Income follows the slow flow, or the ramp dY/dt = slope when a slope is
-    given; the rate stays slaved to the branch and jumps at its folds.  Each
-    leg runs in the rate coordinate: a ramp reaches the branch end at a
-    closed-form time and its sample rates solve Y(R) = Y(t); a free leg
-    takes its arrival time and sample rates from the quadrature of
-    dt/dR = Y'(R) / (alpha G(R)).  The goods excess G falls along the branch
-    as R rises, so when its sign at the leg's end differs from its sign at
-    the start an equilibrium lies ahead: the integral diverges, and the leg
-    integrates the smooth 1-D flow dR/dt = alpha G / Y' instead.
+    given; the rate stays slaved to the branch and jumps at its folds.  No
+    ODE is integrated: each leg runs in the rate coordinate.  A ramp reaches
+    the branch end at a closed-form time and its sample rates solve
+    Y(R) = Y(t); a free leg takes its times and rates from the quadrature of
+    dt/dR = Y'(R) / (alpha G(R)), on a log clock towards an equilibrium.
 
     Returns the final (branch, income, rate, time, status); status is
     "horizon" when t_stop was reached and "domain-exit" when the state
@@ -443,10 +470,8 @@ def advance_reduced(spec: ModelSpec, isocline: LMIsocline, branch: Branch,
             t_hit = math.inf
         elif slope is not None:
             t_hit = t + (y_end - y) / slope
-        elif (g_end > 0.0) != up and not (g_end == 0.0 and end[0] == "fold"):
-            rates_at, t_hit = _equilibrium_flow(geo, r, r_end, t, t_stop), math.inf
         else:
-            leg = _FreeLeg(geo, r, r_end, t)
+            leg = _FreeLeg(geo, r, r_end, t, drift, g_end, end[0] == "fold")
             rates_at, t_hit = leg.rates_at, leg.t_end
 
         stop = t_hit > t_stop
@@ -486,32 +511,6 @@ def advance_reduced(spec: ModelSpec, isocline: LMIsocline, branch: Branch,
         branch = _landing_branch(isocline, k, fold.y, landing)
         t, y, r = t_hit, fold.y, landing
     return branch, y, r, t, "horizon"
-
-
-def _equilibrium_flow(geo: _RateCoordinate, r: float, r_end: float, t: float,
-                      t_stop: float):
-    """Rates reached on the way from r towards the equilibrium that lies before
-    the branch end r_end, as a function of time up to t_stop: the 1-D flow
-    dR/dt = alpha G / Y' by RK45 with dense output.  No fold lies on the
-    way, so Y' does not vanish.  Steps stay within the contraction time
-    1 / |d(dR/dt)/dR| at the equilibrium, so the dense output resolves the
-    exponential approach and does not overshoot it."""
-    g = geo.goods_along(np.array([r, r_end]))
-    lo, hi = (r_end, r) if g[0] > 0.0 else (r, r_end)
-    r_eq = _invert(lambda rr, _k: geo.goods_along(rr),
-                   lambda rr, _k: geo.g_y * geo.income_slope(rr) - geo.g_r,
-                   np.zeros(1), np.array([lo]), np.array([hi]),
-                   np.array([r + (r_end - r) * g[0] / (g[0] - g[1])]), np.array([1e-15]))
-    rate = abs(geo.alpha * (geo.g_y - geo.g_r / float(geo.income_slope(r_eq)[0])))
-
-    def flow(_t, state):
-        return geo.alpha * geo.goods_along(state[:1]) / geo.income_slope(state[:1])
-
-    sol = solve_ivp(flow, (t, t_stop), (r,), method="RK45", rtol=1e-10, atol=1e-12,
-                    dense_output=True, max_step=1.0 / rate)
-    if not sol.success:
-        raise IntegrationError(f"slow-flow integration failed: {sol.message}")
-    return lambda times: sol.sol(times)[0]
 
 
 def _append_vertical_move(ts: list[float], ys: list[float], rs: list[float],

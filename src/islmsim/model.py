@@ -556,8 +556,10 @@ def validate_properties(spec: ModelSpec, y_range: tuple[float, float],
     function of the short rate.  So each difference is taken once along the
     axis it varies on, at the lowest income, and counted over the grid: a
     constant slope stands for all grid_n**2 points, a rate slope at one rate
-    for that rate's grid_n points.  Trap-window interiors are held to the
-    reversed rate-slope signs, exteriors to the standard ones.
+    for that rate's grid_n points.  A rate slope differences f_L or f_M
+    alone, without the income terms, so its rounding does not depend on
+    income.  Trap-window interiors are held to the reversed rate-slope
+    signs, exteriors to the standard ones.
     Never raises; malformed inputs come back as a failed report that carries
     them as given.
     """
@@ -589,8 +591,8 @@ def validate_properties(spec: ModelSpec, y_range: tuple[float, float],
         dm_dy = (supply(y_lo + h_y, f_m) - supply(y_lo - h_y, f_m)) / (2 * h_y)
         up_l, up_m = money.level_parts_many(short_rate(rs + h_r, spec.params))
         dn_l, dn_m = money.level_parts_many(short_rate(rs - h_r, spec.params))
-        dl_di = (demand(y_lo, up_l) - demand(y_lo, dn_l)) / (2 * h_r)
-        dm_di = (supply(y_lo, up_m) - supply(y_lo, dn_m)) / (2 * h_r)
+        dl_di = (up_l - dn_l) / (2 * h_r)
+        dm_di = (up_m - dn_m) / (2 * h_r)
 
         ii = short_rate(rs, spec.params)
         inside = np.zeros(n, dtype=bool)

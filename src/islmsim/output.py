@@ -111,16 +111,20 @@ def write_trajectory(path: str | Path, traj: Trajectory) -> None:
 
 def read_trajectory(path: str | Path, mode: str = "full-epsilon",
                     spec_id: str = "") -> Trajectory:
-    lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
-    if not lines or lines[0] != "t,Y,R,regime":
-        raise ValueError(f"{path}: not a trajectory table (bad header)")
-    ts, ys, rs = [], [], []
-    for ln in lines[1:]:
-        t, y, r, _ = ln.split(",")
-        ts.append(float(t))
-        ys.append(float(y))
-        rs.append(float(r))
-    return Trajectory(np.asarray(ts), np.asarray(ys), np.asarray(rs), mode, spec_id)
+    """Read a `write_trajectory` table back.  A first pass counts the rows, a
+    second parses them line by line into arrays of that length, so reading
+    holds the arrays and one line, not the whole table."""
+    with open(path, encoding="utf-8") as fh:
+        if fh.readline().strip() != "t,Y,R,regime":
+            raise ValueError(f"{path}: not a trajectory table (bad header)")
+        n = sum(1 for ln in fh if not ln.isspace())
+        fh.seek(0)
+        fh.readline()
+        t, y, r = np.empty(n), np.empty(n), np.empty(n)
+        for k, ln in enumerate(ln for ln in fh if not ln.isspace()):
+            a, b, c, _ = ln.split(",")
+            t[k], y[k], r[k] = float(a), float(b), float(c)
+    return Trajectory(t, y, r, mode, spec_id)
 
 
 # ---------------------------------------------------------------------------

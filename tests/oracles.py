@@ -201,17 +201,11 @@ def brute_force_equilibria(spec: ModelSpec, y_range: tuple[float, float],
     return found
 
 
-def reduced_period_by_quadrature(spec: ModelSpec, y_range: tuple[float, float],
-                                 r_range: tuple[float, float]) -> float:
-    """Singular-limit period of a one-window relaxation cycle by adaptive
-    quadrature of dt = Y'(R) dR / (alpha (I - S)) in the rate coordinate.
-
-    The cycle climbs the lower stable arc from the down-jump landing to the
-    lower knee and descends the upper arc from the up-jump landing to the
-    upper knee; the landings come from dense scans at the fold incomes.
-    """
-    (y_up, r_up, _), (y_down, r_down, _) = sorted(
-        fold_positions(spec, y_range), key=lambda f: f[2] != "lower-knee")
+def reduced_leg_time(spec: ModelSpec, r_a: float, r_b: float) -> float:
+    """Slow time of a singular-limit leg from rate r_a to rate r_b on one
+    stable branch: adaptive quadrature of dt = Y'(R) dR / (alpha (I - S)) in
+    the rate coordinate, broken at the money block's piece boundaries.  The
+    time is positive when the slow flow carries r_a towards r_b."""
     k_y = spec.money.l_y - spec.money.m_y
     off = spec.params.maturity_premium - spec.params.expected_inflation
 
@@ -220,16 +214,27 @@ def reduced_period_by_quadrature(spec: ModelSpec, y_range: tuple[float, float],
         return -rate_gap_slope(spec, r - off) / k_y / (spec.params.alpha
                                                       * excess_goods(y, r, spec))
 
-    def leg(r_a: float, r_b: float) -> float:
-        pts = _breakpoints(spec, r_a - off, r_b - off)
-        val, err = quad(dt_dr, r_a, r_b, limit=800,
-                        points=None if pts is None else [x + off for x in pts])
-        assert err < 1e-10
-        return abs(val)
+    pts = _breakpoints(spec, r_a - off, r_b - off)
+    val, err = quad(dt_dr, r_a, r_b, limit=800, epsabs=1e-13, epsrel=1e-13,
+                    points=None if pts is None else [x + off for x in pts])
+    assert err < 1e-10
+    return val
 
+
+def reduced_period_by_quadrature(spec: ModelSpec, y_range: tuple[float, float],
+                                 r_range: tuple[float, float]) -> float:
+    """Singular-limit period of a one-window relaxation cycle: the slow time
+    of its two legs by `reduced_leg_time`.
+
+    The cycle climbs the lower stable arc from the down-jump landing to the
+    lower knee and descends the upper arc from the up-jump landing to the
+    upper knee; the landings come from dense scans at the fold incomes.
+    """
+    (y_up, r_up, _), (y_down, r_down, _) = sorted(
+        fold_positions(spec, y_range), key=lambda f: f[2] != "lower-knee")
     land_up = [r for r in dense_scan_roots(spec, y_up, r_range) if r > r_down][0]
     land_down = [r for r in dense_scan_roots(spec, y_down, r_range) if r < r_up][-1]
-    return leg(land_down, r_up) + leg(land_up, r_down)
+    return reduced_leg_time(spec, land_down, r_up) + reduced_leg_time(spec, land_up, r_down)
 
 
 # ---------------------------------------------------------------------------

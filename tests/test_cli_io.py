@@ -198,6 +198,39 @@ def test_writing_a_trajectory_holds_no_whole_table(tmp_path):
     assert peak < 1_000_000
 
 
+def test_reading_a_trajectory_holds_no_whole_table(tmp_path):
+    # reading the 10 MB table holds its three sample arrays, 4.8 MB, and a
+    # line at a time; reading the text whole peaked near 48 MB
+    path = tmp_path / "traj.csv"
+    write_trajectory(path, _jumping_trajectory(200_000))
+    read_trajectory(path)  # a first, untraced call fills the free lists
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        back = read_trajectory(path)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(back) == 200_000
+    assert peak <= 2 * (back.t.nbytes + back.y.nbytes + back.r.nbytes)
+
+
+def test_written_trajectory_reads_back_bit_for_bit(tmp_path):
+    # samples across magnitudes and signs, subnormal and negative zero included
+    rng = np.random.default_rng(7)
+    n = 3 * TABLE_BLOCK_ROWS + 7
+    values = rng.standard_normal((2, n)) * 10.0 ** rng.integers(-300, 300, (2, n))
+    values[:, :3] = [[-0.0, 5e-324, 1.0 / 3.0], [2.0 ** -1074, -1.7976931348623157e308, 0.1]]
+    traj = _jumping_trajectory(n)
+    traj = Trajectory(traj.t, values[0], values[1], "full-epsilon", "abc", traj.jumps)
+    path = tmp_path / "traj.csv"
+    write_trajectory(path, traj)
+    back = read_trajectory(path)
+    for a, b in ((back.t, traj.t), (back.y, traj.y), (back.r, traj.r)):
+        assert a.tobytes() == b.tobytes()
+
+
 def test_isocline_document_round_trip(ref_isocline):
     doc = isocline_document(ref_isocline)
     assert doc["schema_version"] == "1"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from islmsim import dynamics
 from islmsim.dynamics import (
     FULL_MODE,
     IntegrationError,
@@ -24,7 +25,7 @@ from islmsim.model import excess_goods, excess_money, excess_money_many
 from islmsim.policy import FiscalDrive, Scenario, apply_scenario
 from islmsim.reference import no_trap_spec, reference_spec, steep_is_spec, three_window_spec
 
-from oracles import reduced_period_by_quadrature
+from oracles import reduced_leg_time, reduced_period_by_quadrature
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +251,63 @@ def test_reduced_free_flow_settles_on_the_equilibrium_from_one_side(ref_domain):
     assert np.all(traj.y <= e_low.y)
     assert traj.y[-1] == pytest.approx(e_low.y, abs=1e-9)
     assert np.abs(excess_money_many(traj.y, traj.r, spec)).max() <= 1e-10
+
+
+@pytest.mark.parametrize("make_spec, y0, r0", [
+    pytest.param(steep_is_spec, 1.6, 0.0, id="steep-is"),
+    pytest.param(no_trap_spec, 0.5, 0.0, id="no-trap-from-below"),
+    pytest.param(no_trap_spec, 4.95, 0.2, id="no-trap-from-above"),
+])
+def test_equilibrium_bound_leg_keeps_the_quadrature_clock(make_spec, y0, r0, ref_domain):
+    # a leg heading for an equilibrium never reaches it in finite time; the
+    # sample times on the way are the slow time of dt/dR from the start rate
+    spec = make_spec()
+    iso = trace_lm_isocline(spec, ref_domain["y_range"], 700, ref_domain["r_range"], 500)
+    branch, _ = attach_to_branch(spec, iso, y0, r0)
+    traj = reduced_simulate(spec, y0, branch, 60.0, iso)
+    assert len(traj.jumps) == 0 and len(traj) == 2001
+    for t in (1.0, 3.0, 10.0, 20.0):
+        k = int(np.searchsorted(traj.t, t))
+        assert traj.t[k] - traj.t[0] == pytest.approx(
+            reduced_leg_time(spec, traj.r[0], traj.r[k]), abs=1e-10)
+
+
+def test_reduced_runs_solve_no_ode(monkeypatch, ref_spec, ref_isocline, ref_domain):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a singular-limit run called an ODE solver")
+
+    monkeypatch.setattr(dynamics, "solve_ivp", refuse)
+    monkeypatch.setattr(dynamics, "RK45", refuse)
+    # free: the relaxation cycle, through folds and jumps
+    branch, r0 = attach_to_branch(ref_spec, ref_isocline, 1.5, 0.01)
+    assert len(reduced_simulate(ref_spec, 1.5, branch, 20.0, ref_isocline).jumps) >= 4
+    # driven: a fiscal ramp through the lower knee
+    fold = next(f for f in ref_isocline.folds if f.kind == "lower-knee")
+    result = apply_scenario(ref_spec, Scenario((FiscalDrive(0.5, 3.5, y_to=fold.y + 0.6),), 4.0),
+                            1.5, r0, y_range=ref_domain["y_range"],
+                            r_range=ref_domain["r_range"], validate=False)
+    assert result.jumps[0].direction == "up"
+    # equilibrium-bound: the steep IS line crosses the lower stable arc
+    spec = steep_is_spec()
+    iso = trace_lm_isocline(spec, ref_domain["y_range"], 700, ref_domain["r_range"], 500)
+    branch, _ = attach_to_branch(spec, iso, 1.6, 0.0)
+    traj = reduced_simulate(spec, 1.6, branch, 60.0, iso)
+    assert traj.y[-1] == pytest.approx(3.2150690951772174, abs=1e-9)
+
+
+def test_reduced_run_started_on_the_equilibrium_rests_there(ref_domain):
+    # starts within a few ulps of R*, where the goods excess is rounding:
+    # the leg cannot resolve its clock and the state rests
+    spec = steep_is_spec()
+    iso = trace_lm_isocline(spec, ref_domain["y_range"], 700, ref_domain["r_range"], 500)
+    e_low = next(e for e in find_equilibria(spec, ref_domain["y_range"], iso)
+                 if e.classification.startswith("stable") and e.y > 2.5)
+    branch = iso.branches[e_low.branch_index]
+    for y0 in (e_low.y, np.nextafter(e_low.y, 0.0), np.nextafter(e_low.y, 9.0)):
+        traj = reduced_simulate(spec, y0, branch, 10.0, iso)
+        assert np.all(np.isfinite(traj.r))
+        assert np.abs(traj.r - e_low.r).max() <= 1e-14
+        assert np.abs(traj.y - e_low.y).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
