@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .model import ConstructionError, ModelSpec
-from .policy import FiscalDrive, FiscalShift, MonetaryStep, Scenario
+from .policy import FiscalDrive, FiscalShift, MonetaryStep, Scenario, ScenarioError
 
 __all__ = ["ConfigError", "Domain", "SimulateOptions", "ScenarioOptions",
            "StabilizeOptions", "RunConfig", "parse_config", "parse_config_dict",
@@ -22,6 +22,9 @@ __all__ = ["ConfigError", "Domain", "SimulateOptions", "ScenarioOptions",
 MODE_NAMES = {"full": "full-epsilon", "reduced": "singular-limit"}
 MODE_LABELS = {v: k for k, v in MODE_NAMES.items()}
 OUTPUT_FORMATS = {"csv", "json", "svg"}
+# the largest grid_n, y_steps and scan_n: one array of that many points is
+# 8 MB, and a sweep of that many incomes takes minutes
+MAX_DENSITY = 1_000_000
 
 
 class ConfigError(ValueError):
@@ -87,11 +90,14 @@ def _drive(obj: dict, path: str, extra: frozenset[str] = frozenset()) -> FiscalD
     """A fiscal drive: a `fiscal-drive` scenario step or a stabilize ramp."""
     required = {"t_start", "t_end", "y_to"} | extra
     _require_keys(obj, required | {"y_from"}, required, path)
-    return FiscalDrive(
-        t_start=_number(obj, "t_start", path, nonnegative=True),
-        t_end=_number(obj, "t_end", path, positive=True),
-        y_to=_number(obj, "y_to", path, nonnegative=True),
-        y_from=None if "y_from" not in obj else _number(obj, "y_from", path))
+    try:
+        return FiscalDrive(
+            t_start=_number(obj, "t_start", path, nonnegative=True),
+            t_end=_number(obj, "t_end", path, positive=True),
+            y_to=_number(obj, "y_to", path, nonnegative=True),
+            y_from=None if "y_from" not in obj else _number(obj, "y_from", path))
+    except ScenarioError as exc:
+        raise ConfigError(str(exc), path) from exc
 
 
 def _drive_dict(d: FiscalDrive) -> dict:
@@ -295,12 +301,9 @@ def parse_config_dict(raw: dict, path_label: str = "config") -> RunConfig:
         y_steps=int(_number(dom_raw, "y_steps", dp, default=700.0, positive=True)),
         scan_n=int(_number(dom_raw, "scan_n", dp, default=500.0, positive=True)),
     )
-    if domain.grid_n < 100:
-        raise ConfigError("'grid_n' must be at least 100", dp)
-    if domain.y_steps < 500:
-        raise ConfigError("'y_steps' must be at least 500", dp)
-    if domain.scan_n < 200:
-        raise ConfigError("'scan_n' must be at least 200", dp)
+    for key, least in (("grid_n", 100), ("y_steps", 500), ("scan_n", 200)):
+        if not least <= getattr(domain, key) <= MAX_DENSITY:
+            raise ConfigError(f"'{key}' must be at least {least} and at most {MAX_DENSITY}", dp)
 
     simulate = None
     if "simulate" in raw:

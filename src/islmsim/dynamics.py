@@ -20,10 +20,9 @@ from scipy.spatial import cKDTree
 
 # `lm_roots` stays bound here, unused: bench/test_inputs.py::
 # test_tracer_wraps_every_binding_and_restores_them asserts this binding
-from .geometry import (Branch, FoldPoint, LMIsocline, _interval_branch, _landing,
-                       _window_rates, lm_roots)
-from .model import (ModelDomainError, ModelSpec, _read_only, excess_money, excess_money_many,
-                    short_rate)
+from .geometry import Branch, FoldPoint, LMIsocline, _interval_branch, _landing, lm_roots
+from .model import (ModelDomainError, ModelSpec, _invert, _read_only, excess_money,
+                    excess_money_many)
 
 __all__ = [
     "IntegrationError",
@@ -46,12 +45,16 @@ __all__ = [
 # post-jump sample in singular-limit trajectories.
 CORNER_DT = 1e-9
 
-# Gauss-Legendre order of the free-leg time integral, the panels it puts on
-# each piece of the integrand between segment breaks, and the iteration cap
-# of the safeguarded Newton inversions that place the samples.
+# A full-system run whose steps stay below this fraction of its horizon for
+# more than STALL_STEPS steps in a row cannot finish (a money slope of 1e300
+# holds the steps near 1e-299), so it fails instead of running on.
+STALL_STEP_FRACTION = 1e-12
+STALL_STEPS = 100
+
+# Gauss-Legendre order of the free-leg time integral, and the panels it puts
+# on each piece of the integrand between segment breaks.
 QUAD_ORDER = 16
 QUAD_PANELS = 8
-NEWTON_MAX_ITER = 100
 
 
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -201,13 +204,18 @@ def integrate(spec: ModelSpec, y0: float, r0: float, t_end: float,
     # The steps solve_ivp takes with t_eval, with each step's samples written
     # in place instead of kept in per-step chunks and stacked at the end.
     solver = RK45(rhs, t_start, (y0, r0), t_end, rtol=rtol, atol=atol)
-    n = 0
+    n = stalled = 0
+    t_prev, h_stall = t_start, STALL_STEP_FRACTION * (t_end - t_start)
     while solver.status == "running":
         message = solver.step()
-        if solver.status == "failed":
+        stalled = stalled + 1 if solver.t - t_prev < h_stall else 0
+        t_prev = solver.t
+        if solver.status == "failed" or stalled > STALL_STEPS:
             t_last, (y_last, r_last) = (t[n - 1], samples[:, n - 1]) if n else (t_start, (y0, r0))
             raise IntegrationError(
-                f"integration failed at t={t_last} (y={y_last}, r={r_last}): {message}")
+                f"integration failed at t={t_last} (y={y_last}, r={r_last}): "
+                + (message or f"{stalled} steps in a row below {h_stall:g}, "
+                              f"{STALL_STEP_FRACTION:g} of the horizon"))
         m = int(np.searchsorted(t, solver.t, side="right"))
         if m > n:
             samples[:, n:m] = solver.dense_output()(t[n:m])
@@ -236,7 +244,7 @@ def attach_to_branch(spec: ModelSpec, isocline: LMIsocline, y: float, r: float
     ways = (False, True) if e == 0.0 else (e > 0.0,)
     found = [kx for up in ways if (kx := _landing(spec, y, r, up, isocline.r_range))]
     if not found:
-        raise ValueError(f"fast flow from (y={y}, r={r}) escapes the scanned range")
+        raise ModelDomainError(f"fast flow from (y={y}, r={r}) escapes the scanned range")
     k, target = min(found, key=lambda kx: abs(kx[1] - r))
     branch = _landing_branch(isocline, k, y, target)
     if branch.stability != "stable":
@@ -250,7 +258,7 @@ def _landing_branch(isocline: LMIsocline, k: int, y: float, r: float) -> Branch:
     """The branch of rate interval k through the root (y, r)."""
     branch = _interval_branch(isocline, k, y)
     if branch is None:
-        raise ValueError(f"no isocline branch holds the root ({y}, {r})")
+        raise ModelDomainError(f"no isocline branch holds the root ({y}, {r})")
     return branch
 
 
@@ -260,7 +268,8 @@ def _fold_window(spec: ModelSpec, fold: FoldPoint) -> tuple[float, float]:
     A lower knee sits at its window's start rate, an upper knee at its end.
     """
     k = 0 if fold.kind == "lower-knee" else 1
-    return min(_window_rates(spec), key=lambda w: abs(w[k] - fold.r))
+    ends = spec._lm_graph.ends
+    return min(zip(ends[::2], ends[1::2]), key=lambda w: abs(w[k] - fold.r))
 
 
 def _fold_landing(spec: ModelSpec, fold: FoldPoint, r_range: tuple[float, float]
@@ -291,106 +300,48 @@ def _fold_landing(spec: ModelSpec, fold: FoldPoint, r_range: tuple[float, float]
     return direction, k, x
 
 
-class _RateCoordinate:
-    """The LM isocline of one model parametrized by its rate R.
-
-    The money excess is E(Y, R) = E(0, R) + (l_y - m_y) Y, so the isocline
-    income is Y(R) = -E(0, R) / (l_y - m_y) with slope
-    Y'(R) = -E_R(R) / (l_y - m_y), both exact from the money block; the goods
-    excess along it is G(R) = I - S at (Y(R), R).  On a stable branch the
-    slow flow dY/dt = alpha G is dt/dR = Y'(R) / (alpha G(R)), a smooth
-    function of R between the money block's segment breaks.
-    """
-
-    def __init__(self, spec: ModelSpec):
-        b, p = spec.is_block, spec.params
-        self.spec = spec
-        self.k_y = spec.money.l_y - spec.money.m_y
-        self.alpha = p.alpha
-        self.goods = spec._excess_goods  # G(y, r), for floats and arrays
-        self.g_y, self.g_r = b.i_y - b.s_y, b.i_r + b.s_r
-        self.breaks = np.asarray(spec.money._table[0]) \
-            + (p.maturity_premium - p.expected_inflation)
-
-    def income(self, r):
-        return -excess_money_many(0.0, r, self.spec) / self.k_y
-
-    def income_slope(self, r):
-        d_l, d_m = self.spec.money.slope_parts_many(short_rate(np.asarray(r), self.spec.params))
-        return (d_m - d_l) / self.k_y
-
-    def goods_along(self, r):
-        """G(R), the goods excess at (Y(R), R)."""
-        return self.goods(self.income(r), r)
-
-    def time_slope(self, r):
-        """dt/dR along the branch."""
-        return self.income_slope(r) / (self.alpha * self.goods_along(r))
-
-
-def _invert(f, df, target: np.ndarray, x_lo: np.ndarray, x_hi: np.ndarray,
-            x0: np.ndarray, tol: np.ndarray) -> np.ndarray:
-    """Solve f(x, k) = target elementwise by safeguarded Newton steps.
-
-    `k` holds the indices of the elements still open.  f - target is at most
-    zero at x_lo and at least zero at x_hi (either may be the larger x); each
-    residual narrows that bracket, and a Newton step that would leave it is
-    replaced by bisection.  An element is done when its residual is within
-    `tol` or its bracket is a few ulps wide.
-    """
-    x, x_lo, x_hi = x0.copy(), x_lo.copy(), x_hi.copy()
-    k = np.arange(len(x))
-    for _ in range(NEWTON_MAX_ITER):
-        res = f(x[k], k) - target[k]
-        lo, hi = np.where(res < 0.0, x[k], x_lo[k]), np.where(res > 0.0, x[k], x_hi[k])
-        x_lo[k], x_hi[k] = lo, hi
-        open_ = ((np.abs(res) > tol[k])
-                 & (np.abs(hi - lo) > 4.0 * np.spacing(np.maximum(np.abs(lo), np.abs(hi)))))
-        k, res, lo, hi = k[open_], res[open_], lo[open_], hi[open_]
-        if not len(k):
-            break
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = x[k] - res / df(x[k], k)
-        inside = np.isfinite(step) & (step > np.minimum(lo, hi)) & (step < np.maximum(lo, hi))
-        x[k] = np.where(inside, step, 0.5 * (lo + hi))
-    return x
-
-
-def _branch_rates(geo: _RateCoordinate, branch: Branch, y: np.ndarray) -> np.ndarray:
-    """Rates where the branch reaches the incomes y: Y(R) = y, started from
-    the chord between the branch's exact end points and bracketed by their
-    rates, so the result does not depend on the sample density."""
+def _branch_rates(spec: ModelSpec, branch: Branch, y: np.ndarray) -> np.ndarray:
+    """Rates where the branch reaches the incomes y: the LM graph inverted,
+    started from the chord between the branch's exact end points and
+    bracketed by their rates, so the result does not depend on the sample
+    density."""
     ends, rates = branch.ys[[0, -1]], branch.rs[[0, -1]]
-    tol = 1e-13 * np.maximum(1.0, np.abs(y))
-    return _invert(lambda r, _k: geo.income(r), lambda r, _k: geo.income_slope(r),
-                   y, np.full(len(y), rates[0]), np.full(len(y), rates[1]),
-                   np.interp(y, ends, rates), tol)
+    return spec._lm_graph.rates_at(y, rates[0], rates[1], np.interp(y, ends, rates),
+                                   1e-13 * np.maximum(1.0, np.abs(y)))
 
 
 class _FreeLeg:
-    """Slow time t(R) along a branch from (r0, t0) towards r_end, by
-    Gauss-Legendre panels, QUAD_PANELS to each piece between the money
-    block's segment breaks; finite at a fold, where dt/dR vanishes.  When G
-    has opposite signs g0 at r0 and g_end at r_end (and the end is no fold
-    where it vanishes), the leg heads for the equilibrium R* between them.
-    G' = g_y Y' - g_r is nonzero on a stable branch, so dt/dR has a simple
-    pole at R* with residue c = Y'(R*) / (alpha G'(R*)).  No ODE is solved:
-    the clock is c log((R - R*) / (r0 - R*)) plus the quadrature of the rest."""
+    """Slow time t(R) along a branch from (r0, t0) towards r_end.
 
-    def __init__(self, geo: _RateCoordinate, r0: float, r_end: float, t0: float,
+    On a stable branch the rate parametrizes the LM graph Y(R), and the slow
+    flow dY/dt = alpha G, with G(R) the goods excess at (Y(R), R), reads
+    dt/dR = Y'(R) / (alpha G(R)), a smooth function of R between the money
+    block's segment breaks; finite at a fold, where Y' vanishes.  The clock
+    is its Gauss-Legendre quadrature, QUAD_PANELS panels to each piece
+    between the breaks.  When G has opposite signs g0 at r0 and g_end at
+    r_end (and the end is no fold where it vanishes), the leg heads for the
+    equilibrium R* between them.  G' = g_y Y' - g_r is nonzero on a stable
+    branch, so dt/dR has a simple pole at R* with residue
+    c = Y'(R*) / (alpha G'(R*)).  No ODE is solved: the clock is
+    c log((R - R*) / (r0 - R*)) plus the quadrature of the rest."""
+
+    def __init__(self, spec: ModelSpec, r0: float, r_end: float, t0: float,
                  g0: float, g_end: float, to_fold: bool):
-        self.geo, self.c = geo, 0.0
+        b = spec.is_block
+        lm = self.lm = spec._lm_graph
+        self.goods, self.alpha, self.c = spec._excess_goods, spec.params.alpha, 0.0
+        g_y, g_r = b.i_y - b.s_y, b.i_r + b.s_r
         if (g_end > 0.0) != (g0 > 0.0) and not (g_end == 0.0 and to_fold):
             # G = 0 from the chord; G falls as R rises, so x_lo is the upper rate
             problem = np.array([[0.0], [max(r0, r_end)], [min(r0, r_end)],
                                 [r0 + (r_end - r0) * g0 / (g0 - g_end)], [1e-15]])
-            r_end = float(_invert(lambda r, _k: geo.goods_along(r),
-                                  lambda r, _k: geo.g_y * geo.income_slope(r) - geo.g_r,
+            r_end = float(_invert(lambda r, _k: self.goods_along(r),
+                                  lambda r, _k: g_y * lm.income_slope(r) - g_r,
                                   *problem)[0])
-            y_s = float(geo.income_slope(np.array([r_end]))[0])
-            self.c = y_s / (geo.alpha * (geo.g_y * y_s - geo.g_r))
+            y_s = float(lm.income_slope(np.array([r_end]))[0])
+            self.c = y_s / (self.alpha * (g_y * y_s - g_r))
         lo, hi = sorted((r0, r_end))
-        cuts = [r0, *geo.breaks[(geo.breaks > lo) & (geo.breaks < hi)][::1 if r_end > r0 else -1],
+        cuts = [r0, *lm.breaks[(lm.breaks > lo) & (lm.breaks < hi)][::1 if r_end > r0 else -1],
                 r_end]
         self.r_end, self.ends = r_end, np.concatenate(
             [np.linspace(a, b, QUAD_PANELS + 1)[:-1] for a, b in zip(cuts[:-1], cuts[1:])]
@@ -402,12 +353,20 @@ class _FreeLeg:
         if self.c and not np.all(self.times[1:] > self.times[:-1]):  # r0 is R* to rounding
             self.t_end, self.rates_at = math.inf, lambda t: np.full(len(t), r0)
 
+    def goods_along(self, r):
+        """G(R), the goods excess at (Y(R), R)."""
+        return self.goods(self.lm.income(r), r)
+
+    def time_slope(self, r):
+        """dt/dR along the branch."""
+        return self.lm.income_slope(r) / (self.alpha * self.goods_along(r))
+
     def time_from(self, r_a, r):
         """Slow time from rate r_a to rate r (elementwise) by one Gauss-Legendre
         rule of dt/dR, less the pole at R* and plus its log when there is one."""
         half = 0.5 * (r - r_a)
         nodes = (r_a + half)[:, None] + half[:, None] * _GL_NODES
-        slope = self.geo.time_slope(nodes.ravel()).reshape(nodes.shape)
+        slope = self.time_slope(nodes.ravel()).reshape(nodes.shape)
         if not self.c:
             return half * (slope @ _GL_WEIGHTS)
         return (half * ((slope - self.c / (nodes - self.r_end)) @ _GL_WEIGHTS)
@@ -428,7 +387,7 @@ class _FreeLeg:
         tol = 1e-13 * np.maximum(1.0, np.abs(t))
         with np.errstate(divide="ignore"):  # the log is -inf at R* itself
             return _invert(lambda r, k: t_a[k] + self.time_from(r_a[k], r),
-                           lambda r, _k: self.geo.time_slope(r), t, r_a, r_b, x0, tol)
+                           lambda r, _k: self.time_slope(r), t, r_a, r_b, x0, tol)
 
 
 def _append_samples(ts: list[float], ys: list[float], rs: list[float],
@@ -457,21 +416,21 @@ def advance_reduced(spec: ModelSpec, isocline: LMIsocline, branch: Branch,
     "horizon" when t_stop was reached and "domain-exit" when the state
     drifted off the traced income range through a non-fold branch end.
     """
-    geo = _RateCoordinate(spec)
+    lm, goods = spec._lm_graph, spec._excess_goods
     while t < t_stop - 1e-12:
-        drift = geo.goods(y, r) if slope is None else slope
+        drift = goods(y, r) if slope is None else slope
         up = drift > 0.0
         end = branch.hi_end if up else branch.lo_end
         y_end = branch.y_hi if up else branch.y_lo
         r_end = float(branch.rs[-1] if up else branch.rs[0])
-        g_end = geo.goods(y_end, r_end)
+        g_end = goods(y_end, r_end)
         rates_at = None  # the free flow's rate as a function of time
         if drift == 0.0:  # at rest: an equilibrium, or a flat ramp
             t_hit = math.inf
         elif slope is not None:
             t_hit = t + (y_end - y) / slope
         else:
-            leg = _FreeLeg(geo, r, r_end, t, drift, g_end, end[0] == "fold")
+            leg = _FreeLeg(spec, r, r_end, t, drift, g_end, end[0] == "fold")
             rates_at, t_hit = leg.rates_at, leg.t_end
 
         stop = t_hit > t_stop
@@ -480,10 +439,10 @@ def advance_reduced(spec: ModelSpec, isocline: LMIsocline, branch: Branch,
             times = np.append(times, t_stop)
         if rates_at is not None:
             r_k = rates_at(times)
-            y_k = geo.income(r_k)
+            y_k = lm.income(r_k)
         elif drift != 0.0:
             y_k = y + slope * (times - t)
-            r_k = _branch_rates(geo, branch, y_k)
+            r_k = _branch_rates(spec, branch, y_k)
         else:
             y_k, r_k = np.full(len(times), y), np.full(len(times), r)
         if stop:
@@ -553,7 +512,7 @@ def reduced_simulate(spec: ModelSpec, y0: float, branch0: int | Branch, t_end: f
     if stride is None:
         stride = (t_end - t_start) / 2000.0
 
-    r0 = float(_branch_rates(_RateCoordinate(spec), branch, np.array([float(y0)]))[0])
+    r0 = float(_branch_rates(spec, branch, np.array([float(y0)]))[0])
     ts: list[float] = [t_start]
     ys: list[float] = [y0]
     rs: list[float] = [r0]
@@ -601,7 +560,7 @@ def _window_traversals(parts: list[tuple[Trajectory, ModelSpec]]) -> list[JumpEv
     for traj, spec in parts:
         if not len(traj):
             continue
-        rates = np.asarray(_window_rates(spec)).reshape(-1, 2)
+        rates = np.asarray(spec._lm_graph.ends).reshape(-1, 2)
         lv = ((traj.r[:, None] > rates[:, 0]).sum(axis=1)
               + (traj.r[:, None] >= rates[:, 1]).sum(axis=1))
         cut = np.zeros(len(lv), dtype=bool)

@@ -177,17 +177,6 @@ def _bisect(f, lo: float, hi: float, f_lo: float, rtol: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _window_rates(spec: ModelSpec) -> list[tuple[float, float]]:
-    """Long rates (p, q) + MP - pi_e of each trap window's endpoints.
-
-    The excess slope vanishes there and nowhere else, so every fold of the
-    LM isocline sits at one of these rates: a lower knee at a window start,
-    an upper knee at a window end.
-    """
-    off = spec.params.maturity_premium - spec.params.expected_inflation
-    return [(p + off, q + off) for p, q in spec.money.window_spans()]
-
-
 def _rate_scan(spec: ModelSpec, r_range: tuple[float, float],
                scan_n: int) -> tuple[list[float], list[float], list[tuple]]:
     """The rate grid, the money excess E(0, .) on it, and the interval table.
@@ -202,7 +191,7 @@ def _rate_scan(spec: ModelSpec, r_range: tuple[float, float],
     r_lo, r_hi = r_range
     nodes = np.linspace(r_lo, r_hi, scan_n + 1)
     grid, base = nodes.tolist(), excess_money_many(0.0, nodes, spec).tolist()
-    bounds = [-math.inf, *(r for span in _window_rates(spec) for r in span), math.inf]
+    bounds = [-math.inf, *spec._lm_graph.ends, math.inf]
     table = []
     for k in range(len(bounds) - 1):
         a, b = max(r_lo, bounds[k]), min(r_hi, bounds[k + 1])
@@ -218,7 +207,7 @@ def _interval_root(y: float, spec: ModelSpec, scan, row) -> float | None:
     one on the rate edge); binary search narrows the bracket to a grid cell."""
     grid, base, _ = scan
     _, a, b, e_a, e_b, i0, i1 = row
-    c = (spec.money.l_y - spec.money.m_y) * y
+    c = spec._lm_graph.k_y * y
     f_a, f_b = e_a + c, e_b + c
     if f_a == 0.0:
         return a
@@ -294,10 +283,11 @@ def trace_lm_isocline(spec: ModelSpec, y_range: tuple[float, float],
     The sorted window-endpoint rates cut the rate axis into intervals on which
     the excess slope keeps one sign, so each interval is one branch (stable
     outside a window, unstable inside one) and each endpoint rate inside the
-    domain is a fold.  A branch's ends follow from its interval: a fold, the
-    end of the income grid, or the rate edge, placed exactly at
-    (Y_LM(edge), edge).  At each income of the sweep, each interval whose end
-    signs differ gives its branch one sample.
+    domain is a fold.  A branch's ends follow from its interval and the LM
+    graph: a fold, the rate edge, placed exactly at (Y_LM(edge), edge), or the
+    end of the income range, where the graph is inverted to a few ulps.  At
+    each income of the sweep, each interval whose end signs differ gives its
+    branch one sample.
 
     The last result is remembered: a call that repeats the previous call's
     model and domain (equal, not necessarily the same objects) returns the
@@ -318,18 +308,20 @@ def trace_lm_isocline(spec: ModelSpec, y_range: tuple[float, float],
 def _trace_lm_isocline(spec: ModelSpec, y_range: tuple[float, float], y_steps: int,
                        r_range: tuple[float, float], scan_n: int) -> LMIsocline:
     """`trace_lm_isocline` on float range pairs, memoised on its last call."""
-    k_y = spec.money.l_y - spec.money.m_y
-    if k_y == 0.0:
+    lm = spec._lm_graph
+    if lm.k_y == 0.0:
         raise ModelDomainError("l_y equals m_y: the money excess does not depend on "
                                "income, so the LM isocline is no graph over income")
     (y_lo, y_hi), (r_lo, r_hi) = y_range, r_range
     scan = _rate_scan(spec, r_range, scan_n)
     table = scan[2]
+    # Y_LM at the ends (a, b) of each interval
+    end_ys = lm.income([row[1:3] for row in table]).tolist()
 
     # endpoint j is the low end of interval j + 1; even endpoints start a
     # window (lower knee), odd ones end it (upper knee)
-    found = sorted((y, a, k - 1) for k, a, _, e_a, *_ in table
-                   if a > r_lo and y_lo <= (y := -e_a / k_y) <= y_hi)
+    found = sorted((y, a, k - 1) for (k, a, *_), (y, _) in zip(table, end_ys)
+                   if a > r_lo and y_lo <= y <= y_hi)
     folds = tuple(FoldPoint(y, r, ("lower-knee", "upper-knee")[j % 2]) for y, r, j in found)
     fold_of = {j: i for i, (_, _, j) in enumerate(found)}
 
@@ -338,25 +330,30 @@ def _trace_lm_isocline(spec: ModelSpec, y_range: tuple[float, float], y_steps: i
         for k, r in _scan_roots(float(y), spec, scan):
             samples[k].append((float(y), r))
 
-    def end_at(r: float, j: int | None, y: float):
-        """The branch end at rate r and income y (j: the window endpoint at r,
-        None on the rate edge), with its exact point if it has one."""
+    def end_at(r: float, j: int | None, y: float, bracket: tuple[float, float]):
+        """The branch end towards rate r, where the graph reaches income y (j:
+        the window endpoint at r, None on the rate edge), and its exact point:
+        a fold, the rate edge, or the income edge, where the graph is inverted
+        on the interval `bracket` (its rates of lower and higher income)."""
         if j in fold_of:
             f = folds[fold_of[j]]
             return ("fold", fold_of[j]), (f.y, f.r)
         if not y_lo <= y <= y_hi:
-            return ("boundary", "y_lo" if y < y_lo else "y_hi"), None
+            y_e = y_lo if y < y_lo else y_hi
+            return (("boundary", "y_lo" if y < y_lo else "y_hi"),
+                    (y_e, float(lm.rates_at(y_e, *bracket)[0])))
         return ("boundary", "r_lo" if r == r_lo else "r_hi"), (y, r)
 
     pieces = []
-    for row in table:
-        k, a, b, e_a, e_b = row[:5]
+    for row, (y_a, y_b) in zip(table, end_ys):
+        k, a, b = row[:3]
         pts = samples[k]
-        lo, hi = sorted([(a, k - 1 if a > r_lo else None, -e_a / k_y),
-                         (b, k if b < r_hi else None, -e_b / k_y)], key=lambda e: e[2])
+        lo, hi = sorted([(a, k - 1 if a > r_lo else None, y_a),
+                         (b, k if b < r_hi else None, y_b)], key=lambda e: e[2])
         if lo[2] > y_hi or hi[2] < y_lo:
             continue
-        (lo_end, lo_pt), (hi_end, hi_pt) = end_at(*lo), end_at(*hi)
+        bracket = (lo[0], hi[0])
+        (lo_end, lo_pt), (hi_end, hi_pt) = end_at(*lo, bracket), end_at(*hi, bracket)
         # a geometric sample ladder towards a fold keeps interpolation honest
         # where the branch is steep: it halves the gap from the sweep's sample
         # nearest that end, taken before either ladder adds samples
@@ -370,7 +367,8 @@ def _trace_lm_isocline(spec: ModelSpec, y_range: tuple[float, float], y_steps: i
                     if (r := _interval_root(y_n, spec, scan, row)) is not None:
                         pts.append((y_n, r))
                 pts.append(pt)
-            elif pt is not None:  # the rate edge
+            else:  # an edge; a sweep sample at its income gives way to it
+                pts = [p for p in pts if p[0] != pt[0]]
                 pts.insert(0 if sign > 0 else len(pts), pt)
         arr = np.asarray(pts)[np.argsort([y for y, _ in pts])]
         ys_arr, rs_arr = _dedupe_samples(arr[:, 0], arr[:, 1])
@@ -395,7 +393,7 @@ def _jacobian(spec: ModelSpec, r: float) -> tuple[float, float, float, float]:
     p, b = spec.params, spec.is_block
     j11 = p.alpha * (b.i_y - b.s_y)
     j12 = -p.alpha * (b.i_r + b.s_r)
-    j21 = p.beta * (spec.money.l_y - spec.money.m_y)
+    j21 = p.beta * spec._lm_graph.k_y
     j22 = p.beta * excess_money_slope(r, spec)
     return j11, j12, j21, j22
 
@@ -447,9 +445,8 @@ def find_equilibria(spec: ModelSpec, y_range: tuple[float, float],
     if scan_n < 2:
         raise ValueError("scan_n must be at least 2")
     curve = is_curve(spec)
-    k_y = spec.money.l_y - spec.money.m_y
+    lm = spec._lm_graph
     y_lo, y_hi = y_range
-    ends = [r for span in _window_rates(spec) for r in span]
 
     money = spec._excess_money
 
@@ -457,14 +454,12 @@ def find_equilibria(spec: ModelSpec, y_range: tuple[float, float],
         return money(y, curve.r_at(y))
 
     def dphi(y: float) -> float:
-        return k_y + curve.slope * excess_money_slope(curve.r_at(y), spec)
+        return lm.k_y + curve.slope * excess_money_slope(curve.r_at(y), spec)
 
     knots = [y_lo, y_hi]
     if curve.slope != 0.0:
-        off = spec.params.maturity_premium - spec.params.expected_inflation
-        breaks = spec.money._table[0]
-        knots[1:1] = sorted(y for i in breaks
-                            if y_lo < (y := (i + off - curve.intercept) / curve.slope) < y_hi)
+        knots[1:1] = sorted(y for r in lm.breaks.tolist()
+                            if y_lo < (y := (r - curve.intercept) / curve.slope) < y_hi)
 
     found: list[tuple[float, bool]] = []   # (income, tangent)
     step = (y_hi - y_lo) / (scan_n - 1)
@@ -496,7 +491,7 @@ def find_equilibria(spec: ModelSpec, y_range: tuple[float, float],
         if tangent:
             cls, degen = "center-degenerate", True
         branch = (None if isocline is None
-                  else _interval_branch(isocline, bisect_right(ends, r_star), y_star))
+                  else _interval_branch(isocline, bisect_right(lm.ends, r_star), y_star))
         results.append(Equilibrium(y_star, r_star, cls, eig, tr, det, disc, degen,
                                    -1 if branch is None else branch.index))
     return results

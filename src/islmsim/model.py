@@ -54,6 +54,9 @@ WORST_TIE_TOL = 1e-7
 # Finite-difference step, as a fraction of the axis scale.
 FD_STEP_FRACTION = 1e-6
 
+# Iteration cap of the safeguarded Newton inversions (`_invert`).
+NEWTON_MAX_ITER = 100
+
 # Shoulder sizing for the slope transitions flanking each trap window: half the
 # window width, capped so neighbouring windows never share a transition zone.
 SHOULDER_WIDTH_FRACTION = 0.5
@@ -328,6 +331,94 @@ def _build_segments(block: MoneyBlock) -> tuple[list[float], tuple, tuple]:
     return breaks, tuple(lv for lv, _ in parts), tuple(sl for _, sl in parts)
 
 
+class _LMGraph:
+    """The LM isocline of one model as an explicit graph over the long rate R.
+
+    The money excess is linear in income, E(Y, R) = E(0, R) + k_y Y with
+    k_y = l_y - m_y, so the isocline is Y_LM(R) = -E(0, R) / k_y with slope
+    -E_R(R) / k_y, both exact from the money block.  The rate enters through
+    the short rate R - `offset`, offset = MP - pi_e.  The slope vanishes only
+    at the window-endpoint rates `ends` (ascending; the folds sit there), so
+    Y_LM is strictly monotone between them, and smooth between the money
+    block's segment `breaks`; both are in long-rate terms.  `rates_at`
+    inverts the graph on one monotone interval.  Each `ModelSpec` builds its
+    graph once (`ModelSpec._lm_graph`); the graph keeps the blocks it reads,
+    not the spec.
+    """
+
+    __slots__ = ("offset", "k_y", "ends", "breaks", "_params", "_money", "_c")
+
+    def __init__(self, params: ModelParams, money: MoneyBlock):
+        self.offset = params.maturity_premium - params.expected_inflation
+        self.k_y = money.l_y - money.m_y
+        self.ends = tuple(r + self.offset for span in money.window_spans() for r in span)
+        self.breaks = np.asarray(money._table[0]) + self.offset
+        self._params, self._money = params, money
+        self._c = money.l0 - money.m0
+
+    def income(self, r) -> np.ndarray:
+        """Y_LM(R) for a float or an array, as an array.  E(0, R) is
+        `excess_money_many`'s arithmetic at Y = 0, so the two agree bit for
+        bit."""
+        f_l, f_m = self._money.level_parts_many(short_rate(np.asarray(r, dtype=float),
+                                                           self._params))
+        return -(self._c + (f_l - f_m) - self._params.m_stock) / self.k_y
+
+    def income_slope(self, r) -> np.ndarray:
+        """Y_LM'(R) = -E_R(R) / k_y."""
+        d_l, d_m = self._money.slope_parts_many(short_rate(np.asarray(r, dtype=float),
+                                                           self._params))
+        return (d_m - d_l) / self.k_y
+
+    def rates_at(self, y, r_lo, r_hi, x0=None, tol=0.0) -> np.ndarray:
+        """The rates R where Y_LM(R) = y, elementwise, on a rate interval where
+        Y_LM is monotone with Y_LM(r_lo) <= y <= Y_LM(r_hi) (either end may be
+        the larger rate).  Newton steps start at x0, by default the chord
+        between the ends, and stop when |Y_LM(R) - y| <= tol or the bracket
+        is a few ulps wide (`_invert`)."""
+        y = np.atleast_1d(np.asarray(y, dtype=float))
+        r_lo, r_hi = (np.broadcast_to(np.asarray(v, dtype=float), y.shape) for v in (r_lo, r_hi))
+        if x0 is None:
+            y_lo, y_hi = self.income(r_lo), self.income(r_hi)
+            x0 = r_lo + (r_hi - r_lo) * (y - y_lo) / (y_hi - y_lo)
+        return _invert(lambda r, _k: self.income(r), lambda r, _k: self.income_slope(r),
+                       y, r_lo, r_hi, np.broadcast_to(x0, y.shape),
+                       np.broadcast_to(np.asarray(tol, dtype=float), y.shape))
+
+
+def _invert(f, df, target: np.ndarray, x_lo: np.ndarray, x_hi: np.ndarray,
+            x0: np.ndarray, tol: np.ndarray) -> np.ndarray:
+    """Solve f(x, k) = target elementwise by safeguarded Newton steps.
+
+    `k` holds the indices of the elements still open.  f - target is at most
+    zero at x_lo and at least zero at x_hi (either may be the larger x); each
+    residual narrows that bracket, and a Newton step that would leave it is
+    replaced by bisection.  Newton steps that converge from one side never
+    move the far end, so a step that stalls on the end it has just set takes
+    the next float towards the other end instead.  An element is done when
+    its residual is within `tol` or its bracket is a few ulps wide; with
+    tol 0 it ends on such a bracket, well inside NEWTON_MAX_ITER.
+    """
+    x, x_lo, x_hi = x0.copy(), x_lo.copy(), x_hi.copy()
+    k = np.arange(len(x))
+    for _ in range(NEWTON_MAX_ITER):
+        res = f(x[k], k) - target[k]
+        lo, hi = np.where(res < 0.0, x[k], x_lo[k]), np.where(res > 0.0, x[k], x_hi[k])
+        x_lo[k], x_hi[k] = lo, hi
+        open_ = ((np.abs(res) > tol[k])
+                 & (np.abs(hi - lo) > 4.0 * np.spacing(np.maximum(np.abs(lo), np.abs(hi)))))
+        k, res, lo, hi = k[open_], res[open_], lo[open_], hi[open_]
+        if not len(k):
+            break
+        x_k = x[k]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = x_k - res / df(x_k, k)
+        inside = np.isfinite(step) & (step > np.minimum(lo, hi)) & (step < np.maximum(lo, hi))
+        stalled = np.nextafter(x_k, np.where(res < 0.0, hi, lo))
+        x[k] = np.where(inside, step, np.where(step == x_k, stalled, 0.5 * (lo + hi)))
+    return x
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Complete parameterization of the model."""
@@ -347,6 +438,10 @@ class ModelSpec:
     @cached_property
     def _excess_goods(self):
         return _goods_excess(self.is_block)
+
+    @cached_property
+    def _lm_graph(self) -> _LMGraph:
+        return _LMGraph(self.params, self.money)
 
     def to_dict(self) -> dict:
         d = {
@@ -642,16 +737,30 @@ def _boundary_condition(spec: ModelSpec, y_range, r_range) -> ConditionResult:
     b = spec.is_block
     denom = b.i_r + b.s_r
     r_is = ((b.i0 - b.s0) + (b.i_y - b.s_y) * y0) / denom if denom else math.nan
-    # lowest root of excess_money(y0, .) over a range widened below r_range,
-    # from the rate-interval table; geometry imports this module
-    from .geometry import lm_roots
-    roots = lm_roots(y0, spec, (min(r_range[0], r_is) - abs(r_range[1] - r_range[0]),
-                                r_range[1]))
-    if not roots:
+    r_lm = _lowest_lm_root(spec._lm_graph, y0, (min(r_range[0], r_is)
+                                                - abs(r_range[1] - r_range[0]), r_range[1]))
+    if r_lm is None:
         return ConditionResult("R_IS above lowest LM branch at low income", False, 1, 0,
                                math.nan, (y0, math.nan),
                                detail="no LM root found at the low-income edge")
-    r_lm = roots[0]
     margin = r_is - r_lm
     return ConditionResult("R_IS above lowest LM branch at low income",
                            bool(margin > 0), 1, 0, float(margin), (float(y0), float(r_lm)))
+
+
+def _lowest_lm_root(lm: _LMGraph, y: float, r_range: tuple[float, float]) -> float | None:
+    """The lowest rate in r_range where the LM graph reaches income y: on the
+    lowest interval between window-endpoint rates whose end incomes lie on
+    both sides of y, the graph inverted to a few ulps.  A root on an interval
+    end is that end."""
+    if lm.k_y == 0.0:
+        return None  # the excess does not depend on income: no graph
+    r_lo, r_hi = r_range
+    cuts = [r_lo, *(r for r in lm.ends if r_lo < r < r_hi), r_hi]
+    gap = (lm.income(cuts) - y).tolist()
+    for a, b, g_a, g_b in zip(cuts, cuts[1:], gap, gap[1:]):
+        if g_a == 0.0:
+            return a
+        if (g_a < 0.0 < g_b) or (g_b < 0.0 < g_a):
+            return float(lm.rates_at(y, *((a, b) if g_a < 0.0 else (b, a)))[0])
+    return r_hi if gap[-1] == 0.0 else None

@@ -1,13 +1,17 @@
+import copy
 import json
 import math
+import tempfile
 import tracemalloc
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from islmsim.cli import run_command
+from islmsim.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main, run_command
 from islmsim.config import ConfigError, parse_config, parse_config_dict, serialize_config
 from islmsim.dynamics import JumpEvent, Trajectory
 from islmsim.output import (
@@ -478,3 +482,115 @@ def test_module_entry_point_raises_no_runtime_warning():
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "usage: islmsim" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# config fuzz: no input reaches a traceback
+
+SHIPPED = ("reference", "no_trap", "two_window", "three_window", "steep_is", "fiscal_ramp")
+SUBCOMMANDS = ("validate", "isocline", "equilibria", "simulate", "scenario", "stabilize",
+               "portrait")
+LEAF_VALUES = (math.nan, math.inf, -math.inf, 0, -1.0, 1e300, 10**400, "x", None, [], {},
+               True)
+# a full-mode simulate runs no further than this (fast time)
+SHORT_T_END = 20.0
+
+
+def _leaf_paths(node, path=()):
+    """Paths to every scalar (and every empty list or object) of a config."""
+    if isinstance(node, dict) and node:
+        for key in sorted(node):
+            yield from _leaf_paths(node[key], path + (key,))
+    elif isinstance(node, list) and node:
+        for i, item in enumerate(node):
+            yield from _leaf_paths(item, path + (i,))
+    else:
+        yield path
+
+
+def _at(raw, path):
+    for key in path:
+        raw = raw[key]
+    return raw
+
+
+@st.composite
+def fuzzed_configs(draw):
+    """A shipped config with one or two leaves replaced, or its trap windows
+    swapped, overlapped or turned inside out."""
+    shipped = shipped_config(draw(st.sampled_from(SHIPPED)))
+    raw = copy.deepcopy(shipped)
+    for _ in range(draw(st.integers(1, 2))):
+        windows = raw["model"]["money"]["windows"]
+        if draw(st.integers(0, 3)) == 0 and isinstance(windows, list) and windows:
+            how = draw(st.sampled_from(("swap", "overlap", "inside-out")))
+            if how == "swap" and len(windows) > 1:
+                windows[0], windows[1] = windows[1], windows[0]
+            elif how == "overlap" and len(windows) > 1:
+                windows[1]["p"] = windows[0].get("p")
+            else:
+                windows[-1]["p"], windows[-1]["q"] = windows[-1].get("q"), windows[-1].get("p")
+            continue
+        path = draw(st.sampled_from(list(_leaf_paths(raw))))
+        _at(raw, path[:-1])[path[-1]] = copy.deepcopy(draw(st.sampled_from(LEAF_VALUES)))
+    # A mutation cannot lengthen a run: a horizon of 1e300 asks for an endless
+    # run, not a traceback.  A full-mode simulate stops at SHORT_T_END.  Only
+    # leaves change, so every section keeps its shape.
+    for where, key in ((("simulate",), "t_end"), (("scenario",), "horizon"),
+                       (("stabilize", "ramp"), "t_end")):
+        if where[0] not in shipped:
+            continue
+        part, limit = _at(raw, where), _at(shipped, where)[key]
+        if where == ("simulate",) and part.get("mode", "full") == "full":
+            limit = SHORT_T_END
+        value = part.get(key)
+        if isinstance(value, (int, float)) and not isinstance(value, bool) and value > limit:
+            part[key] = limit
+    return raw
+
+
+@settings(max_examples=60, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(fuzzed_configs())
+def test_fuzzed_configs_end_in_a_documented_exit_status(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        cfg = write_config(tmp, raw)
+        for cmd in SUBCOMMANDS:
+            status = main([cmd, "--config", str(cfg), "--out", str(tmp / cmd), "--quiet"])
+            assert status in (EXIT_OK, EXIT_VALIDATION, EXIT_NUMERICAL), cmd
+        try:
+            config = parse_config(cfg)
+        except ConfigError:
+            return
+        again = write_config(tmp, json.loads(serialize_config(config)), "again.json")
+        assert parse_config(again) == config
+
+
+@pytest.mark.parametrize("name, path, value, argv, status, message", [
+    # a ramp that ends before it starts, caught while parsing
+    ("fiscal_ramp", ("stabilize", "ramp", "t_start"), 1e300, ["validate"], 1,
+     "stabilize.ramp: drive interval must have positive length"),
+    # a density no array can hold
+    ("reference", ("domain", "y_steps"), 1e300, ["isocline"], 1,
+     "domain: 'y_steps' must be at least 500 and at most 1000000"),
+    # windows shifted far above r_range: no branch inside it catches the start
+    ("fiscal_ramp", ("model", "params", "maturity_premium"), 1e300, ["portrait"], 1,
+     "validation failure: fast flow from (y=2.8, r=0.02) escapes the scanned range"),
+    # a start beyond the traced income range
+    ("reference", ("simulate", "y0"), 6.0, ["simulate", "--mode", "reduced"], 1,
+     "validation failure: no isocline branch holds the root (6.0"),
+    # steps near 1e-299 would never reach the horizon
+    ("no_trap", ("model", "money", "l_slope"), 1e300, ["simulate"], 2,
+     "numerical failure: integration failed at t=0.0"),
+])
+def test_fuzz_reproducers_end_in_their_exit_status(tmp_path, capsys, name, path, value, argv,
+                                                   status, message):
+    raw = shipped_config(name)
+    _at(raw, path[:-1])[path[-1]] = value
+    cfg = write_config(tmp_path, raw)
+    assert main([*argv, "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]) \
+        == status
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err

@@ -215,6 +215,27 @@ def test_tracer_ends_a_clipped_branch_on_the_rate_edge(ref_spec, ref_domain):
     assert abs(excess_money(float(upper.ys[-1]), 0.1025, ref_spec)) <= 1e-12
 
 
+def test_tracer_ends_a_branch_on_the_income_edge_by_the_graph_inverse(all_window_specs):
+    # the end point is the LM graph inverted at the edge income to a few
+    # ulps, the same at any scan density
+    ends = 0
+    for spec, dom in all_window_specs.values():
+        lm = spec._lm_graph
+        traces = [trace_lm_isocline(spec, dom["y_range"], 700, dom["r_range"], scan_n)
+                  for scan_n in (500, 2000)]
+        for b, dense in zip(*(iso.branches for iso in traces)):
+            for end, i in ((b.lo_end, 0), (b.hi_end, -1)):
+                if end[1] not in ("y_lo", "y_hi"):
+                    continue
+                ends += 1
+                y, r = float(b.ys[i]), float(b.rs[i])
+                assert y == dom["y_range"][end[1] == "y_hi"]
+                near = lm.income(r + np.arange(-4, 5) * np.spacing(r))
+                assert near.min() <= y <= near.max()
+                assert (dense.ys[i], dense.rs[i]) == (b.ys[i], b.rs[i])
+    assert ends >= 4
+
+
 def test_tracer_requires_minimum_resolution(ref_spec, ref_domain):
     with pytest.raises(ValueError):
         trace_lm_isocline(ref_spec, ref_domain["y_range"], 100,

@@ -1,15 +1,21 @@
+import ast
 import copy
+import dataclasses
 import math
 import pickle
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import islmsim.model
+from islmsim.config import parse_config
 from islmsim.geometry import shift_lm, trace_lm_isocline
 from islmsim.model import (
+    NEWTON_MAX_ITER,
     ConstructionError,
     ISBlock,
     ModelDomainError,
@@ -18,12 +24,15 @@ from islmsim.model import (
     MoneyBlock,
     TrapWindow,
     build_three_phase_money,
+    _invert,
     excess_goods,
     excess_money,
+    excess_money_many,
+    excess_money_slope,
     short_rate,
     validate_properties,
 )
-from islmsim.reference import reference_spec, two_window_spec
+from islmsim.reference import reference_spec, three_window_spec, two_window_spec
 
 from oracles import dense_scan_roots
 
@@ -393,3 +402,80 @@ def test_boundary_condition_checked(ref_spec, ref_domain):
                 if c.condition == "R_IS above lowest LM branch at low income")
     assert cond.passed
     assert cond.worst_value > 0.0
+
+
+def test_validator_reports_the_reference_boundary_root_to_a_few_ulps():
+    # E(0, -0.0075) = 0 exactly on the shipped reference config
+    config = parse_config(Path(islmsim.model.__file__).parent / "configs" / "reference.json")
+    dom = config.domain
+    report = validate_properties(config.model, dom.y_range, dom.r_range, dom.grid_n)
+    cond = next(c for c in report.conditions
+                if c.condition == "R_IS above lowest LM branch at low income")
+    y0, r_lm = cond.worst_point
+    assert y0 == 0.0
+    assert abs(r_lm - -0.0075) <= 4 * np.spacing(0.0075)
+    assert cond.worst_value == 0.1 - r_lm
+
+
+def test_validator_reports_no_lm_root_without_an_lm_graph(ref_spec, ref_domain):
+    spec = ModelSpec(ref_spec.params, ref_spec.is_block,
+                     dataclasses.replace(ref_spec.money, m_y=ref_spec.money.l_y))
+    report = validate_properties(spec, ref_domain["y_range"], ref_domain["r_range"])
+    cond = next(c for c in report.conditions
+                if c.condition == "R_IS above lowest LM branch at low income")
+    assert not cond.passed and cond.detail == "no LM root found at the low-income edge"
+
+
+# ---------------------------------------------------------------------------
+# the LM graph
+
+@pytest.mark.parametrize("spec", [reference_spec(), two_window_spec(), three_window_spec()])
+def test_lm_graph_is_the_money_excess_at_zero_income(spec):
+    lm = spec._lm_graph
+    k_y = spec.money.l_y - spec.money.m_y
+    off = spec.params.maturity_premium - spec.params.expected_inflation
+    assert lm.k_y == k_y and lm.offset == off
+    assert lm.ends == tuple(r + off for w in spec.money.windows for r in (w.p, w.q))
+    assert lm.breaks.tolist() == [i + off for i in spec.money._table[0]]
+    rs = np.linspace(-0.1, 0.3, 4001)
+    assert np.array_equal(lm.income(rs), -excess_money_many(0.0, rs, spec) / k_y)
+    assert np.array_equal(lm.income_slope(rs),
+                          [-excess_money_slope(float(r), spec) / k_y for r in rs])
+    # the folds: the slope vanishes at every window-endpoint rate, to rounding
+    assert np.all(np.abs(lm.income_slope(np.asarray(lm.ends))) < 1e-30)
+
+
+def test_lm_graph_inverse_lands_on_the_graph(ref_spec):
+    lm = ref_spec._lm_graph
+    r_p = lm.ends[0]
+    ys = np.linspace(0.0, float(lm.income(r_p)), 50)
+    rs = lm.rates_at(ys, -0.06, r_p)
+    for y, r in zip(ys.tolist(), rs.tolist()):
+        near = lm.income(r + np.arange(-4, 5) * np.spacing(r))
+        assert near.min() <= y <= near.max(), y
+
+
+def test_inversion_ends_on_a_few_ulp_bracket_well_inside_the_cap():
+    # Newton on the convex x**3 converges to the cube root of 7 from above and
+    # never moves the lower end of the bracket; bisecting that gap by turns
+    # took 58 residuals
+    calls = []
+
+    def cube(x, _k):
+        calls.append(len(x))
+        return x ** 3
+
+    x = _invert(cube, lambda x, _k: 3.0 * x * x, np.array([7.0]), np.array([0.0]),
+                np.array([3.0]), np.array([3.0]), np.array([0.0]))[0]
+    assert abs(x - 7.0 ** (1 / 3)) <= 4 * np.spacing(7.0 ** (1 / 3))
+    assert len(calls) <= 12 < NEWTON_MAX_ITER
+
+
+def test_model_imports_no_other_islmsim_module():
+    # geometry, dynamics and policy import the model; an import back is a cycle
+    tree = ast.parse(Path(islmsim.model.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0 and not node.module.startswith("islmsim"), node.module
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.split(".")[0] == "islmsim" for a in node.names)

@@ -425,10 +425,11 @@ def test_probe_touching_classification(ref_spec, kw):
 # ---------------------------------------------------------------------------
 # sample density
 
-def _sample_density_results(spec, lower_fold, kw, y_steps):
-    """Every result of the reduced runs and the geometry, traced at y_steps."""
-    iso = trace_lm_isocline(spec, kw["y_range"], y_steps, kw["r_range"], 500)
-    runs = dict(y_steps=y_steps, **kw)
+def _sample_density_results(spec, lower_fold, kw, y_steps, scan_n=500):
+    """Every result of the reduced runs and the geometry, traced at y_steps
+    incomes on a scan_n rate grid."""
+    iso = trace_lm_isocline(spec, kw["y_range"], y_steps, kw["r_range"], scan_n)
+    runs = dict(y_steps=y_steps, scan_n=scan_n, **kw)
     branch, r0 = attach_to_branch(spec, iso, 2.8, 0.02)
     driven = apply_scenario(spec, Scenario((FiscalDrive(0.0, 6.0, y_to=3.5),
                                             MonetaryStep(2.0, d_pi=0.004),
@@ -451,14 +452,16 @@ def _sample_density_results(spec, lower_fold, kw, y_steps):
 
 def test_results_do_not_depend_on_the_sample_density(ref_spec, lower_fold, kw):
     # the samples are drawing output: every number below comes from the
-    # rate-interval table and the branches' exact end points
+    # rate-interval table and the branches' exact end points, the one at
+    # the income edge included, so neither the income sweep nor the rate
+    # grid that brackets its roots moves a result
     want = _sample_density_results(ref_spec, lower_fold, kw, 700)
-    for y_steps in (500, 1400):
-        got = _sample_density_results(ref_spec, lower_fold, kw, y_steps)
+    for y_steps, scan_n in ((500, 500), (1400, 500), (700, 2000)):
+        got = _sample_density_results(ref_spec, lower_fold, kw, y_steps, scan_n)
         for a, b in zip(got, want):
             if isinstance(a, Trajectory):  # equality is identity
                 for name in ("t", "y", "r"):
                     np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
                 assert a.jumps == b.jumps
             else:
-                assert a == b, y_steps
+                assert a == b, (y_steps, scan_n)

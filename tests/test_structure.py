@@ -18,7 +18,8 @@ from islmsim.geometry import (FoldPoint, _trace_lm_isocline, find_equilibria, is
                               lm_roots, shift_lm, trace_lm_isocline)
 from islmsim.model import (FD_STEP_FRACTION, SIGN_DEGENERACY_TOL, ISBlock, ModelParams,
                            ModelSpec, TrapWindow, build_three_phase_money, excess_money,
-                           excess_money_many, short_rate, validate_properties)
+                           excess_money_many, excess_money_slope, short_rate,
+                           validate_properties)
 from islmsim.policy import FiscalDrive, Scenario, apply_scenario, plan_stabilization
 from islmsim.reference import no_trap_spec
 
@@ -138,6 +139,27 @@ def test_validator_low_income_root_is_the_lowest_dense_scan_root(spec):
     roots = dense_scan_roots(spec, y0, (r_lo, WIDE_R[1]))
     assert roots
     assert r_lm == pytest.approx(roots[0], abs=1e-10)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(trap_specs(min_windows=0), st.just(0.0) | st.floats(0.0, 5.0))
+def test_validator_boundary_root_is_a_sign_change_to_a_few_ulps(spec, y_lo):
+    # the LM graph inverted to a few ulps, not a bisection stopped at an
+    # absolute width of 1e-14, thousands of ulps for rates this small
+    cond = next(c for c in validate_properties(spec, (y_lo, y_lo + 35.0), WIDE_R).conditions
+                if c.condition == "R_IS above lowest LM branch at low income")
+    y0, r_lm = cond.worst_point
+    width = 4 * np.spacing(abs(r_lm))
+    if y0 > 0.0:
+        # E(y0, .) adds k_y y0 to the graph's E(0, .) in another order, so
+        # its sign change may sit anywhere in its own rounding band
+        m, p = spec.money, spec.params
+        f_l, f_m = m.level_parts(short_rate(r_lm, p))
+        terms = abs(m.l0 - m.m0) + abs((m.l_y - m.m_y) * y0) + abs(f_l - f_m) + p.m_stock
+        width += 4 * np.spacing(terms) / abs(excess_money_slope(r_lm, spec))
+    near = [excess_money(y0, r, spec) for r in np.linspace(r_lm - width, r_lm + width, 17)]
+    assert min(near) <= 0.0 <= max(near)
 
 
 @st.composite
