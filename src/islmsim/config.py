@@ -22,8 +22,9 @@ __all__ = ["ConfigError", "Domain", "SimulateOptions", "ScenarioOptions",
 MODE_NAMES = {"full": "full-epsilon", "reduced": "singular-limit"}
 MODE_LABELS = {v: k for k, v in MODE_NAMES.items()}
 OUTPUT_FORMATS = {"csv", "json", "svg"}
-# the largest grid_n, y_steps and scan_n: one array of that many points is
-# 8 MB, and a sweep of that many incomes takes minutes
+# the largest grid_n, y_steps and scan_n, and the most samples a stride may
+# put on a run: one array of that many points is 8 MB, and a sweep of that
+# many incomes takes minutes
 MAX_DENSITY = 1_000_000
 
 
@@ -77,6 +78,18 @@ def _number(obj: dict, key: str, path: str, default=None, positive=False,
     if nonnegative and v < 0.0:
         raise ConfigError(f"'{key}' must be non-negative, got {v}", path)
     return v
+
+
+def _stride(obj: dict, span_key: str, span: float, path: str) -> float | None:
+    """The optional sample stride of a run over `span`, capped like the
+    densities: it may put at most MAX_DENSITY samples on the span."""
+    if obj.get("stride") is None:
+        return None
+    stride = _number(obj, "stride", path, positive=True)
+    if span / stride > MAX_DENSITY:
+        raise ConfigError(f"'stride' must put at most {MAX_DENSITY} samples on "
+                          f"'{span_key}', got {span / stride:g}", path)
+    return stride
 
 
 def _mode(obj: dict, default: str, path: str) -> str:
@@ -312,12 +325,13 @@ def parse_config_dict(raw: dict, path_label: str = "config") -> RunConfig:
         _require_keys(s, {"y0", "r0", "t_end", "mode", "stride", "rtol", "atol"},
                       {"y0", "r0", "t_end"}, sp)
         mode = _mode(s, "full", sp)
+        t_end = _number(s, "t_end", sp, nonnegative=True)
         simulate = SimulateOptions(
             y0=_number(s, "y0", sp, nonnegative=True),
             r0=_number(s, "r0", sp),
-            t_end=_number(s, "t_end", sp, nonnegative=True),
+            t_end=t_end,
             mode=mode,
-            stride=None if s.get("stride") is None else _number(s, "stride", sp, positive=True),
+            stride=_stride(s, "t_end", t_end, sp),
             rtol=_number(s, "rtol", sp, default=1e-8, positive=True),
             atol=_number(s, "atol", sp, default=1e-10, positive=True),
         )
@@ -335,7 +349,7 @@ def parse_config_dict(raw: dict, path_label: str = "config") -> RunConfig:
             y0=_number(c, "y0", cp, nonnegative=True),
             r0=_number(c, "r0", cp),
             mode=mode,
-            stride=None if c.get("stride") is None else _number(c, "stride", cp, positive=True),
+            stride=_stride(c, "horizon", horizon, cp),
         )
 
     stabilize = None

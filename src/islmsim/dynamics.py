@@ -167,15 +167,30 @@ def integrate(spec: ModelSpec, y0: float, r0: float, t_end: float,
     """Integrate the two-speed system with an adaptive embedded RK pair.
 
     Local error control shrinks steps automatically through the fast layers,
-    so jumps are resolved without any special handling.  Each step's dense
-    output is sampled at the `stride` grid points it covers (default stride:
-    horizon / 2000), written in place into arrays sized for the whole run, so
+    so jumps are resolved without any special handling.  Each step's quartic
+    interpolant is evaluated at the `stride` grid points it covers (default
+    stride: horizon / 2000), in place, with the arithmetic of scipy's
+    `RkDenseOutput`; this reads RK45's `K`, `P`, `t_old` and `y_old`
+    (scipy >= 1.9), and the samples equal `solve_ivp`'s with `t_eval` bit
+    for bit.  They are written into arrays sized for the whole run, so
     memory follows the number of samples, not the number of steps.  With a
     `drive_slope`, income follows the ramp dY/dt = drive_slope and only the
     rate obeys the money market.
     """
+    t_start, t_end = float(t_start), float(t_end)
+    for name, value in (("t_start", t_start), ("t_end", t_end), ("stride", stride)):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if t_end <= t_start:
         raise ValueError("t_end must exceed t_start")
+    if stride is None:
+        stride = (t_end - t_start) / 2000.0
+    elif stride <= 0.0:
+        raise ValueError(f"stride must be positive, got {stride}")
+    count = (t_end - t_start) / stride
+    if not math.isfinite(count):
+        raise ValueError(f"stride {stride} is too small for the horizon "
+                         f"[{t_start}, {t_end}]")
     if y0 < 0.0:
         raise ValueError("income must start non-negative")
     p = spec.params
@@ -194,10 +209,7 @@ def integrate(spec: ModelSpec, y0: float, r0: float, t_end: float,
             y, r = state.tolist()
             return (drive_slope, fa * money(y if y > 0.0 else 0.0, r))
 
-    t_start, t_end = float(t_start), float(t_end)
-    if stride is None:
-        stride = (t_end - t_start) / 2000.0
-    n_eval = max(2, int(round((t_end - t_start) / stride)) + 1)
+    n_eval = max(2, int(round(count)) + 1)
     t = np.linspace(t_start, t_end, n_eval)
     samples = np.empty((2, n_eval))
 
@@ -205,21 +217,36 @@ def integrate(spec: ModelSpec, y0: float, r0: float, t_end: float,
     # in place instead of kept in per-step chunks and stacked at the end.
     solver = RK45(rhs, t_start, (y0, r0), t_end, rtol=rtol, atol=atol)
     n = stalled = 0
+    t_next = t_start  # the first grid point no step has covered yet
     t_prev, h_stall = t_start, STALL_STEP_FRACTION * (t_end - t_start)
     while solver.status == "running":
         message = solver.step()
-        stalled = stalled + 1 if solver.t - t_prev < h_stall else 0
-        t_prev = solver.t
+        t_new = solver.t
+        stalled = stalled + 1 if t_new - t_prev < h_stall else 0
+        t_prev = t_new
         if solver.status == "failed" or stalled > STALL_STEPS:
             t_last, (y_last, r_last) = (t[n - 1], samples[:, n - 1]) if n else (t_start, (y0, r0))
             raise IntegrationError(
                 f"integration failed at t={t_last} (y={y_last}, r={r_last}): "
                 + (message or f"{stalled} steps in a row below {h_stall:g}, "
                               f"{STALL_STEP_FRACTION:g} of the horizon"))
-        m = int(np.searchsorted(t, solver.t, side="right"))
-        if m > n:
-            samples[:, n:m] = solver.dense_output()(t[n:m])
+        if t_next <= t_new:
+            # the grid points up to and including t_new, as searchsorted(side="right")
+            m = n + 1
+            while m < n_eval and t.item(m) <= t_new:
+                m += 1
+            # the step's interpolant as RkDenseOutput evaluates it: the powers
+            # x, x^2, ... as cumprod forms them, then h Q p + y_old
+            t_old = solver.t_old
+            h = t_new - t_old
+            q = solver.K.T.dot(solver.P)
+            p = np.empty((q.shape[1], m - n))
+            np.divide(t[n:m] - t_old, h, out=p[0])
+            for i in range(1, len(p)):
+                np.multiply(p[i - 1], p[0], out=p[i])
+            samples[:, n:m] = h * np.dot(q, p) + solver.y_old[:, None]
             n = m
+            t_next = t.item(n) if n < n_eval else math.inf
     if not np.all(np.isfinite(samples)):
         raise IntegrationError("non-finite state encountered during integration")
     if np.any(samples[0] < -1e-9):

@@ -583,6 +583,13 @@ def test_fuzzed_configs_end_in_a_documented_exit_status(raw):
     # steps near 1e-299 would never reach the horizon
     ("no_trap", ("model", "money", "l_slope"), 1e300, ["simulate"], 2,
      "numerical failure: integration failed at t=0.0"),
+    # strides whose sample grids no array can hold, caught while parsing
+    ("reference", ("simulate", "stride"), 1e-300, ["simulate"], 1,
+     "simulate: 'stride' must put at most 1000000 samples on 't_end'"),
+    ("reference", ("simulate", "stride"), 1e-300, ["simulate", "--mode", "reduced"], 1,
+     "simulate: 'stride' must put at most 1000000 samples on 't_end'"),
+    ("fiscal_ramp", ("scenario", "stride"), 1e-300, ["scenario"], 1,
+     "scenario: 'stride' must put at most 1000000 samples on 'horizon'"),
 ])
 def test_fuzz_reproducers_end_in_their_exit_status(tmp_path, capsys, name, path, value, argv,
                                                    status, message):

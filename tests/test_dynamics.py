@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -50,19 +51,27 @@ def test_trajectory_samples_are_read_only(ref_spec, ref_reduced_cycle):
     t[0] = -1.0
 
 
-@pytest.mark.parametrize("make_spec, eps, t_end, drive_slope", [
-    pytest.param(reference_spec, 1e-2, 2 * 6.1 / 1e-2, None, id="reference-free"),
-    pytest.param(three_window_spec, 1e-2, 2 * 6.1 / 1e-2, None, id="three-window-free"),
-    pytest.param(reference_spec, 1e-3, 300.0, 0.01, id="reference-ramp"),
+@pytest.mark.parametrize("make_spec, eps, t_start, t_end, stride, drive_slope", [
+    pytest.param(reference_spec, 1e-2, 0.0, 2 * 6.1 / 1e-2, 1.0, None, id="reference-free"),
+    pytest.param(three_window_spec, 1e-2, 0.0, 2 * 6.1 / 1e-2, 1.0, None,
+                 id="three-window-free"),
+    pytest.param(reference_spec, 1e-3, 0.0, 300.0, 1.0, 0.01, id="reference-ramp"),
+    # several samples in each step, as at eps 1e-2 and stride 0.1
+    pytest.param(reference_spec, 1e-2, 0.0, 2 * 6.1 / 1e-2, 0.1, None,
+                 id="reference-free-dense"),
+    # a later start, as in every full-mode scenario part after the first
+    pytest.param(reference_spec, 1e-2, 3.3, 3.3 + 6.1 / 1e-2, 0.37, None,
+                 id="reference-free-late-start"),
 ])
-def test_integrate_matches_an_independent_rk45_run(make_spec, eps, t_end, drive_slope):
+def test_integrate_matches_an_independent_rk45_run(make_spec, eps, t_start, t_end, stride,
+                                                   drive_slope):
     # the same RK45 problem with a right-hand side from the public excess
     # functions, income clamped at 0, gives the same samples bit for bit
     spec = make_spec(epsilon=eps)
     p = spec.params
-    y0, r0, stride, rtol, atol = 1.5, 0.01, 1.0, 1e-8, 1e-10
+    y0, r0, rtol, atol = 1.5, 0.01, 1e-8, 1e-10
     traj = integrate(spec, y0, r0, t_end, rtol=rtol, atol=atol, stride=stride,
-                     drive_slope=drive_slope)
+                     t_start=t_start, drive_slope=drive_slope)
 
     def rhs(_t, state):
         y, r = max(state[0], 0.0), state[1]
@@ -70,13 +79,30 @@ def test_integrate_matches_an_independent_rk45_run(make_spec, eps, t_end, drive_
               else drive_slope)
         return dy, p.beta * excess_money(y, r, spec)
 
-    t_eval = np.linspace(0.0, t_end, int(round(t_end / stride)) + 1)
-    sol = solve_ivp(rhs, (0.0, t_end), (y0, r0), method="RK45", rtol=rtol, atol=atol,
+    t_eval = np.linspace(t_start, t_end, int(round((t_end - t_start) / stride)) + 1)
+    sol = solve_ivp(rhs, (t_start, t_end), (y0, r0), method="RK45", rtol=rtol, atol=atol,
                     t_eval=t_eval)
     assert sol.success
     assert np.array_equal(traj.t, sol.t)
     assert np.array_equal(traj.y, sol.y[0])
     assert np.array_equal(traj.r, sol.y[1])
+
+
+@pytest.mark.parametrize("kw, name", [
+    ({"stride": 0.0}, "stride"),
+    ({"stride": -1.0}, "stride"),
+    ({"stride": math.nan}, "stride"),
+    ({"stride": math.inf}, "stride"),
+    ({"stride": 1e-320}, "stride"),
+    ({"t_end": math.inf}, "t_end"),
+    ({"t_end": math.nan}, "t_end"),
+    ({"t_start": -math.inf}, "t_start"),
+    ({"t_start": math.nan}, "t_start"),
+])
+def test_integrate_rejects_a_bad_time_grid_by_name(ref_spec, kw, name):
+    args = {"t_end": 10.0, **kw}
+    with pytest.raises(ValueError, match=name):
+        integrate(ref_spec, 1.5, 0.01, **args)
 
 
 def test_integrate_holds_each_sample_once():
