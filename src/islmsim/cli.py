@@ -181,7 +181,7 @@ def _dispatch(command: str, config: RunConfig, out_dir: Path) -> int:
         result = apply_scenario(spec, so.scenario, so.y0, so.r0, so.mode,
                                 y_range=dom.y_range, r_range=dom.r_range,
                                 y_steps=dom.y_steps, scan_n=dom.scan_n,
-                                stride=so.stride)
+                                stride=so.stride, grid_n=dom.grid_n)
         traj = result.trajectory
         cycle = detect_cycle(traj, result.final_spec)
         doc = simulation_document(traj, cycle, "trajectory.csv" if "csv" in want else None)

@@ -80,6 +80,15 @@ def _number(obj: dict, key: str, path: str, default=None, positive=False,
     return v
 
 
+def _whole(obj: dict, key: str, path: str, default: float) -> int:
+    """A positive whole number, such as a grid density; 700.0 reads as 700,
+    but 699.5 is rejected rather than truncated."""
+    v = _number(obj, key, path, default=default, positive=True)
+    if not v.is_integer():
+        raise ConfigError(f"'{key}' must be a whole number, got {v}", path)
+    return int(v)
+
+
 def _stride(obj: dict, span_key: str, span: float, path: str) -> float | None:
     """The optional sample stride of a run over `span`, capped like the
     densities: it may put at most MAX_DENSITY samples on the span."""
@@ -272,7 +281,9 @@ def _parse_model(obj: dict, path: str) -> ModelSpec:
         raise ConfigError(str(exc), path) from exc
 
 
-def _parse_steps(raw: list, horizon: float, path: str) -> Scenario:
+def _parse_steps(raw, horizon: float, path: str) -> Scenario:
+    if not isinstance(raw, list):
+        raise ConfigError("'steps' must be a list", path)
     steps = []
     for i, s in enumerate(raw):
         p = f"{path}.steps[{i}]"
@@ -310,9 +321,9 @@ def parse_config_dict(raw: dict, path_label: str = "config") -> RunConfig:
     domain = Domain(
         y_range=_pair(dom_raw, "y_range", dp),
         r_range=_pair(dom_raw, "r_range", dp),
-        grid_n=int(_number(dom_raw, "grid_n", dp, default=200.0, positive=True)),
-        y_steps=int(_number(dom_raw, "y_steps", dp, default=700.0, positive=True)),
-        scan_n=int(_number(dom_raw, "scan_n", dp, default=500.0, positive=True)),
+        grid_n=_whole(dom_raw, "grid_n", dp, default=200.0),
+        y_steps=_whole(dom_raw, "y_steps", dp, default=700.0),
+        scan_n=_whole(dom_raw, "scan_n", dp, default=500.0),
     )
     for key, least in (("grid_n", 100), ("y_steps", 500), ("scan_n", 200)):
         if not least <= getattr(domain, key) <= MAX_DENSITY:

@@ -11,10 +11,11 @@ Roots come from the same intervals, not from grid sign scans: an interval
 holds a root at a given income exactly when the excess signs at its ends
 differ, and the root is on that interval's branch.  The fast flow from a
 point lands on the first root beyond it in the direction the excess pushes
-the rate (`_landing`), on the branch of that root's interval.  Equilibria are
-the zeros of the excess along the IS line, which is convex or concave between
-the money block's segment breaks mapped onto that line.  Root counts are
-exact up to the folds, so nothing warns about tangencies.
+the rate (`_landing`, on the LM graph's inverse), on the branch of that
+root's interval.  Equilibria are the zeros of the excess along the IS line,
+which is convex or concave between the money block's segment breaks mapped
+onto that line.  Root counts are exact up to the folds, so nothing warns
+about tangencies.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ DEGENERATE_DET_TOL = 1e-10
 DISCRIMINANT_BAND = 1e-12
 # |excess| at an extremum of the IS-line excess below which it touches zero.
 TANGENCY_EXCESS_TOL = 1e-7
-ROOT_SCAN_N = 500  # rate grid of `lm_roots` and `_landing`
+ROOT_SCAN_N = 500  # default rate grid of `lm_roots`
 
 
 @dataclass(frozen=True)
@@ -243,9 +244,12 @@ def lm_roots(y: float, spec: ModelSpec, r_range: tuple[float, float],
     """All rates solving the money-market equation at the given income.
 
     Each interval between window-endpoint rates, where the excess is strictly
-    monotone, holds at most one root, found by bisection to near machine
-    width; roots return ascending.  `scan_n` (at least 200) sets the rate grid
-    that narrows each bracket.
+    monotone, holds at most one root, found by bisection to an absolute width
+    of 1e-14 below rate 1; roots return ascending.  `scan_n` (at least 200)
+    sets the rate grid that narrows each bracket.  Landings and the validator
+    read the LM graph's own inverse instead (`_LMGraph.roots`), which ends on
+    a bracket a few ulps wide, so a small root here may differ from it by
+    thousands of ulps.
     """
     return [r for _, r in _scan_roots(y, spec, _rate_scan(spec, r_range, scan_n))]
 
@@ -253,20 +257,17 @@ def lm_roots(y: float, spec: ModelSpec, r_range: tuple[float, float],
 def _landing(spec: ModelSpec, y: float, r: float, up: bool,
              r_range: tuple[float, float]) -> tuple[int, float] | None:
     """Where the fast flow from (y, r) going up (or down) comes to rest: the
-    interval index k and the lowest root x >= r (or the highest x <= r), read
-    from the interval table walked from r; None when there is none.  The scan
-    is `lm_roots`' on the same range, so x equals its value.  A root on a
-    window start is a lower knee, the top of the stable interval below it."""
+    interval index k and the lowest root x >= r (or the highest x <= r) among
+    the LM graph's roots in r_range (`_LMGraph.roots`); None when there is
+    none.  A root on a window start is a lower knee, the top of the stable
+    interval below it."""
     if y < 0.0:
         raise ModelDomainError(f"income must be non-negative, got {y}")
-    scan = _rate_scan(spec, r_range, ROOT_SCAN_N)
-    for row in scan[2] if up else reversed(scan[2]):
-        k, a, b = row[:3]
-        if b < r if up else a > r:
-            continue
-        x = _interval_root(y, spec, scan, row)
-        if x is not None and (x >= r if up else x <= r):
-            return (k - 1 if k % 2 and x == a > r_range[0] else k), x
+    lm = spec._lm_graph
+    roots = lm.roots(y, *r_range)
+    for k, x in roots if up else reversed(roots):
+        if x >= r if up else x <= r:
+            return (k - 1 if k % 2 and x == lm.ends[k - 1] > r_range[0] else k), x
     return None
 
 

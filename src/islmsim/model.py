@@ -17,6 +17,7 @@ import operator
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property
+from itertools import count
 
 import numpy as np
 
@@ -385,6 +386,37 @@ class _LMGraph:
                        y, r_lo, r_hi, np.broadcast_to(x0, y.shape),
                        np.broadcast_to(np.asarray(tol, dtype=float), y.shape))
 
+    def roots(self, y: float, r_lo: float, r_hi: float) -> list[tuple[int, float]]:
+        """Every (k, R) with r_lo <= R <= r_hi and Y_LM(R) = y, ascending in R.
+
+        k indexes the interval between window-endpoint rates that holds R:
+        interval k runs from ends[k - 1] to ends[k].  Each interval, cut to
+        the range, holds a root exactly when its end incomes lie on both sides
+        of y; all such intervals are inverted in one `rates_at` call, started
+        from the chord through those end incomes, so a root equals the branch
+        end that `rates_at` gives on the same bracket.  A root on an interval
+        end belongs to the interval above it, or to the top one on r_hi.  A
+        graph with k_y = 0 reaches no income: no roots.
+        """
+        if self.k_y == 0.0:
+            return []
+        k0 = bisect_right(self.ends, r_lo)
+        cuts = [r_lo, *(r for r in self.ends[k0:] if r < r_hi), r_hi]
+        incomes = self.income(cuts).tolist()
+        # (k, rate, or None until inverted); (rates of lower and higher income, their incomes)
+        found, brackets = [], []
+        for k, a, b, y_a, y_b in zip(count(k0), cuts, cuts[1:], incomes, incomes[1:]):
+            if y_a == y or (y_b == y and b == r_hi):
+                found.append((k, a if y_a == y else b))
+            elif y_a < y < y_b or y_b < y < y_a:
+                found.append((k, None))
+                brackets.append((a, b, y_a, y_b) if y_a < y_b else (b, a, y_b, y_a))
+        if brackets:
+            lo, hi, y_lo, y_hi = np.array(brackets).T
+            solved = iter(self.rates_at(np.full(len(lo), y), lo, hi,
+                                        lo + (hi - lo) * (y - y_lo) / (y_hi - y_lo)).tolist())
+        return [(k, next(solved) if x is None else x) for k, x in found]
+
 
 def _invert(f, df, target: np.ndarray, x_lo: np.ndarray, x_hi: np.ndarray,
             x0: np.ndarray, tol: np.ndarray) -> np.ndarray:
@@ -737,30 +769,13 @@ def _boundary_condition(spec: ModelSpec, y_range, r_range) -> ConditionResult:
     b = spec.is_block
     denom = b.i_r + b.s_r
     r_is = ((b.i0 - b.s0) + (b.i_y - b.s_y) * y0) / denom if denom else math.nan
-    r_lm = _lowest_lm_root(spec._lm_graph, y0, (min(r_range[0], r_is)
-                                                - abs(r_range[1] - r_range[0]), r_range[1]))
-    if r_lm is None:
+    roots = spec._lm_graph.roots(y0, min(r_range[0], r_is) - abs(r_range[1] - r_range[0]),
+                                 r_range[1])
+    if not roots:
         return ConditionResult("R_IS above lowest LM branch at low income", False, 1, 0,
                                math.nan, (y0, math.nan),
                                detail="no LM root found at the low-income edge")
+    r_lm = roots[0][1]
     margin = r_is - r_lm
     return ConditionResult("R_IS above lowest LM branch at low income",
                            bool(margin > 0), 1, 0, float(margin), (float(y0), float(r_lm)))
-
-
-def _lowest_lm_root(lm: _LMGraph, y: float, r_range: tuple[float, float]) -> float | None:
-    """The lowest rate in r_range where the LM graph reaches income y: on the
-    lowest interval between window-endpoint rates whose end incomes lie on
-    both sides of y, the graph inverted to a few ulps.  A root on an interval
-    end is that end."""
-    if lm.k_y == 0.0:
-        return None  # the excess does not depend on income: no graph
-    r_lo, r_hi = r_range
-    cuts = [r_lo, *(r for r in lm.ends if r_lo < r < r_hi), r_hi]
-    gap = (lm.income(cuts) - y).tolist()
-    for a, b, g_a, g_b in zip(cuts, cuts[1:], gap, gap[1:]):
-        if g_a == 0.0:
-            return a
-        if (g_a < 0.0 < g_b) or (g_b < 0.0 < g_a):
-            return float(lm.rates_at(y, *((a, b) if g_a < 0.0 else (b, a)))[0])
-    return r_hi if gap[-1] == 0.0 else None

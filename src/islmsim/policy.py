@@ -32,8 +32,8 @@ from .dynamics import (
 )
 # `lm_roots` stays bound here, unused: bench/test_inputs.py::
 # test_tracer_wraps_every_binding_and_restores_them asserts this binding
-from .geometry import (ROOT_SCAN_N, FoldPoint, LMIsocline, _interval_root, _landing,
-                       _rate_scan, is_curve, lm_roots, shift_lm, trace_lm_isocline)
+from .geometry import (FoldPoint, LMIsocline, _landing, is_curve, lm_roots, shift_lm,
+                       trace_lm_isocline)
 from .model import ISBlock, ModelSpec, excess_money, validate_properties
 
 __all__ = [
@@ -337,14 +337,13 @@ def _shifted_branch_value(spec: ModelSpec, fold: FoldPoint, k: int,
     """Value at the fold income of the shifted isocline's post-jump branch.
 
     The post-jump branch is the one of the jump's landing interval k: an LM
-    shift moves the window-endpoint rates but does not renumber the intervals.
+    shift moves the window-endpoint rates but does not renumber the intervals,
+    so the value is the shifted LM graph's root on interval k.
     """
-    shifted = shift_lm(spec, d_pi=d_pi, d_ms=d_ms)
     lo, hi = r_range
-    pad_range = (lo - abs(d_pi) - 0.2 * (hi - lo), hi + abs(d_pi) + 0.2 * (hi - lo))
-    scan = _rate_scan(shifted, pad_range, ROOT_SCAN_N)
-    row = next((row for row in scan[2] if row[0] == k), None)
-    return None if row is None else _interval_root(fold.y, shifted, scan, row)
+    pad = abs(d_pi) + 0.2 * (hi - lo)
+    roots = shift_lm(spec, d_pi=d_pi, d_ms=d_ms)._lm_graph.roots(fold.y, lo - pad, hi + pad)
+    return next((x for j, x in roots if j == k), None)
 
 
 def plan_stabilization(spec: ModelSpec, fold: FoldPoint, instrument: str,

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from islmsim.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main, run_command
 from islmsim.config import ConfigError, parse_config, parse_config_dict, serialize_config
 from islmsim.dynamics import JumpEvent, Trajectory
+from islmsim.model import validate_properties
 from islmsim.output import (
     TABLE_BLOCK_ROWS,
     RunLockError,
@@ -121,6 +122,33 @@ def test_an_integer_too_large_for_a_float_is_a_config_error(tmp_path):
     raw["model"]["params"]["m_stock"] = 10 ** 400
     with pytest.raises(ConfigError, match="'m_stock' must be finite"):
         parse_config(write_config(tmp_path, raw))
+
+
+@pytest.mark.parametrize("key, value", [("scan_n", 499.99), ("grid_n", 150.5),
+                                        ("y_steps", 700.5)])
+def test_a_density_that_is_not_a_whole_number_is_a_config_error(tmp_path, key, value):
+    raw = shipped_config("reference")
+    raw["domain"][key] = value
+    with pytest.raises(ConfigError, match=rf"domain: '{key}' must be a whole number"):
+        parse_config(write_config(tmp_path, raw))
+    raw["domain"][key] = 700.0
+    assert getattr(parse_config(write_config(tmp_path, raw)).domain, key) == 700
+
+
+def test_cli_scenario_validates_at_the_configured_grid(tmp_path, monkeypatch):
+    import islmsim.policy
+    seen = []
+
+    def spy(spec, y_range, r_range, grid_n=200):
+        seen.append(grid_n)
+        return validate_properties(spec, y_range, r_range, grid_n)
+    monkeypatch.setattr(islmsim.policy, "validate_properties", spy)
+    raw = shipped_config("fiscal_ramp")
+    raw["domain"]["grid_n"] = 150
+    cfg = write_config(tmp_path, raw)
+    assert run_command(["scenario", "--config", str(cfg),
+                        "--out", str(tmp_path / "o"), "--quiet"]) == 0
+    assert seen and set(seen) == {150}
 
 
 @pytest.mark.parametrize("mode", [[], {}])
@@ -496,16 +524,17 @@ LEAF_VALUES = (math.nan, math.inf, -math.inf, 0, -1.0, 1e300, 10**400, "x", None
 SHORT_T_END = 20.0
 
 
-def _leaf_paths(node, path=()):
-    """Paths to every scalar (and every empty list or object) of a config."""
-    if isinstance(node, dict) and node:
-        for key in sorted(node):
-            yield from _leaf_paths(node[key], path + (key,))
-    elif isinstance(node, list) and node:
-        for i, item in enumerate(node):
-            yield from _leaf_paths(item, path + (i,))
-    else:
+def _node_paths(node, path=()):
+    """Paths to every value of a config below its root: scalars, lists and
+    objects."""
+    if path:
         yield path
+    if isinstance(node, dict):
+        for key in sorted(node):
+            yield from _node_paths(node[key], path + (key,))
+    elif isinstance(node, list):
+        for i, item in enumerate(node):
+            yield from _node_paths(item, path + (i,))
 
 
 def _at(raw, path):
@@ -514,15 +543,26 @@ def _at(raw, path):
     return raw
 
 
+def _section(raw, path):
+    """The object at a path of object keys, or None where a mutation has
+    replaced the path or an object on it by another value."""
+    for key in path:
+        raw = raw.get(key) if isinstance(raw, dict) else None
+    return raw if isinstance(raw, dict) else None
+
+
 @st.composite
 def fuzzed_configs(draw):
-    """A shipped config with one or two leaves replaced, or its trap windows
-    swapped, overlapped or turned inside out."""
+    """A shipped config with one or two values replaced (a scalar, or a whole
+    list or object) by a leaf value, or its trap windows swapped, overlapped
+    or turned inside out."""
     shipped = shipped_config(draw(st.sampled_from(SHIPPED)))
     raw = copy.deepcopy(shipped)
     for _ in range(draw(st.integers(1, 2))):
-        windows = raw["model"]["money"]["windows"]
-        if draw(st.integers(0, 3)) == 0 and isinstance(windows, list) and windows:
+        money = _section(raw, ("model", "money"))
+        windows = None if money is None else money.get("windows")
+        if (draw(st.integers(0, 3)) == 0 and isinstance(windows, list) and windows
+                and all(isinstance(w, dict) for w in windows)):
             how = draw(st.sampled_from(("swap", "overlap", "inside-out")))
             if how == "swap" and len(windows) > 1:
                 windows[0], windows[1] = windows[1], windows[0]
@@ -531,16 +571,17 @@ def fuzzed_configs(draw):
             else:
                 windows[-1]["p"], windows[-1]["q"] = windows[-1].get("q"), windows[-1].get("p")
             continue
-        path = draw(st.sampled_from(list(_leaf_paths(raw))))
+        path = draw(st.sampled_from(list(_node_paths(raw))))
         _at(raw, path[:-1])[path[-1]] = copy.deepcopy(draw(st.sampled_from(LEAF_VALUES)))
     # A mutation cannot lengthen a run: a horizon of 1e300 asks for an endless
-    # run, not a traceback.  A full-mode simulate stops at SHORT_T_END.  Only
-    # leaves change, so every section keeps its shape.
+    # run, not a traceback.  A full-mode simulate stops at SHORT_T_END.  A
+    # section that is no longer an object has no horizon to clamp.
     for where, key in ((("simulate",), "t_end"), (("scenario",), "horizon"),
                        (("stabilize", "ramp"), "t_end")):
-        if where[0] not in shipped:
+        part = _section(raw, where)
+        if where[0] not in shipped or part is None:
             continue
-        part, limit = _at(raw, where), _at(shipped, where)[key]
+        limit = _at(shipped, where)[key]
         if where == ("simulate",) and part.get("mode", "full") == "full":
             limit = SHORT_T_END
         value = part.get(key)
@@ -590,6 +631,18 @@ def test_fuzzed_configs_end_in_a_documented_exit_status(raw):
      "simulate: 'stride' must put at most 1000000 samples on 't_end'"),
     ("fiscal_ramp", ("scenario", "stride"), 1e-300, ["scenario"], 1,
      "scenario: 'stride' must put at most 1000000 samples on 'horizon'"),
+    # scenario steps that are no list: a number, null or true reached a
+    # TypeError, an object passed as no steps, a string failed per character
+    ("fiscal_ramp", ("scenario", "steps"), 6.0, ["validate"], 1,
+     "scenario: 'steps' must be a list"),
+    ("fiscal_ramp", ("scenario", "steps"), None, ["scenario"], 1,
+     "scenario: 'steps' must be a list"),
+    ("fiscal_ramp", ("scenario", "steps"), True, ["portrait"], 1,
+     "scenario: 'steps' must be a list"),
+    ("fiscal_ramp", ("scenario", "steps"), {}, ["scenario"], 1,
+     "scenario: 'steps' must be a list"),
+    ("fiscal_ramp", ("scenario", "steps"), "x", ["stabilize"], 1,
+     "scenario: 'steps' must be a list"),
 ])
 def test_fuzz_reproducers_end_in_their_exit_status(tmp_path, capsys, name, path, value, argv,
                                                    status, message):

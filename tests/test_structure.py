@@ -17,8 +17,8 @@ from islmsim.dynamics import Trajectory, _fold_landing, attach_to_branch
 from islmsim.geometry import (FoldPoint, _trace_lm_isocline, find_equilibria, is_curve,
                               lm_roots, shift_lm, trace_lm_isocline)
 from islmsim.model import (FD_STEP_FRACTION, SIGN_DEGENERACY_TOL, ISBlock, ModelParams,
-                           ModelSpec, TrapWindow, build_three_phase_money, excess_money,
-                           excess_money_many, excess_money_slope, short_rate,
+                           ModelSpec, MoneyBlock, TrapWindow, build_three_phase_money,
+                           excess_money, excess_money_many, excess_money_slope, short_rate,
                            validate_properties)
 from islmsim.policy import FiscalDrive, Scenario, apply_scenario, plan_stabilization
 from islmsim.reference import no_trap_spec
@@ -121,6 +121,9 @@ def test_shared_rate_scan_matches_the_oracles(spec, incomes, fold_offsets):
         want = dense_scan_roots(spec, y, WIDE_R)
         assert len(roots) == len(want), y
         assert roots == pytest.approx(want, abs=1e-9)
+        # the LM graph's own roots, which landings read
+        graph = [r for _, r in spec._lm_graph.roots(y, *WIDE_R)]
+        assert graph == pytest.approx(want, abs=1e-9), y
 
     iso = trace_lm_isocline(spec, WIDE_Y, TRACE_STEPS, WIDE_R)
     _assert_oracle_folds_and_monotone_branches(spec, iso)
@@ -287,6 +290,24 @@ def test_fast_flow_lands_on_the_first_root_in_its_direction(spec, data):
     assert target == pytest.approx(ahead[0], abs=1e-10)
     assert branch.stability == "stable"
     assert branch.covers(y)
+    assert min(branch.rs[0], branch.rs[-1]) <= target <= max(branch.rs[0], branch.rs[-1])
+
+
+def test_a_landing_on_the_income_edge_is_its_branch_end():
+    # the flow from (0, 0) lands on the lowest branch at income 0, the edge of
+    # WIDE_Y, where the branch ends on the graph inverted to a few ulps.  A
+    # landing bracketed on a rate grid and bisected to an absolute width of
+    # 1e-14 fell 436 ulps below that end, outside its own branch
+    spec = ModelSpec(ModelParams(1.0, 0.25, 1e-3, 2.25, 0.02, 0.0),
+                     ISBlock(1.5, 0.25, 1.0, 0.5, 0.5, 1.0),
+                     MoneyBlock(0.5, 0.1, 20.0, 20.0, 2.2, 0.5,
+                                (TrapWindow(0.015625, 0.0703125, 8.0, 9.0),
+                                 TrapWindow(0.1015625, 0.1328125, 8.0, 8.0))))
+    iso = trace_lm_isocline(spec, WIDE_Y, TRACE_STEPS, WIDE_R)
+    branch, target = attach_to_branch(spec, iso, 0.0, 0.0)
+    end = branch.rs[0] if branch.ys[0] == 0.0 else branch.rs[-1]
+    assert branch.lo_end == ("boundary", "y_lo")
+    assert target == end
     assert min(branch.rs[0], branch.rs[-1]) <= target <= max(branch.rs[0], branch.rs[-1])
 
 
