@@ -12,13 +12,12 @@ import argparse
 import logging
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
-from .config import ConfigError, MODE_NAMES, OUTPUT_FORMATS, RunConfig, parse_config
+from .config import ConfigError, MODE_NAMES, RunConfig, _override, parse_config
 from .dynamics import FoldStallError, IntegrationError, REDUCED_MODE, Trajectory, detect_cycle
 from .geometry import find_equilibria, is_curve, trace_lm_isocline
-from .model import ConstructionError, ModelDomainError, validate_properties
+from .model import ModelDomainError, validate_properties
 from .output import (
     RunLockError,
     acquire_run_lock,
@@ -54,8 +53,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default="islm-out", help="output directory")
     parser.add_argument("--format", default=None,
                         help="comma-separated outputs: csv,json,svg")
-    parser.add_argument("--mode", choices=["full", "reduced"], default=None,
-                        help="override the simulation mode")
+    parser.add_argument("--mode", choices=sorted(MODE_NAMES), default=None,
+                        help="override the mode of every section that has one")
     parser.add_argument("--epsilon", type=float, default=None,
                         help="override the slow-fast ratio")
     parser.add_argument("--quiet", action="store_true", help="suppress progress logs")
@@ -72,28 +71,15 @@ def _configure_logging(quiet: bool) -> None:
 
 
 def _apply_overrides(config: RunConfig, args) -> RunConfig:
-    model = config.model
-    if args.epsilon is not None:
-        try:
-            model = replace(model, params=replace(model.params, epsilon=args.epsilon))
-        except ConstructionError as exc:
-            raise ConfigError(str(exc), "--epsilon") from exc
-    simulate = config.simulate
-    scenario = config.scenario
-    if args.mode is not None:
-        mode = MODE_NAMES[args.mode]
-        if simulate is not None:
-            simulate = replace(simulate, mode=mode)
-        if scenario is not None:
-            scenario = replace(scenario, mode=mode)
-    formats = config.formats
-    if args.format is not None:
-        formats = tuple(f.strip() for f in args.format.split(",") if f.strip())
-        bad = set(formats) - OUTPUT_FORMATS
-        if bad:
-            raise ConfigError(f"unknown format(s) {sorted(bad)} in --format")
-    return replace(config, model=model, simulate=simulate, scenario=scenario,
-                   formats=formats)
+    """The config with each flag given read into every field it overrides."""
+    formats = (None if args.format is None
+               else [f.strip() for f in args.format.split(",") if f.strip()])
+    for flag, key, value in (("--epsilon", "epsilon", args.epsilon),
+                             ("--mode", "mode", args.mode),
+                             ("--format", "formats", formats)):
+        if value is not None:
+            config = _override(config, flag, key, value)
+    return config
 
 
 def run_command(argv: list[str] | None = None) -> int:

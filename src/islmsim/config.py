@@ -1,18 +1,23 @@
 """Run configuration: strict JSON parsing with precise error locations.
 
-Unknown keys are rejected everywhere so a mistyped tolerance name can never
-silently fall back to a default.  Parsed configurations echo their resolved
-values (defaults filled in) for the run's provenance record.
+Every field is declared once, in the table `_CONFIG` at the end of this
+module: its key, its kind, which carries its bounds and caps, and its
+default.  Parsing, the resolved echo that `RunConfig.resolved` writes to each
+run's provenance record, and the CLI's overrides all walk that table.
+Unknown keys are rejected everywhere, so a mistyped tolerance name can never
+silently fall back to a default.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, replace
+from operator import attrgetter
 from pathlib import Path
 
-from .model import ConstructionError, ModelSpec
+from .model import ConstructionError, ISBlock, ModelParams, ModelSpec, MoneyBlock, TrapWindow
 from .policy import FiscalDrive, FiscalShift, MonetaryStep, Scenario, ScenarioError
 
 __all__ = ["ConfigError", "Domain", "SimulateOptions", "ScenarioOptions",
@@ -20,7 +25,6 @@ __all__ = ["ConfigError", "Domain", "SimulateOptions", "ScenarioOptions",
            "serialize_config"]
 
 MODE_NAMES = {"full": "full-epsilon", "reduced": "singular-limit"}
-MODE_LABELS = {v: k for k, v in MODE_NAMES.items()}
 OUTPUT_FORMATS = {"csv", "json", "svg"}
 # the largest grid_n, y_steps and scan_n, and the most samples a stride may
 # put on a run: one array of that many points is 8 MB, and a sweep of that
@@ -39,112 +43,6 @@ class ConfigError(ValueError):
         super().__init__(f"{prefix}{message}{suffix}")
 
 
-def _require_keys(obj: dict, allowed: set[str], required: set[str], path: str):
-    if not isinstance(obj, dict):
-        raise ConfigError(f"expected an object, got {type(obj).__name__}", path)
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)}; allowed: {sorted(allowed)}",
-                          path)
-    missing = required - set(obj)
-    if missing:
-        raise ConfigError(f"missing required key(s) {sorted(missing)}", path)
-
-
-def _finite(x, key: str, path: str) -> float:
-    """A JSON number as a float; NaN, infinities and integers too large for a
-    float are rejected."""
-    try:
-        x = float(x)
-    except OverflowError:
-        x = math.inf
-    if not math.isfinite(x):
-        raise ConfigError(f"'{key}' must be finite, got {x}", path)
-    return x
-
-
-def _number(obj: dict, key: str, path: str, default=None, positive=False,
-            nonnegative=False):
-    if key not in obj:
-        if default is None:
-            raise ConfigError(f"missing required key '{key}'", path)
-        return default
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"'{key}' must be a number, got {v!r}", path)
-    v = _finite(v, key, path)
-    if positive and v <= 0.0:
-        raise ConfigError(f"'{key}' must be positive, got {v}", path)
-    if nonnegative and v < 0.0:
-        raise ConfigError(f"'{key}' must be non-negative, got {v}", path)
-    return v
-
-
-def _whole(obj: dict, key: str, path: str, default: float) -> int:
-    """A positive whole number, such as a grid density; 700.0 reads as 700,
-    but 699.5 is rejected rather than truncated."""
-    v = _number(obj, key, path, default=default, positive=True)
-    if not v.is_integer():
-        raise ConfigError(f"'{key}' must be a whole number, got {v}", path)
-    return int(v)
-
-
-def _stride(obj: dict, span_key: str, span: float, path: str) -> float | None:
-    """The optional sample stride of a run over `span`, capped like the
-    densities: it may put at most MAX_DENSITY samples on the span."""
-    if obj.get("stride") is None:
-        return None
-    stride = _number(obj, "stride", path, positive=True)
-    if span / stride > MAX_DENSITY:
-        raise ConfigError(f"'stride' must put at most {MAX_DENSITY} samples on "
-                          f"'{span_key}', got {span / stride:g}", path)
-    return stride
-
-
-def _mode(obj: dict, default: str, path: str) -> str:
-    mode = obj.get("mode", default)
-    if not isinstance(mode, str) or mode not in MODE_NAMES:
-        raise ConfigError(f"'mode' must be one of {sorted(MODE_NAMES)}, got {mode!r}", path)
-    return MODE_NAMES[mode]
-
-
-def _drive(obj: dict, path: str, extra: frozenset[str] = frozenset()) -> FiscalDrive:
-    """A fiscal drive: a `fiscal-drive` scenario step or a stabilize ramp."""
-    required = {"t_start", "t_end", "y_to"} | extra
-    _require_keys(obj, required | {"y_from"}, required, path)
-    try:
-        return FiscalDrive(
-            t_start=_number(obj, "t_start", path, nonnegative=True),
-            t_end=_number(obj, "t_end", path, positive=True),
-            y_to=_number(obj, "y_to", path, nonnegative=True),
-            y_from=None if "y_from" not in obj else _number(obj, "y_from", path))
-    except ScenarioError as exc:
-        raise ConfigError(str(exc), path) from exc
-
-
-def _drive_dict(d: FiscalDrive) -> dict:
-    out = {"t_start": d.t_start, "t_end": d.t_end, "y_to": d.y_to}
-    if d.y_from is not None:
-        out["y_from"] = d.y_from
-    return out
-
-
-def _pair(obj: dict, key: str, path: str, default=None) -> tuple[float, float]:
-    if key not in obj:
-        if default is None:
-            raise ConfigError(f"missing required key '{key}'", path)
-        return default
-    v = obj[key]
-    if (not isinstance(v, (list, tuple)) or len(v) != 2
-            or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in v)):
-        raise ConfigError(f"'{key}' must be a pair of numbers", path)
-    lo, hi = _finite(v[0], key, path), _finite(v[1], key, path)
-    if hi <= lo:
-        raise ConfigError(f"'{key}' must be a non-degenerate range, got [{lo}, {hi}]",
-                          path)
-    return lo, hi
-
-
 @dataclass(frozen=True)
 class Domain:
     y_range: tuple[float, float]
@@ -152,10 +50,6 @@ class Domain:
     grid_n: int = 200
     y_steps: int = 700
     scan_n: int = 500
-
-    def to_dict(self) -> dict:
-        return {"y_range": list(self.y_range), "r_range": list(self.r_range),
-                "grid_n": self.grid_n, "y_steps": self.y_steps, "scan_n": self.scan_n}
 
 
 @dataclass(frozen=True)
@@ -168,11 +62,6 @@ class SimulateOptions:
     rtol: float = 1e-8
     atol: float = 1e-10
 
-    def to_dict(self) -> dict:
-        return {"y0": self.y0, "r0": self.r0, "t_end": self.t_end,
-                "mode": MODE_LABELS[self.mode], "stride": self.stride,
-                "rtol": self.rtol, "atol": self.atol}
-
 
 @dataclass(frozen=True)
 class ScenarioOptions:
@@ -181,20 +70,6 @@ class ScenarioOptions:
     r0: float
     mode: str = "singular-limit"
     stride: float | None = None
-
-    def to_dict(self) -> dict:
-        steps = []
-        for s in self.scenario.steps:
-            if isinstance(s, FiscalDrive):
-                steps.append({"kind": "fiscal-drive", **_drive_dict(s)})
-            elif isinstance(s, FiscalShift):
-                steps.append({"kind": "fiscal-shift", "time": s.time, "g": s.g})
-            else:
-                steps.append({"kind": "monetary-step", "time": s.time,
-                              "d_pi": s.d_pi, "d_ms": s.d_ms})
-        return {"horizon": self.scenario.horizon, "y0": self.y0, "r0": self.r0,
-                "mode": MODE_LABELS[self.mode], "stride": self.stride,
-                "steps": steps}
 
 
 @dataclass(frozen=True)
@@ -208,15 +83,6 @@ class StabilizeOptions:
     mode: str = "singular-limit"
     protect_to_y: float | None = None
 
-    def to_dict(self) -> dict:
-        d = {"fold": self.fold, "instrument": self.instrument,
-             "ramp": _drive_dict(self.ramp),
-             "y0": self.y0, "r0": self.r0, "margin_frac": self.margin_frac,
-             "mode": MODE_LABELS[self.mode]}
-        if self.protect_to_y is not None:
-            d["protect_to_y"] = self.protect_to_y
-        return d
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -228,177 +94,308 @@ class RunConfig:
     formats: tuple[str, ...] = ("csv", "json")
 
     def resolved(self) -> dict:
-        out = {"model": self.model.to_dict(), "domain": self.domain.to_dict(),
-               "output": {"formats": list(self.formats)}}
-        if self.simulate is not None:
-            out["simulate"] = self.simulate.to_dict()
-        if self.scenario is not None:
-            out["scenario"] = self.scenario.to_dict()
-        if self.stabilize is not None:
-            out["stabilize"] = self.stabilize.to_dict()
+        """The configuration with its defaults filled in, as JSON values."""
+        return _CONFIG.write(self)
+
+
+# ---------------------------------------------------------------------------
+# field kinds
+
+_REQUIRED = object()  # the default of a field that a config must give
+
+
+class _Kind:
+    """How a field reads and writes.  `read(v, key, where, got)` checks the
+    JSON value `v` of field `key` in the object at path `where`, given the
+    values `got` read before it there, and returns what the config holds; it
+    raises ConfigError at `where`.  `write` turns that back into JSON."""
+
+    bound = ""
+    nullable = False  # null reads as unset, so an unset value is written as null
+
+    def write(self, x):
+        return x
+
+
+@dataclass(frozen=True)
+class _Number(_Kind):
+    """A finite number (not a boolean, NaN or infinity) of at least `least`
+    (above it when `strict`) and at most `most`.  A `whole` one reads as an
+    int: 700.0 reads as 700, but 699.5 is rejected rather than truncated."""
+
+    least: float | None = None
+    strict: bool = False
+    most: float | None = None
+    whole: bool = False
+
+    @property
+    def bound(self) -> str:
+        if self.most is not None:
+            return f"at least {self.least} and at most {self.most}"
+        if self.least == 0.0:
+            return "positive" if self.strict else "non-negative"
+        return "finite" if self.least is None else f"at least {self.least!r}"
+
+    def read(self, v, key: str, where: str, got: dict):
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ConfigError(f"'{key}' must be a number, got {v!r}", where)
+        try:
+            x = float(v)
+        except OverflowError:  # an integer too large for a float
+            x = math.inf
+        if not math.isfinite(x):
+            raise ConfigError(f"'{key}' must be finite, got {x}", where)
+        if self.whole and not x.is_integer():
+            raise ConfigError(f"'{key}' must be a whole number, got {x}", where)
+        low = self.least is not None and (x <= self.least if self.strict else x < self.least)
+        if low or (self.most is not None and x > self.most):
+            raise ConfigError(f"'{key}' must be {self.bound}, got {x}", where)
+        return int(x) if self.whole else x
+
+
+class _Range(_Kind):
+    bound = "finite, low < high"
+
+    def read(self, v, key: str, where: str, got: dict) -> tuple[float, float]:
+        if not isinstance(v, (list, tuple)) or len(v) != 2:
+            raise ConfigError(f"'{key}' must be a pair of numbers", where)
+        lo, hi = (_ANY.read(x, key, where, got) for x in v)
+        if hi <= lo:
+            raise ConfigError(f"'{key}' must be a non-degenerate range, got [{lo}, {hi}]",
+                              where)
+        return lo, hi
+
+    def write(self, pair) -> list:
+        return list(pair)
+
+
+@dataclass(frozen=True)
+class _Choice(_Kind):
+    """One of the keys of `names`, read as the value it maps to."""
+
+    names: dict
+
+    @property
+    def bound(self) -> str:
+        return f"one of {sorted(self.names)}"
+
+    def read(self, v, key: str, where: str, got: dict):
+        if not isinstance(v, str) or v not in self.names:
+            raise ConfigError(f"'{key}' must be {self.bound}, got {v!r}", where)
+        return self.names[v]
+
+    def write(self, value) -> str:
+        return next(name for name, x in self.names.items() if x == value)
+
+
+@dataclass(frozen=True)
+class _Stride(_Kind):
+    """The optional sample stride of a run over the object's `span` field,
+    capped like the densities: it may put at most MAX_DENSITY samples on the
+    span."""
+
+    span: str
+    nullable = True
+
+    @property
+    def bound(self) -> str:
+        return f"positive, at most {MAX_DENSITY} samples on '{self.span}'"
+
+    def read(self, v, key: str, where: str, got: dict) -> float | None:
+        if v is None:
+            return None
+        stride = _POSITIVE.read(v, key, where, got)
+        samples = got[self.span] / stride
+        if samples > MAX_DENSITY:
+            raise ConfigError(f"'{key}' must put at most {MAX_DENSITY} samples on "
+                              f"'{self.span}', got {samples:g}", where)
+        return stride
+
+
+@dataclass(frozen=True)
+class _List(_Kind):
+    item: _Kind
+
+    def read(self, v, key: str, where: str, got: dict) -> tuple:
+        if not isinstance(v, list):
+            raise ConfigError(f"'{key}' must be a list", where)
+        return tuple(self.item.read(x, f"{key}[{i}]", where, got) for i, x in enumerate(v))
+
+    def write(self, items) -> list:
+        return [self.item.write(x) for x in items]
+
+
+@dataclass(frozen=True)
+class _Field:
+    key: str
+    kind: _Kind
+    default: object = _REQUIRED
+    # where the built object keeps the value: "" for its attribute `key`, a dotted
+    # attribute path, or None for a section whose fields are the object's own
+    attr: str | None = ""
+
+
+@dataclass(frozen=True)
+class _Record(_Kind):
+    """A JSON object of `fields`, built by `build(**values)`.  A rule that the
+    builder enforces across fields, its `bound`, fails as a config error at
+    the object's path."""
+
+    build: object
+    fields: tuple[_Field, ...]
+    bound: str = ""
+
+    def read(self, v, key: str, where: str, got: dict):
+        here = f"{where}.{key}" if where else key
+        if not isinstance(v, dict):
+            raise ConfigError(f"expected an object, got {type(v).__name__}", here)
+        allowed = {f.key for f in self.fields}
+        if set(v) - allowed:
+            raise ConfigError(f"unknown key(s) {sorted(set(v) - allowed)}; "
+                              f"allowed: {sorted(allowed)}", here)
+        missing = {f.key for f in self.fields if f.default is _REQUIRED} - set(v)
+        if missing:
+            raise ConfigError(f"missing required key(s) {sorted(missing)}", here)
+        values = {}
+        for f in self.fields:
+            x = f.kind.read(v[f.key], f.key, here, values) if f.key in v else f.default
+            if f.attr is None:
+                values.update(x)
+            else:
+                values[f.key] = x
+        try:
+            return self.build(**values)
+        except (ConstructionError, ScenarioError) as exc:
+            raise ConfigError(str(exc), here) from exc
+
+    def write(self, obj) -> dict:
+        out = {}
+        for f in self.fields:
+            x = obj if f.attr is None else attrgetter(f.attr or f.key)(obj)
+            if x is not None or f.kind.nullable:  # an unset optional field is left out
+                out[f.key] = f.kind.write(x)
         return out
 
 
-def _parse_model(obj: dict, path: str) -> ModelSpec:
-    _require_keys(obj, {"params", "is_block", "money"},
-                  {"params", "is_block", "money"}, path)
-    params = obj["params"]
-    _require_keys(params, {"alpha", "beta", "epsilon", "m_stock",
-                           "maturity_premium", "expected_inflation"},
-                  {"alpha", "beta", "epsilon", "m_stock"}, f"{path}.params")
-    is_block = obj["is_block"]
-    _require_keys(is_block, {"i0", "i_y", "i_r", "s0", "s_y", "s_r"},
-                  {"i0", "i_y", "i_r", "s0", "s_y", "s_r"}, f"{path}.is_block")
-    money = obj["money"]
-    _require_keys(money, {"l_y", "m_y", "l_slope", "m_slope", "l0", "m0", "windows"},
-                  {"l_y", "m_y", "l_slope", "m_slope", "l0", "m0"}, f"{path}.money")
-    windows = money.get("windows", [])
-    if not isinstance(windows, list):
-        raise ConfigError("'windows' must be a list", f"{path}.money")
-    for i, w in enumerate(windows):
-        _require_keys(w, {"p", "q", "amp_l", "amp_m"}, {"p", "q", "amp_l", "amp_m"},
-                      f"{path}.money.windows[{i}]")
-    d = {
-        "params": {k: _number(params, k, f"{path}.params",
-                              default=params.get(k, 0.0))
-                   for k in ("alpha", "beta", "epsilon", "m_stock",
-                             "maturity_premium", "expected_inflation")},
-        "is_block": {k: _number(is_block, k, f"{path}.is_block")
-                     for k in ("i0", "i_y", "i_r", "s0", "s_y", "s_r")},
-        "money": {
-            **{k: _number(money, k, f"{path}.money")
-               for k in ("l_y", "m_y", "l_slope", "m_slope", "l0", "m0")},
-            "windows": [{k: _number(w, k, f"{path}.money.windows[{i}]")
-                         for k in ("p", "q", "amp_l", "amp_m")}
-                        for i, w in enumerate(windows)],
-        },
-    }
-    d["params"].setdefault("maturity_premium", 0.0)
-    d["params"].setdefault("expected_inflation", 0.0)
-    try:
-        return ModelSpec.from_dict(d)
-    except ConstructionError as exc:
-        raise ConfigError(str(exc), path) from exc
+class _Tagged(_Choice):
+    """An object whose 'kind' names the record it reads as."""
+
+    def read(self, v, key: str, where: str, got: dict):
+        if not isinstance(v, dict) or "kind" not in v:
+            raise ConfigError("each step needs a 'kind'", f"{where}.{key}")
+        record = super().read(v["kind"], "kind", f"{where}.{key}", got)
+        return record.read({k: x for k, x in v.items() if k != "kind"}, key, where, got)
+
+    def write(self, obj) -> dict:
+        kind, record = next((k, r) for k, r in self.names.items() if isinstance(obj, r.build))
+        return {"kind": kind, **record.write(obj)}
 
 
-def _parse_steps(raw, horizon: float, path: str) -> Scenario:
-    if not isinstance(raw, list):
-        raise ConfigError("'steps' must be a list", path)
-    steps = []
-    for i, s in enumerate(raw):
-        p = f"{path}.steps[{i}]"
-        if not isinstance(s, dict) or "kind" not in s:
-            raise ConfigError("each step needs a 'kind'", p)
-        kind = s["kind"]
-        if kind == "fiscal-drive":
-            steps.append(_drive(s, p, frozenset({"kind"})))
-        elif kind == "fiscal-shift":
-            _require_keys(s, {"kind", "time", "g"}, {"kind", "time", "g"}, p)
-            steps.append(FiscalShift(time=_number(s, "time", p, nonnegative=True),
-                                     g=_number(s, "g", p)))
-        elif kind == "monetary-step":
-            _require_keys(s, {"kind", "time", "d_pi", "d_ms"}, {"kind", "time"}, p)
-            steps.append(MonetaryStep(time=_number(s, "time", p, nonnegative=True),
-                                      d_pi=_number(s, "d_pi", p, default=0.0),
-                                      d_ms=_number(s, "d_ms", p, default=0.0)))
-        else:
-            raise ConfigError(f"unknown step kind {kind!r}", p)
+# ---------------------------------------------------------------------------
+# the table
+
+_ANY = _Number()
+_POSITIVE = _Number(0.0, strict=True)
+_NONNEGATIVE = _Number(0.0)
+_MODE = _Choice(MODE_NAMES)
+
+
+def _numbers(*keys: str) -> tuple[_Field, ...]:
+    return tuple(_Field(key, _ANY) for key in keys)
+
+
+def _scenario_options(horizon: float, steps: tuple, **rest) -> ScenarioOptions:
+    return ScenarioOptions(Scenario(steps, horizon), **rest)
+
+
+# a `fiscal-drive` scenario step or a stabilize ramp
+_DRIVE = _Record(FiscalDrive, (
+    _Field("t_start", _NONNEGATIVE), _Field("t_end", _POSITIVE),
+    _Field("y_to", _NONNEGATIVE), _Field("y_from", _ANY, None)),
+    bound="t_start < t_end")
+
+_CONFIG = _Record(RunConfig, (
+    _Field("model", _Record(ModelSpec, (
+        _Field("params", _Record(ModelParams, (
+            _Field("alpha", _POSITIVE), _Field("beta", _POSITIVE),
+            _Field("epsilon", _ANY), _Field("m_stock", _POSITIVE),
+            _Field("maturity_premium", _ANY, 0.0),
+            _Field("expected_inflation", _ANY, 0.0)),
+            bound="0 < epsilon <= 1")),
+        _Field("is_block", _Record(ISBlock, _numbers("i0", "i_y", "i_r", "s0", "s_y", "s_r"))),
+        _Field("money", _Record(MoneyBlock, (
+            *_numbers("l_y", "m_y"),
+            _Field("l_slope", _POSITIVE), _Field("m_slope", _POSITIVE),
+            *_numbers("l0", "m0"),
+            _Field("windows", _List(_Record(TrapWindow, (
+                _Field("p", _POSITIVE), _Field("q", _ANY),
+                _Field("amp_l", _POSITIVE), _Field("amp_m", _POSITIVE)),
+                bound="p < q")), ())),
+            bound="windows disjoint and ascending"))))),
+    _Field("domain", _Record(Domain, (
+        _Field("y_range", _Range()), _Field("r_range", _Range()),
+        _Field("grid_n", _Number(100, most=MAX_DENSITY, whole=True), Domain.grid_n),
+        _Field("y_steps", _Number(500, most=MAX_DENSITY, whole=True), Domain.y_steps),
+        _Field("scan_n", _Number(200, most=MAX_DENSITY, whole=True), Domain.scan_n)))),
+    _Field("simulate", _Record(SimulateOptions, (
+        _Field("y0", _NONNEGATIVE), _Field("r0", _ANY), _Field("t_end", _NONNEGATIVE),
+        _Field("mode", _MODE, SimulateOptions.mode),
+        _Field("stride", _Stride("t_end"), None),
+        # RK45 raises a smaller relative tolerance to this floor, with a warning
+        _Field("rtol", _Number(100 * sys.float_info.epsilon), SimulateOptions.rtol),
+        _Field("atol", _POSITIVE, SimulateOptions.atol))), None),
+    _Field("scenario", _Record(_scenario_options, (
+        _Field("horizon", _POSITIVE, attr="scenario.horizon"),
+        _Field("y0", _NONNEGATIVE), _Field("r0", _ANY),
+        _Field("mode", _MODE, ScenarioOptions.mode),
+        _Field("stride", _Stride("horizon"), None),
+        _Field("steps", _List(_Tagged({
+            "fiscal-drive": _DRIVE,
+            "fiscal-shift": _Record(FiscalShift, (
+                _Field("time", _NONNEGATIVE), _Field("g", _ANY))),
+            "monetary-step": _Record(MonetaryStep, (
+                _Field("time", _NONNEGATIVE), _Field("d_pi", _ANY, 0.0),
+                _Field("d_ms", _ANY, 0.0)))})),
+            (), attr="scenario.steps")),
+        bound="steps lie within the horizon; step times strictly increase; "
+             "drives do not overlap"), None),
+    _Field("stabilize", _Record(StabilizeOptions, (
+        _Field("fold", _Choice({k: k for k in ("lower-knee", "upper-knee")})),
+        _Field("instrument", _Choice({k: k for k in ("inflation", "money-stock")})),
+        _Field("ramp", _DRIVE), _Field("y0", _NONNEGATIVE), _Field("r0", _ANY),
+        _Field("margin_frac", _NONNEGATIVE, StabilizeOptions.margin_frac),
+        _Field("mode", _MODE, StabilizeOptions.mode),
+        _Field("protect_to_y", _ANY, None))), None),
+    _Field("output", _Record(dict, (
+        _Field("formats", _List(_Choice({f: f for f in sorted(OUTPUT_FORMATS)})),
+               RunConfig.formats),)), {}, attr=None),
+))
+
+
+def _override(config: RunConfig, flag: str, key: str, value) -> RunConfig:
+    """`config` with `value`, read by the table's kind for `key`, in every
+    field `key` of a section the config has; `flag` names the value's source
+    in an error."""
     try:
-        return Scenario(tuple(steps), horizon)
-    except Exception as exc:
-        raise ConfigError(str(exc), path) from exc
+        return _set(_CONFIG, config, key, value, flag)
+    except (ConstructionError, ScenarioError) as exc:
+        raise ConfigError(str(exc), flag) from exc
+
+
+def _set(record: _Record, obj, key: str, value, flag: str):
+    for f in record.fields:
+        if f.key == key:
+            obj = replace(obj, **{key: f.kind.read(value, key, flag, {})})
+        elif isinstance(f.kind, _Record):
+            part = obj if f.attr is None else getattr(obj, f.key)
+            new = part if part is None else _set(f.kind, part, key, value, flag)
+            if new is not part:
+                obj = new if f.attr is None else replace(obj, **{f.key: new})
+    return obj
 
 
 def parse_config_dict(raw: dict, path_label: str = "config") -> RunConfig:
-    _require_keys(raw, {"model", "domain", "simulate", "scenario", "stabilize",
-                        "output"}, {"model", "domain"}, path_label)
-    model = _parse_model(raw["model"], f"{path_label}.model")
-
-    dom_raw = raw["domain"]
-    _require_keys(dom_raw, {"y_range", "r_range", "grid_n", "y_steps", "scan_n"},
-                  {"y_range", "r_range"}, f"{path_label}.domain")
-    dp = f"{path_label}.domain"
-    domain = Domain(
-        y_range=_pair(dom_raw, "y_range", dp),
-        r_range=_pair(dom_raw, "r_range", dp),
-        grid_n=_whole(dom_raw, "grid_n", dp, default=200.0),
-        y_steps=_whole(dom_raw, "y_steps", dp, default=700.0),
-        scan_n=_whole(dom_raw, "scan_n", dp, default=500.0),
-    )
-    for key, least in (("grid_n", 100), ("y_steps", 500), ("scan_n", 200)):
-        if not least <= getattr(domain, key) <= MAX_DENSITY:
-            raise ConfigError(f"'{key}' must be at least {least} and at most {MAX_DENSITY}", dp)
-
-    simulate = None
-    if "simulate" in raw:
-        sp = f"{path_label}.simulate"
-        s = raw["simulate"]
-        _require_keys(s, {"y0", "r0", "t_end", "mode", "stride", "rtol", "atol"},
-                      {"y0", "r0", "t_end"}, sp)
-        mode = _mode(s, "full", sp)
-        t_end = _number(s, "t_end", sp, nonnegative=True)
-        simulate = SimulateOptions(
-            y0=_number(s, "y0", sp, nonnegative=True),
-            r0=_number(s, "r0", sp),
-            t_end=t_end,
-            mode=mode,
-            stride=_stride(s, "t_end", t_end, sp),
-            rtol=_number(s, "rtol", sp, default=1e-8, positive=True),
-            atol=_number(s, "atol", sp, default=1e-10, positive=True),
-        )
-
-    scenario = None
-    if "scenario" in raw:
-        cp = f"{path_label}.scenario"
-        c = raw["scenario"]
-        _require_keys(c, {"horizon", "y0", "r0", "mode", "stride", "steps"},
-                      {"horizon", "y0", "r0"}, cp)
-        mode = _mode(c, "reduced", cp)
-        horizon = _number(c, "horizon", cp, positive=True)
-        scenario = ScenarioOptions(
-            scenario=_parse_steps(c.get("steps", []), horizon, cp),
-            y0=_number(c, "y0", cp, nonnegative=True),
-            r0=_number(c, "r0", cp),
-            mode=mode,
-            stride=_stride(c, "horizon", horizon, cp),
-        )
-
-    stabilize = None
-    if "stabilize" in raw:
-        tp = f"{path_label}.stabilize"
-        t = raw["stabilize"]
-        _require_keys(t, {"fold", "instrument", "ramp", "y0", "r0", "margin_frac",
-                          "mode", "protect_to_y"},
-                      {"fold", "instrument", "ramp", "y0", "r0"}, tp)
-        if t["fold"] not in ("lower-knee", "upper-knee"):
-            raise ConfigError("'fold' must be 'lower-knee' or 'upper-knee'", tp)
-        if t["instrument"] not in ("inflation", "money-stock"):
-            raise ConfigError("'instrument' must be 'inflation' or 'money-stock'", tp)
-        ramp = _drive(t["ramp"], f"{tp}.ramp")
-        mode = _mode(t, "reduced", tp)
-        stabilize = StabilizeOptions(
-            fold=t["fold"], instrument=t["instrument"], ramp=ramp,
-            y0=_number(t, "y0", tp, nonnegative=True),
-            r0=_number(t, "r0", tp),
-            margin_frac=_number(t, "margin_frac", tp, default=0.05, nonnegative=True),
-            mode=mode,
-            protect_to_y=None if "protect_to_y" not in t else _number(t, "protect_to_y", tp))
-
-    formats: tuple[str, ...] = ("csv", "json")
-    if "output" in raw:
-        op = f"{path_label}.output"
-        o = raw["output"]
-        _require_keys(o, {"formats"}, set(), op)
-        fmts = o.get("formats", ["csv", "json"])
-        if not isinstance(fmts, list) or not all(isinstance(f, str) for f in fmts):
-            raise ConfigError("'formats' must be a list of strings", op)
-        bad = set(fmts) - OUTPUT_FORMATS
-        if bad:
-            raise ConfigError(f"unknown format(s) {sorted(bad)}", op)
-        formats = tuple(fmts)
-
-    return RunConfig(model=model, domain=domain, simulate=simulate,
-                     scenario=scenario, stabilize=stabilize, formats=formats)
+    return _CONFIG.read(raw, path_label, "", {})
 
 
 def parse_config(path: str | Path) -> RunConfig:

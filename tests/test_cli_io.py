@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import re
 import tempfile
 import tracemalloc
 from importlib import resources
@@ -12,7 +13,22 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from islmsim.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main, run_command
-from islmsim.config import ConfigError, parse_config, parse_config_dict, serialize_config
+from islmsim.config import (
+    _CONFIG,
+    _REQUIRED,
+    MAX_DENSITY,
+    ConfigError,
+    _Choice,
+    _List,
+    _Number,
+    _Range,
+    _Record,
+    _Stride,
+    _Tagged,
+    parse_config,
+    parse_config_dict,
+    serialize_config,
+)
 from islmsim.dynamics import JumpEvent, Trajectory
 from islmsim.model import validate_properties
 from islmsim.output import (
@@ -411,6 +427,18 @@ def test_cli_mode_and_epsilon_overrides(tmp_path):
     assert doc["mode"] == "singular-limit"
 
 
+def test_cli_mode_override_reaches_every_section_with_a_mode(tmp_path):
+    cfg = write_config(tmp_path, shipped_config("fiscal_ramp"))
+    for mode in (None, "full"):
+        flags = [] if mode is None else ["--mode", mode]
+        assert run_command(["stabilize", "--config", str(cfg), "--out",
+                            str(tmp_path / str(mode)), "--quiet", *flags]) == 0
+    prov = json.loads((tmp_path / "full" / "provenance.json").read_text())
+    assert prov["config"]["stabilize"]["mode"] == prov["config"]["scenario"]["mode"] == "full"
+    assert (_data_files(tmp_path / "full")["controlled.csv"]
+            != _data_files(tmp_path / "None")["controlled.csv"])
+
+
 def test_cli_epsilon_override_out_of_range_is_a_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path, shipped_config("reference"))
     assert run_command(["validate", "--config", str(cfg),
@@ -643,6 +671,10 @@ def test_fuzzed_configs_end_in_a_documented_exit_status(raw):
      "scenario: 'steps' must be a list"),
     ("fiscal_ramp", ("scenario", "steps"), "x", ["stabilize"], 1,
      "scenario: 'steps' must be a list"),
+    # a relative tolerance below RK45's floor, which RK45 raised to the floor
+    # with a warning while the echo kept the value asked for
+    ("reference", ("simulate", "rtol"), 1e-300, ["simulate"], 1,
+     "simulate: 'rtol' must be at least 2.220446049250313e-14"),
 ])
 def test_fuzz_reproducers_end_in_their_exit_status(tmp_path, capsys, name, path, value, argv,
                                                    status, message):
@@ -654,3 +686,160 @@ def test_fuzz_reproducers_end_in_their_exit_status(tmp_path, capsys, name, path,
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# the config table: a boundary sweep of every field, and the README's table
+
+KIND_NAMES = {_Range: "range pair", _Choice: "choice", _Stride: "stride", _List: "list",
+              _Record: "object", _Tagged: "step"}
+ABSENT = object()  # a probe that deletes the field
+
+
+def _table_rows(record=_CONFIG, prefix=""):
+    """(path, kind, default) for every field of the config table, and for
+    each kind of scenario step (its default `...`)."""
+    for f in record.fields:
+        path = prefix + f.key
+        yield path, f.kind, f.default
+        item = f.kind.item if isinstance(f.kind, _List) else f.kind
+        if isinstance(item, _Tagged):
+            for name, variant in item.names.items():
+                yield f"{path}[{name}]", variant, ...
+                yield from _table_rows(variant, f"{path}[{name}].")
+        elif isinstance(item, _Record):
+            yield from _table_rows(item, f"{path}[]." if item is not f.kind else f"{path}.")
+
+
+def _readme_row(path, kind, default) -> str:
+    if isinstance(kind, _Number):
+        name = "whole number" if kind.whole else "number"
+    else:
+        name = KIND_NAMES[type(kind)]
+    if default is _REQUIRED:
+        shown = "required"
+    elif default is ...:
+        shown = "—"
+    elif isinstance(kind, _Record):
+        shown = "optional"
+    elif default is None:
+        shown = "null" if kind.nullable else "unset"
+    else:
+        shown = f"`{json.dumps(kind.write(default))}`"
+    bound = kind.bound
+    if isinstance(kind, _List):  # a list's bound is its items'
+        prefix = "'kind' " if isinstance(kind.item, _Tagged) else ""
+        bound = f"each {prefix}{kind.item.bound}"
+    return f"| `{path}` | {name} | {shown} | {bound or '—'} |"
+
+
+def test_the_readme_lists_every_config_field_with_its_bound():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = [_readme_row(*row) for row in _table_rows()]
+    listed = [line for line in readme.splitlines() if line.startswith("| `")]
+    assert listed == rows
+
+
+def _sweep_base() -> dict:
+    """fiscal_ramp with every optional field given: reference's simulate, a
+    scenario stride, one step of each kind, a ramp start and protect_to_y."""
+    raw = shipped_config("fiscal_ramp")
+    raw["simulate"] = {**shipped_config("reference")["simulate"], "rtol": 1e-8, "atol": 1e-10}
+    raw["scenario"]["stride"] = 0.01
+    raw["scenario"]["steps"] += [{"kind": "fiscal-shift", "time": 1.0, "g": 0.1},
+                                 {"kind": "monetary-step", "time": 2.0, "d_pi": 0.01,
+                                  "d_ms": 0.1}]
+    raw["scenario"]["steps"][0]["y_from"] = raw["stabilize"]["ramp"]["y_from"] = 2.8
+    raw["stabilize"]["protect_to_y"] = 3.0
+    return raw
+
+
+def _slots(kind, raw, path=(), table_path=""):
+    """(path into `raw`, the table path, kind) for every field of the table
+    found in `raw`, every list item, and each scenario step's 'kind'."""
+    if isinstance(kind, _Record):
+        for f in kind.fields:
+            if f.key in raw:
+                here = f"{table_path}.{f.key}".lstrip(".")
+                yield path + (f.key,), here, f.kind
+                yield from _slots(f.kind, raw[f.key], path + (f.key,), here)
+    elif isinstance(kind, _List):
+        item_path = table_path + ("[]" if isinstance(kind.item, _Record) else "")
+        for i, item in enumerate(raw):
+            yield path + (i,), table_path, kind.item
+            yield from _slots(kind.item, item, path + (i,), item_path)
+    elif isinstance(kind, _Tagged):
+        yield path + ("kind",), table_path, _Choice(kind.names)
+        yield from _slots(kind.names[raw["kind"]], raw, path, f"{table_path}[{raw['kind']}]")
+
+
+def _location(path) -> str:
+    return "config" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)
+
+
+def _probes(kind, value, holder) -> list:
+    """Values to put in a slot: the wrong kind, a container for a leaf or a
+    leaf for a container, null, and each bound with the floats either side
+    of it (zero for a number with no bound, where a model rule may lie)."""
+    if isinstance(kind, (_Record, _List, _Tagged)):
+        return ["x", 1.0, None, True]
+    probes = [1.0 if isinstance(kind, _Choice) else "x", [], {}, None, True]
+    edges = []
+    if isinstance(kind, _Number):
+        edges = [0.0 if kind.least is None else kind.least, kind.most]
+        if kind.whole:
+            probes += [kind.least - 1, kind.most + 1]
+    elif isinstance(kind, _Stride):
+        edges = [0.0, holder[kind.span] / MAX_DENSITY]
+    elif isinstance(kind, _Range):
+        lo, hi = value
+        probes += [[lo, lo], [hi, lo], [lo], [lo, hi, hi], [lo, math.nextafter(lo, math.inf)]]
+    elif isinstance(kind, _Choice):
+        probes += sorted(kind.names)
+    for edge in edges:
+        if edge is not None:
+            probes += [math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf)]
+    return probes
+
+
+def boundary_sweep():
+    """(config, the probed field's name, the path of the object holding it)
+    for every probe of every slot of the sweep's base config, and for every
+    field deleted."""
+    base = _sweep_base()
+    for path, _, kind in _slots(_CONFIG, base):
+        holder = _at(base, path[:-1])
+        name = path[-1] if isinstance(path[-1], str) else path[-2]
+        for probe in [ABSENT, *_probes(kind, holder[path[-1]], holder)]:
+            if probe is ABSENT and isinstance(path[-1], int):
+                continue
+            raw = copy.deepcopy(base)
+            if probe is ABSENT:
+                del _at(raw, path[:-1])[path[-1]]
+            else:
+                _at(raw, path[:-1])[path[-1]] = probe
+            yield raw, name, _location(path[:-1])
+
+
+def test_the_boundary_sweep_reaches_every_field_of_the_table():
+    rows = {path for path, _, default in _table_rows() if default is not ...}
+    assert {table_path for _, table_path, _ in _slots(_CONFIG, _sweep_base())} == rows
+
+
+def test_every_field_at_its_bounds_parses_or_names_itself():
+    """Each config of the boundary sweep parses, and then round-trips through
+    its echo, or fails with a config error that names the probed field or
+    lies at the object holding it (a rule across that object's fields)."""
+    accepted = 0
+    for raw, name, holder in boundary_sweep():
+        try:
+            config = parse_config_dict(raw)
+        except ConfigError as exc:
+            assert re.search(rf"\b{re.escape(name)}\b", str(exc)) or exc.path == holder, \
+                (name, str(exc))
+            continue
+        accepted += 1
+        text = serialize_config(config)
+        again = parse_config_dict(json.loads(text))
+        assert again == config and serialize_config(again) == text, name
+    assert accepted
