@@ -24,6 +24,7 @@ from .model import (
     excess_goods,
     excess_money,
     short_rate,
+    start_condition,
     validate_properties,
 )
 from .geometry import (
@@ -65,6 +66,7 @@ from .policy import (
     is_shift_equivalence_check,
     negative_rate_probe,
     plan_stabilization,
+    preflight,
     run_with_controller,
 )
 from .config import ConfigError, RunConfig, parse_config, serialize_config
@@ -76,7 +78,7 @@ __all__ = [
     "ConstructionError", "ModelDomainError", "ModelParams", "ISBlock",
     "TrapWindow", "MoneyBlock", "ModelSpec", "ValidationReport",
     "short_rate", "excess_goods", "excess_money", "build_three_phase_money",
-    "validate_properties",
+    "validate_properties", "start_condition",
     # curve geometry
     "ISCurve", "Branch", "FoldPoint", "LMIsocline", "Equilibrium",
     "is_curve", "lm_roots", "trace_lm_isocline", "find_equilibria", "shift_lm",
@@ -87,7 +89,7 @@ __all__ = [
     # policy engine
     "Scenario", "FiscalDrive", "FiscalShift", "MonetaryStep", "ScenarioError",
     "ScenarioResult", "StabilizationPlan", "ControllerReport",
-    "apply_scenario", "is_shift_equivalence_check", "plan_stabilization",
+    "preflight", "apply_scenario", "is_shift_equivalence_check", "plan_stabilization",
     "run_with_controller", "negative_rate_probe",
     # configuration and IO
     "ConfigError", "RunConfig", "parse_config", "serialize_config",

@@ -10,14 +10,16 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .config import ConfigError, MODE_NAMES, RunConfig, _override, parse_config
 from .dynamics import FoldStallError, IntegrationError, REDUCED_MODE, Trajectory, detect_cycle
 from .geometry import find_equilibria, is_curve, trace_lm_isocline
-from .model import ModelDomainError, validate_properties
+from .model import ModelDomainError, ValidationReport, start_condition, validate_properties
 from .output import (
     RunLockError,
     acquire_run_lock,
@@ -29,7 +31,8 @@ from .output import (
     validation_document,
     write_provenance,
 )
-from .policy import Scenario, ScenarioError, apply_scenario, plan_stabilization, run_with_controller
+from .policy import (FiscalDrive, Scenario, ScenarioError, ScenarioResult, apply_scenario,
+                     plan_stabilization, preflight, run_with_controller)
 from .svg import render_portrait
 
 import numpy as np
@@ -39,6 +42,9 @@ logger = logging.getLogger("islmsim")
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
+
+# the config sections that start a run, each from its own (y0, r0)
+RUN_SECTIONS = ("simulate", "scenario", "stabilize")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -122,7 +128,7 @@ def _dispatch(command: str, config: RunConfig, out_dir: Path) -> int:
     status = EXIT_OK
 
     if command == "validate":
-        report = validate_properties(spec, dom.y_range, dom.r_range, dom.grid_n)
+        report = _validation_report(config)
         docs["validation"] = validation_document(report)
         if not report.passed:
             status = EXIT_VALIDATION
@@ -163,11 +169,7 @@ def _dispatch(command: str, config: RunConfig, out_dir: Path) -> int:
     elif command == "scenario":
         if config.scenario is None:
             raise ConfigError("the 'scenario' section is required for this command")
-        so = config.scenario
-        result = apply_scenario(spec, so.scenario, so.y0, so.r0, so.mode,
-                                y_range=dom.y_range, r_range=dom.r_range,
-                                y_steps=dom.y_steps, scan_n=dom.scan_n,
-                                stride=so.stride, grid_n=dom.grid_n)
+        result = _run_scenario(config, spec, dom)
         traj = result.trajectory
         cycle = detect_cycle(traj, result.final_spec)
         doc = simulation_document(traj, cycle, "trajectory.csv" if "csv" in want else None)
@@ -189,10 +191,13 @@ def _dispatch(command: str, config: RunConfig, out_dir: Path) -> int:
         fold = folds[0]
         plan = plan_stabilization(spec, fold, st.instrument, iso,
                                   protect_to_y=st.protect_to_y)
-        report = run_with_controller(spec, st.ramp, plan, st.y0, st.r0,
+        ramp_run, _ = _on_clock(spec, st.mode, "stabilize", Scenario((st.ramp,), st.ramp.t_end))
+        (ramp,) = ramp_run.steps
+        report = run_with_controller(spec, ramp, plan, st.y0, st.r0,
                                      y_range=dom.y_range, r_range=dom.r_range,
                                      mode=st.mode, margin_frac=st.margin_frac,
-                                     y_steps=dom.y_steps, scan_n=dom.scan_n)
+                                     y_steps=dom.y_steps, scan_n=dom.scan_n,
+                                     grid_n=dom.grid_n)
         doc = {
             "schema_version": "1",
             "kind": "stabilize",
@@ -217,27 +222,69 @@ def _dispatch(command: str, config: RunConfig, out_dir: Path) -> int:
     return status
 
 
+def _validation_report(config: RunConfig) -> ValidationReport:
+    """The model's validation report, with a start condition for each run
+    section the config has: the checks every run makes before it starts."""
+    dom = config.domain
+    report = validate_properties(config.model, dom.y_range, dom.r_range, dom.grid_n)
+    starts = tuple(start_condition(config.model, s.y0, s.r0, dom.y_range, dom.r_range, name)
+                   for name in RUN_SECTIONS if (s := getattr(config, name)) is not None)
+    return replace(report, passed=report.passed and all(c.passed for c in starts),
+                   conditions=report.conditions + starts)
+
+
+def _on_clock(spec, mode: str, section: str, scenario: Scenario,
+              stride: float | None = None) -> tuple[Scenario, float | None]:
+    """A section's scenario and stride on the clock its mode runs on.
+
+    The full system runs in fast time and the singular limit in slow time,
+    epsilon times fast time.  `simulate` gives its times in fast time, and
+    `scenario` and `stabilize` in slow time, so a reduced simulate scales
+    them by epsilon and a full-mode scenario or stabilize by 1 / epsilon:
+    the horizon, every step and drive time, and the stride.
+    """
+    eps = spec.params.epsilon
+    if section != "simulate":
+        c = 1.0 if mode == REDUCED_MODE else 1.0 / eps
+    else:
+        c = eps if mode == REDUCED_MODE else 1.0
+    if c == 1.0:
+        return scenario, stride
+    horizon, stride = c * scenario.horizon, None if stride is None else c * stride
+    if not all(math.isfinite(x) for x in (horizon, stride or 0.0)):
+        raise ConfigError(f"epsilon {eps:g} puts the run's times beyond the float range "
+                          "in fast time", section)
+    steps = tuple(replace(s, t_start=c * s.t_start, t_end=c * s.t_end)
+                  if isinstance(s, FiscalDrive) else replace(s, time=c * s.time)
+                  for s in scenario.steps)
+    return Scenario(steps, horizon), stride
+
+
 def _run_simulation(config: RunConfig, spec, dom) -> Trajectory:
     so = config.simulate
     if so.t_end <= 0.0:
+        preflight(spec, so.y0, so.r0, y_range=dom.y_range, r_range=dom.r_range,
+                  grid_n=dom.grid_n)
         return Trajectory(np.empty(0), np.empty(0), np.empty(0), so.mode, spec.spec_id)
-    # t_end and stride are fast time; the singular limit runs on the slow
-    # clock, which is epsilon times faster
-    scale = spec.params.epsilon if so.mode == REDUCED_MODE else 1.0
-    return apply_scenario(spec, Scenario((), scale * so.t_end), so.y0, so.r0, so.mode,
+    scenario, stride = _on_clock(spec, so.mode, "simulate", Scenario((), so.t_end), so.stride)
+    return apply_scenario(spec, scenario, so.y0, so.r0, so.mode,
                           y_range=dom.y_range, r_range=dom.r_range,
-                          y_steps=dom.y_steps, scan_n=dom.scan_n,
-                          stride=None if so.stride is None else scale * so.stride,
-                          validate=False, rtol=so.rtol, atol=so.atol).trajectory
+                          y_steps=dom.y_steps, scan_n=dom.scan_n, stride=stride,
+                          grid_n=dom.grid_n, rtol=so.rtol, atol=so.atol).trajectory
+
+
+def _run_scenario(config: RunConfig, spec, dom) -> ScenarioResult:
+    so = config.scenario
+    scenario, stride = _on_clock(spec, so.mode, "scenario", so.scenario, so.stride)
+    return apply_scenario(spec, scenario, so.y0, so.r0, so.mode,
+                          y_range=dom.y_range, r_range=dom.r_range,
+                          y_steps=dom.y_steps, scan_n=dom.scan_n, stride=stride,
+                          grid_n=dom.grid_n)
 
 
 def _maybe_simulate(config: RunConfig, spec, dom) -> Trajectory | None:
     if config.scenario is not None:
-        so = config.scenario
-        return apply_scenario(spec, so.scenario, so.y0, so.r0, so.mode,
-                              y_range=dom.y_range, r_range=dom.r_range,
-                              y_steps=dom.y_steps, scan_n=dom.scan_n,
-                              stride=so.stride, validate=False).trajectory
+        return _run_scenario(config, spec, dom).trajectory
     return None if config.simulate is None else _run_simulation(config, spec, dom)
 
 

@@ -121,12 +121,14 @@ class _Kind:
 class _Number(_Kind):
     """A finite number (not a boolean, NaN or infinity) of at least `least`
     (above it when `strict`) and at most `most`.  A `whole` one reads as an
-    int: 700.0 reads as 700, but 699.5 is rejected rather than truncated."""
+    int: 700.0 reads as 700, but 699.5 is rejected rather than truncated.  A
+    time names its `clock`, "fast" or "slow"."""
 
     least: float | None = None
     strict: bool = False
     most: float | None = None
     whole: bool = False
+    clock: str = ""
 
     @property
     def bound(self) -> str:
@@ -192,9 +194,10 @@ class _Choice(_Kind):
 class _Stride(_Kind):
     """The optional sample stride of a run over the object's `span` field,
     capped like the densities: it may put at most MAX_DENSITY samples on the
-    span."""
+    span.  It is a time on the span's `clock`."""
 
     span: str
+    clock: str
     nullable = True
 
     @property
@@ -297,6 +300,12 @@ class _Tagged(_Choice):
 _ANY = _Number()
 _POSITIVE = _Number(0.0, strict=True)
 _NONNEGATIVE = _Number(0.0)
+# `simulate` states its times in fast time, the full system's clock;
+# `scenario` and `stabilize` in slow time, the singular limit's, which is
+# epsilon times fast time
+_FAST_TIME = _Number(0.0, clock="fast")
+_SLOW_TIME = _Number(0.0, clock="slow")
+_POSITIVE_SLOW_TIME = _Number(0.0, strict=True, clock="slow")
 _MODE = _Choice(MODE_NAMES)
 
 
@@ -310,7 +319,7 @@ def _scenario_options(horizon: float, steps: tuple, **rest) -> ScenarioOptions:
 
 # a `fiscal-drive` scenario step or a stabilize ramp
 _DRIVE = _Record(FiscalDrive, (
-    _Field("t_start", _NONNEGATIVE), _Field("t_end", _POSITIVE),
+    _Field("t_start", _SLOW_TIME), _Field("t_end", _POSITIVE_SLOW_TIME),
     _Field("y_to", _NONNEGATIVE), _Field("y_from", _ANY, None)),
     bound="t_start < t_end")
 
@@ -338,23 +347,23 @@ _CONFIG = _Record(RunConfig, (
         _Field("y_steps", _Number(500, most=MAX_DENSITY, whole=True), Domain.y_steps),
         _Field("scan_n", _Number(200, most=MAX_DENSITY, whole=True), Domain.scan_n)))),
     _Field("simulate", _Record(SimulateOptions, (
-        _Field("y0", _NONNEGATIVE), _Field("r0", _ANY), _Field("t_end", _NONNEGATIVE),
+        _Field("y0", _NONNEGATIVE), _Field("r0", _ANY), _Field("t_end", _FAST_TIME),
         _Field("mode", _MODE, SimulateOptions.mode),
-        _Field("stride", _Stride("t_end"), None),
+        _Field("stride", _Stride("t_end", clock="fast"), None),
         # RK45 raises a smaller relative tolerance to this floor, with a warning
         _Field("rtol", _Number(100 * sys.float_info.epsilon), SimulateOptions.rtol),
         _Field("atol", _POSITIVE, SimulateOptions.atol))), None),
     _Field("scenario", _Record(_scenario_options, (
-        _Field("horizon", _POSITIVE, attr="scenario.horizon"),
+        _Field("horizon", _POSITIVE_SLOW_TIME, attr="scenario.horizon"),
         _Field("y0", _NONNEGATIVE), _Field("r0", _ANY),
         _Field("mode", _MODE, ScenarioOptions.mode),
-        _Field("stride", _Stride("horizon"), None),
+        _Field("stride", _Stride("horizon", clock="slow"), None),
         _Field("steps", _List(_Tagged({
             "fiscal-drive": _DRIVE,
             "fiscal-shift": _Record(FiscalShift, (
-                _Field("time", _NONNEGATIVE), _Field("g", _ANY))),
+                _Field("time", _SLOW_TIME), _Field("g", _ANY))),
             "monetary-step": _Record(MonetaryStep, (
-                _Field("time", _NONNEGATIVE), _Field("d_pi", _ANY, 0.0),
+                _Field("time", _SLOW_TIME), _Field("d_pi", _ANY, 0.0),
                 _Field("d_ms", _ANY, 0.0)))})),
             (), attr="scenario.steps")),
         bound="steps lie within the horizon; step times strictly increase; "

@@ -20,9 +20,9 @@ from scipy.spatial import cKDTree
 
 # `lm_roots` stays bound here, unused: bench/test_inputs.py::
 # test_tracer_wraps_every_binding_and_restores_them asserts this binding
-from .geometry import Branch, FoldPoint, LMIsocline, _interval_branch, _landing, lm_roots
-from .model import (ModelDomainError, ModelSpec, _invert, _read_only, excess_money,
-                    excess_money_many)
+from .geometry import Branch, FoldPoint, LMIsocline, _interval_branch, lm_roots
+from .model import (ModelDomainError, ModelSpec, _fast_rest, _invert, _read_only,
+                    excess_money, excess_money_many)
 
 __all__ = [
     "IntegrationError",
@@ -264,15 +264,14 @@ def attach_to_branch(spec: ModelSpec, isocline: LMIsocline, y: float, r: float
     """Resolve the fast flow from (y, r) to the branch it relaxes onto.
 
     A positive money excess pushes the rate up, a negative one down, to the
-    first root that way (`_landing`); at zero excess the nearer of the first
-    roots either way is taken, the lower one on a tie.
+    first root that way; at zero excess the nearer of the first roots either
+    way is taken, the lower one on a tie (`model._fast_rest`, the rule the
+    validator's start condition checks).
     """
-    e = excess_money(y, r, spec)
-    ways = (False, True) if e == 0.0 else (e > 0.0,)
-    found = [kx for up in ways if (kx := _landing(spec, y, r, up, isocline.r_range))]
-    if not found:
+    found = _fast_rest(spec, y, r, isocline.r_range)
+    if found is None:
         raise ModelDomainError(f"fast flow from (y={y}, r={r}) escapes the scanned range")
-    k, target = min(found, key=lambda kx: abs(kx[1] - r))
+    k, target = found
     branch = _landing_branch(isocline, k, y, target)
     if branch.stability != "stable":
         raise ValueError(
@@ -289,42 +288,29 @@ def _landing_branch(isocline: LMIsocline, k: int, y: float, r: float) -> Branch:
     return branch
 
 
-def _fold_window(spec: ModelSpec, fold: FoldPoint) -> tuple[float, float]:
-    """Endpoint rates (p, q) + MP - pi_e of the trap window that made the fold.
-
-    A lower knee sits at its window's start rate, an upper knee at its end.
-    """
-    k = 0 if fold.kind == "lower-knee" else 1
+def _fold_end(spec: ModelSpec, fold: FoldPoint) -> int:
+    """Index of the fold's window-endpoint rate in the LM graph's `ends`: a
+    lower knee sits at its window's start rate, an upper knee at its end."""
     ends = spec._lm_graph.ends
-    return min(zip(ends[::2], ends[1::2]), key=lambda w: abs(w[k] - fold.r))
+    return min(range(0 if fold.kind == "lower-knee" else 1, len(ends), 2),
+               key=lambda j: abs(ends[j] - fold.r))
+
+
+def _fold_window(spec: ModelSpec, fold: FoldPoint) -> tuple[float, float]:
+    """Endpoint rates (p, q) + MP - pi_e of the trap window that made the fold."""
+    j = _fold_end(spec, fold) // 2 * 2
+    return spec._lm_graph.ends[j:j + 2]
 
 
 def _fold_landing(spec: ModelSpec, fold: FoldPoint, r_range: tuple[float, float]
                   ) -> tuple[str, int, float]:
-    """Direction, landing interval and landing rate of the jump released at a fold.
-
-    A lower knee releases an upward jump, an upper knee a downward one.  The
-    branch through the fold spans the whole window in rate, so the landing is
-    the first root from the window's other endpoint on (`_landing`) and the
-    fold's own (quartically flat) double root is never a candidate.  A jump
-    with no root before the edge of `r_range` leaves the rate range, a
-    `ModelDomainError`.  The landing interval must lie between windows, where
-    branches attract.
-    """
-    r_p, r_q = _fold_window(spec, fold)
-    up = fold.kind == "lower-knee"
-    direction = "up" if up else "down"
-    landing = _landing(spec, fold.y, r_q if up else r_p, up, r_range)
-    if landing is None:
-        raise ModelDomainError(
-            f"the {direction} jump at (y={fold.y}, r={fold.r}) leaves the rate range "
-            f"[{r_range[0]}, {r_range[1]}]: no branch inside it catches the jump")
-    k, x = landing
-    if k % 2:
-        raise ValueError(
-            f"malformed isocline: the {direction} jump at (y={fold.y}, r={fold.r}) "
-            f"lands on a non-attracting branch at r={x}")
-    return direction, k, x
+    """Direction, landing interval and landing rate of the jump released at a
+    fold (`_LMGraph.jump`: a jump that leaves `r_range` is a
+    `ModelDomainError`).  The validator's fold-landing condition makes the
+    same jumps for every fold of the domain, so a validated model raises
+    nothing here."""
+    k, x = spec._lm_graph.jump(_fold_end(spec, fold), fold.y, *r_range)
+    return ("up" if fold.kind == "lower-knee" else "down"), k, x
 
 
 def _branch_rates(spec: ModelSpec, branch: Branch, y: np.ndarray) -> np.ndarray:

@@ -11,8 +11,8 @@ Roots come from the same intervals, not from grid sign scans: an interval
 holds a root at a given income exactly when the excess signs at its ends
 differ, and the root is on that interval's branch.  The fast flow from a
 point lands on the first root beyond it in the direction the excess pushes
-the rate (`_landing`, on the LM graph's inverse), on the branch of that
-root's interval.  Equilibria are the zeros of the excess along the IS line,
+the rate (`_LMGraph.landing`, on the LM graph's inverse), on the branch of
+that root's interval.  Equilibria are the zeros of the excess along the IS line,
 which is convex or concave between the money block's segment breaks mapped
 onto that line.  Root counts are exact up to the folds, so nothing warns
 about tangencies.
@@ -247,28 +247,11 @@ def lm_roots(y: float, spec: ModelSpec, r_range: tuple[float, float],
     monotone, holds at most one root, found by bisection to an absolute width
     of 1e-14 below rate 1; roots return ascending.  `scan_n` (at least 200)
     sets the rate grid that narrows each bracket.  Landings and the validator
-    read the LM graph's own inverse instead (`_LMGraph.roots`), which ends on
+    read the LM graph's own inverse instead (`_LMGraph.landing`), which ends on
     a bracket a few ulps wide, so a small root here may differ from it by
     thousands of ulps.
     """
     return [r for _, r in _scan_roots(y, spec, _rate_scan(spec, r_range, scan_n))]
-
-
-def _landing(spec: ModelSpec, y: float, r: float, up: bool,
-             r_range: tuple[float, float]) -> tuple[int, float] | None:
-    """Where the fast flow from (y, r) going up (or down) comes to rest: the
-    interval index k and the lowest root x >= r (or the highest x <= r) among
-    the LM graph's roots in r_range (`_LMGraph.roots`); None when there is
-    none.  A root on a window start is a lower knee, the top of the stable
-    interval below it."""
-    if y < 0.0:
-        raise ModelDomainError(f"income must be non-negative, got {y}")
-    lm = spec._lm_graph
-    roots = lm.roots(y, *r_range)
-    for k, x in roots if up else reversed(roots):
-        if x >= r if up else x <= r:
-            return (k - 1 if k % 2 and x == lm.ends[k - 1] > r_range[0] else k), x
-    return None
 
 
 def _interval_branch(isocline: LMIsocline, k: int, y: float) -> Branch | None:

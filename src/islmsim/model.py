@@ -38,6 +38,7 @@ __all__ = [
     "excess_money_slope",
     "build_three_phase_money",
     "validate_properties",
+    "start_condition",
     "ConditionResult",
     "ValidationReport",
 ]
@@ -70,7 +71,8 @@ class ConstructionError(ValueError):
 
 class ModelDomainError(ValueError):
     """An evaluation was requested outside the model domain (income < 0), or
-    a jump leaves the rate range with no branch inside it to catch it."""
+    a jump leaves the rate range with no branch inside it to catch it.  A
+    model and start that pass validation raise neither in a run."""
 
 
 # ---------------------------------------------------------------------------
@@ -386,36 +388,95 @@ class _LMGraph:
                        y, r_lo, r_hi, np.broadcast_to(x0, y.shape),
                        np.broadcast_to(np.asarray(tol, dtype=float), y.shape))
 
-    def roots(self, y: float, r_lo: float, r_hi: float) -> list[tuple[int, float]]:
-        """Every (k, R) with r_lo <= R <= r_hi and Y_LM(R) = y, ascending in R.
+    def _crossings(self, y: float, r_lo: float, r_hi: float) -> list[tuple[int, object]]:
+        """(k, where) for each interval of [r_lo, r_hi] that reaches income y,
+        ascending in rate: `where` is the rate of an interval end at which the
+        graph equals y, or else the bracket that holds the root, as (rates of
+        lower and higher income, their incomes).
 
-        k indexes the interval between window-endpoint rates that holds R:
-        interval k runs from ends[k - 1] to ends[k].  Each interval, cut to
-        the range, holds a root exactly when its end incomes lie on both sides
-        of y; all such intervals are inverted in one `rates_at` call, started
-        from the chord through those end incomes, so a root equals the branch
-        end that `rates_at` gives on the same bracket.  A root on an interval
-        end belongs to the interval above it, or to the top one on r_hi.  A
-        graph with k_y = 0 reaches no income: no roots.
+        k indexes the interval between window-endpoint rates: interval k runs
+        from ends[k - 1] to ends[k].  Each interval, cut to the range, holds a
+        root exactly when its end incomes lie on both sides of y.  A root on
+        an interval end belongs to the interval above it, or to the top one
+        on r_hi.  A graph with k_y = 0 reaches no income.
         """
         if self.k_y == 0.0:
             return []
         k0 = bisect_right(self.ends, r_lo)
         cuts = [r_lo, *(r for r in self.ends[k0:] if r < r_hi), r_hi]
         incomes = self.income(cuts).tolist()
-        # (k, rate, or None until inverted); (rates of lower and higher income, their incomes)
-        found, brackets = [], []
+        found = []
         for k, a, b, y_a, y_b in zip(count(k0), cuts, cuts[1:], incomes, incomes[1:]):
             if y_a == y or (y_b == y and b == r_hi):
                 found.append((k, a if y_a == y else b))
             elif y_a < y < y_b or y_b < y < y_a:
-                found.append((k, None))
-                brackets.append((a, b, y_a, y_b) if y_a < y_b else (b, a, y_b, y_a))
-        if brackets:
-            lo, hi, y_lo, y_hi = np.array(brackets).T
-            solved = iter(self.rates_at(np.full(len(lo), y), lo, hi,
-                                        lo + (hi - lo) * (y - y_lo) / (y_hi - y_lo)).tolist())
-        return [(k, next(solved) if x is None else x) for k, x in found]
+                found.append((k, (a, b, y_a, y_b) if y_a < y_b else (b, a, y_b, y_a)))
+        return found
+
+    def _solve(self, y: float, brackets: list[tuple]) -> list[float]:
+        """The roots in `_crossings` brackets, in one `rates_at` call started
+        from the chord through their end incomes, so a root equals the branch
+        end that `rates_at` gives on the same bracket.  Each root takes its
+        own Newton steps, so it does not depend on the others solved with it."""
+        lo, hi, y_lo, y_hi = np.array(brackets).T
+        return self.rates_at(np.full(len(lo), y), lo, hi,
+                             lo + (hi - lo) * (y - y_lo) / (y_hi - y_lo)).tolist()
+
+    def roots(self, y: float, r_lo: float, r_hi: float) -> list[tuple[int, float]]:
+        """Every (k, R) with r_lo <= R <= r_hi and Y_LM(R) = y, ascending in R,
+        with k the index of R's interval (`_crossings`)."""
+        found = self._crossings(y, r_lo, r_hi)
+        brackets = [x for _, x in found if isinstance(x, tuple)]
+        solved = iter(self._solve(y, brackets) if brackets else ())
+        return [(k, next(solved) if isinstance(x, tuple) else x) for k, x in found]
+
+    def landing(self, y: float, r: float, up: bool, r_lo: float, r_hi: float
+                ) -> tuple[int, float] | None:
+        """Where the fast flow from (y, r) going up (or down) comes to rest:
+        the interval index k and the lowest root x >= r (or the highest
+        x <= r) among the roots in [r_lo, r_hi]; None when there is none.
+        The flow dR/dt = beta E cannot pass a zero of E, so a root where the
+        graph only touches y (another fold at the same income) stops it too.
+        A root on a window start is a lower knee, the top of the stable
+        interval below it.  Only the brackets the walk reaches are solved.
+        """
+        if y < 0.0:
+            raise ModelDomainError(f"income must be non-negative, got {y}")
+        found = self._crossings(y, r_lo, r_hi)
+        for k, x in found if up else reversed(found):
+            if isinstance(x, tuple):
+                a, b = sorted(x[:2])
+                if b < r if up else a > r:  # the root lies behind the start
+                    continue
+                (x,) = self._solve(y, [x])
+            if x >= r if up else x <= r:
+                return (k - 1 if k % 2 and x == self.ends[k - 1] > r_lo else k), x
+        return None
+
+    def jump(self, j: int, y: float, r_lo: float, r_hi: float) -> tuple[int, float]:
+        """Landing interval and rate of the jump released at the fold on
+        window endpoint j, at income y.
+
+        A window start (j even, a lower knee) releases an upward jump, a
+        window end (an upper knee) a downward one.  The branch through the
+        fold spans the whole window in rate, so the landing is the first root
+        from the window's other endpoint on (`landing`), and the fold's own
+        (quartically flat) double root is never a candidate.  A jump with no
+        root in [r_lo, r_hi] beyond it leaves the rate range, a
+        `ModelDomainError`; one that lands inside a window, where branches
+        repel, is a `ValueError`.
+        """
+        up = j % 2 == 0
+        where = f"the {'up' if up else 'down'} jump at (y={y}, r={self.ends[j]})"
+        landing = self.landing(y, self.ends[j + 1 if up else j - 1], up, r_lo, r_hi)
+        if landing is None:
+            raise ModelDomainError(f"{where} leaves the rate range [{r_lo}, {r_hi}]: "
+                                   "no branch inside it catches the jump")
+        k, x = landing
+        if k % 2:
+            raise ValueError(f"malformed isocline: {where} lands on a non-attracting "
+                             f"branch at r={x}")
+        return k, x
 
 
 def _invert(f, df, target: np.ndarray, x_lo: np.ndarray, x_hi: np.ndarray,
@@ -672,6 +733,14 @@ def _finite_range(name: str, pair) -> tuple[float, float]:
     return lo, hi
 
 
+def _domain(y_range, r_range) -> tuple[tuple[float, float], tuple[float, float]]:
+    """The domain rectangle as float pairs; income is never negative."""
+    y_lo, y_hi = _finite_range("y_range", y_range)
+    if y_lo < 0.0:
+        raise ValueError(f"y_range must start at a non-negative income, got {y_range!r}")
+    return (y_lo, y_hi), _finite_range("r_range", r_range)
+
+
 def validate_properties(spec: ModelSpec, y_range: tuple[float, float],
                         r_range: tuple[float, float], grid_n: int = 200) -> ValidationReport:
     """Numerically verify every behavioural sign condition on a grid of
@@ -686,16 +755,18 @@ def validate_properties(spec: ModelSpec, y_range: tuple[float, float],
     for that rate's grid_n points.  A rate slope differences f_L or f_M
     alone, without the income terms, so its rounding does not depend on
     income.  Trap-window interiors are held to the reversed rate-slope
-    signs, exteriors to the standard ones.
-    Never raises; malformed inputs come back as a failed report that carries
-    them as given.
+    signs, exteriors to the standard ones.  Two conditions of the domain
+    follow: the IS line starts above the lowest LM branch, and every fold's
+    jump lands inside r_range (`_fold_landing_condition`), which a run
+    would otherwise meet only at the fold.
+    Never raises; malformed inputs, an income range below zero among them,
+    come back as a failed report that carries them as given.
     """
     try:
         n = operator.index(grid_n)
         if n < 100:
             raise ValueError("grid_n must be at least 100 per axis")
-        y_lo, y_hi = _finite_range("y_range", y_range)
-        r_lo, r_hi = _finite_range("r_range", r_range)
+        (y_lo, y_hi), (r_lo, r_hi) = _domain(y_range, r_range)
         rs = np.linspace(r_lo, r_hi, n)
         h_y = FD_STEP_FRACTION * max(1.0, y_hi - y_lo)
         h_r = FD_STEP_FRACTION * max(1.0, r_hi - r_lo)
@@ -755,6 +826,9 @@ def validate_properties(spec: ModelSpec, y_range: tuple[float, float],
                                     dm_di, inside, False))
 
         conds.append(_boundary_condition(spec, y_range, r_range))
+        folds = _fold_landing_condition(spec, (y_lo, y_hi), (r_lo, r_hi))
+        if folds is not None:
+            conds.append(folds)
         passed = all(c.passed for c in conds)
         return ValidationReport(passed, tuple(conds), tuple(y_range), tuple(r_range), n)
     except Exception as exc:  # contract: report, never raise
@@ -779,3 +853,75 @@ def _boundary_condition(spec: ModelSpec, y_range, r_range) -> ConditionResult:
     margin = r_is - r_lm
     return ConditionResult("R_IS above lowest LM branch at low income",
                            bool(margin > 0), 1, 0, float(margin), (float(y0), float(r_lm)))
+
+
+def _fold_landing_condition(spec: ModelSpec, y_range, r_range) -> ConditionResult | None:
+    """Every fold of the domain releases a jump that lands inside r_range.
+
+    The folds are the window-endpoint rates inside r_range whose incomes lie
+    in y_range, as the isocline tracer finds them, and each jump is the one a
+    run makes there (`_LMGraph.jump`); a failure carries its error.  The
+    worst value is the least distance of a landing from the edges of
+    r_range.  None when the domain shows no fold.
+    """
+    lm = spec._lm_graph
+    (y_lo, y_hi), (r_lo, r_hi) = y_range, r_range
+    ends = [(j, r) for j, r in enumerate(lm.ends) if r_lo < r < r_hi]
+    if not ends or lm.k_y == 0.0:
+        return None
+    incomes = lm.income([r for _, r in ends]).tolist()
+    folds = [(j, r, y) for (j, r), y in zip(ends, incomes) if y_lo <= y <= y_hi]
+    if not folds:
+        return None
+    name = "fold jumps land inside r_range"
+    worst, worst_point = math.inf, (math.nan, math.nan)
+    for j, r_f, y_f in folds:
+        try:
+            _, x = lm.jump(j, y_f, r_lo, r_hi)
+        except ValueError as exc:
+            return ConditionResult(name, False, len(folds), 0, math.nan, (y_f, r_f), str(exc))
+        if min(x - r_lo, r_hi - x) < worst:
+            worst, worst_point = min(x - r_lo, r_hi - x), (y_f, x)
+    return ConditionResult(name, True, len(folds), 0, worst, worst_point)
+
+
+def _fast_rest(spec: ModelSpec, y: float, r: float, r_range) -> tuple[int, float] | None:
+    """Where the fast flow from (y, r) comes to rest, as (interval, rate).
+
+    A positive money excess pushes the rate up, a negative one down, to the
+    first root that way (`_LMGraph.landing`); at zero excess the nearer of
+    the first roots either way is taken, the lower one on a tie.  None when
+    no root in r_range catches the flow.
+    """
+    e = excess_money(y, r, spec)
+    ways = (False, True) if e == 0.0 else (e > 0.0,)
+    found = [kx for up in ways if (kx := spec._lm_graph.landing(y, r, up, *r_range))]
+    return min(found, key=lambda kx: abs(kx[1] - r), default=None)
+
+
+def start_condition(spec: ModelSpec, y0: float, r0: float, y_range, r_range,
+                    section: str = "run") -> ConditionResult:
+    """Whether a run may start at (y0, r0): its income lies in y_range, and
+    its fast flow comes to rest inside r_range (`_fast_rest`) on a stable
+    branch.  `section` names the run in the condition.  The worst value is
+    the distance of the resting rate from the edges of r_range.  Never
+    raises; a failure carries its reason in `detail`.
+    """
+    name = f"{section} start comes to rest inside the domain"
+    point = (y0, r0)
+    try:
+        (y_lo, y_hi), (r_lo, r_hi) = _domain(y_range, r_range)
+        if not y_lo <= y0 <= y_hi:
+            detail = f"the start income {y0} lies outside y_range [{y_lo}, {y_hi}]"
+        elif (rest := _fast_rest(spec, y0, r0, (r_lo, r_hi))) is None:
+            detail = (f"the fast flow from (y={y0}, r={r0}) finds no branch inside "
+                      f"r_range [{r_lo}, {r_hi}]")
+        elif rest[0] % 2:
+            detail = (f"the fast flow from (y={y0}, r={r0}) comes to rest on an "
+                      f"unstable branch at r={rest[1]}")
+        else:
+            x = rest[1]
+            return ConditionResult(name, True, 1, 0, min(x - r_lo, r_hi - x), (y0, x))
+    except Exception as exc:  # contract: report, never raise
+        detail = str(exc)
+    return ConditionResult(name, False, 1, 0, math.nan, point, detail)

@@ -32,9 +32,8 @@ from .dynamics import (
 )
 # `lm_roots` stays bound here, unused: bench/test_inputs.py::
 # test_tracer_wraps_every_binding_and_restores_them asserts this binding
-from .geometry import (FoldPoint, LMIsocline, _landing, is_curve, lm_roots, shift_lm,
-                       trace_lm_isocline)
-from .model import ISBlock, ModelSpec, excess_money, validate_properties
+from .geometry import FoldPoint, LMIsocline, is_curve, lm_roots, shift_lm, trace_lm_isocline
+from .model import ISBlock, ModelSpec, excess_money, start_condition, validate_properties
 
 __all__ = [
     "ScenarioError",
@@ -45,6 +44,7 @@ __all__ = [
     "ScenarioResult",
     "StabilizationPlan",
     "ControllerReport",
+    "preflight",
     "apply_scenario",
     "is_shift_equivalence_check",
     "plan_stabilization",
@@ -171,18 +171,40 @@ def _concat(parts: list[tuple[Trajectory, ModelSpec]], spec_id: str) -> Trajecto
                       FULL_MODE, spec_id, tuple(_window_traversals(parts)))
 
 
+def _failed(conditions) -> list[str]:
+    """Each failed condition's name, with its reason when it has one."""
+    return [c.condition + (f" ({c.detail})" if c.detail else "")
+            for c in conditions if not c.passed]
+
+
+def preflight(spec: ModelSpec, y0: float, r0: float, *,
+              y_range: tuple[float, float], r_range: tuple[float, float],
+              grid_n: int = 100) -> None:
+    """Refuse a run before it starts, with a `ScenarioError`: the model must
+    pass `validate_properties` and the start `start_condition`, the checks
+    that the `validate` subcommand reports."""
+    failed = _failed(validate_properties(spec, y_range, r_range, grid_n).conditions)
+    if failed:
+        raise ScenarioError(f"initial model fails validation: {failed}")
+    failed = _failed([start_condition(spec, y0, r0, y_range, r_range)])
+    if failed:
+        raise ScenarioError(f"the start fails validation: {failed}")
+
+
 def apply_scenario(spec: ModelSpec, scenario: Scenario, y0: float, r0: float,
                    mode: str = REDUCED_MODE, *,
                    y_range: tuple[float, float], r_range: tuple[float, float],
                    y_steps: int = 700, scan_n: int = 500,
-                   stride: float | None = None, validate: bool = True,
+                   stride: float | None = None,
                    grid_n: int = 100, rtol: float = 1e-8, atol: float = 1e-10
                    ) -> ScenarioResult:
     """Piecewise simulation of a timed intervention schedule.
 
     The state (income, rate) is continuous across every step; only the model
-    changes discontinuously.  Every intermediate model must pass property
-    validation, and failures name the offending step.
+    changes discontinuously.  The run starts only after its `preflight`, and
+    every model a step puts in force must pass property validation, at
+    `grid_n` points per axis, with the state as its start; failures name the
+    offending step.
     """
     if mode not in (REDUCED_MODE, FULL_MODE):
         raise ValueError(f"unknown mode {mode!r}")
@@ -191,12 +213,7 @@ def apply_scenario(spec: ModelSpec, scenario: Scenario, y0: float, r0: float,
     events: list[dict] = []
     jumps: list[JumpEvent] = []
     models = [(0.0, spec)]
-
-    if validate:
-        rep = validate_properties(spec, y_range, r_range, grid_n)
-        if not rep.passed:
-            raise ScenarioError(f"initial model fails validation: "
-                                f"{[c.condition for c in rep.failures()]}")
+    preflight(spec, y0, r0, y_range=y_range, r_range=r_range, grid_n=grid_n)
 
     # timeline boundaries: step instants plus drive starts/ends
     instants = scenario.instantaneous()
@@ -247,12 +264,13 @@ def apply_scenario(spec: ModelSpec, scenario: Scenario, y0: float, r0: float,
                 events.append({"t": t_a, "kind": "monetary-step",
                                "d_pi": s.d_pi, "d_ms": s.d_ms})
             models.append((t_a, cur_spec))
-            if validate:
-                rep = validate_properties(cur_spec, y_range, cur_r_range, grid_n)
-                if not rep.passed:
-                    raise ScenarioError(
-                        f"step {step_i} at t={t_a} produced an invalid model: "
-                        f"{[c.condition for c in rep.failures()]}")
+            # the model in force, and the state, which must come to rest under it
+            failed = _failed([*validate_properties(cur_spec, y_range, cur_r_range,
+                                                   grid_n).conditions,
+                              start_condition(cur_spec, y, r, y_range, cur_r_range, "step")])
+            if failed:
+                raise ScenarioError(
+                    f"step {step_i} at t={t_a} produced an invalid model: {failed}")
             if reduced:
                 isocline = trace_lm_isocline(cur_spec, y_range, y_steps, cur_r_range, scan_n)
                 branch, r_new = attach_to_branch(cur_spec, isocline, y, r)
@@ -458,7 +476,7 @@ def run_with_controller(spec: ModelSpec, ramp: FiscalDrive, plan: StabilizationP
                         mode: str = REDUCED_MODE, margin_frac: float = 0.05,
                         stride: float | None = None, monitor_stride: float | None = None,
                         horizon: float | None = None, y_steps: int = 700,
-                        scan_n: int = 500) -> ControllerReport:
+                        scan_n: int = 500, grid_n: int = 100) -> ControllerReport:
     """Run the fiscal ramp with and without the planned monetary response.
 
     The controller watches the uncontrolled run's income and fires the plan's
@@ -468,7 +486,8 @@ def run_with_controller(spec: ModelSpec, ramp: FiscalDrive, plan: StabilizationP
     k * monitor_stride (k = 1, 2, ...) and at the horizon, and the step fires
     at the first of them at which income is at or past the trigger, so a late
     trigger is possible and is reported.  The controlled run is
-    `apply_scenario` on the ramp and that step.
+    `apply_scenario` on the ramp and that step; both runs validate at
+    `grid_n` points per axis.
     """
     if horizon is None:
         horizon = ramp.t_end
@@ -477,7 +496,7 @@ def run_with_controller(spec: ModelSpec, ramp: FiscalDrive, plan: StabilizationP
     fold = plan.fold
     margin = margin_frac * abs(fold.y)
     kwargs = dict(y_range=y_range, r_range=r_range, y_steps=y_steps,
-                  scan_n=scan_n, stride=stride, validate=False)
+                  scan_n=scan_n, stride=stride, grid_n=grid_n)
 
     base = apply_scenario(spec, Scenario((ramp,), horizon), y0, r0, mode, **kwargs)
 
@@ -529,7 +548,7 @@ def negative_rate_probe(spec: ModelSpec, scenario: Scenario | None,
         scenario = Scenario((), horizon)
     result = apply_scenario(spec, scenario, y0, r0, mode, y_range=y_range,
                             r_range=r_range, y_steps=y_steps, scan_n=scan_n,
-                            stride=stride, validate=False)
+                            stride=stride)
     traj = result.trajectory
     r = traj.r
     flips = list(np.nonzero(np.sign(r[:-1]) * np.sign(r[1:]) < 0)[0])
@@ -545,8 +564,8 @@ def negative_rate_probe(spec: ModelSpec, scenario: Scenario | None,
         if mode == FULL_MODE:
             model = next(m for t_m, m in reversed(result.models) if t_m <= j.t_start)
             d_pi = model.params.expected_inflation - spec.params.expected_inflation
-            found = _landing(model, j.y_at_jump, j.r_to, j.direction == "up",
-                             (r_range[0] - abs(d_pi), r_range[1] + abs(d_pi)))
+            found = model._lm_graph.landing(j.y_at_jump, j.r_to, j.direction == "up",
+                                            r_range[0] - abs(d_pi), r_range[1] + abs(d_pi))
             if found is not None:
                 landing = found[1]
         if np.sign(j.r_from) * np.sign(landing) < 0:

@@ -18,7 +18,7 @@ from scipy.optimize import brentq
 
 from islmsim.model import (FD_STEP_FRACTION, SIGN_DEGENERACY_TOL, WORST_TIE_TOL,
                            ConditionResult, ModelSpec, ValidationReport, _boundary_condition,
-                           excess_goods, excess_money, short_rate)
+                           _fold_landing_condition, excess_goods, excess_money, short_rate)
 
 
 def rate_gap_slope(spec: ModelSpec, i: float) -> float:
@@ -269,7 +269,8 @@ def grid_validation(spec: ModelSpec, y_range: tuple[float, float],
     separability, and each point is counted and tie-broken on its own.
 
     Trap-window interiors are held to the reversed rate-slope signs,
-    exteriors to the standard ones; the boundary condition is the library's.
+    exteriors to the standard ones; the boundary and fold-landing conditions
+    are the library's.
     """
     try:
         if grid_n < 100:
@@ -337,6 +338,9 @@ def grid_validation(spec: ModelSpec, y_range: tuple[float, float],
                 yy[inside], rr[inside]))
 
         conds.append(_boundary_condition(spec, y_range, r_range))
+        folds = _fold_landing_condition(spec, y_range, r_range)
+        if folds is not None:
+            conds.append(folds)
         passed = all(c.passed for c in conds)
         return ValidationReport(passed, tuple(conds), tuple(y_range), tuple(r_range), grid_n)
     except Exception as exc:  # contract: report, never raise

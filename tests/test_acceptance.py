@@ -290,8 +290,7 @@ def _census_for(n_windows: int, spec, dom):
         result = apply_scenario(spec, Scenario((ramp,), 4.0), run["y0"],
                                 run["r0_hint"], "singular-limit",
                                 y_range=dom["y_range"], r_range=dom["r_range"],
-                                y_steps=dom["y_steps"], scan_n=dom["scan_n"],
-                                validate=False)
+                                y_steps=dom["y_steps"], scan_n=dom["scan_n"])
         assert len(result.jumps) == 1, run["label"]
         j = result.jumps[0]
         assert j.direction == run["direction"], run["label"]

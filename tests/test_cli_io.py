@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import json
 import math
@@ -6,13 +7,16 @@ import tempfile
 import tracemalloc
 from importlib import resources
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from islmsim.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main, run_command
+import islmsim.cli
+from islmsim.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, RUN_SECTIONS, main,
+                         run_command)
 from islmsim.config import (
     _CONFIG,
     _REQUIRED,
@@ -30,7 +34,7 @@ from islmsim.config import (
     serialize_config,
 )
 from islmsim.dynamics import JumpEvent, Trajectory
-from islmsim.model import validate_properties
+from islmsim.model import ModelDomainError, start_condition, validate_properties
 from islmsim.output import (
     TABLE_BLOCK_ROWS,
     RunLockError,
@@ -162,9 +166,12 @@ def test_cli_scenario_validates_at_the_configured_grid(tmp_path, monkeypatch):
     raw = shipped_config("fiscal_ramp")
     raw["domain"]["grid_n"] = 150
     cfg = write_config(tmp_path, raw)
-    assert run_command(["scenario", "--config", str(cfg),
-                        "--out", str(tmp_path / "o"), "--quiet"]) == 0
-    assert seen and set(seen) == {150}
+    # each subcommand that runs a scenario, the controller's two included
+    for cmd in ("scenario", "portrait", "stabilize"):
+        seen.clear()
+        assert run_command([cmd, "--config", str(cfg),
+                            "--out", str(tmp_path / cmd), "--quiet"]) == 0
+        assert seen and set(seen) == {150}, cmd
 
 
 @pytest.mark.parametrize("mode", [[], {}])
@@ -376,6 +383,17 @@ def test_cli_simulate_zero_horizon_writes_empty_trajectory(tmp_path):
     assert doc["samples"] == 0
 
 
+def test_cli_simulate_zero_horizon_validates_before_it_returns(tmp_path, capsys):
+    raw = shipped_config("no_trap")
+    raw["simulate"]["t_end"] = 0.0
+    raw["model"]["money"]["l_slope"] = 1e300
+    cfg = write_config(tmp_path, raw)
+    assert run_command(["simulate", "--config", str(cfg),
+                        "--out", str(tmp_path / "o"), "--quiet"]) == 1
+    assert "initial model fails validation: ['dM_dY < dL_dY']" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "trajectory.csv").exists()
+
+
 def test_cli_portrait_contains_one_jump_segment(tmp_path):
     cfg = write_config(tmp_path, shipped_config("fiscal_ramp"))
     assert run_command(["portrait", "--config", str(cfg),
@@ -460,20 +478,22 @@ def test_cli_isocline_outside_the_model_domain_is_a_validation_failure(tmp_path,
 
 
 def test_a_jump_that_leaves_the_rate_range_is_a_validation_failure(tmp_path, capsys):
-    # The spec passes validation, but the first window's up jump finds no
-    # branch below the top of r_range.
+    # The first window's up jump finds no branch below the top of r_range:
+    # validation fails on it, and no run starts.
     raw = shipped_config("fiscal_ramp")
     raw["model"]["money"]["windows"][0]["amp_l"] = 1e300
     cfg = write_config(tmp_path, raw)
     assert run_command(["validate", "--config", str(cfg),
-                        "--out", str(tmp_path / "validate"), "--quiet"]) == 0
-    for cmd in ("scenario", "stabilize"):
+                        "--out", str(tmp_path / "validate"), "--quiet"]) == 1
+    assert "islmsim: failed: fold jumps land inside r_range" in capsys.readouterr().err
+    for cmd in ("scenario", "stabilize", "portrait"):
         assert run_command([cmd, "--config", str(cfg),
                             "--out", str(tmp_path / cmd), "--quiet"]) == 1
         err = capsys.readouterr().err
-        assert "islmsim: validation failure: the up jump" in err
-        assert "leaves the rate range" in err
+        assert "islmsim: validation failure: " in err
+        assert "the up jump" in err and "leaves the rate range" in err
         assert "Traceback" not in err
+        assert not list((tmp_path / cmd).glob("*.csv")), cmd
 
 
 # ---------------------------------------------------------------------------
@@ -509,6 +529,29 @@ def test_a_run_in_between_leaves_stabilize_outputs_unchanged(tmp_path):
     assert a.keys() == b.keys() and a
     for name in a:
         assert a[name] == b[name], f"stabilize/{name} differs after another run"
+
+
+def test_scenario_and_stabilize_read_slow_time_in_both_modes(tmp_path):
+    # full mode runs the configured slow-time horizon 1 / epsilon times over
+    # in fast time, so the ramp crosses the fold and jumps as in the singular
+    # limit
+    raw = shipped_config("fiscal_ramp")
+    cfg = write_config(tmp_path, raw)
+    docs = {}
+    for mode in ("reduced", "full"):
+        for cmd in ("scenario", "stabilize"):
+            out = tmp_path / f"{cmd}-{mode}"
+            assert run_command([cmd, "--config", str(cfg), "--mode", mode,
+                                "--out", str(out), "--quiet"]) == 0
+            docs[cmd, mode] = json.loads((out / f"{cmd}.json").read_text())
+    eps = raw["model"]["params"]["epsilon"]
+    reduced, full = docs["scenario", "reduced"], docs["scenario", "full"]
+    assert full["t_span"][1] == pytest.approx(reduced["t_span"][1] / eps, rel=1e-12)
+    assert [j["direction"] for j in full["jumps"]] == \
+        [j["direction"] for j in reduced["jumps"]] == ["up"]
+    reduced, full = (docs["stabilize", mode]["comparison"] for mode in ("reduced", "full"))
+    assert full["jumps_uncontrolled"] == reduced["jumps_uncontrolled"] == 1
+    assert full["jumps_controlled"] == reduced["jumps_controlled"] == 0
 
 
 def test_cli_simulate_reduced_runs_the_horizon_in_slow_time(tmp_path):
@@ -618,6 +661,29 @@ def fuzzed_configs(draw):
     return raw
 
 
+# the run sections whose start each dynamics subcommand runs from, in order
+# of preference: a portrait draws the scenario, or else the simulation
+RUN_STARTS = {"simulate": ("simulate",), "scenario": ("scenario",),
+              "stabilize": ("stabilize",), "portrait": ("scenario", "simulate")}
+
+
+@contextlib.contextmanager
+def _model_domain_errors():
+    """The `ModelDomainError`s that end the subcommands run inside, each still
+    reported as its exit status."""
+    seen = []
+    dispatch = islmsim.cli._dispatch
+
+    def recording(*args):
+        try:
+            return dispatch(*args)
+        except ModelDomainError as exc:
+            seen.append(exc)
+            raise
+    with mock.patch.object(islmsim.cli, "_dispatch", recording):
+        yield seen
+
+
 @settings(max_examples=60, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(fuzzed_configs())
@@ -625,15 +691,38 @@ def test_fuzzed_configs_end_in_a_documented_exit_status(raw):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         cfg = write_config(tmp, raw)
+        status, domain_errors = {}, {}
         for cmd in SUBCOMMANDS:
-            status = main([cmd, "--config", str(cfg), "--out", str(tmp / cmd), "--quiet"])
-            assert status in (EXIT_OK, EXIT_VALIDATION, EXIT_NUMERICAL), cmd
+            with _model_domain_errors() as domain_errors[cmd]:
+                status[cmd] = main([cmd, "--config", str(cfg), "--out", str(tmp / cmd),
+                                    "--quiet"])
+            assert status[cmd] in (EXIT_OK, EXIT_VALIDATION, EXIT_NUMERICAL), cmd
         try:
             config = parse_config(cfg)
         except ConfigError:
             return
         again = write_config(tmp, json.loads(serialize_config(config)), "again.json")
         assert parse_config(again) == config
+
+        # validation is the pre-flight of every run: a run whose model and
+        # start pass ends in no model-domain failure, and one whose model or
+        # start fails exits 1 before it writes a table
+        dom = config.domain
+        model_ok = validate_properties(config.model, dom.y_range, dom.r_range,
+                                       dom.grid_n).passed
+        start_ok = {name: start_condition(config.model, s.y0, s.r0, dom.y_range,
+                                          dom.r_range).passed
+                    for name in RUN_SECTIONS if (s := getattr(config, name)) is not None}
+        assert (status["validate"] == EXIT_OK) == (model_ok and all(start_ok.values()))
+        for cmd, sections in RUN_STARTS.items():
+            section = next((name for name in sections if name in start_ok), None)
+            if section is None:  # no run: a missing section, or a portrait alone
+                continue
+            if model_ok and start_ok[section]:
+                assert not domain_errors[cmd], (cmd, domain_errors[cmd])
+            else:
+                assert status[cmd] == EXIT_VALIDATION, cmd
+                assert not list((tmp / cmd).glob("*.csv")), cmd
 
 
 @pytest.mark.parametrize("name, path, value, argv, status, message", [
@@ -643,15 +732,19 @@ def test_fuzzed_configs_end_in_a_documented_exit_status(raw):
     # a density no array can hold
     ("reference", ("domain", "y_steps"), 1e300, ["isocline"], 1,
      "domain: 'y_steps' must be at least 500 and at most 1000000"),
-    # windows shifted far above r_range: no branch inside it catches the start
+    # windows shifted far above r_range: the model has no LM root at the
+    # low-income edge, and no branch inside r_range catches the start
     ("fiscal_ramp", ("model", "params", "maturity_premium"), 1e300, ["portrait"], 1,
-     "validation failure: fast flow from (y=2.8, r=0.02) escapes the scanned range"),
+     "validation failure: initial model fails validation: "
+     "['R_IS above lowest LM branch at low income"),
     # a start beyond the traced income range
     ("reference", ("simulate", "y0"), 6.0, ["simulate", "--mode", "reduced"], 1,
-     "validation failure: no isocline branch holds the root (6.0"),
-    # steps near 1e-299 would never reach the horizon
-    ("no_trap", ("model", "money", "l_slope"), 1e300, ["simulate"], 2,
-     "numerical failure: integration failed at t=0.0"),
+     "validation failure: the start fails validation: ['run start comes to rest inside "
+     "the domain (the start income 6.0 lies outside y_range"),
+    # a model that fails validation, whose steps near 1e-299 would never reach
+    # the horizon, is refused before it integrates
+    ("no_trap", ("model", "money", "l_slope"), 1e300, ["simulate"], 1,
+     "validation failure: initial model fails validation: ['dM_dY < dL_dY']"),
     # strides whose sample grids no array can hold, caught while parsing
     ("reference", ("simulate", "stride"), 1e-300, ["simulate"], 1,
      "simulate: 'stride' must put at most 1000000 samples on 't_end'"),
@@ -675,6 +768,9 @@ def test_fuzzed_configs_end_in_a_documented_exit_status(raw):
     # with a warning while the echo kept the value asked for
     ("reference", ("simulate", "rtol"), 1e-300, ["simulate"], 1,
      "simulate: 'rtol' must be at least 2.220446049250313e-14"),
+    # a slow-time horizon that a full-mode run, in fast time, cannot hold
+    ("fiscal_ramp", ("model", "params", "epsilon"), 5e-324, ["scenario", "--mode", "full"], 1,
+     "scenario: epsilon 4.94066e-324 puts the run's times beyond the float range"),
 ])
 def test_fuzz_reproducers_end_in_their_exit_status(tmp_path, capsys, name, path, value, argv,
                                                    status, message):
@@ -716,6 +812,8 @@ def _readme_row(path, kind, default) -> str:
         name = "whole number" if kind.whole else "number"
     else:
         name = KIND_NAMES[type(kind)]
+    if getattr(kind, "clock", ""):
+        name += f", {kind.clock} time"
     if default is _REQUIRED:
         shown = "required"
     elif default is ...:

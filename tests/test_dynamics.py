@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -103,6 +104,15 @@ def test_integrate_rejects_a_bad_time_grid_by_name(ref_spec, kw, name):
     args = {"t_end": 10.0, **kw}
     with pytest.raises(ValueError, match=name):
         integrate(ref_spec, 1.5, 0.01, **args)
+
+
+def test_integrate_fails_on_steps_that_could_never_reach_the_horizon():
+    # a money slope of 1e300 holds RK45's steps near 1e-299; the validator
+    # rejects such a model, so only a direct call integrates it
+    spec = no_trap_spec()
+    spec = dataclasses.replace(spec, money=dataclasses.replace(spec.money, l_slope=1e300))
+    with pytest.raises(IntegrationError, match="integration failed at t=0.0 .* steps in a row"):
+        integrate(spec, 1.5, 0.01, 20.0)
 
 
 def test_integrate_holds_each_sample_once():
@@ -253,8 +263,7 @@ def test_ramp_reaches_its_fold_at_the_closed_form_time(ref_spec, ref_isocline, r
     _, r0 = attach_to_branch(ref_spec, ref_isocline, y0, 0.01)
     ramp = FiscalDrive(t0, t1, y_to=y_to)
     result = apply_scenario(ref_spec, Scenario((ramp,), 4.0), y0, r0,
-                            y_range=ref_domain["y_range"], r_range=ref_domain["r_range"],
-                            validate=False)
+                            y_range=ref_domain["y_range"], r_range=ref_domain["r_range"])
     # the state drifts freely until t0, where the ramp takes it from y_a
     traj = result.trajectory
     (y_a,) = traj.y[traj.t == t0]
@@ -311,7 +320,7 @@ def test_reduced_runs_solve_no_ode(monkeypatch, ref_spec, ref_isocline, ref_doma
     fold = next(f for f in ref_isocline.folds if f.kind == "lower-knee")
     result = apply_scenario(ref_spec, Scenario((FiscalDrive(0.5, 3.5, y_to=fold.y + 0.6),), 4.0),
                             1.5, r0, y_range=ref_domain["y_range"],
-                            r_range=ref_domain["r_range"], validate=False)
+                            r_range=ref_domain["r_range"])
     assert result.jumps[0].direction == "up"
     # equilibrium-bound: the steep IS line crosses the lower stable arc
     spec = steep_is_spec()

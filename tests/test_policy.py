@@ -49,7 +49,7 @@ def test_empty_scenario_matches_plain_simulation(ref_spec, ref_isocline, kw):
     branch, r0 = attach_to_branch(ref_spec, ref_isocline, 1.5, 0.01)
     plain = reduced_simulate(ref_spec, 1.5, branch, 8.0, ref_isocline)
     result = apply_scenario(ref_spec, Scenario((), 8.0), 1.5, r0,
-                            "singular-limit", validate=False, **kw)
+                            "singular-limit", **kw)
     traj = result.trajectory
     assert len(traj.jumps) == len(plain.jumps)
     for a, b in zip(traj.jumps, plain.jumps):
@@ -64,7 +64,7 @@ def test_drive_across_upper_fold_has_one_upward_jump(ref_spec, ref_isocline, kw,
                                                      lower_fold):
     ramp = FiscalDrive(0.0, 3.0, y_to=3.45, y_from=2.9)
     result = apply_scenario(ref_spec, Scenario((ramp,), 3.0), 2.9, 0.02,
-                            "singular-limit", validate=False, **kw)
+                            "singular-limit", **kw)
     assert len(result.jumps) == 1
     j = result.jumps[0]
     assert j.direction == "up"
@@ -76,7 +76,7 @@ def test_monetary_step_shifts_branches_exactly(ref_spec, ref_isocline, kw):
     delta = 0.015
     steps = (MonetaryStep(3.0, d_pi=delta),)
     result = apply_scenario(ref_spec, Scenario(steps, 6.0), 1.5, 0.01,
-                            "singular-limit", validate=False, **kw)
+                            "singular-limit", **kw)
     shifted = result.final_spec
     assert shifted.params.expected_inflation == pytest.approx(
         ref_spec.params.expected_inflation + delta)
@@ -131,12 +131,18 @@ def test_scenario_result_keeps_the_model_timeline(ref_spec, kw, mode):
 
 
 def test_intermediate_spec_validation_names_the_step(ref_spec, kw):
-    steps = (MonetaryStep(1.0, d_ms=-1.99),)  # stock would drop to 0.01, fine
+    steps = (MonetaryStep(1.0, d_ms=-1.0),)  # stock drops to 1.0, still valid
     apply_scenario(ref_spec, Scenario(steps, 2.0), 1.5, 0.01,
-                   "singular-limit", validate=False, **kw)
+                   "singular-limit", **kw)
+    # a stock of 0.01 lifts the lowest LM branch above the IS line at low
+    # income, which the validator rejects; one below zero is no model at all
+    with pytest.raises(ScenarioError, match="step 0 at t=1.0 produced an invalid model: "
+                                            r"\['R_IS above lowest LM branch"):
+        apply_scenario(ref_spec, Scenario((MonetaryStep(1.0, d_ms=-1.99),), 2.0),
+                       1.5, 0.01, "singular-limit", **kw)
     with pytest.raises(ScenarioError, match="step 0"):
         apply_scenario(ref_spec, Scenario((MonetaryStep(1.0, d_ms=-2.5),), 2.0),
-                       1.5, 0.01, "singular-limit", validate=False, **kw)
+                       1.5, 0.01, "singular-limit", **kw)
 
 
 def test_order_sensitivity_of_money_step_and_fold_crossing(ref_spec, kw, lower_fold):
@@ -147,10 +153,10 @@ def test_order_sensitivity_of_money_step_and_fold_crossing(ref_spec, kw, lower_f
     assert 1.0 < t_cross < 3.2
     early = apply_scenario(
         ref_spec, Scenario((ramp, MonetaryStep(1.0, d_ms=0.25)), 4.0),
-        2.85, 0.02, "singular-limit", validate=False, **kw)
+        2.85, 0.02, "singular-limit", **kw)
     late = apply_scenario(
         ref_spec, Scenario((ramp, MonetaryStep(3.2, d_ms=0.25)), 4.0),
-        2.85, 0.02, "singular-limit", validate=False, **kw)
+        2.85, 0.02, "singular-limit", **kw)
     n_early = len([j for j in early.jumps])
     n_late = len([j for j in late.jumps])
     assert n_early == 0   # the fold moved out of the ramp's reach in time
@@ -167,8 +173,7 @@ def test_a_null_step_inside_a_drive_keeps_its_end_and_jumps(epsilon, mode, r0, h
     spec = reference_spec() if epsilon is None else reference_spec(epsilon=epsilon)
     ramp = FiscalDrive(0.0, horizon, y_to=3.5)
     plain, stepped = (
-        apply_scenario(spec, Scenario(steps, horizon), 2.8, r0, mode, stride=stride,
-                       validate=False, **kw)
+        apply_scenario(spec, Scenario(steps, horizon), 2.8, r0, mode, stride=stride, **kw)
         for steps in ((ramp,), (ramp, MonetaryStep(t_step))))
     assert stepped.trajectory.y[-1] == pytest.approx(3.5, abs=1e-9)
     assert [j.direction for j in stepped.jumps] == [j.direction for j in plain.jumps] == ["up"]
@@ -192,7 +197,7 @@ def test_is_shift_equivalence_values(ref_spec):
 
 def test_fiscal_shift_moves_is_curve_only(ref_spec, kw):
     result = apply_scenario(ref_spec, Scenario((FiscalShift(1.0, 0.15),), 2.0),
-                            1.5, 0.01, "singular-limit", validate=False, **kw)
+                            1.5, 0.01, "singular-limit", **kw)
     shifted = result.final_spec
     assert is_curve(shifted).intercept - is_curve(ref_spec).intercept \
         == pytest.approx(0.01)
@@ -365,7 +370,7 @@ def test_full_mode_census_counts_one_jump_per_fold(n_windows, make_spec):
         ramp = FiscalDrive(0.0, horizon, y_to=y_to)
         result = apply_scenario(spec, Scenario((ramp,), horizon), y0, r0, "full-epsilon",
                                 y_range=dom["y_range"], r_range=dom["r_range"],
-                                stride=horizon / 2000.0, validate=False)
+                                stride=horizon / 2000.0)
         assert [j.direction for j in result.jumps] == directions, (y0, r0, y_to)
 
 
@@ -434,7 +439,7 @@ def _sample_density_results(spec, lower_fold, kw, y_steps, scan_n=500):
     driven = apply_scenario(spec, Scenario((FiscalDrive(0.0, 6.0, y_to=3.5),
                                             MonetaryStep(2.0, d_pi=0.004),
                                             MonetaryStep(4.0, d_ms=0.05)), 8.0),
-                            2.8, 0.02, "singular-limit", validate=False, **runs)
+                            2.8, 0.02, "singular-limit", **runs)
     out = [branch.interval, branch.y_lo, branch.y_hi, r0, driven.events,
            find_equilibria(spec, kw["y_range"], iso),
            reduced_simulate(spec, 2.8, branch, 4.0, iso)]

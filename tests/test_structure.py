@@ -10,7 +10,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from islmsim.dynamics import Trajectory, _fold_landing, attach_to_branch
@@ -19,7 +19,7 @@ from islmsim.geometry import (FoldPoint, _trace_lm_isocline, find_equilibria, is
 from islmsim.model import (FD_STEP_FRACTION, SIGN_DEGENERACY_TOL, ISBlock, ModelParams,
                            ModelSpec, MoneyBlock, TrapWindow, build_three_phase_money,
                            excess_money, excess_money_many, excess_money_slope, short_rate,
-                           validate_properties)
+                           start_condition, validate_properties)
 from islmsim.policy import FiscalDrive, Scenario, apply_scenario, plan_stabilization
 from islmsim.reference import no_trap_spec
 
@@ -65,9 +65,24 @@ def _window_rates(spec, r_fold, kind):
     return w.p + off, w.q + off
 
 
+# Two windows whose upper knees sit at one income, 2.46875 in exact arithmetic:
+# the jump down from the knee at 0.1175 meets the other knee, at 0.0825, where
+# the LM graph only touches that income, before the sign change at 0.03719.
+TWO_KNEES_AT_ONE_INCOME = ModelSpec(
+    ModelParams(1.0, 0.25, 1e-3, 2.0, 0.02, 0.0), ISBlock(1.5, 0.25, 1.0, 0.5, 0.5, 1.0),
+    MoneyBlock(0.5, 0.1, 20.0, 20.0, 2.2, 0.5, (TrapWindow(0.03125, 0.0625, 8.0, 8.0),
+                                                TrapWindow(0.0775, 0.0975, 8.0, 25.0))))
+# A touch within rounding of the fold income can read as a touch, stopping the
+# flow within the graph's quartically flat neighbourhood of that fold, or as an
+# ulp's miss.
+TOUCH_INCOME_TOL = 1e-12
+TOUCH_RATE_TOL = 1e-4
+
+
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(trap_specs())
+@example(TWO_KNEES_AT_ONE_INCOME)
 def test_fold_jump_lands_on_first_root_beyond_the_window(spec):
     folds = fold_positions(spec, WIDE_Y)
     assume(len(folds) == 2 * len(spec.money.windows))
@@ -84,8 +99,26 @@ def test_fold_jump_lands_on_first_root_beyond_the_window(spec):
             want = [r for r in roots if r > r_q][0]
         else:
             want = [r for r in roots if r < r_p][-1]
+        # dR/dt = beta E cannot pass a zero of E, so another window's fold at
+        # this income stops the jump before the sign change the scan sees
+        start = r_q if direction == "up" else r_p
+        touches = sorted((r for y, r, _ in folds if abs(y - y_f) <= TOUCH_INCOME_TOL
+                          and min(start, want) < r < max(start, want)),
+                         key=lambda r: abs(r - start))
+        if touches and abs(landing - touches[0]) <= TOUCH_RATE_TOL:
+            assert rate_gap_slope(spec, landing - off) <= 0.0
+            continue
         assert landing == pytest.approx(want, abs=1e-10)
         assert rate_gap_slope(spec, landing - off) < 0.0
+
+
+def test_a_fold_jump_stops_at_another_fold_at_its_income():
+    # handed the income at which the graph touches the other knee, the jump
+    # lands on that knee, not on the sign change at 0.03719 below it
+    lm = TWO_KNEES_AT_ONE_INCOME._lm_graph
+    y_touch = float(lm.income(lm.ends[1])[()])
+    assert _fold_landing(TWO_KNEES_AT_ONE_INCOME, FoldPoint(y_touch, lm.ends[3], "upper-knee"),
+                         WIDE_R) == ("down", 2, lm.ends[1])
 
 
 # the tracer's number of incomes on WIDE_Y
@@ -127,6 +160,51 @@ def test_shared_rate_scan_matches_the_oracles(spec, incomes, fold_offsets):
 
     iso = trace_lm_isocline(spec, WIDE_Y, TRACE_STEPS, WIDE_R)
     _assert_oracle_folds_and_monotone_branches(spec, iso)
+
+
+@st.composite
+def rate_ranges(draw):
+    """Rate ranges from wide to cut close above or below the windows, so some
+    fold jumps find no branch inside them."""
+    r_lo = draw(st.floats(-0.1, 0.06))
+    return r_lo, r_lo + draw(st.floats(0.05, 0.5))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(trap_specs(), rate_ranges())
+def test_fold_landing_condition_fails_exactly_when_a_jump_would_raise(spec, r_range):
+    iso = trace_lm_isocline(spec, WIDE_Y, TRACE_STEPS, r_range)
+    raised = []
+    for fold in iso.folds:
+        try:
+            _fold_landing(spec, fold, r_range)
+        except ValueError as exc:  # a ModelDomainError, or a non-attracting landing
+            raised.append(exc)
+    cond = next((c for c in validate_properties(spec, WIDE_Y, r_range).conditions
+                 if c.condition == "fold jumps land inside r_range"), None)
+    if not iso.folds:
+        assert cond is None
+        return
+    assert cond.n_checked == len(iso.folds)
+    assert cond.passed == (not raised)
+    if raised:  # the condition names one of the jumps
+        assert cond.detail in {str(exc) for exc in raised}
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(trap_specs(min_windows=0), rate_ranges(), st.floats(0.0, 40.0), st.floats(-0.2, 0.6))
+def test_start_condition_passes_exactly_when_the_start_attaches(spec, r_range, y0, r0):
+    iso = trace_lm_isocline(spec, WIDE_Y, TRACE_STEPS, r_range)
+    cond = start_condition(spec, y0, r0, WIDE_Y, r_range)
+    try:
+        _, r_rest = attach_to_branch(spec, iso, y0, r0)
+    except ValueError as exc:  # a ModelDomainError, or an unstable landing
+        assert not cond.passed, exc
+    else:
+        assert cond.passed, cond.detail
+        assert cond.worst_point == (y0, r_rest)
 
 
 @settings(max_examples=40, deadline=None,
@@ -456,8 +534,7 @@ def test_singular_limit_samples_lie_on_the_isocline(spec, upward):
     roots = lm_roots(y0, spec, WIDE_R)
     ramp = FiscalDrive(0.0, 2.0, y_to=y_to)
     result = apply_scenario(spec, Scenario((ramp,), 4.0), y0, roots[0] if upward else roots[-1],
-                            y_range=WIDE_Y, r_range=WIDE_R, y_steps=TRACE_STEPS,
-                            validate=False)
+                            y_range=WIDE_Y, r_range=WIDE_R, y_steps=TRACE_STEPS)
     traj = result.trajectory
     assert result.jumps
     assert np.abs(excess_money_many(traj.y, traj.r, spec)).max() <= 1e-10
