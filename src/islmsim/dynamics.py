@@ -149,6 +149,23 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class CycleSummary:
+    """One period of a relaxation cycle (`detect_cycle`), on the run's clock:
+    slow time in a singular-limit run, the full system's time otherwise.
+
+    - `period`: the time between the departures of two jumps in the same
+      direction from the same rate gap: a singular-limit jump departs at its
+      exact fold arrival, a full-system jump where the rate crosses the
+      gap's edge (the fold's window-endpoint rate), interpolated between
+      its departure sample and the next sample.
+    - `t_start`: the start of the window [t_start, t_start + period),
+      half-way along the slow leg after the earlier jump of that pair.
+    - `jumps`: the whole jumps that depart inside the window, in time order.
+    - `y_turning`: their sorted distinct incomes to 9 decimals (fold incomes
+      in a singular-limit run, mean sample incomes in a full-system one).
+    - `r_extent`, `orientation`: the lowest and highest sampled rate in the
+      window, and the sense its samples go round (the sign of their Y dR).
+    """
+
     period: float
     orientation: str  # "counterclockwise" | "clockwise"
     jumps: tuple[JumpEvent, ...]
@@ -552,16 +569,21 @@ def detect_jumps(traj: Trajectory, spec: ModelSpec) -> list[JumpEvent]:
     return _window_traversals([(traj, spec)])
 
 
+def _levels(r: np.ndarray, rates: np.ndarray) -> np.ndarray:
+    """The window endpoints each rate has passed (r > p, r >= q): level 2g
+    is rate gap g, odd levels lie inside a window."""
+    return (r[:, None] > rates[:, 0]).sum(axis=1) + (r[:, None] >= rates[:, 1]).sum(axis=1)
+
+
 def _window_traversals(parts: list[tuple[Trajectory, ModelSpec]]) -> list[JumpEvent]:
     """Jumps across consecutive (trajectory, spec) parts of one run.
 
     The stable branches lie in the rate gaps between the trap windows, so
     the fast flow moves the state from gap to gap only by jumping.  A
-    sample's level counts the window endpoints it has passed (r > r_p,
-    r >= r_q) by its own part's window rates: level 2g is gap g, odd levels
-    lie inside a window.  A jump joins two consecutive samples in different
-    gaps, so a canard (an excursion that returns to its gap) is no jump, nor
-    is the first exit of a run that starts inside a window.  Besides:
+    sample's level (`_levels`) is read by its own part's window rates.  A
+    jump joins two consecutive samples in different gaps, so a canard (an
+    excursion that returns to its gap) is no jump, nor is the first exit of
+    a run that starts inside a window.  Besides:
 
     - a part whose first sample, the state at a spec change, changes level
       restarts the count, since the change moved a window, not the state;
@@ -574,8 +596,7 @@ def _window_traversals(parts: list[tuple[Trajectory, ModelSpec]]) -> list[JumpEv
         if not len(traj):
             continue
         rates = np.asarray(spec._lm_graph.ends).reshape(-1, 2)
-        lv = ((traj.r[:, None] > rates[:, 0]).sum(axis=1)
-              + (traj.r[:, None] >= rates[:, 1]).sum(axis=1))
+        lv = _levels(traj.r, rates)
         cut = np.zeros(len(lv), dtype=bool)
         cut[0] = bool(level) and lv[0] != level[-1][-1]
         for a, v in ((t, traj.t), (y, traj.y), (r, traj.r), (level, lv), (fresh, cut),
@@ -608,76 +629,51 @@ def _window_traversals(parts: list[tuple[Trajectory, ModelSpec]]) -> list[JumpEv
     return events
 
 
-def detect_cycle(traj: Trajectory, spec: ModelSpec | None = None,
-                 radius: float = 1e-4, transient_frac: float = 0.2
-                 ) -> CycleSummary | None:
-    """Detect a closed loop by recurrence to a reference point.
+def detect_cycle(traj: Trajectory, spec: ModelSpec) -> CycleSummary | None:
+    """The run's last whole cycle (`CycleSummary`), read off its jumps.
 
-    Distances are measured in loop-extent units, so the default ball radius is
-    dimensionless.  Returns None when the trajectory never leaves the ball or
-    never comes back, which covers equilibrium convergence.
+    The jumps are `traj.jumps`, or else `detect_jumps(traj, spec)`, each
+    labelled by its direction and the rate gap it departs (`_levels` on the
+    windows of `spec`).  The latest jump whose label an earlier one bears
+    pairs with the latest such earlier jump; the latest pair whose window
+    fits in the run gives the cycle.  A run with no repeated label (an
+    equilibrium, no trap window, a short horizon) has none: None.
     """
-    n = len(traj)
-    if n < 3:
+    jumps = list(traj.jumps or detect_jumps(traj, spec))
+    rates = np.asarray(spec._lm_graph.ends).reshape(-1, 2)
+    gaps = _levels(np.array([j.r_from for j in jumps]), rates) // 2
+    last: dict[tuple[str, int], int] = {}
+    pairs = []
+    for k, label in enumerate(zip((j.direction for j in jumps), gaps.tolist())):
+        if label in last:
+            pairs.append((last[label], k, label[1]))
+        last[label] = k
+    for e, k, gap in reversed(pairs):
+        period = (_departure(traj, jumps[k], gap, rates)
+                  - _departure(traj, jumps[e], gap, rates))
+        t0 = 0.5 * (jumps[e].t_end + jumps[e + 1].t_start)
+        if t0 + period <= traj.t[-1]:
+            break
+    else:
         return None
-    i0 = min(n - 2, max(0, int(n * transient_frac)))
-    t, y, r = traj.t[i0:], traj.y[i0:], traj.r[i0:]
-    y_scale = max(float(np.ptp(traj.y)), 1e-12)
-    r_scale = max(float(np.ptp(traj.r)), 1e-12)
-
-    # distance from the reference point to each linearly interpolated segment,
-    # so sparse sampling cannot step over the recurrence ball
-    pts = np.column_stack([(y - y[0]) / y_scale, (r - r[0]) / r_scale])
-    seg_a = pts[:-1]
-    seg_d = pts[1:] - seg_a
-    len2 = (seg_d ** 2).sum(axis=1)
-    len2[len2 == 0.0] = 1e-300
-    tproj = np.clip(-(seg_a * seg_d).sum(axis=1) / len2, 0.0, 1.0)
-    closest = seg_a + tproj[:, None] * seg_d
-    dseg = np.hypot(closest[:, 0], closest[:, 1])
-    t_seg = t[:-1] + tproj * np.diff(t)
-
-    leave = max(10.0 * radius, 0.05)
-    returns: list[float] = []
-    away = False
-    k = 0
-    while k < len(dseg):
-        if not away:
-            if dseg[k] > leave:
-                away = True
-            k += 1
-            continue
-        if dseg[k] < radius:
-            j = k
-            while j + 1 < len(dseg) and dseg[j + 1] < radius:
-                j += 1
-            k_min = k + int(np.argmin(dseg[k:j + 1]))
-            returns.append(float(t_seg[k_min]))
-            away = False
-            k = j + 1
-        else:
-            k += 1
-    if not returns:
-        return None
-    gaps = np.diff(np.concatenate([[t[0]], returns]))
-    period = float(np.median(gaps))
-    if period <= 0.0:
-        return None
-
-    t_loop0 = max(returns[0] - period, float(t[0]))
-    window = traj.slice(t_loop0, t_loop0 + period)
-    if len(window) < 3:
-        return None
-    area = _loop_area(window.y, window.r)
-    orientation = "counterclockwise" if area > 0.0 else "clockwise"
-
-    # jumps come from the whole run, so one that the window edge cuts counts
-    # once, in the period where it starts
-    all_jumps = traj.jumps or (detect_jumps(traj, spec) if spec is not None else ())
-    jumps = tuple(j for j in all_jumps if t_loop0 <= j.t_start < t_loop0 + period)
-    y_turning = tuple(sorted({round(j.y_at_jump, 9) for j in jumps}))
+    window = traj.slice(t0, t0 + period)
+    orientation = "counterclockwise" if _loop_area(window.y, window.r) > 0.0 else "clockwise"
+    inside = tuple(j for j in jumps if t0 <= j.t_start < t0 + period)
+    y_turning = tuple(sorted({round(j.y_at_jump, 9) for j in inside}))
     r_extent = (float(np.min(window.r)), float(np.max(window.r)))
-    return CycleSummary(period, orientation, jumps, y_turning, r_extent, t_loop0)
+    return CycleSummary(period, orientation, inside, y_turning, r_extent, t0)
+
+
+def _departure(traj: Trajectory, jump: JumpEvent, gap: int, rates: np.ndarray) -> float:
+    """When a jump leaves rate gap `gap`: its own time if it takes none, else
+    when the rate crosses the gap's edge, read linearly between the
+    departure sample and the next one."""
+    if jump.t_end == jump.t_start:
+        return jump.t_start
+    edge = rates[gap, 0] if jump.direction == "up" else rates[gap - 1, 1]
+    i = int(np.searchsorted(traj.t, jump.t_start))
+    (t0, t1), (r0, r1) = traj.t[i:i + 2], traj.r[i:i + 2]
+    return float(t0 + (t1 - t0) * (edge - r0) / (r1 - r0))
 
 
 def _loop_area(y: np.ndarray, r: np.ndarray) -> float:

@@ -622,18 +622,30 @@ def _section(raw, path):
     return raw if isinstance(raw, dict) else None
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 @st.composite
 def fuzzed_configs(draw):
-    """A shipped config with one or two values replaced (a scalar, or a whole
-    list or object) by a leaf value, or its trap windows swapped, overlapped
-    or turned inside out."""
+    """A shipped config with one or two mutations: a value replaced (a scalar,
+    or a whole list or object) by a leaf value; its trap windows swapped,
+    overlapped or turned inside out; a number scaled by a factor near one (a
+    whole number stays whole); or one window's p and q shifted together by
+    less than any shipped gap between windows.  The last two keep each
+    field's kind and bound, so most such configs parse and reach validation."""
     shipped = shipped_config(draw(st.sampled_from(SHIPPED)))
     raw = copy.deepcopy(shipped)
     for _ in range(draw(st.integers(1, 2))):
         money = _section(raw, ("model", "money"))
         windows = None if money is None else money.get("windows")
-        if (draw(st.integers(0, 3)) == 0 and isinstance(windows, list) and windows
-                and all(isinstance(w, dict) for w in windows)):
+        if not (isinstance(windows, list) and all(isinstance(w, dict) for w in windows)):
+            windows = []
+        movable = [w for w in windows if _is_number(w.get("p")) and _is_number(w.get("q"))]
+        finite = [path for path in _node_paths(raw)
+                  if _is_number(_at(raw, path)) and abs(_at(raw, path)) <= 1e300]
+        how = draw(st.sampled_from(("leaf", "leaf", "windows", "scale", "shift")))
+        if how == "windows" and windows:
             how = draw(st.sampled_from(("swap", "overlap", "inside-out")))
             if how == "swap" and len(windows) > 1:
                 windows[0], windows[1] = windows[1], windows[0]
@@ -641,9 +653,17 @@ def fuzzed_configs(draw):
                 windows[1]["p"] = windows[0].get("p")
             else:
                 windows[-1]["p"], windows[-1]["q"] = windows[-1].get("q"), windows[-1].get("p")
-            continue
-        path = draw(st.sampled_from(list(_node_paths(raw))))
-        _at(raw, path[:-1])[path[-1]] = copy.deepcopy(draw(st.sampled_from(LEAF_VALUES)))
+        elif how == "shift" and movable:
+            w = draw(st.sampled_from(movable))
+            shift = draw(st.floats(-0.01, 0.01))
+            w["p"], w["q"] = w["p"] + shift, w["q"] + shift
+        elif how == "scale" and finite:
+            path = draw(st.sampled_from(finite))
+            x = _at(raw, path) * draw(st.floats(0.9, 1.1))
+            _at(raw, path[:-1])[path[-1]] = round(x) if isinstance(_at(raw, path), int) else x
+        else:
+            path = draw(st.sampled_from(list(_node_paths(raw))))
+            _at(raw, path[:-1])[path[-1]] = copy.deepcopy(draw(st.sampled_from(LEAF_VALUES)))
     # A mutation cannot lengthen a run: a horizon of 1e300 asks for an endless
     # run, not a traceback.  A full-mode simulate stops at SHORT_T_END.  A
     # section that is no longer an object has no horizon to clamp.

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from islmsim.dynamics import Trajectory, _fold_landing, attach_to_branch
+from islmsim.dynamics import (Trajectory, _fold_landing, attach_to_branch, detect_cycle,
+                              reduced_simulate)
 from islmsim.geometry import (FoldPoint, _trace_lm_isocline, find_equilibria, is_curve,
                               lm_roots, shift_lm, trace_lm_isocline)
 from islmsim.model import (FD_STEP_FRACTION, SIGN_DEGENERACY_TOL, ISBlock, ModelParams,
@@ -25,19 +26,19 @@ from islmsim.reference import no_trap_spec
 
 from oracles import (_breakpoints, brute_force_equilibria, dense_scan_roots,
                      excess_money_by_quadrature, fold_positions, grid_validation,
-                     rate_gap_slope)
+                     rate_gap_slope, reduced_period_by_quadrature)
 
 WIDE_Y = (0.0, 40.0)
 WIDE_R = (-0.1, 0.6)
 
 
 @st.composite
-def trap_specs(draw, min_windows=1):
-    """Specs with `min_windows`-3 trap windows of random position, width, gap
-    and bumps."""
+def trap_specs(draw, min_windows=1, max_windows=3):
+    """Specs with `min_windows`-`max_windows` trap windows of random position,
+    width, gap and bumps."""
     windows = []
     p = draw(st.floats(0.015, 0.05))
-    for _ in range(draw(st.integers(min_windows, 3))):
+    for _ in range(draw(st.integers(min_windows, max_windows))):
         q = p + draw(st.floats(0.02, 0.06))
         windows.append(TrapWindow(p=p, q=q, amp_l=draw(st.floats(8.0, 25.0)),
                                   amp_m=draw(st.floats(8.0, 25.0))))
@@ -160,6 +161,34 @@ def test_shared_rate_scan_matches_the_oracles(spec, incomes, fold_offsets):
 
     iso = trace_lm_isocline(spec, WIDE_Y, TRACE_STEPS, WIDE_R)
     _assert_oracle_folds_and_monotone_branches(spec, iso)
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(trap_specs(max_windows=1), st.floats(0.1, 0.9))
+def test_one_window_reduced_cycle_matches_the_period_quadrature(spec, frac):
+    # a relaxation oscillation: the IS line re-aimed through the window's
+    # unstable arc, kept when the model is valid, both knees lie in the
+    # income range and the line crosses no stable branch
+    w, b = spec.money.windows[0], spec.is_block
+    r_t = w.p + frac * (w.q - w.p) + spec.params.maturity_premium - spec.params.expected_inflation
+    y_t = -excess_money(0.0, r_t, spec) / (spec.money.l_y - spec.money.m_y)
+    i0 = b.s0 + (b.i_r + b.s_r) * r_t - (b.i_y - b.s_y) * y_t
+    spec = dataclasses.replace(spec, is_block=dataclasses.replace(b, i0=i0))
+    assume(validate_properties(spec, WIDE_Y, WIDE_R).passed)
+    iso = trace_lm_isocline(spec, WIDE_Y, TRACE_STEPS, WIDE_R)
+    assume(len(iso.folds) == 2)
+    eqs = find_equilibria(spec, WIDE_Y, iso)
+    assume(all(iso.branches[e.branch_index].stability == "unstable" for e in eqs))
+    want = reduced_period_by_quadrature(spec, WIDE_Y, WIDE_R)
+    y_mid = 0.5 * (iso.folds[0].y + iso.folds[1].y)
+    for branch in (arc for arc in iso.branches if arc.stability == "stable"):
+        traj = reduced_simulate(spec, y_mid, branch, 3.0 * want, iso)
+        cycle = detect_cycle(traj, spec)
+        assert cycle is not None
+        assert sorted(j.direction for j in cycle.jumps) == ["down", "up"]
+        assert cycle.orientation == "counterclockwise"
+        assert cycle.period == pytest.approx(want, abs=1e-8)
 
 
 @st.composite
