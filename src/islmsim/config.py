@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 from operator import attrgetter
 from pathlib import Path
 
+from .dynamics import FULL_MODE, REDUCED_MODE
 from .model import ConstructionError, ISBlock, ModelParams, ModelSpec, MoneyBlock, TrapWindow
 from .policy import FiscalDrive, FiscalShift, MonetaryStep, Scenario, ScenarioError
 
@@ -24,7 +25,7 @@ __all__ = ["ConfigError", "Domain", "SimulateOptions", "ScenarioOptions",
            "StabilizeOptions", "RunConfig", "parse_config", "parse_config_dict",
            "serialize_config"]
 
-MODE_NAMES = {"full": "full-epsilon", "reduced": "singular-limit"}
+MODE_NAMES = {"full": FULL_MODE, "reduced": REDUCED_MODE}
 OUTPUT_FORMATS = {"csv", "json", "svg"}
 # the largest grid_n, y_steps and scan_n, and the most samples a stride may
 # put on a run: one array of that many points is 8 MB, and a sweep of that
@@ -57,7 +58,7 @@ class SimulateOptions:
     y0: float
     r0: float
     t_end: float
-    mode: str = "full-epsilon"
+    mode: str = FULL_MODE
     stride: float | None = None
     rtol: float = 1e-8
     atol: float = 1e-10
@@ -68,7 +69,7 @@ class ScenarioOptions:
     scenario: Scenario
     y0: float
     r0: float
-    mode: str = "singular-limit"
+    mode: str = REDUCED_MODE
     stride: float | None = None
 
 
@@ -80,7 +81,7 @@ class StabilizeOptions:
     y0: float
     r0: float
     margin_frac: float = 0.05
-    mode: str = "singular-limit"
+    mode: str = REDUCED_MODE
     protect_to_y: float | None = None
 
 

@@ -56,6 +56,9 @@ STALL_STEPS = 100
 QUAD_ORDER = 16
 QUAD_PANELS = 8
 
+# The longest segment `cycle_points` keeps, relative to the loop's extents.
+CYCLE_MAX_GAP = 0.002
+
 
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1], by
@@ -155,8 +158,8 @@ class CycleSummary:
     - `period`: the time between the departures of two jumps in the same
       direction from the same rate gap: a singular-limit jump departs at its
       exact fold arrival, a full-system jump where the rate crosses the
-      gap's edge (the fold's window-endpoint rate), interpolated between
-      its departure sample and the next sample.
+      gap's edge (the fold's window-endpoint rate), read on the cubic
+      Hermite of its departure sample and the next sample (`_departure`).
     - `t_start`: the start of the window [t_start, t_start + period),
       half-way along the slow leg after the earlier jump of that pair.
     - `jumps`: the whole jumps that depart inside the window, in time order.
@@ -526,9 +529,9 @@ def _append_vertical_move(ts: list[float], ys: list[float], rs: list[float],
 
 
 def reduced_simulate(spec: ModelSpec, y0: float, branch0: int | Branch, t_end: float,
-                     isocline: LMIsocline, stride: float | None = None,
-                     t_start: float = 0.0) -> Trajectory:
-    """Singular-limit simulation: slow drift along stable arcs, vertical jumps.
+                     isocline: LMIsocline) -> Trajectory:
+    """Singular-limit simulation from slow time 0 to t_end, sampled at a stride
+    of t_end / 2000: slow drift along stable arcs, vertical jumps.
 
     Stored times are slow time (the epsilon-scaled clock of the full system).
     Each fold passage appends the pre-jump corner, the zero-duration jump
@@ -539,15 +542,13 @@ def reduced_simulate(spec: ModelSpec, y0: float, branch0: int | Branch, t_end: f
         raise ValueError("the starting branch must be stable")
     if not branch.covers(y0):
         raise ValueError(f"income {y0} is outside the starting branch domain")
-    if stride is None:
-        stride = (t_end - t_start) / 2000.0
 
     r0 = float(_branch_rates(spec, branch, np.array([float(y0)]))[0])
-    ts: list[float] = [t_start]
+    ts: list[float] = [0.0]
     ys: list[float] = [y0]
     rs: list[float] = [r0]
     jumps: list[JumpEvent] = []
-    advance_reduced(spec, isocline, branch, y0, r0, t_start, t_end, stride,
+    advance_reduced(spec, isocline, branch, y0, r0, 0.0, t_end, t_end / 2000.0,
                     ts, ys, rs, jumps)
     return Trajectory(np.asarray(ts), np.asarray(ys), np.asarray(rs),
                       REDUCED_MODE, spec.spec_id, tuple(jumps))
@@ -649,8 +650,8 @@ def detect_cycle(traj: Trajectory, spec: ModelSpec) -> CycleSummary | None:
             pairs.append((last[label], k, label[1]))
         last[label] = k
     for e, k, gap in reversed(pairs):
-        period = (_departure(traj, jumps[k], gap, rates)
-                  - _departure(traj, jumps[e], gap, rates))
+        period = (_departure(traj, jumps[k], gap, rates, spec)
+                  - _departure(traj, jumps[e], gap, rates, spec))
         t0 = 0.5 * (jumps[e].t_end + jumps[e + 1].t_start)
         if t0 + period <= traj.t[-1]:
             break
@@ -664,16 +665,32 @@ def detect_cycle(traj: Trajectory, spec: ModelSpec) -> CycleSummary | None:
     return CycleSummary(period, orientation, inside, y_turning, r_extent, t0)
 
 
-def _departure(traj: Trajectory, jump: JumpEvent, gap: int, rates: np.ndarray) -> float:
+def _departure(traj: Trajectory, jump: JumpEvent, gap: int, rates: np.ndarray,
+               spec: ModelSpec) -> float:
     """When a jump leaves rate gap `gap`: its own time if it takes none, else
-    when the rate crosses the gap's edge, read linearly between the
-    departure sample and the next one."""
+    when the rate crosses the gap's edge, read on the cubic Hermite of the
+    departure sample and the next one.  Its end slopes are the rate's own,
+    dR/dt = beta E(max(Y, 0), R), the same in free and driven runs; the two
+    samples bracket the edge, so bisection on [0, 1] finds the crossing."""
     if jump.t_end == jump.t_start:
         return jump.t_start
-    edge = rates[gap, 0] if jump.direction == "up" else rates[gap - 1, 1]
+    up = jump.direction == "up"
+    edge = float(rates[gap, 0] if up else rates[gap - 1, 1])
     i = int(np.searchsorted(traj.t, jump.t_start))
-    (t0, t1), (r0, r1) = traj.t[i:i + 2], traj.r[i:i + 2]
-    return float(t0 + (t1 - t0) * (edge - r0) / (r1 - r0))
+    (t0, t1), (y0, y1), (r0, r1) = (a[i:i + 2].tolist() for a in (traj.t, traj.y, traj.r))
+    h, money = t1 - t0, spec._excess_money
+    d0, d1 = (h * spec.params.beta * money(max(y, 0.0), r) for y, r in ((y0, r0), (y1, r1)))
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        s = 0.5 * (lo + hi)
+        # the Hermite basis on [0, 1]: r0, d0, r1, d1 weighted
+        r = ((2.0 * s - 3.0) * s * s + 1.0) * r0 + ((s - 2.0) * s + 1.0) * s * d0 \
+            + (3.0 - 2.0 * s) * s * s * r1 + (s - 1.0) * s * s * d1
+        if (r > edge) == up:
+            hi = s
+        else:
+            lo = s
+    return t0 + h * 0.5 * (lo + hi)
 
 
 def _loop_area(y: np.ndarray, r: np.ndarray) -> float:
@@ -686,19 +703,17 @@ def _loop_area(y: np.ndarray, r: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # helpers
 
-def cycle_points(traj: Trajectory, summary: CycleSummary,
-                 max_gap: float | None = 0.002) -> np.ndarray:
+def cycle_points(traj: Trajectory, summary: CycleSummary) -> np.ndarray:
     """(Y, R) points along one detected loop, including jump verticals.
 
-    Segments longer than `max_gap` (measured relative to the loop extents)
-    are subdivided so that instantaneous jumps and sparsely sampled fast
-    layers contribute full polylines, not just their endpoints.
+    Segments longer than CYCLE_MAX_GAP (measured relative to the loop
+    extents) are subdivided so that instantaneous jumps and sparsely sampled
+    fast layers contribute full polylines, not just their endpoints.
     """
-    window = traj.slice(summary.t_start, summary.t_start + summary.period)
-    pts = window.points()
-    if max_gap is None or len(pts) < 2:
+    pts = traj.slice(summary.t_start, summary.t_start + summary.period).points()
+    if len(pts) < 2:
         return pts
-    return densify_polyline(pts, max_gap, closed=True)
+    return densify_polyline(pts, CYCLE_MAX_GAP, closed=True)
 
 
 def densify_polyline(pts: np.ndarray, max_step: float, closed: bool = False) -> np.ndarray:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 
 import numpy as np
@@ -30,7 +30,6 @@ import numpy as np
 from .model import (
     ModelDomainError,
     ModelSpec,
-    ModelParams,
     _read_only,
     excess_money,
     excess_money_many,
@@ -65,13 +64,9 @@ class ISCurve:
 
     intercept: float
     slope: float
-    y_range: tuple[float, float] | None = None
 
     def r_at(self, y):
         return self.intercept + self.slope * y
-
-    def shifted(self, dr: float) -> "ISCurve":
-        return ISCurve(self.intercept + dr, self.slope, self.y_range)
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,13 +147,11 @@ class Equilibrium:
 
 # ---------------------------------------------------------------------------
 
-def is_curve(spec: ModelSpec, y_range: tuple[float, float] | None = None) -> ISCurve:
+def is_curve(spec: ModelSpec) -> ISCurve:
     """Closed-form IS curve R_IS(Y) = (i0 - s0 - (s_y - i_y) Y) / (i_r + s_r)."""
     b = spec.is_block
     denom = b.i_r + b.s_r
-    return ISCurve(intercept=(b.i0 - b.s0) / denom,
-                   slope=(b.i_y - b.s_y) / denom,
-                   y_range=y_range)
+    return ISCurve(intercept=(b.i0 - b.s0) / denom, slope=(b.i_y - b.s_y) / denom)
 
 
 def _bisect(f, lo: float, hi: float, f_lo: float, rtol: float) -> float:
@@ -491,10 +484,5 @@ def shift_lm(spec: ModelSpec, d_pi: float = 0.0, d_ms: float = 0.0) -> ModelSpec
     p = spec.params
     if p.m_stock + d_ms <= 0.0:
         raise ValueError(f"money stock must stay positive; {p.m_stock} + {d_ms} <= 0")
-    new_params = ModelParams(
-        alpha=p.alpha, beta=p.beta, epsilon=p.epsilon,
-        m_stock=p.m_stock + d_ms,
-        maturity_premium=p.maturity_premium,
-        expected_inflation=p.expected_inflation + d_pi,
-    )
-    return ModelSpec(params=new_params, is_block=spec.is_block, money=spec.money)
+    return replace(spec, params=replace(p, m_stock=p.m_stock + d_ms,
+                                        expected_inflation=p.expected_inflation + d_pi))

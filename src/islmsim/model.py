@@ -537,20 +537,7 @@ class ModelSpec:
         return _LMGraph(self.params, self.money)
 
     def to_dict(self) -> dict:
-        d = {
-            "params": asdict(self.params),
-            "is_block": asdict(self.is_block),
-            "money": {
-                "l_y": self.money.l_y,
-                "m_y": self.money.m_y,
-                "l_slope": self.money.l_slope,
-                "m_slope": self.money.m_slope,
-                "l0": self.money.l0,
-                "m0": self.money.m0,
-                "windows": [asdict(w) for w in self.money.windows],
-            },
-        }
-        return d
+        return asdict(self)
 
     @property
     def spec_id(self) -> str:
@@ -771,22 +758,16 @@ def validate_properties(spec: ModelSpec, y_range: tuple[float, float],
         h_y = FD_STEP_FRACTION * max(1.0, y_hi - y_lo)
         h_r = FD_STEP_FRACTION * max(1.0, r_hi - r_lo)
 
-        b = spec.is_block
-        inv = lambda y, r: b.i0 + b.i_y * y - b.i_r * r
-        sav = lambda y, r: b.s0 + b.s_y * y + b.s_r * r
-
+        inv, sav = spec.is_block.investment, spec.is_block.saving
         di_dy = (inv(y_lo + h_y, r_lo) - inv(y_lo - h_y, r_lo)) / (2 * h_y)
         di_dr = (inv(y_lo, r_lo + h_r) - inv(y_lo, r_lo - h_r)) / (2 * h_r)
         ds_dy = (sav(y_lo + h_y, r_lo) - sav(y_lo - h_y, r_lo)) / (2 * h_y)
         ds_dr = (sav(y_lo, r_lo + h_r) - sav(y_lo, r_lo - h_r)) / (2 * h_r)
 
-        money = spec.money
-        demand = lambda y, f_l: money.l0 + money.l_y * y + f_l
-        supply = lambda y, f_m: money.m0 + money.m_y * y + f_m
-
-        f_l, f_m = money.level_parts(short_rate(r_lo, spec.params))
-        dl_dy = (demand(y_lo + h_y, f_l) - demand(y_lo - h_y, f_l)) / (2 * h_y)
-        dm_dy = (supply(y_lo + h_y, f_m) - supply(y_lo - h_y, f_m)) / (2 * h_y)
+        money, i_lo = spec.money, short_rate(r_lo, spec.params)
+        demand, supply = money.demand, money.supply_endogenous
+        dl_dy = (demand(y_lo + h_y, i_lo) - demand(y_lo - h_y, i_lo)) / (2 * h_y)
+        dm_dy = (supply(y_lo + h_y, i_lo) - supply(y_lo - h_y, i_lo)) / (2 * h_y)
         up_l, up_m = money.level_parts_many(short_rate(rs + h_r, spec.params))
         dn_l, dn_m = money.level_parts_many(short_rate(rs - h_r, spec.params))
         dl_di = (up_l - dn_l) / (2 * h_r)

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__ as _version
-from .dynamics import CycleSummary, Trajectory
+from .dynamics import FULL_MODE, CycleSummary, Trajectory
 from .geometry import Branch, Equilibrium, FoldPoint, LMIsocline
 from .model import ValidationReport
 
@@ -109,7 +109,7 @@ def write_trajectory(path: str | Path, traj: Trajectory) -> None:
             fh.write(block)
 
 
-def read_trajectory(path: str | Path, mode: str = "full-epsilon",
+def read_trajectory(path: str | Path, mode: str = FULL_MODE,
                     spec_id: str = "") -> Trajectory:
     """Read a `write_trajectory` table back.  A first pass counts the rows, a
     second parses them line by line into arrays of that length, so reading
@@ -272,8 +272,7 @@ def write_provenance(out_dir: str | Path, config_echo: dict, command: str) -> Pa
 
 
 def emit_outputs(out_dir: str | Path, documents: dict[str, dict],
-                 trajectories: dict[str, Trajectory] | None = None,
-                 svgs: dict[str, str] | None = None) -> list[Path]:
+                 trajectories: dict[str, Trajectory], svgs: dict[str, str]) -> list[Path]:
     """Write every artifact of a run into its output directory.
 
     `documents` maps file stems to structured documents, `trajectories` maps
@@ -287,11 +286,11 @@ def emit_outputs(out_dir: str | Path, documents: dict[str, dict],
         path = out_dir / f"{stem}.json"
         write_json_document(path, doc)
         written.append(path)
-    for stem, traj in (trajectories or {}).items():
+    for stem, traj in trajectories.items():
         path = out_dir / f"{stem}.csv"
         write_trajectory(path, traj)
         written.append(path)
-    for stem, markup in (svgs or {}).items():
+    for stem, markup in svgs.items():
         path = out_dir / f"{stem}.svg"
         path.write_text(markup, encoding="utf-8")
         written.append(path)

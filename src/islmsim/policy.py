@@ -11,7 +11,7 @@ instant; the state stays continuous while the isocline moves under it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .dynamics import (
 # `lm_roots` stays bound here, unused: bench/test_inputs.py::
 # test_tracer_wraps_every_binding_and_restores_them asserts this binding
 from .geometry import FoldPoint, LMIsocline, is_curve, lm_roots, shift_lm, trace_lm_isocline
-from .model import ISBlock, ModelSpec, excess_money, start_condition, validate_properties
+from .model import ModelSpec, excess_money, start_condition, validate_properties
 
 __all__ = [
     "ScenarioError",
@@ -51,6 +51,11 @@ __all__ = [
     "run_with_controller",
     "negative_rate_probe",
 ]
+
+
+# A plan matches its branch when the shifted post-jump branch passes this close
+# to the fold point.
+MATCH_TOL = 1e-8
 
 
 class ScenarioError(ValueError):
@@ -146,9 +151,7 @@ class ScenarioResult:
 
 
 def _with_fiscal_shift(spec: ModelSpec, g: float) -> ModelSpec:
-    b = spec.is_block
-    shifted = ISBlock(i0=b.i0 + g, i_y=b.i_y, i_r=b.i_r, s0=b.s0, s_y=b.s_y, s_r=b.s_r)
-    return ModelSpec(params=spec.params, is_block=shifted, money=spec.money)
+    return replace(spec, is_block=replace(spec.is_block, i0=spec.is_block.i0 + g))
 
 
 def _drive_slope(drive: FiscalDrive, y_now: float) -> float:
@@ -365,7 +368,7 @@ def _shifted_branch_value(spec: ModelSpec, fold: FoldPoint, k: int,
 
 
 def plan_stabilization(spec: ModelSpec, fold: FoldPoint, instrument: str,
-                       isocline: LMIsocline, *, match_tol: float = 1e-8,
+                       isocline: LMIsocline, *,
                        protect_to_y: float | None = None) -> StabilizationPlan:
     """Compute the monetary shift that defuses the jump at a fold.
 
@@ -386,7 +389,7 @@ def plan_stabilization(spec: ModelSpec, fold: FoldPoint, instrument: str,
         delta = r_target - fold.r
         check = _shifted_branch_value(spec, fold, k, isocline.r_range, delta, 0.0)
         residual = abs(check - fold.r) if check is not None else math.inf
-        return StabilizationPlan(fold, instrument, delta, residual <= match_tol,
+        return StabilizationPlan(fold, instrument, delta, residual <= MATCH_TOL,
                                  "branch-match", direction, r_target, residual)
 
     # The stock change that places the fold exactly at income y* equals the

@@ -17,6 +17,7 @@ __all__ = ["render_portrait"]
 
 WIDTH, HEIGHT = 820, 560
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64, 20, 34, 48
+N_TICKS = 6  # labelled ticks on each axis, ends included
 
 STABLE_COLOR = "#1661a9"
 UNSTABLE_COLOR = "#c3372c"
@@ -49,7 +50,7 @@ class _Frame:
     def y(self, r: float) -> float:
         return HEIGHT - MARGIN_B - (r - self.r0) / (self.r1 - self.r0) * (HEIGHT - MARGIN_T - MARGIN_B)
 
-    def polyline(self, ys, rs, cls: str, color: str, width: float = 1.6,
+    def polyline(self, ys, rs, cls: str, color: str, width: float,
                  dash: str | None = None) -> str:
         pts = " ".join(f"{_fmt(self.x(a))},{_fmt(self.y(b))}" for a, b in zip(ys, rs))
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
@@ -57,19 +58,19 @@ class _Frame:
                 f'stroke-width="{width}"{dash_attr} points="{pts}"/>')
 
 
-def _axes(frame: _Frame, n_ticks: int = 6) -> list[str]:
+def _axes(frame: _Frame) -> list[str]:
     parts = [
         f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{WIDTH - MARGIN_L - MARGIN_R}" '
         f'height="{HEIGHT - MARGIN_T - MARGIN_B}" fill="none" stroke="#999" stroke-width="1"/>'
     ]
-    for k in range(n_ticks):
-        y_val = frame.y0 + (frame.y1 - frame.y0) * k / (n_ticks - 1)
+    for k in range(N_TICKS):
+        y_val = frame.y0 + (frame.y1 - frame.y0) * k / (N_TICKS - 1)
         x = frame.x(y_val)
         parts.append(f'<line x1="{_fmt(x)}" y1="{HEIGHT - MARGIN_B}" x2="{_fmt(x)}" '
                      f'y2="{HEIGHT - MARGIN_B + 5}" stroke="#999"/>')
         parts.append(f'<text x="{_fmt(x)}" y="{HEIGHT - MARGIN_B + 18}" '
                      f'font-size="11" text-anchor="middle" fill="#333">{_fmt(y_val)}</text>')
-        r_val = frame.r0 + (frame.r1 - frame.r0) * k / (n_ticks - 1)
+        r_val = frame.r0 + (frame.r1 - frame.r0) * k / (N_TICKS - 1)
         yy = frame.y(r_val)
         parts.append(f'<line x1="{MARGIN_L - 5}" y1="{_fmt(yy)}" x2="{MARGIN_L}" '
                      f'y2="{_fmt(yy)}" stroke="#999"/>')
@@ -84,19 +85,12 @@ def _axes(frame: _Frame, n_ticks: int = 6) -> list[str]:
     return parts
 
 
-def render_portrait(isocline: LMIsocline | None = None,
-                    curve: ISCurve | None = None,
-                    equilibria: list[Equilibrium] | None = None,
-                    trajectory: Trajectory | None = None,
-                    y_range: tuple[float, float] | None = None,
-                    r_range: tuple[float, float] | None = None,
-                    title: str = "phase portrait") -> str:
+def render_portrait(isocline: LMIsocline, curve: ISCurve, equilibria: list[Equilibrium],
+                    trajectory: Trajectory | None, y_range: tuple[float, float],
+                    r_range: tuple[float, float], title: str) -> str:
     """Render the phase plane as standalone SVG markup, with the trajectory's
-    jumps drawn as vertical segments."""
-    if y_range is None:
-        y_range = isocline.y_range if isocline else (0.0, 1.0)
-    if r_range is None:
-        r_range = isocline.r_range if isocline else (0.0, 1.0)
+    jumps drawn as vertical segments; `trajectory` is None for a portrait
+    with no run."""
     frame = _Frame(y_range, r_range)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
@@ -106,21 +100,18 @@ def render_portrait(isocline: LMIsocline | None = None,
     ]
     parts.extend(_axes(frame))
 
-    if isocline is not None:
-        for b in isocline.branches:
-            color = STABLE_COLOR if b.stability == "stable" else UNSTABLE_COLOR
-            dash = None if b.stability == "stable" else "6,4"
-            parts.append(frame.polyline(b.ys, b.rs, f"branch {b.stability}",
-                                        color, 1.8, dash))
-        for f in isocline.folds:
-            parts.append(f'<circle class="fold" cx="{_fmt(frame.x(f.y))}" '
-                         f'cy="{_fmt(frame.y(f.r))}" r="4" fill="none" '
-                         f'stroke="#111" stroke-width="1.4"/>')
+    for b in isocline.branches:
+        color = STABLE_COLOR if b.stability == "stable" else UNSTABLE_COLOR
+        dash = None if b.stability == "stable" else "6,4"
+        parts.append(frame.polyline(b.ys, b.rs, f"branch {b.stability}", color, 1.8, dash))
+    for f in isocline.folds:
+        parts.append(f'<circle class="fold" cx="{_fmt(frame.x(f.y))}" '
+                     f'cy="{_fmt(frame.y(f.r))}" r="4" fill="none" '
+                     f'stroke="#111" stroke-width="1.4"/>')
 
-    if curve is not None:
-        ys = np.linspace(y_range[0], y_range[1], 64)
-        parts.append(frame.polyline(ys, [curve.r_at(float(y)) for y in ys],
-                                    "is-curve", IS_COLOR, 1.8))
+    ys = np.linspace(y_range[0], y_range[1], 64)
+    parts.append(frame.polyline(ys, [curve.r_at(float(y)) for y in ys],
+                                "is-curve", IS_COLOR, 1.8))
 
     if trajectory is not None and len(trajectory) >= 2:
         parts.append(frame.polyline(trajectory.y, trajectory.r, "trajectory",
@@ -132,7 +123,7 @@ def render_portrait(isocline: LMIsocline | None = None,
                      f'x2="{x}" y2="{_fmt(frame.y(j.r_to))}" stroke="{JUMP_COLOR}" '
                      f'stroke-width="2.4" marker-end="none"/>')
 
-    for e in equilibria or ():
+    for e in equilibria:
         color, shape = EQ_MARKS.get(e.classification, ("#666666", "square"))
         cx, cy = frame.x(e.y), frame.y(e.r)
         if shape == "circle":

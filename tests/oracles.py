@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 
 from islmsim.model import (FD_STEP_FRACTION, SIGN_DEGENERACY_TOL, WORST_TIE_TOL,
@@ -347,3 +347,32 @@ def grid_validation(spec: ModelSpec, y_range: tuple[float, float],
         fail = ConditionResult("validation run", False, 0, 0, math.nan,
                                (math.nan, math.nan), detail=str(exc))
         return ValidationReport(False, (fail,), tuple(y_range), tuple(r_range), int(grid_n))
+
+
+# ---------------------------------------------------------------------------
+# full-system period by an independent integrator
+
+def full_period_by_events(spec: ModelSpec, y0: float, r0: float, t_end: float) -> float:
+    """Period of a one-window full-system cycle: the time between the last two
+    upward crossings of the window-start rate, located as events of scipy's
+    LSODA at rtol 1e-10 and atol 1e-13.  The right-hand side is built from
+    the `excess_*` evaluators alone, with income floored at zero as the
+    full system does."""
+    p = spec.params
+    edge = spec.money.windows[0].p + p.maturity_premium - p.expected_inflation
+
+    def rhs(_t, state):
+        y, r = max(state[0], 0.0), state[1]
+        return [p.epsilon * p.alpha * excess_goods(y, r, spec),
+                p.beta * excess_money(y, r, spec)]
+
+    def crossing(_t, state):
+        return state[1] - edge
+    crossing.direction = 1.0
+
+    sol = solve_ivp(rhs, (0.0, t_end), [y0, r0], method="LSODA", rtol=1e-10,
+                    atol=1e-13, events=crossing)
+    assert sol.success, sol.message
+    ups = sol.t_events[0]
+    assert len(ups) >= 2, f"fewer than two up-crossings of r = {edge} before t = {t_end}"
+    return float(ups[-1] - ups[-2])

@@ -27,7 +27,7 @@ from islmsim.model import excess_goods, excess_money, excess_money_many
 from islmsim.policy import FiscalDrive, Scenario, apply_scenario
 from islmsim.reference import no_trap_spec, reference_spec, steep_is_spec, three_window_spec
 
-from oracles import reduced_leg_time, reduced_period_by_quadrature
+from oracles import full_period_by_events, reduced_leg_time, reduced_period_by_quadrature
 
 
 # ---------------------------------------------------------------------------
@@ -469,11 +469,17 @@ def test_every_epsilon_cycle_has_one_jump_each_way_away_from_its_edges(eps_ladde
 
 
 def test_full_period_does_not_move_with_the_stride(eps_ladder):
+    # the run of the eps_ladder fixture, there sampled at stride 0.1
     spec, _, fine = eps_ladder[1e-2]
-    traj = integrate(spec, 1.5, 0.01, 3.0 * 6.1 / 1e-2, stride=1.0)
-    coarse = detect_cycle(traj, spec)
+    t_end = 3.0 * 6.1 / 1e-2
+    coarse = detect_cycle(integrate(spec, 1.5, 0.01, t_end, stride=1.0), spec)
     assert coarse is not None
-    assert coarse.period == pytest.approx(fine.period, rel=1e-5)
+    assert coarse.period == pytest.approx(fine.period, rel=1e-7)
+    # both match an LSODA run that locates the crossings as events
+    # (measured: 2.2e-9 at stride 0.1, 1.8e-8 at stride 1.0)
+    exact = full_period_by_events(spec, 1.5, 0.01, t_end)
+    for cycle in (fine, coarse):
+        assert cycle.period == pytest.approx(exact, rel=1e-7)
 
 
 def test_reduced_and_full_periods_agree(ref_reduced_cycle, eps_ladder):

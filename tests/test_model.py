@@ -479,3 +479,29 @@ def test_model_imports_no_other_islmsim_module():
             assert node.level == 0 and not node.module.startswith("islmsim"), node.module
         elif isinstance(node, ast.Import):
             assert not any(a.name.split(".")[0] == "islmsim" for a in node.names)
+
+
+# Bindings a library module keeps unused, each for a benchmark target that
+# needs it until the benchmark drops it.
+PINNED_IMPORTS = {
+    ("dynamics", "solve_ivp"): "the tracer target dynamics.solve_ivp wraps this binding",
+    ("dynamics", "lm_roots"): "bench/test_inputs.py asserts that dynamics binds lm_roots",
+    ("policy", "lm_roots"): "bench/test_inputs.py asserts that policy binds lm_roots",
+}
+
+
+def test_library_modules_import_only_what_they_use():
+    # every imported name is used in its module, or exported in its __all__
+    unused = set()
+    for path in sorted(Path(islmsim.model.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {a.asname or a.name.split(".")[0]
+                    for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                    for a in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if (isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+                used |= set(ast.literal_eval(node.value))
+        unused |= {(path.stem, name) for name in imported - used - {"annotations"}}
+    assert unused == set(PINNED_IMPORTS)
