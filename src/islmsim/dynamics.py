@@ -316,21 +316,16 @@ def _fold_end(spec: ModelSpec, fold: FoldPoint) -> int:
                key=lambda j: abs(ends[j] - fold.r))
 
 
-def _fold_window(spec: ModelSpec, fold: FoldPoint) -> tuple[float, float]:
-    """Endpoint rates (p, q) + MP - pi_e of the trap window that made the fold."""
-    j = _fold_end(spec, fold) // 2 * 2
-    return spec._lm_graph.ends[j:j + 2]
-
-
 def _fold_landing(spec: ModelSpec, fold: FoldPoint, r_range: tuple[float, float]
                   ) -> tuple[str, int, float]:
     """Direction, landing interval and landing rate of the jump released at a
-    fold (`_LMGraph.jump`: a jump that leaves `r_range` is a
-    `ModelDomainError`).  The validator's fold-landing condition makes the
-    same jumps for every fold of the domain, so a validated model raises
+    fold, landed as its row of the fold table (`_LMGraph.land_folds`), as the
+    validator lands every fold of the domain; so a validated model raises
     nothing here."""
-    k, x = spec._lm_graph.jump(_fold_end(spec, fold), fold.y, *r_range)
-    return ("up" if fold.kind == "lower-knee" else "down"), k, x
+    (landing,) = spec._lm_graph.land_folds([(_fold_end(spec, fold), fold.r, fold.y)], *r_range)
+    if isinstance(landing, ValueError):
+        raise landing
+    return ("up" if fold.kind == "lower-knee" else "down"), *landing
 
 
 def _branch_rates(spec: ModelSpec, branch: Branch, y: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ Roots come from the same intervals, not from grid sign scans: an interval
 holds a root at a given income exactly when the excess signs at its ends
 differ, and the root is on that interval's branch.  The fast flow from a
 point lands on the first root beyond it in the direction the excess pushes
-the rate (`_LMGraph.landing`, on the LM graph's inverse), on the branch of
+the rate (`_LMGraph.landings`, on the LM graph's inverse), on the branch of
 that root's interval.  Equilibria are the zeros of the excess along the IS line,
 which is convex or concave between the money block's segment breaks mapped
 onto that line.  Root counts are exact up to the folds, so nothing warns
@@ -240,7 +240,7 @@ def lm_roots(y: float, spec: ModelSpec, r_range: tuple[float, float],
     monotone, holds at most one root, found by bisection to an absolute width
     of 1e-14 below rate 1; roots return ascending.  `scan_n` (at least 200)
     sets the rate grid that narrows each bracket.  Landings and the validator
-    read the LM graph's own inverse instead (`_LMGraph.landing`), which ends on
+    read the LM graph's own inverse instead (`_LMGraph.landings`), which ends on
     a bracket a few ulps wide, so a small root here may differ from it by
     thousands of ulps.
     """
@@ -295,10 +295,10 @@ def _trace_lm_isocline(spec: ModelSpec, y_range: tuple[float, float], y_steps: i
     # Y_LM at the ends (a, b) of each interval
     end_ys = lm.income([row[1:3] for row in table]).tolist()
 
-    # endpoint j is the low end of interval j + 1; even endpoints start a
-    # window (lower knee), odd ones end it (upper knee)
-    found = sorted((y, a, k - 1) for (k, a, *_), (y, _) in zip(table, end_ys)
-                   if a > r_lo and y_lo <= y <= y_hi)
+    # the graph's fold table, by income: endpoint j is the low end of
+    # interval j + 1; even endpoints start a window (lower knee), odd ones end
+    # it (upper knee)
+    found = sorted((y, r, j) for j, r, y in lm.folds(y_range, r_range))
     folds = tuple(FoldPoint(y, r, ("lower-knee", "upper-knee")[j % 2]) for y, r, j in found)
     fold_of = {j: i for i, (_, _, j) in enumerate(found)}
 
@@ -313,8 +313,7 @@ def _trace_lm_isocline(spec: ModelSpec, y_range: tuple[float, float], y_steps: i
         a fold, the rate edge, or the income edge, where the graph is inverted
         on the interval `bracket` (its rates of lower and higher income)."""
         if j in fold_of:
-            f = folds[fold_of[j]]
-            return ("fold", fold_of[j]), (f.y, f.r)
+            return ("fold", fold_of[j]), (y, r)
         if not y_lo <= y <= y_hi:
             y_e = y_lo if y < y_lo else y_hi
             return (("boundary", "y_lo" if y < y_lo else "y_hi"),

@@ -342,11 +342,12 @@ class _LMGraph:
     -E_R(R) / k_y, both exact from the money block.  The rate enters through
     the short rate R - `offset`, offset = MP - pi_e.  The slope vanishes only
     at the window-endpoint rates `ends` (ascending; the folds sit there), so
-    Y_LM is strictly monotone between them, and smooth between the money
-    block's segment `breaks`; both are in long-rate terms.  `rates_at`
-    inverts the graph on one monotone interval.  Each `ModelSpec` builds its
-    graph once (`ModelSpec._lm_graph`); the graph keeps the blocks it reads,
-    not the spec.
+    Y_LM is strictly monotone on each interval k, from ends[k - 1] to
+    ends[k], and smooth between the money block's segment `breaks`; both are
+    in long-rate terms.  `rates_at` inverts the graph on one monotone
+    interval; `folds` lists a domain's folds, and `land_folds` lands them.
+    Each `ModelSpec` builds its graph once (`ModelSpec._lm_graph`); the graph
+    keeps the blocks it reads, not the spec.
     """
 
     __slots__ = ("offset", "k_y", "ends", "breaks", "_params", "_money", "_c")
@@ -388,95 +389,113 @@ class _LMGraph:
                        y, r_lo, r_hi, np.broadcast_to(x0, y.shape),
                        np.broadcast_to(np.asarray(tol, dtype=float), y.shape))
 
-    def _crossings(self, y: float, r_lo: float, r_hi: float) -> list[tuple[int, object]]:
-        """(k, where) for each interval of [r_lo, r_hi] that reaches income y,
-        ascending in rate: `where` is the rate of an interval end at which the
-        graph equals y, or else the bracket that holds the root, as (rates of
-        lower and higher income, their incomes).
-
-        k indexes the interval between window-endpoint rates: interval k runs
-        from ends[k - 1] to ends[k].  Each interval, cut to the range, holds a
-        root exactly when its end incomes lie on both sides of y.  A root on
-        an interval end belongs to the interval above it, or to the top one
-        on r_hi.  A graph with k_y = 0 reaches no income.
-        """
-        if self.k_y == 0.0:
-            return []
+    def _cuts(self, r_lo: float, r_hi: float) -> tuple[int, list[float], list[float]]:
+        """(k0, cuts, incomes): the range ends and the window-endpoint rates
+        strictly inside them, and Y_LM at each from one `income` call; cut
+        pair i bounds interval k0 + i.  With k_y = 0 there are no cuts."""
         k0 = bisect_right(self.ends, r_lo)
+        if self.k_y == 0.0:
+            return k0, [], []
         cuts = [r_lo, *(r for r in self.ends[k0:] if r < r_hi), r_hi]
-        incomes = self.income(cuts).tolist()
+        return k0, cuts, self.income(cuts).tolist()
+
+    @staticmethod
+    def _crossings(y: float, cut) -> list[tuple[int, object]]:
+        """(k, where) for each interval of a `_cuts` range whose end incomes
+        lie on both sides of y, ascending in rate: `where` is an interval end
+        at which the graph equals y (it belongs to the interval above it, or
+        to the top one on r_hi), or else the bracket that holds the root, as
+        (rates of lower and higher income, their incomes)."""
+        k0, cuts, incomes = cut
         found = []
         for k, a, b, y_a, y_b in zip(count(k0), cuts, cuts[1:], incomes, incomes[1:]):
-            if y_a == y or (y_b == y and b == r_hi):
+            if y_a == y or (y_b == y and b == cuts[-1]):
                 found.append((k, a if y_a == y else b))
             elif y_a < y < y_b or y_b < y < y_a:
                 found.append((k, (a, b, y_a, y_b) if y_a < y_b else (b, a, y_b, y_a)))
         return found
 
-    def _solve(self, y: float, brackets: list[tuple]) -> list[float]:
-        """The roots in `_crossings` brackets, in one `rates_at` call started
-        from the chord through their end incomes, so a root equals the branch
-        end that `rates_at` gives on the same bracket.  Each root takes its
-        own Newton steps, so it does not depend on the others solved with it."""
-        lo, hi, y_lo, y_hi = np.array(brackets).T
-        return self.rates_at(np.full(len(lo), y), lo, hi,
-                             lo + (hi - lo) * (y - y_lo) / (y_hi - y_lo)).tolist()
+    def _solve(self, ys: list[float], rows: list[list]) -> list[list[tuple[int, float]]]:
+        """Each row of `_crossings` pairs at its income of ys, with its brackets
+        solved in one `rates_at` call from their chords (`rates_at`'s default
+        start, so a root equals a branch end inverted on the same bracket).
+        Each root takes its own Newton steps, apart from the others."""
+        brackets = [(y, x) for y, row in zip(ys, rows) for _, x in row if isinstance(x, tuple)]
+        solved = iter(())
+        if brackets:
+            y = np.array([y for y, _ in brackets])
+            lo, hi, y_lo, y_hi = np.array([x for _, x in brackets]).T
+            solved = iter(self.rates_at(y, lo, hi, lo + (hi - lo) * (y - y_lo) / (y_hi - y_lo))
+                          .tolist())
+        return [[(k, next(solved) if isinstance(x, tuple) else x) for k, x in row]
+                for row in rows]
 
     def roots(self, y: float, r_lo: float, r_hi: float) -> list[tuple[int, float]]:
         """Every (k, R) with r_lo <= R <= r_hi and Y_LM(R) = y, ascending in R,
-        with k the index of R's interval (`_crossings`)."""
-        found = self._crossings(y, r_lo, r_hi)
-        brackets = [x for _, x in found if isinstance(x, tuple)]
-        solved = iter(self._solve(y, brackets) if brackets else ())
-        return [(k, next(solved) if isinstance(x, tuple) else x) for k, x in found]
+        with k the index of R's interval."""
+        return self._solve([y], [self._crossings(y, self._cuts(r_lo, r_hi))])[0]
 
-    def landing(self, y: float, r: float, up: bool, r_lo: float, r_hi: float
-                ) -> tuple[int, float] | None:
-        """Where the fast flow from (y, r) going up (or down) comes to rest:
-        the interval index k and the lowest root x >= r (or the highest
-        x <= r) among the roots in [r_lo, r_hi]; None when there is none.
-        The flow dR/dt = beta E cannot pass a zero of E, so a root where the
-        graph only touches y (another fold at the same income) stops it too.
-        A root on a window start is a lower knee, the top of the stable
-        interval below it.  Only the brackets the walk reaches are solved.
-        """
-        if y < 0.0:
+    def landings(self, starts: list[tuple[float, float, bool]], r_lo: float, r_hi: float
+                 ) -> list[tuple[int, float] | None]:
+        """Where the fast flow from each start (y, r, up) comes to rest, from
+        one `_cuts` and one `_solve` call: the interval index k and the lowest
+        root x >= r going up (the highest x <= r going down) in [r_lo, r_hi],
+        or None.  dR/dt = beta E cannot pass a zero of E, so a root where the
+        graph only touches y (another fold at the same income) stops the flow
+        too.  A root on a window start is a lower knee, the top of the stable
+        interval below it."""
+        if (y := min((y for y, _, _ in starts), default=0.0)) < 0.0:
             raise ModelDomainError(f"income must be non-negative, got {y}")
-        found = self._crossings(y, r_lo, r_hi)
-        for k, x in found if up else reversed(found):
-            if isinstance(x, tuple):
-                a, b = sorted(x[:2])
-                if b < r if up else a > r:  # the root lies behind the start
-                    continue
-                (x,) = self._solve(y, [x])
-            if x >= r if up else x <= r:
-                return (k - 1 if k % 2 and x == self.ends[k - 1] > r_lo else k), x
-        return None
+        cut, walks = self._cuts(r_lo, r_hi), []
+        for y, r, up in starts:
+            found, walk = self._crossings(y, cut), []
+            for k, x in found if up else reversed(found):
+                a, b = sorted(x[:2]) if isinstance(x, tuple) else (x, x)
+                if b >= r if up else a <= r:  # not behind the start
+                    walk.append((k, x))
+                    # a bracket around the start may hold its root behind it,
+                    # so the walk ends at the first root wholly beyond it
+                    if a >= r if up else b <= r:
+                        break
+            walks.append(walk)
+        out = []
+        for (_, r, up), walk in zip(starts, self._solve([y for y, _, _ in starts], walks)):
+            k, x = next(((k, x) for k, x in walk if (x >= r if up else x <= r)), (0, None))
+            out.append(None if x is None else
+                       ((k - 1 if k % 2 and x == self.ends[k - 1] > r_lo else k), x))
+        return out
 
-    def jump(self, j: int, y: float, r_lo: float, r_hi: float) -> tuple[int, float]:
-        """Landing interval and rate of the jump released at the fold on
-        window endpoint j, at income y.
+    def folds(self, y_range: tuple[float, float], r_range: tuple[float, float]
+              ) -> list[tuple[int, float, float]]:
+        """The domain's fold table, ascending in rate: (j, R, Y) for each
+        window-endpoint rate R = ends[j] strictly inside r_range whose income
+        Y lies in y_range, from one `_cuts` call.  An even j starts a window
+        (a lower knee), an odd one ends it (an upper knee)."""
+        k0, cuts, incomes = self._cuts(*r_range)
+        return [(j, r, y) for j, r, y in zip(count(k0), cuts[1:-1], incomes[1:-1])
+                if y_range[0] <= y <= y_range[1]]
 
-        A window start (j even, a lower knee) releases an upward jump, a
-        window end (an upper knee) a downward one.  The branch through the
-        fold spans the whole window in rate, so the landing is the first root
-        from the window's other endpoint on (`landing`), and the fold's own
-        (quartically flat) double root is never a candidate.  A jump with no
-        root in [r_lo, r_hi] beyond it leaves the rate range, a
-        `ModelDomainError`; one that lands inside a window, where branches
-        repel, is a `ValueError`.
-        """
-        up = j % 2 == 0
-        where = f"the {'up' if up else 'down'} jump at (y={y}, r={self.ends[j]})"
-        landing = self.landing(y, self.ends[j + 1 if up else j - 1], up, r_lo, r_hi)
-        if landing is None:
-            raise ModelDomainError(f"{where} leaves the rate range [{r_lo}, {r_hi}]: "
-                                   "no branch inside it catches the jump")
-        k, x = landing
-        if k % 2:
-            raise ValueError(f"malformed isocline: {where} lands on a non-attracting "
-                             f"branch at r={x}")
-        return k, x
+    def land_folds(self, folds: list[tuple[int, float, float]], r_lo: float, r_hi: float
+                   ) -> list[tuple[int, float] | ValueError]:
+        """The jump released at each fold (j, R, Y) of the table, from one
+        `landings` call: its landing interval and rate, or the error it
+        raises.  A window start (j even, a lower knee) jumps up from the
+        window's end, a window end down from its start, so the fold's own
+        double root is never a candidate.  A jump with no root beyond it in
+        [r_lo, r_hi] leaves the rate range, a `ModelDomainError`; one that
+        lands inside a window, where branches repel, a `ValueError`."""
+        starts = [(y, self.ends[j + 1 if j % 2 == 0 else j - 1], j % 2 == 0) for j, _, y in folds]
+        out = []
+        for (j, _, y), landing in zip(folds, self.landings(starts, r_lo, r_hi)):
+            where = f"the {'down' if j % 2 else 'up'} jump at (y={y}, r={self.ends[j]})"
+            if landing is None:
+                landing = ModelDomainError(f"{where} leaves the rate range [{r_lo}, {r_hi}]: "
+                                           "no branch inside it catches the jump")
+            elif landing[0] % 2:
+                landing = ValueError(f"malformed isocline: {where} lands on a non-attracting "
+                                     f"branch at r={landing[1]}")
+            out.append(landing)
+        return out
 
 
 def _invert(f, df, target: np.ndarray, x_lo: np.ndarray, x_hi: np.ndarray,
@@ -661,15 +680,7 @@ class ConditionResult:
     detail: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "condition": self.condition,
-            "passed": self.passed,
-            "n_checked": self.n_checked,
-            "n_degenerate": self.n_degenerate,
-            "worst_value": self.worst_value,
-            "worst_point": list(self.worst_point),
-            "detail": self.detail,
-        }
+        return {**asdict(self), "worst_point": list(self.worst_point)}
 
 
 @dataclass(frozen=True)
@@ -839,44 +850,37 @@ def _boundary_condition(spec: ModelSpec, y_range, r_range) -> ConditionResult:
 def _fold_landing_condition(spec: ModelSpec, y_range, r_range) -> ConditionResult | None:
     """Every fold of the domain releases a jump that lands inside r_range.
 
-    The folds are the window-endpoint rates inside r_range whose incomes lie
-    in y_range, as the isocline tracer finds them, and each jump is the one a
-    run makes there (`_LMGraph.jump`); a failure carries its error.  The
-    worst value is the least distance of a landing from the edges of
-    r_range.  None when the domain shows no fold.
+    The folds are the LM graph's fold table (`_LMGraph.folds`), which the
+    isocline tracer lists too, and their jumps the ones a run makes there
+    (`_LMGraph.land_folds`); the first failure in endpoint order carries its
+    error.  The worst value is the least distance of a landing from the edges
+    of r_range.  None when the domain shows no fold.
     """
-    lm = spec._lm_graph
-    (y_lo, y_hi), (r_lo, r_hi) = y_range, r_range
-    ends = [(j, r) for j, r in enumerate(lm.ends) if r_lo < r < r_hi]
-    if not ends or lm.k_y == 0.0:
-        return None
-    incomes = lm.income([r for _, r in ends]).tolist()
-    folds = [(j, r, y) for (j, r), y in zip(ends, incomes) if y_lo <= y <= y_hi]
+    (r_lo, r_hi), lm = r_range, spec._lm_graph
+    folds = lm.folds(y_range, r_range)
     if not folds:
         return None
     name = "fold jumps land inside r_range"
-    worst, worst_point = math.inf, (math.nan, math.nan)
-    for j, r_f, y_f in folds:
-        try:
-            _, x = lm.jump(j, y_f, r_lo, r_hi)
-        except ValueError as exc:
-            return ConditionResult(name, False, len(folds), 0, math.nan, (y_f, r_f), str(exc))
-        if min(x - r_lo, r_hi - x) < worst:
-            worst, worst_point = min(x - r_lo, r_hi - x), (y_f, x)
-    return ConditionResult(name, True, len(folds), 0, worst, worst_point)
+    landings = lm.land_folds(folds, r_lo, r_hi)
+    for (_, r_f, y_f), landing in zip(folds, landings):
+        if isinstance(landing, ValueError):
+            return ConditionResult(name, False, len(folds), 0, math.nan, (y_f, r_f), str(landing))
+    gaps = [min(x - r_lo, r_hi - x) for _, x in landings]
+    i = gaps.index(min(gaps))
+    return ConditionResult(name, True, len(folds), 0, gaps[i], (folds[i][2], landings[i][1]))
 
 
 def _fast_rest(spec: ModelSpec, y: float, r: float, r_range) -> tuple[int, float] | None:
     """Where the fast flow from (y, r) comes to rest, as (interval, rate).
 
     A positive money excess pushes the rate up, a negative one down, to the
-    first root that way (`_LMGraph.landing`); at zero excess the nearer of
+    first root that way (`_LMGraph.landings`); at zero excess the nearer of
     the first roots either way is taken, the lower one on a tie.  None when
     no root in r_range catches the flow.
     """
     e = excess_money(y, r, spec)
     ways = (False, True) if e == 0.0 else (e > 0.0,)
-    found = [kx for up in ways if (kx := spec._lm_graph.landing(y, r, up, *r_range))]
+    found = [kx for kx in spec._lm_graph.landings([(y, r, up) for up in ways], *r_range) if kx]
     return min(found, key=lambda kx: abs(kx[1] - r), default=None)
 
 

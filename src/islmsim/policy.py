@@ -22,8 +22,8 @@ from .dynamics import (
     JumpEvent,
     Trajectory,
     _append_vertical_move,
+    _fold_end,
     _fold_landing,
-    _fold_window,
     _window_traversals,
     advance_reduced,
     attach_to_branch,
@@ -394,7 +394,8 @@ def plan_stabilization(spec: ModelSpec, fold: FoldPoint, instrument: str,
 
     # The stock change that places the fold exactly at income y* equals the
     # money-market excess at (y*, fold rate) under the current model.
-    r_p, r_q = _fold_window(spec, fold)
+    j = _fold_end(spec, fold) // 2 * 2  # the window's start
+    r_p, r_q = spec._lm_graph.ends[j:j + 2]
     gap = r_q - r_p
     if protect_to_y is None:
         protect_to_y = fold.y * (1.10 if direction == "up" else 0.90)
@@ -567,8 +568,8 @@ def negative_rate_probe(spec: ModelSpec, scenario: Scenario | None,
         if mode == FULL_MODE:
             model = next(m for t_m, m in reversed(result.models) if t_m <= j.t_start)
             d_pi = model.params.expected_inflation - spec.params.expected_inflation
-            found = model._lm_graph.landing(j.y_at_jump, j.r_to, j.direction == "up",
-                                            r_range[0] - abs(d_pi), r_range[1] + abs(d_pi))
+            (found,) = model._lm_graph.landings([(j.y_at_jump, j.r_to, j.direction == "up")],
+                                                r_range[0] - abs(d_pi), r_range[1] + abs(d_pi))
             if found is not None:
                 landing = found[1]
         if np.sign(j.r_from) * np.sign(landing) < 0:

@@ -626,25 +626,48 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def _is_finite(x) -> bool:
+    """A number that float arithmetic takes without overflow."""
+    return _is_number(x) and abs(x) <= 1e300
+
+
+def _number_at(raw, path):
+    """The finite number at a path of `raw`, or None where a mutation has
+    replaced it or a list or object on the path."""
+    for key in path:
+        try:
+            raw = raw[key]
+        except (KeyError, IndexError, TypeError):
+            return None
+    return raw if _is_finite(raw) else None
+
+
 @st.composite
 def fuzzed_configs(draw):
     """A shipped config with one or two mutations: a value replaced (a scalar,
     or a whole list or object) by a leaf value; its trap windows swapped,
     overlapped or turned inside out; a number scaled by a factor near one (a
-    whole number stays whole); or one window's p and q shifted together by
-    less than any shipped gap between windows.  The last two keep each
-    field's kind and bound, so most such configs parse and reach validation."""
+    whole number stays whole); one window's p and q shifted together by less
+    than any shipped gap between windows; a number field other than a window
+    rate scaled by a factor from 1/2 to 2 and held inside its field's bound;
+    or one window moved, p and q together, up to 95% of the way to its
+    neighbour (or to rate 0, or by its own width above the last window).  All
+    but the first two keep each field's kind and bound, so most such configs
+    parse and reach validation."""
     shipped = shipped_config(draw(st.sampled_from(SHIPPED)))
     raw = copy.deepcopy(shipped)
+    numbers = [(path, kind) for path, _, kind in _slots(_CONFIG, shipped)
+               if isinstance(kind, _Number) and path[-1] not in ("p", "q")]
     for _ in range(draw(st.integers(1, 2))):
         money = _section(raw, ("model", "money"))
         windows = None if money is None else money.get("windows")
         if not (isinstance(windows, list) and all(isinstance(w, dict) for w in windows)):
             windows = []
-        movable = [w for w in windows if _is_number(w.get("p")) and _is_number(w.get("q"))]
-        finite = [path for path in _node_paths(raw)
-                  if _is_number(_at(raw, path)) and abs(_at(raw, path)) <= 1e300]
-        how = draw(st.sampled_from(("leaf", "leaf", "windows", "scale", "shift")))
+        movable = [w for w in windows if _is_finite(w.get("p")) and _is_finite(w.get("q"))]
+        finite = [path for path in _node_paths(raw) if _is_finite(_at(raw, path))]
+        bounded = [(path, kind) for path, kind in numbers if _number_at(raw, path) is not None]
+        how = draw(st.sampled_from(("leaf", "leaf", "windows", "scale", "shift", "bounded",
+                                    "between")))
         if how == "windows" and windows:
             how = draw(st.sampled_from(("swap", "overlap", "inside-out")))
             if how == "swap" and len(windows) > 1:
@@ -657,6 +680,22 @@ def fuzzed_configs(draw):
             w = draw(st.sampled_from(movable))
             shift = draw(st.floats(-0.01, 0.01))
             w["p"], w["q"] = w["p"] + shift, w["q"] + shift
+        elif how == "bounded" and bounded:
+            path, kind = draw(st.sampled_from(bounded))
+            x = _number_at(raw, path) * draw(st.floats(0.5, 2.0))
+            x = min(max(x, -math.inf if kind.least is None else kind.least),
+                    math.inf if kind.most is None else kind.most)
+            _at(raw, path[:-1])[path[-1]] = round(x) if kind.whole else x
+        elif how == "between" and movable:
+            i = draw(st.sampled_from([i for i, w in enumerate(windows)
+                                      if any(w is m for m in movable)]))
+            w = windows[i]
+            left = windows[i - 1].get("q") if i else 0.0
+            right = windows[i + 1].get("p") if i + 1 < len(windows) else 2 * w["q"] - w["p"]
+            if _is_finite(left) and _is_finite(right):
+                frac = draw(st.floats(-0.95, 0.95))
+                shift = frac * (w["p"] - left if frac < 0 else right - w["q"])
+                w["p"], w["q"] = w["p"] + shift, w["q"] + shift
         elif how == "scale" and finite:
             path = draw(st.sampled_from(finite))
             x = _at(raw, path) * draw(st.floats(0.9, 1.1))

@@ -417,6 +417,23 @@ def test_validator_reports_the_reference_boundary_root_to_a_few_ulps():
     assert cond.worst_value == 0.1 - r_lm
 
 
+def test_validator_lands_every_fold_in_one_solve(monkeypatch):
+    # one inversion for the boundary root, one for the six fold landings
+    config = parse_config(Path(islmsim.model.__file__).parent / "configs" / "three_window.json")
+    dom = config.domain
+    calls = []
+    invert = islmsim.model._invert
+
+    def counting(*args):
+        calls.append(len(args[2]))
+        return invert(*args)
+    monkeypatch.setattr(islmsim.model, "_invert", counting)
+    report = validate_properties(config.model, dom.y_range, dom.r_range, 100)
+    cond = next(c for c in report.conditions if c.condition == "fold jumps land inside r_range")
+    assert report.passed and cond.n_checked == 6
+    assert len(calls) <= 2, calls
+
+
 def test_validator_reports_no_lm_root_without_an_lm_graph(ref_spec, ref_domain):
     spec = ModelSpec(ref_spec.params, ref_spec.is_block,
                      dataclasses.replace(ref_spec.money, m_y=ref_spec.money.l_y))

@@ -7,6 +7,7 @@ model objects cannot change after construction.
 """
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from islmsim.dynamics import (Trajectory, _fold_landing, attach_to_branch, detec
 from islmsim.geometry import (FoldPoint, _trace_lm_isocline, find_equilibria, is_curve,
                               lm_roots, shift_lm, trace_lm_isocline)
 from islmsim.model import (FD_STEP_FRACTION, SIGN_DEGENERACY_TOL, ISBlock, ModelParams,
-                           ModelSpec, MoneyBlock, TrapWindow, build_three_phase_money,
+                           ModelSpec, MoneyBlock, TrapWindow, _LMGraph, build_three_phase_money,
                            excess_money, excess_money_many, excess_money_slope, short_rate,
                            start_condition, validate_properties)
 from islmsim.policy import FiscalDrive, Scenario, apply_scenario, plan_stabilization
@@ -204,17 +205,30 @@ def rate_ranges(draw):
 @given(trap_specs(), rate_ranges())
 def test_fold_landing_condition_fails_exactly_when_a_jump_would_raise(spec, r_range):
     iso = trace_lm_isocline(spec, WIDE_Y, TRACE_STEPS, r_range)
-    raised = []
+    raised, landed = [], {}
     for fold in iso.folds:
         try:
-            _fold_landing(spec, fold, r_range)
+            _, k, x = _fold_landing(spec, fold, r_range)
+            landed[fold.r] = (k, x.hex())
         except ValueError as exc:  # a ModelDomainError, or a non-attracting landing
             raised.append(exc)
-    cond = next((c for c in validate_properties(spec, WIDE_Y, r_range).conditions
-                 if c.condition == "fold jumps land inside r_range"), None)
+            landed[fold.r] = str(exc)
+    # the landings the condition reads, fold by fold
+    seen = []
+    land_folds = _LMGraph.land_folds
+
+    def recording(self, folds, *args):
+        landings = land_folds(self, folds, *args)
+        seen.append({r: (x[0], x[1].hex()) if isinstance(x, tuple) else str(x)
+                     for (_, r, _), x in zip(folds, landings)})
+        return landings
+    with mock.patch.object(_LMGraph, "land_folds", recording):
+        cond = next((c for c in validate_properties(spec, WIDE_Y, r_range).conditions
+                     if c.condition == "fold jumps land inside r_range"), None)
     if not iso.folds:
-        assert cond is None
+        assert cond is None and not seen
         return
+    assert seen == [landed]
     assert cond.n_checked == len(iso.folds)
     assert cond.passed == (not raised)
     if raised:  # the condition names one of the jumps
