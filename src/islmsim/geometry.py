@@ -252,9 +252,8 @@ def _interval_branch(isocline: LMIsocline, k: int, y: float) -> Branch | None:
     return next((b for b in isocline.branches if b.interval == k and b.covers(y)), None)
 
 
-def trace_lm_isocline(spec: ModelSpec, y_range: tuple[float, float],
-                      y_steps: int = 700, r_range: tuple[float, float] | None = None,
-                      scan_n: int = 500) -> LMIsocline:
+def trace_lm_isocline(spec: ModelSpec, y_range: tuple[float, float], y_steps: int,
+                      r_range: tuple[float, float], scan_n: int = 500) -> LMIsocline:
     """Read folds and branches off the window layout; sample them by an income sweep.
 
     The sorted window-endpoint rates cut the rate axis into intervals on which
@@ -274,8 +273,6 @@ def trace_lm_isocline(spec: ModelSpec, y_range: tuple[float, float],
     """
     if y_steps < 500:
         raise ValueError("y_steps must be at least 500")
-    if r_range is None:
-        raise ValueError("r_range is required to bound the rate scan")
     (y_lo, y_hi), (r_lo, r_hi) = y_range, r_range
     return _trace_lm_isocline(spec, (float(y_lo), float(y_hi)), y_steps,
                               (float(r_lo), float(r_hi)), scan_n)
@@ -401,8 +398,7 @@ def classify_jacobian(j11: float, j12: float, j21: float, j22: float
 
 
 def find_equilibria(spec: ModelSpec, y_range: tuple[float, float],
-                    isocline: LMIsocline | None = None,
-                    scan_n: int = 2001) -> list[Equilibrium]:
+                    isocline: LMIsocline | None = None) -> list[Equilibrium]:
     """Intersections of the IS curve with the LM isocline, classified.
 
     The equilibria are the zeros of phi(Y) = excess_money(Y, R_IS(Y)).  The
@@ -411,15 +407,12 @@ def find_equilibria(spec: ModelSpec, y_range: tuple[float, float],
     monotone and phi convex or concave there: a piece holds at most two
     roots, one on each side of the root Y* of phi', and each side whose ends
     differ in sign is bisected.  Degeneracy rule: when |phi(Y*)| is below
-    TANGENCY_EXCESS_TOL, or the two roots lie within one income step
-    (y_hi - y_lo) / (scan_n - 1) of each other, the pair is one tangent
-    equilibrium at Y*, reported "center-degenerate" with degenerate set.
+    TANGENCY_EXCESS_TOL the pair is one tangent equilibrium at Y*, reported
+    "center-degenerate" with degenerate set; no sampling density enters.
     Each equilibrium's branch is the one of its rate interval that covers its
     income; a window-endpoint rate belongs to the interval above it, as in
     `_interval_root`.
     """
-    if scan_n < 2:
-        raise ValueError("scan_n must be at least 2")
     curve = is_curve(spec)
     lm = spec._lm_graph
     y_lo, y_hi = y_range
@@ -438,7 +431,6 @@ def find_equilibria(spec: ModelSpec, y_range: tuple[float, float],
                             if y_lo < (y := (r - curve.intercept) / curve.slope) < y_hi)
 
     found: list[tuple[float, bool]] = []   # (income, tangent)
-    step = (y_hi - y_lo) / (scan_n - 1)
     for u, v in zip(knots[:-1], knots[1:]):
         f_u, f_v = phi(u), phi(v)
         # a root on a knot belongs to the piece it starts, or to the last one
@@ -446,19 +438,17 @@ def find_equilibria(spec: ModelSpec, y_range: tuple[float, float],
             found.append((u, False))
         if f_v == 0.0 and v == y_hi:
             found.append((v, False))
-        sides, touching = [(u, f_u, v, f_v)], False
+        sides = [(u, f_u, v, f_v)]
         d_u, d_v = dphi(u), dphi(v)
         if d_u != 0.0 and d_v != 0.0 and (d_u > 0.0) != (d_v > 0.0):
             y_x = _bisect(dphi, u, v, d_u, 1e-15)
             f_x = phi(y_x)
+            if abs(f_x) < TANGENCY_EXCESS_TOL:
+                found.append((y_x, True))
+                continue
             sides = [(u, f_u, y_x, f_x), (y_x, f_x, v, f_v)]
-            touching = abs(f_x) < TANGENCY_EXCESS_TOL
-        pair = [_bisect(phi, a, b, f_a, 1e-15) for a, f_a, b, f_b in sides
-                if f_a != 0.0 and f_b != 0.0 and (f_a > 0.0) != (f_b > 0.0)]
-        if touching or len(pair) == 2 and pair[1] - pair[0] < step:
-            found.append((y_x, True))
-        else:
-            found.extend((y, False) for y in pair)
+        found.extend((_bisect(phi, a, b, f_a, 1e-15), False) for a, f_a, b, f_b in sides
+                     if f_a != 0.0 and f_b != 0.0 and (f_a > 0.0) != (f_b > 0.0))
 
     results: list[Equilibrium] = []
     for y_star, tangent in sorted(found):

@@ -377,17 +377,44 @@ class _LMGraph:
     def rates_at(self, y, r_lo, r_hi, x0=None, tol=0.0) -> np.ndarray:
         """The rates R where Y_LM(R) = y, elementwise, on a rate interval where
         Y_LM is monotone with Y_LM(r_lo) <= y <= Y_LM(r_hi) (either end may be
-        the larger rate).  Newton steps start at x0, by default the chord
-        between the ends, and stop when |Y_LM(R) - y| <= tol or the bracket
+        the larger rate).  Newton steps start at x0, or by default on the
+        chord across the one segment between `breaks` that holds the root
+        (`_segment_chord`), and stop when |Y_LM(R) - y| <= tol or the bracket
         is a few ulps wide (`_invert`)."""
         y = np.atleast_1d(np.asarray(y, dtype=float))
         r_lo, r_hi = (np.broadcast_to(np.asarray(v, dtype=float), y.shape) for v in (r_lo, r_hi))
         if x0 is None:
-            y_lo, y_hi = self.income(r_lo), self.income(r_hi)
-            x0 = r_lo + (r_hi - r_lo) * (y - y_lo) / (y_hi - y_lo)
+            r_lo, r_hi, x0 = self._segment_chord(y, r_lo, r_hi)
         return _invert(lambda r, _k: self.income(r), lambda r, _k: self.income_slope(r),
                        y, r_lo, r_hi, np.broadcast_to(x0, y.shape),
                        np.broadcast_to(np.asarray(tol, dtype=float), y.shape))
+
+    def _segment_chord(self, y: np.ndarray, r_lo: np.ndarray, r_hi: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each `rates_at` bracket cut to the segment between `breaks` that
+        holds its root, and the chord's root there, from one `income` call.
+
+        Y_LM is monotone on a bracket, so its new ends are the breaks inside
+        it nearest y in income from below and from above.  The chord is
+        taken from the end nearer y, as a fraction of the segment's width, so
+        it cannot overflow; on an outer segment, where Y_LM is linear, it is
+        the closed-form root off the break.
+        """
+        b = self.breaks
+        y_b, y_lo, y_hi = np.split(self.income(np.concatenate([b, r_lo, r_hi])),
+                                   [len(b), len(b) + len(y)])
+        if len(b):
+            inside = (b > np.minimum(r_lo, r_hi)[:, None]) & (b < np.maximum(r_lo, r_hi)[:, None])
+            below, above = inside & (y_b <= y[:, None]), inside & (y_b > y[:, None])
+            i = np.where(below, y_b, -np.inf).argmax(axis=1)
+            j = np.where(above, y_b, np.inf).argmin(axis=1)
+            cut_lo, cut_hi = below.any(axis=1), above.any(axis=1)
+            r_lo, y_lo = np.where(cut_lo, b[i], r_lo), np.where(cut_lo, y_b[i], y_lo)
+            r_hi, y_hi = np.where(cut_hi, b[j], r_hi), np.where(cut_hi, y_b[j], y_hi)
+        near_lo = y - y_lo <= y_hi - y
+        e, y_e = np.where(near_lo, r_lo, r_hi), np.where(near_lo, y_lo, y_hi)
+        far, y_far = np.where(near_lo, r_hi, r_lo), np.where(near_lo, y_hi, y_lo)
+        return r_lo, r_hi, e + (y - y_e) / (y_far - y_e) * (far - e)
 
     def _cuts(self, r_lo: float, r_hi: float) -> tuple[int, list[float], list[float]]:
         """(k0, cuts, incomes): the range ends and the window-endpoint rates
@@ -405,28 +432,27 @@ class _LMGraph:
         lie on both sides of y, ascending in rate: `where` is an interval end
         at which the graph equals y (it belongs to the interval above it, or
         to the top one on r_hi), or else the bracket that holds the root, as
-        (rates of lower and higher income, their incomes)."""
+        its rates of lower and higher income."""
         k0, cuts, incomes = cut
         found = []
         for k, a, b, y_a, y_b in zip(count(k0), cuts, cuts[1:], incomes, incomes[1:]):
             if y_a == y or (y_b == y and b == cuts[-1]):
                 found.append((k, a if y_a == y else b))
             elif y_a < y < y_b or y_b < y < y_a:
-                found.append((k, (a, b, y_a, y_b) if y_a < y_b else (b, a, y_b, y_a)))
+                found.append((k, (a, b) if y_a < y_b else (b, a)))
         return found
 
     def _solve(self, ys: list[float], rows: list[list]) -> list[list[tuple[int, float]]]:
         """Each row of `_crossings` pairs at its income of ys, with its brackets
-        solved in one `rates_at` call from their chords (`rates_at`'s default
-        start, so a root equals a branch end inverted on the same bracket).
-        Each root takes its own Newton steps, apart from the others."""
+        solved in one `rates_at` call from its default start, so a root
+        equals a branch end inverted on the same bracket.  Each root takes its
+        own Newton steps, apart from the others."""
         brackets = [(y, x) for y, row in zip(ys, rows) for _, x in row if isinstance(x, tuple)]
         solved = iter(())
         if brackets:
             y = np.array([y for y, _ in brackets])
-            lo, hi, y_lo, y_hi = np.array([x for _, x in brackets]).T
-            solved = iter(self.rates_at(y, lo, hi, lo + (hi - lo) * (y - y_lo) / (y_hi - y_lo))
-                          .tolist())
+            lo, hi = np.array([x for _, x in brackets]).T
+            solved = iter(self.rates_at(y, lo, hi).tolist())
         return [[(k, next(solved) if isinstance(x, tuple) else x) for k, x in row]
                 for row in rows]
 
@@ -450,7 +476,7 @@ class _LMGraph:
         for y, r, up in starts:
             found, walk = self._crossings(y, cut), []
             for k, x in found if up else reversed(found):
-                a, b = sorted(x[:2]) if isinstance(x, tuple) else (x, x)
+                a, b = sorted(x) if isinstance(x, tuple) else (x, x)
                 if b >= r if up else a <= r:  # not behind the start
                     walk.append((k, x))
                     # a bracket around the start may hold its root behind it,

@@ -352,21 +352,6 @@ class StabilizationPlan:
     diagnosis: str = ""
 
 
-def _shifted_branch_value(spec: ModelSpec, fold: FoldPoint, k: int,
-                          r_range: tuple[float, float], d_pi: float, d_ms: float
-                          ) -> float | None:
-    """Value at the fold income of the shifted isocline's post-jump branch.
-
-    The post-jump branch is the one of the jump's landing interval k: an LM
-    shift moves the window-endpoint rates but does not renumber the intervals,
-    so the value is the shifted LM graph's root on interval k.
-    """
-    lo, hi = r_range
-    pad = abs(d_pi) + 0.2 * (hi - lo)
-    roots = shift_lm(spec, d_pi=d_pi, d_ms=d_ms)._lm_graph.roots(fold.y, lo - pad, hi + pad)
-    return next((x for j, x in roots if j == k), None)
-
-
 def plan_stabilization(spec: ModelSpec, fold: FoldPoint, instrument: str,
                        isocline: LMIsocline, *,
                        protect_to_y: float | None = None) -> StabilizationPlan:
@@ -387,7 +372,12 @@ def plan_stabilization(spec: ModelSpec, fold: FoldPoint, instrument: str,
 
     if instrument == "inflation":
         delta = r_target - fold.r
-        check = _shifted_branch_value(spec, fold, k, isocline.r_range, delta, 0.0)
+        # the post-jump branch is the one of the landing interval k: the
+        # shift moves the window-endpoint rates but does not renumber the
+        # intervals, so its value at the fold income is the shifted graph's
+        # root on interval k, the fold rate, inside the isocline's rate range
+        roots = shift_lm(spec, d_pi=delta)._lm_graph.roots(fold.y, *isocline.r_range)
+        check = next((x for j, x in roots if j == k), None)
         residual = abs(check - fold.r) if check is not None else math.inf
         return StabilizationPlan(fold, instrument, delta, residual <= MATCH_TOL,
                                  "branch-match", direction, r_target, residual)
@@ -439,11 +429,24 @@ class ControllerReport:
         }
 
 
-def _max_rate(traj: Trajectory) -> float:
+def _max_rate(result: ScenarioResult) -> float:
+    """The largest |dR/dt| between consecutive samples.  A singular-limit
+    run's jumps and reattachments take no time, so they are left out: the
+    step onto each landing counts for nothing, and a pre-move corner sample
+    (at the landing's income) is read at the move's own instant, so the value
+    is a slow-flow rate that no `CORNER_DT` sets."""
+    traj = result.trajectory
     if len(traj) < 2:
         return 0.0
-    dt = np.diff(traj.t)
-    return float(np.max(np.abs(np.diff(traj.r)) / np.maximum(dt, 1e-300)))
+    t, dr = traj.t, np.abs(np.diff(traj.r))
+    if traj.mode == REDUCED_MODE:
+        moves = [e["t"] for e in result.events if e["kind"] in ("jump", "reattach")]
+        landing = np.isin(t[1:], moves)  # the step into sample i + 1 is a move
+        corner = landing[1:] & (traj.y[1:-1] == traj.y[2:])
+        t = t.copy()
+        t[1:-1][corner] = t[2:][corner]
+        dr[landing] = 0.0
+    return float(np.max(dr / np.maximum(np.diff(t), 1e-300)))
 
 
 def _first_crossing_time(traj: Trajectory, level: float, upward: bool) -> float | None:
@@ -534,8 +537,8 @@ def run_with_controller(spec: ModelSpec, ramp: FiscalDrive, plan: StabilizationP
         uncontrolled=base, controlled=controlled, plan=plan,
         t_fired=t_fired, y_fired=y_fired,
         jumps_uncontrolled=len(base.jumps), jumps_controlled=len(controlled.jumps),
-        max_rate_uncontrolled=_max_rate(base.trajectory),
-        max_rate_controlled=_max_rate(controlled.trajectory),
+        max_rate_uncontrolled=_max_rate(base),
+        max_rate_controlled=_max_rate(controlled),
         r_band_controlled=r_band,
         controller_late=late,
     )
@@ -545,14 +548,12 @@ def negative_rate_probe(spec: ModelSpec, scenario: Scenario | None,
                         y0: float, r0: float, *,
                         y_range: tuple[float, float], r_range: tuple[float, float],
                         mode: str = REDUCED_MODE, horizon: float = 40.0,
-                        touch_tol: float = 1e-6, stride: float | None = None,
-                        y_steps: int = 700, scan_n: int = 500) -> dict:
+                        touch_tol: float = 1e-6, stride: float | None = None) -> dict:
     """Report whether the run's cycle or any jump crosses the zero rate."""
     if scenario is None:
         scenario = Scenario((), horizon)
     result = apply_scenario(spec, scenario, y0, r0, mode, y_range=y_range,
-                            r_range=r_range, y_steps=y_steps, scan_n=scan_n,
-                            stride=stride)
+                            r_range=r_range, stride=stride)
     traj = result.trajectory
     r = traj.r
     flips = list(np.nonzero(np.sign(r[:-1]) * np.sign(r[1:]) < 0)[0])

@@ -146,9 +146,8 @@ def test_c03_exact_lm_shift_law(ref_spec, ref_domain, ref_isocline):
             f"max deviation {worst:.2e}")
 
 
-def _equilibrium_count(i0: float, y_range, scan_n: int = 8001) -> int:
-    return len([e for e in find_equilibria(steep_is_spec(i0), y_range,
-                                           scan_n=scan_n)
+def _equilibrium_count(i0: float, y_range) -> int:
+    return len([e for e in find_equilibria(steep_is_spec(i0), y_range)
                 if not e.degenerate])
 
 
@@ -220,8 +219,8 @@ def test_c04_equilibrium_progression(ref_domain):
             lo = mid
         else:
             hi = mid
-    i0_tangent = 0.5 * (lo + hi)
-    assert i0_tangent == pytest.approx(_tangency_oracle(y_range), abs=1e-6)
+    i0_tangent = _tangency_oracle(y_range)
+    assert 0.5 * (lo + hi) == pytest.approx(i0_tangent, abs=1e-6)
 
     # exactly at the tangency: two equilibria, the merged one degenerate
     eqs_t = find_equilibria(steep_is_spec(i0_tangent), y_range)

@@ -651,9 +651,10 @@ def fuzzed_configs(draw):
     than any shipped gap between windows; a number field other than a window
     rate scaled by a factor from 1/2 to 2 and held inside its field's bound;
     or one window moved, p and q together, up to 95% of the way to its
-    neighbour (or to rate 0, or by its own width above the last window).  All
-    but the first two keep each field's kind and bound, so most such configs
-    parse and reach validation."""
+    neighbour (or to rate 0, or by its own width above the last window); or
+    the rate range widened on one side by 0.01 to 1e300.  All but the first
+    two keep each field's kind and bound, so most such configs parse and
+    reach validation."""
     shipped = shipped_config(draw(st.sampled_from(SHIPPED)))
     raw = copy.deepcopy(shipped)
     numbers = [(path, kind) for path, _, kind in _slots(_CONFIG, shipped)
@@ -667,7 +668,7 @@ def fuzzed_configs(draw):
         finite = [path for path in _node_paths(raw) if _is_finite(_at(raw, path))]
         bounded = [(path, kind) for path, kind in numbers if _number_at(raw, path) is not None]
         how = draw(st.sampled_from(("leaf", "leaf", "windows", "scale", "shift", "bounded",
-                                    "between")))
+                                    "between", "wide")))
         if how == "windows" and windows:
             how = draw(st.sampled_from(("swap", "overlap", "inside-out")))
             if how == "swap" and len(windows) > 1:
@@ -696,6 +697,11 @@ def fuzzed_configs(draw):
                 frac = draw(st.floats(-0.95, 0.95))
                 shift = frac * (w["p"] - left if frac < 0 else right - w["q"])
                 w["p"], w["q"] = w["p"] + shift, w["q"] + shift
+        elif how == "wide" and all(_number_at(raw, ("domain", "r_range", i)) is not None
+                                   for i in (0, 1)):
+            side = draw(st.sampled_from((0, 1)))
+            r_range = _at(raw, ("domain", "r_range"))
+            r_range[side] += (side * 2 - 1) * 10.0 ** draw(st.floats(-2.0, 300.0))
         elif how == "scale" and finite:
             path = draw(st.sampled_from(finite))
             x = _at(raw, path) * draw(st.floats(0.9, 1.1))

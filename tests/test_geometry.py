@@ -3,6 +3,7 @@ import pytest
 
 from islmsim import geometry
 from islmsim.geometry import (
+    TANGENCY_EXCESS_TOL,
     classify_jacobian,
     find_equilibria,
     is_curve,
@@ -11,7 +12,7 @@ from islmsim.geometry import (
     trace_lm_isocline,
 )
 from islmsim.model import ModelDomainError, excess_money, excess_money_slope
-from islmsim.reference import reference_spec
+from islmsim.reference import reference_spec, steep_is_spec
 
 from oracles import (
     brute_force_equilibria,
@@ -295,8 +296,6 @@ def test_bad_trace_arguments_raise_on_every_call(ref_spec, ref_domain):
         trace_lm_isocline(ref_spec, y_range, y_steps, r_range, scan_n)
         with pytest.raises(ValueError, match="y_steps"):
             trace_lm_isocline(ref_spec, y_range, 100, r_range, scan_n)
-        with pytest.raises(ValueError, match="r_range"):
-            trace_lm_isocline(ref_spec, y_range, y_steps, None, scan_n)
 
 
 def test_traced_branch_samples_are_read_only(ref_isocline):
@@ -365,6 +364,27 @@ def test_equilibria_match_brute_force_oracle(steep_spec, ref_domain):
         assert e.y == pytest.approx(oy, abs=1e-7)
         assert e.r == pytest.approx(orr, abs=1e-8)
         assert e.classification == ocls
+
+
+def test_a_close_pair_off_the_tangency_is_two_equilibria(ref_domain):
+    # just on the three-equilibria side of the tangency (intercept about
+    # 1.3932135), the pair is closer than one income step of a 2001-point
+    # scan, yet the excess along the IS line leaves zero between them by more
+    # than TANGENCY_EXCESS_TOL, so the pair is no tangency
+    spec, y_range = steep_is_spec(1.393213), ref_domain["y_range"]
+    eqs = find_equilibria(spec, y_range)
+    assert len(eqs) == 3 and not any(e.degenerate for e in eqs)
+    near, far = eqs[1].y, eqs[2].y
+    assert far - near < (y_range[1] - y_range[0]) / 2000
+    curve = is_curve(spec)
+    gap = max(abs(excess_money(y, curve.r_at(y), spec))
+              for y in np.linspace(near, far, 201).tolist())
+    assert gap >= TANGENCY_EXCESS_TOL
+    oracle = brute_force_equilibria(spec, y_range, ref_domain["r_range"])
+    assert [cls for _, _, cls in oracle] == [e.classification for e in eqs]
+    for e, (oy, orr, _) in zip(eqs, oracle):
+        assert e.y == pytest.approx(oy, abs=1e-7)
+        assert e.r == pytest.approx(orr, abs=1e-8)
 
 
 def test_classification_against_eigenvalue_oracle(ref_spec, steep_spec, ref_domain):

@@ -1,7 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from islmsim import geometry
+from islmsim import dynamics, geometry
 from islmsim.dynamics import Trajectory, attach_to_branch, reduced_simulate
 from islmsim.geometry import find_equilibria, is_curve, lm_roots, shift_lm, trace_lm_isocline
 from islmsim.model import excess_money
@@ -264,6 +266,26 @@ def test_controller_prevents_the_jump(ref_spec, lower_fold, kw):
         assert report.y_fired == pytest.approx(0.95 * lower_fold.y, abs=1e-6)
 
 
+def test_singular_limit_max_rates_leave_the_zero_time_moves_out(ref_spec, ref_isocline,
+                                                                lower_fold, kw):
+    # the uncontrolled run jumps and the controlled one reattaches, each in no
+    # time; the offset of a move's corner sample (CORNER_DT) only draws it, so
+    # the slow-flow rates reported do not move with it
+    plan = plan_stabilization(ref_spec, lower_fold, "inflation", ref_isocline)
+    ramp = FiscalDrive(0.0, 3.5, y_to=3.5)
+
+    def max_rates():
+        report = run_with_controller(ref_spec, ramp, plan, 2.8, 0.02,
+                                     mode="singular-limit", **kw)
+        assert (report.jumps_uncontrolled, report.jumps_controlled) == (1, 0)
+        return report.max_rate_uncontrolled, report.max_rate_controlled
+
+    want = max_rates()
+    for corner_dt in (1e-7, 1e-11):
+        with mock.patch.object(dynamics, "CORNER_DT", corner_dt):
+            assert max_rates() == want
+
+
 def test_a_reused_plan_is_unchanged_by_controller_runs(ref_spec, ref_isocline, lower_fold, kw):
     fresh = plan_stabilization(ref_spec, lower_fold, "inflation", ref_isocline)
     plan = plan_stabilization(ref_spec, lower_fold, "inflation", ref_isocline)
@@ -450,7 +472,7 @@ def _sample_density_results(spec, lower_fold, kw, y_steps, scan_n=500):
         out += [plan, report.to_dict(), report.controlled.trajectory]
     probe = negative_rate_probe(shift_lm(spec, d_pi=0.008),
                                 Scenario((FiscalDrive(0.0, 2.0, y_to=1.0),), 12.0),
-                                1.5, 0.01, **runs)
+                                1.5, 0.01, **kw)
     out += [probe, driven.trajectory]
     return out
 

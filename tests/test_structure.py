@@ -164,6 +164,44 @@ def test_shared_rate_scan_matches_the_oracles(spec, incomes, fold_offsets):
     _assert_oracle_folds_and_monotone_branches(spec, iso)
 
 
+def _on_the_graph(lm, y, r):
+    """Whether r is a root of Y_LM = y to rounding: the graph straddles y
+    within a few ulps of r."""
+    near = lm.income(r + np.arange(-8, 9) * np.spacing(r))
+    return near.min() <= y <= near.max()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(trap_specs(min_windows=0), st.floats(-2.0, 300.0), st.floats(-2.0, 300.0),
+       st.lists(st.floats(*WIDE_Y), min_size=3, max_size=3),
+       st.lists(st.floats(1e-7, 1e-2), min_size=1, max_size=2))
+def test_lm_graph_roots_hold_on_a_widened_rate_range(spec, lo_exp, hi_exp, incomes,
+                                                     fold_offsets):
+    # the rate range widened by up to 1e300 on either side finds every root
+    # of the narrow range on the same interval and lands every fold jump
+    # where it landed, with no overflow; at incomes near a fold's the graph
+    # is flat to high order, so there roots agree as roots, not as rates
+    lm = spec._lm_graph
+    wide = (WIDE_R[0] - 10.0 ** lo_exp, WIDE_R[1] + 10.0 ** hi_exp)
+    folds = lm.folds(WIDE_Y, WIDE_R)
+    near = [y_f + s * off for _, _, y_f in folds for off in fold_offsets for s in (-1.0, 1.0)]
+    for y in incomes + [y for y in near if y >= 0.0]:
+        narrow, widened = lm.roots(y, *WIDE_R), dict(lm.roots(y, *wide))
+        assert {k for k, r in widened.items() if WIDE_R[0] < r < WIDE_R[1]} <= dict(narrow).keys()
+        for k, r in narrow:
+            assert _on_the_graph(lm, y, widened[k]), (y, k)
+            if all(abs(y - y_f) > 1e-2 for _, _, y_f in folds):
+                assert widened[k] == pytest.approx(r, rel=1e-12, abs=1e-15), (y, k)
+    landed = zip(folds, lm.land_folds(folds, *WIDE_R), lm.land_folds(folds, *wide))
+    for (_, _, y_f), a, b in landed:
+        if not isinstance(a, ValueError):
+            assert b[0] == a[0] and _on_the_graph(lm, y_f, b[1]), y_f
+    report = validate_properties(spec, WIDE_Y, wide)
+    assert "validation run" not in [c.condition for c in report.conditions]
+
+
 @settings(max_examples=30, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(trap_specs(max_windows=1), st.floats(0.1, 0.9))
