@@ -51,6 +51,10 @@ CORNER_DT = 1e-9
 STALL_STEP_FRACTION = 1e-12
 STALL_STEPS = 100
 
+# A full-system run holds this many sampled steps before it evaluates their
+# interpolants together (`_write_steps`).
+BATCH_STEPS = 64
+
 # Gauss-Legendre order of the free-leg time integral, and the panels it puts
 # on each piece of the integrand between segment breaks.
 QUAD_ORDER = 16
@@ -189,13 +193,13 @@ def integrate(spec: ModelSpec, y0: float, r0: float, t_end: float,
     Local error control shrinks steps automatically through the fast layers,
     so jumps are resolved without any special handling.  Each step's quartic
     interpolant is evaluated at the `stride` grid points it covers (default
-    stride: horizon / 2000), in place, with the arithmetic of scipy's
-    `RkDenseOutput`; this reads RK45's `K`, `P`, `t_old` and `y_old`
-    (scipy >= 1.9), and the samples equal `solve_ivp`'s with `t_eval` bit
-    for bit.  They are written into arrays sized for the whole run, so
-    memory follows the number of samples, not the number of steps.  With a
-    `drive_slope`, income follows the ramp dY/dt = drive_slope and only the
-    rate obeys the money market.
+    stride: horizon / 2000), BATCH_STEPS sampled steps at a time, with the
+    arithmetic of scipy's `RkDenseOutput` (`_write_steps`); this reads RK45's
+    `K`, `P`, `t_old` and `y_old` and sets its `fun` (scipy >= 1.9), and the
+    samples equal `solve_ivp`'s with `t_eval` bit for bit.  They are written
+    into arrays sized for the whole run, so memory follows the number of
+    samples, not the number of steps.  With a `drive_slope`, income follows
+    the ramp dY/dt = drive_slope and only the rate obeys the money market.
     """
     t_start, t_end = float(t_start), float(t_end)
     for name, value in (("t_start", t_start), ("t_end", t_end), ("stride", stride)):
@@ -235,8 +239,13 @@ def integrate(spec: ModelSpec, y0: float, r0: float, t_end: float,
 
     # The steps solve_ivp takes with t_eval, with each step's samples written
     # in place instead of kept in per-step chunks and stacked at the end.
+    # RK45 calls `fun` once a stage; set to rhs itself, it skips scipy's two
+    # wrappers, which only count the call and convert the tuple to an array.
     solver = RK45(rhs, t_start, (y0, r0), t_end, rtol=rtol, atol=atol)
-    n = stalled = 0
+    solver.fun = rhs
+    pending = []  # (t_old, h, y_old, sample count) of each sampled step not yet written
+    stages = np.empty((BATCH_STEPS, *solver.K.shape))  # and its RK stages K
+    n = stalled = 0  # n: the grid points covered by the steps so far
     t_next = t_start  # the first grid point no step has covered yet
     t_prev, h_stall = t_start, STALL_STEP_FRACTION * (t_end - t_start)
     while solver.status == "running":
@@ -245,6 +254,7 @@ def integrate(spec: ModelSpec, y0: float, r0: float, t_end: float,
         stalled = stalled + 1 if t_new - t_prev < h_stall else 0
         t_prev = t_new
         if solver.status == "failed" or stalled > STALL_STEPS:
+            _write_steps(samples, t, n, solver.P, pending, stages)
             t_last, (y_last, r_last) = (t[n - 1], samples[:, n - 1]) if n else (t_start, (y0, r0))
             raise IntegrationError(
                 f"integration failed at t={t_last} (y={y_last}, r={r_last}): "
@@ -255,18 +265,15 @@ def integrate(spec: ModelSpec, y0: float, r0: float, t_end: float,
             m = n + 1
             while m < n_eval and t.item(m) <= t_new:
                 m += 1
-            # the step's interpolant as RkDenseOutput evaluates it: the powers
-            # x, x^2, ... as cumprod forms them, then h Q p + y_old
             t_old = solver.t_old
-            h = t_new - t_old
-            q = solver.K.T.dot(solver.P)
-            p = np.empty((q.shape[1], m - n))
-            np.divide(t[n:m] - t_old, h, out=p[0])
-            for i in range(1, len(p)):
-                np.multiply(p[i - 1], p[0], out=p[i])
-            samples[:, n:m] = h * np.dot(q, p) + solver.y_old[:, None]
+            stages[len(pending)] = solver.K
+            # y_old is the step's start state, an array RK45 never writes again
+            pending.append((t_old, t_new - t_old, solver.y_old, m - n))
             n = m
             t_next = t.item(n) if n < n_eval else math.inf
+            if len(pending) == BATCH_STEPS:
+                _write_steps(samples, t, n, solver.P, pending, stages)
+    _write_steps(samples, t, n, solver.P, pending, stages)
     if not np.all(np.isfinite(samples)):
         raise IntegrationError("non-finite state encountered during integration")
     if np.any(samples[0] < -1e-9):
@@ -274,6 +281,35 @@ def integrate(spec: ModelSpec, y0: float, r0: float, t_end: float,
         raise IntegrationError(
             f"income left the domain (y={samples[0][k]} at t={t[k]})")
     return Trajectory(t, samples[0], samples[1], FULL_MODE, spec.spec_id)
+
+
+def _write_steps(samples: np.ndarray, t: np.ndarray, stop: int, P: np.ndarray,
+                 pending: list, stages: np.ndarray) -> None:
+    """Write the samples of the pending steps, which cover the grid points of
+    `t` up to index `stop`, and empty `pending`.
+
+    Each step's interpolant is evaluated as scipy's `RkDenseOutput` does it:
+    Q = K^T P, the powers x, x^2, ... as cumprod forms them, then
+    h Q p + y_old.  The products are stacked, Q over all steps and the rest
+    over the steps with the same number of samples; a stacked `np.matmul`
+    gives each slice the BLAS call `np.dot` makes, so the samples are the
+    same bit for bit.
+    """
+    if not pending:
+        return
+    t_old, h, y_old, counts = (np.array(a) for a in zip(*pending))
+    q = np.matmul(stages[:len(pending)].transpose(0, 2, 1), P)
+    starts = stop - np.cumsum(counts[::-1])[::-1]
+    for k in np.unique(counts).tolist():
+        sel = np.flatnonzero(counts == k)
+        at = starts[sel, None] + np.arange(k)
+        p = np.empty((len(sel), q.shape[2], k))
+        np.divide(t[at] - t_old[sel, None], h[sel, None], out=p[:, 0])
+        for i in range(1, p.shape[1]):
+            np.multiply(p[:, i - 1], p[:, 0], out=p[:, i])
+        y = h[sel, None, None] * np.matmul(q[sel], p) + y_old[sel, :, None]
+        samples[:, at] = y.transpose(1, 0, 2)
+    pending.clear()
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import RK45, solve_ivp
 
 from islmsim import dynamics
 from islmsim.dynamics import (
@@ -87,6 +88,56 @@ def test_integrate_matches_an_independent_rk45_run(make_spec, eps, t_start, t_en
     assert np.array_equal(traj.t, sol.t)
     assert np.array_equal(traj.y, sol.y[0])
     assert np.array_equal(traj.r, sol.y[1])
+
+
+def test_rk45_has_what_integrate_reads_and_sets():
+    # integrate reads each step's stages K, the interpolant matrix P, t_old
+    # and y_old, and sets fun so that RK45 calls the right-hand side directly
+    floor = "integrate needs scipy >= 1.9 (pyproject.toml)"
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        return (-y[0], 0.0)
+
+    solver = RK45(lambda t, y: (-y[0], 0.0), 0.0, (1.0, 0.0), 1.0)
+    solver.fun = rhs
+    solver.step()
+    for name in ("K", "P", "t_old", "y_old"):
+        assert hasattr(solver, name), f"RK45 has no {name}: {floor}"
+    assert solver.K.shape == (7, 2) and solver.P.shape == (7, 4), floor
+    assert len(calls) == 6, f"RK45 did not call the fun set on it once a stage: {floor}"
+
+
+def test_a_failure_mid_run_reports_the_last_sample(monkeypatch):
+    # the samples of sampled steps are written BATCH_STEPS steps at a time;
+    # a failure after more than one batch, part-way into the next, must
+    # still report the last grid sample the steps before it covered
+    spec = reference_spec(epsilon=1e-2)
+    t_end, stride = 2 * 6.1 / 1e-2, 0.1
+    whole = integrate(spec, 1.5, 0.01, t_end, stride=stride)
+    grid = whole.t
+    step, reached, sampled = dynamics.RK45.step, [], []
+    fail_at = 2 * dynamics.BATCH_STEPS + dynamics.BATCH_STEPS // 2
+
+    def failing_step(self):
+        if len(sampled) == fail_at:
+            self.status = "failed"
+            return "forced failure"
+        t_old = self.t
+        message = step(self)
+        reached.append(self.t)
+        if np.any((grid > t_old) & (grid <= self.t)):
+            sampled.append(self.t)
+        return message
+
+    monkeypatch.setattr(dynamics.RK45, "step", failing_step)
+    with pytest.raises(IntegrationError, match="forced failure") as failure:
+        integrate(spec, 1.5, 0.01, t_end, stride=stride)
+    k = int(np.searchsorted(grid, reached[-1], side="right")) - 1
+    t, y, r = re.match(r"integration failed at t=(\S+) \(y=(\S+), r=(\S+)\):",
+                       str(failure.value)).groups()
+    assert (float(t), float(y), float(r)) == (grid[k], whole.y[k], whole.r[k])
 
 
 @pytest.mark.parametrize("kw, name", [
