@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .config import ConfigError, MODE_NAMES, RunConfig, _override, parse_config
 from .dynamics import FoldStallError, IntegrationError, REDUCED_MODE, Trajectory, detect_cycle
-from .geometry import find_equilibria, is_curve, trace_lm_isocline
+from .geometry import find_equilibria, is_curve, lm_branches, trace_lm_isocline
 from .model import ModelDomainError, ValidationReport, start_condition, validate_properties
 from .output import (
     RunLockError,
@@ -139,14 +139,17 @@ def _dispatch(command: str, config: RunConfig, out_dir: Path) -> int:
         else:
             logger.info("all property checks passed")
 
-    elif command in ("isocline", "equilibria", "portrait"):
+    elif command == "equilibria":
+        # results only: the branch table labels each equilibrium, unsampled
+        eqs = find_equilibria(spec, dom.y_range, lm_branches(spec, dom.y_range, dom.r_range))
+        docs["equilibria"] = equilibria_document(eqs)
+
+    elif command in ("isocline", "portrait"):
         iso = trace_lm_isocline(spec, dom.y_range, dom.y_steps, dom.r_range,
                                 dom.scan_n)
         eqs = find_equilibria(spec, dom.y_range, iso)
         if command == "isocline":
             docs["isocline"] = isocline_document(iso, eqs)
-        elif command == "equilibria":
-            docs["equilibria"] = equilibria_document(eqs)
         else:
             traj = _maybe_simulate(config, spec, dom)
             svgs["portrait"] = render_portrait(
@@ -183,13 +186,12 @@ def _dispatch(command: str, config: RunConfig, out_dir: Path) -> int:
         if config.stabilize is None:
             raise ConfigError("the 'stabilize' section is required for this command")
         st = config.stabilize
-        iso = trace_lm_isocline(spec, dom.y_range, dom.y_steps, dom.r_range,
-                                dom.scan_n)
-        folds = [f for f in iso.folds if f.kind == st.fold]
+        table = lm_branches(spec, dom.y_range, dom.r_range)
+        folds = [f for f in table.folds if f.kind == st.fold]
         if not folds:
             raise ScenarioError(f"the isocline has no {st.fold} fold")
         fold = folds[0]
-        plan = plan_stabilization(spec, fold, st.instrument, iso,
+        plan = plan_stabilization(spec, fold, st.instrument, table,
                                   protect_to_y=st.protect_to_y)
         ramp_run, _ = _on_clock(spec, st.mode, "stabilize", Scenario((st.ramp,), st.ramp.t_end))
         (ramp,) = ramp_run.steps

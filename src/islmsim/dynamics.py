@@ -541,15 +541,19 @@ def _append_vertical_move(ts: list[float], ys: list[float], rs: list[float],
     """Write the samples of a zero-time move of the rate at income y.
 
     A fold jump and a reattachment after a model change both take this form.
-    The pre-move corner (t - CORNER_DT, y, r_from) goes in when it falls after
-    the last sample; the landing (t, y, r_to) is appended, or overwrites the
-    last sample when that one is already at t.
+    The pre-move corner (t - CORNER_DT max(1, |t|), y, r_from) goes in when
+    it falls after the last sample; a last sample already at t (the state at
+    a scenario step) moves back to it instead, unless that would reach the
+    sample before it.  The landing (t, y, r_to) is then appended, or, where
+    no corner could go in, overwrites the last sample at t.
     """
     corner_t = t - CORNER_DT * max(1.0, abs(t))
     if corner_t > ts[-1]:
         ts.append(corner_t)
         ys.append(y)
         rs.append(r_from)
+    elif ts[-1] == t and len(ts) > 1 and corner_t > ts[-2]:
+        ts[-1] = corner_t
     if t > ts[-1]:
         ts.append(t)
         ys.append(y)

@@ -16,6 +16,10 @@ that root's interval.  Equilibria are the zeros of the excess along the IS line,
 which is convex or concave between the money block's segment breaks mapped
 onto that line.  Root counts are exact up to the folds, so nothing warns
 about tangencies.
+
+`lm_branches` gives the branches and folds as a table, each branch with only
+its two exact ends, for results; `trace_lm_isocline` samples the same
+branches between those ends, for drawing.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ __all__ = [
     "Equilibrium",
     "is_curve",
     "lm_roots",
+    "lm_branches",
     "trace_lm_isocline",
     "find_equilibria",
     "shift_lm",
@@ -72,7 +77,8 @@ class ISCurve:
 @dataclass(frozen=True, eq=False)
 class Branch:
     """One single-valued piece of the LM isocline.  Its samples are read-only
-    drawing output: results read only its end points, which are exact.
+    drawing output (a `lm_branches` branch holds just its two ends): results
+    read only its end points, which are exact.
     Equality is identity, and a branch hashes by identity.  `interval` is the
     index k of its rate interval (even k between windows, stable; odd k inside
     one), or -1 for a branch rebuilt from samples alone."""
@@ -182,17 +188,21 @@ def _rate_scan(spec: ModelSpec, r_range: tuple[float, float],
     """
     if scan_n < 200:
         raise ValueError("scan_n must be at least 200")
-    r_lo, r_hi = r_range
-    nodes = np.linspace(r_lo, r_hi, scan_n + 1)
+    nodes = np.linspace(*r_range, scan_n + 1)
     grid, base = nodes.tolist(), excess_money_many(0.0, nodes, spec).tolist()
-    bounds = [-math.inf, *spec._lm_graph.ends, math.inf]
-    table = []
-    for k in range(len(bounds) - 1):
-        a, b = max(r_lo, bounds[k]), min(r_hi, bounds[k + 1])
-        if a < b:
-            table.append((k, a, b, excess_money(0.0, a, spec), excess_money(0.0, b, spec),
-                          bisect_right(grid, a), bisect_left(grid, b)))
+    table = [(k, a, b, excess_money(0.0, a, spec), excess_money(0.0, b, spec),
+              bisect_right(grid, a), bisect_left(grid, b))
+             for k, a, b in _intervals(spec, r_range)]
     return grid, base, table
+
+
+def _intervals(spec: ModelSpec, r_range: tuple[float, float]) -> list[tuple[int, float, float]]:
+    """(k, a, b) for each rate interval between window-endpoint rates that
+    meets r_range: its index k among them and its ends a < b, cut to the range."""
+    r_lo, r_hi = r_range
+    bounds = [-math.inf, *spec._lm_graph.ends, math.inf]
+    return [(k, a, b) for k in range(len(bounds) - 1)
+            if (a := max(r_lo, bounds[k])) < (b := min(r_hi, bounds[k + 1]))]
 
 
 def _interval_root(y: float, spec: ModelSpec, scan, row) -> float | None:
@@ -252,18 +262,78 @@ def _interval_branch(isocline: LMIsocline, k: int, y: float) -> Branch | None:
     return next((b for b in isocline.branches if b.interval == k and b.covers(y)), None)
 
 
-def trace_lm_isocline(spec: ModelSpec, y_range: tuple[float, float], y_steps: int,
-                      r_range: tuple[float, float], scan_n: int = 500) -> LMIsocline:
-    """Read folds and branches off the window layout; sample them by an income sweep.
+def lm_branches(spec: ModelSpec, y_range: tuple[float, float],
+                r_range: tuple[float, float]) -> LMIsocline:
+    """The LM isocline's branch table over one domain, read off the window
+    layout in closed form, with no sampling.
 
     The sorted window-endpoint rates cut the rate axis into intervals on which
-    the excess slope keeps one sign, so each interval is one branch (stable
-    outside a window, unstable inside one) and each endpoint rate inside the
-    domain is a fold.  A branch's ends follow from its interval and the LM
-    graph: a fold, the rate edge, placed exactly at (Y_LM(edge), edge), or the
-    end of the income range, where the graph is inverted to a few ulps.  At
-    each income of the sweep, each interval whose end signs differ gives its
-    branch one sample.
+    the excess slope keeps one sign, so each interval that reaches the domain
+    is one branch (stable outside a window, unstable inside one) and each
+    endpoint rate inside the domain is a fold.  A branch's ends follow from
+    its interval and the LM graph: a fold, the rate edge, placed exactly at
+    (Y_LM(edge), edge), or the end of the income range, where the graph is
+    inverted to a few ulps.  Each branch's samples are just those two ends,
+    so the table is for results, never for drawing: its branches, indices,
+    intervals, end kinds and folds are the ones `trace_lm_isocline` samples,
+    bit for bit, and `find_equilibria` and `plan_stabilization` read either.
+    """
+    lm = spec._lm_graph
+    if lm.k_y == 0.0:
+        raise ModelDomainError("l_y equals m_y: the money excess does not depend on "
+                               "income, so the LM isocline is no graph over income")
+    y_lo, y_hi = y_range = (float(y_range[0]), float(y_range[1]))
+    r_lo, r_hi = r_range = (float(r_range[0]), float(r_range[1]))
+    intervals = _intervals(spec, r_range)
+    # Y_LM at the ends (a, b) of each interval
+    end_ys = lm.income([(a, b) for _, a, b in intervals]).tolist()
+
+    # the graph's fold table, by income: endpoint j is the low end of
+    # interval j + 1; even endpoints start a window (lower knee), odd ones end
+    # it (upper knee)
+    found = sorted((y, r, j) for j, r, y in lm.folds(y_range, r_range))
+    folds = tuple(FoldPoint(y, r, ("lower-knee", "upper-knee")[j % 2]) for y, r, j in found)
+    fold_of = {j: i for i, (_, _, j) in enumerate(found)}
+
+    def end_at(r: float, j: int | None, y: float, bracket: tuple[float, float]):
+        """The branch end towards rate r, where the graph reaches income y (j:
+        the window endpoint at r, None on the rate edge), and its exact point:
+        a fold, the rate edge, or the income edge, where the graph is inverted
+        on the interval `bracket` (its rates of lower and higher income)."""
+        if j in fold_of:
+            return ("fold", fold_of[j]), (y, r)
+        if not y_lo <= y <= y_hi:
+            y_e = y_lo if y < y_lo else y_hi
+            return (("boundary", "y_lo" if y < y_lo else "y_hi"),
+                    (y_e, float(lm.rates_at(y_e, *bracket)[0])))
+        return ("boundary", "r_lo" if r == r_lo else "r_hi"), (y, r)
+
+    pieces = []
+    for (k, a, b), (y_a, y_b) in zip(intervals, end_ys):
+        lo, hi = sorted([(a, k - 1 if a > r_lo else None, y_a),
+                         (b, k if b < r_hi else None, y_b)], key=lambda e: e[2])
+        if lo[2] > y_hi or hi[2] < y_lo:
+            continue
+        bracket = (lo[0], hi[0])
+        (lo_end, lo_pt), (hi_end, hi_pt) = end_at(*lo, bracket), end_at(*hi, bracket)
+        pieces.append((np.array([lo_pt[0], hi_pt[0]]), np.array([lo_pt[1], hi_pt[1]]),
+                       "unstable" if k % 2 else "stable", lo_end, hi_end, k))
+
+    pieces.sort(key=lambda piece: (float(piece[0][0]), float(piece[1][0]),
+                                   float(piece[0][-1])))
+    branches = tuple(Branch(*piece[:5], index=i, interval=piece[5])
+                     for i, piece in enumerate(pieces))
+    return LMIsocline(branches, folds, y_range, r_range)
+
+
+def trace_lm_isocline(spec: ModelSpec, y_range: tuple[float, float], y_steps: int,
+                      r_range: tuple[float, float], scan_n: int = 500) -> LMIsocline:
+    """The branch table of `lm_branches`, each branch sampled for drawing.
+
+    Between each branch's two exact ends go the samples of an income sweep
+    (at each income, each interval whose end signs differ gives its branch
+    one sample) and a geometric ladder towards each fold end, so a branch's
+    first and last samples are the table's ends.
 
     The last result is remembered: a call that repeats the previous call's
     model and domain (equal, not necessarily the same objects) returns the
@@ -282,81 +352,46 @@ def trace_lm_isocline(spec: ModelSpec, y_range: tuple[float, float], y_steps: in
 def _trace_lm_isocline(spec: ModelSpec, y_range: tuple[float, float], y_steps: int,
                        r_range: tuple[float, float], scan_n: int) -> LMIsocline:
     """`trace_lm_isocline` on float range pairs, memoised on its last call."""
-    lm = spec._lm_graph
-    if lm.k_y == 0.0:
-        raise ModelDomainError("l_y equals m_y: the money excess does not depend on "
-                               "income, so the LM isocline is no graph over income")
-    (y_lo, y_hi), (r_lo, r_hi) = y_range, r_range
+    table = lm_branches(spec, y_range, r_range)
     scan = _rate_scan(spec, r_range, scan_n)
-    table = scan[2]
-    # Y_LM at the ends (a, b) of each interval
-    end_ys = lm.income([row[1:3] for row in table]).tolist()
-
-    # the graph's fold table, by income: endpoint j is the low end of
-    # interval j + 1; even endpoints start a window (lower knee), odd ones end
-    # it (upper knee)
-    found = sorted((y, r, j) for j, r, y in lm.folds(y_range, r_range))
-    folds = tuple(FoldPoint(y, r, ("lower-knee", "upper-knee")[j % 2]) for y, r, j in found)
-    fold_of = {j: i for i, (_, _, j) in enumerate(found)}
-
-    samples: dict[int, list[tuple[float, float]]] = {row[0]: [] for row in table}
-    for y in np.linspace(y_lo, y_hi, y_steps):
+    rows = {row[0]: row for row in scan[2]}
+    samples: dict[int, list[tuple[float, float]]] = {k: [] for k in rows}
+    for y in np.linspace(*y_range, y_steps):
         for k, r in _scan_roots(float(y), spec, scan):
             samples[k].append((float(y), r))
 
-    def end_at(r: float, j: int | None, y: float, bracket: tuple[float, float]):
-        """The branch end towards rate r, where the graph reaches income y (j:
-        the window endpoint at r, None on the rate edge), and its exact point:
-        a fold, the rate edge, or the income edge, where the graph is inverted
-        on the interval `bracket` (its rates of lower and higher income)."""
-        if j in fold_of:
-            return ("fold", fold_of[j]), (y, r)
-        if not y_lo <= y <= y_hi:
-            y_e = y_lo if y < y_lo else y_hi
-            return (("boundary", "y_lo" if y < y_lo else "y_hi"),
-                    (y_e, float(lm.rates_at(y_e, *bracket)[0])))
-        return ("boundary", "r_lo" if r == r_lo else "r_hi"), (y, r)
-
-    pieces = []
-    for row, (y_a, y_b) in zip(table, end_ys):
-        k, a, b = row[:3]
-        pts = samples[k]
-        lo, hi = sorted([(a, k - 1 if a > r_lo else None, y_a),
-                         (b, k if b < r_hi else None, y_b)], key=lambda e: e[2])
-        if lo[2] > y_hi or hi[2] < y_lo:
-            continue
-        bracket = (lo[0], hi[0])
-        (lo_end, lo_pt), (hi_end, hi_pt) = end_at(*lo, bracket), end_at(*hi, bracket)
+    branches = []
+    for b in table.branches:
+        pts, row = samples[b.interval], rows[b.interval]
+        y_a, y_b = b.ys.tolist()
         # a geometric sample ladder towards a fold keeps interpolation honest
         # where the branch is steep: it halves the gap from the sweep's sample
         # nearest that end, taken before either ladder adds samples
-        anchors = ((pts[0][0], pts[-1][0]) if pts else
-                   (min(max(hi[2], y_lo), y_hi), min(max(lo[2], y_lo), y_hi)))
-        for end, pt, sign, anchor in ((lo_end, lo_pt, 1.0, anchors[0]),
-                                      (hi_end, hi_pt, -1.0, anchors[1])):
+        anchors = (pts[0][0], pts[-1][0]) if pts else (y_b, y_a)
+        for end, y_e, sign, anchor in ((b.lo_end, y_a, 1.0, anchors[0]),
+                                       (b.hi_end, y_b, -1.0, anchors[1])):
             if end[0] == "fold":
                 for n in range(1, 11):
-                    y_n = pt[0] + sign * abs(anchor - pt[0]) * 0.5 ** n
+                    y_n = y_e + sign * abs(anchor - y_e) * 0.5 ** n
                     if (r := _interval_root(y_n, spec, scan, row)) is not None:
                         pts.append((y_n, r))
-                pts.append(pt)
-            else:  # an edge; a sweep sample at its income gives way to it
-                pts = [p for p in pts if p[0] != pt[0]]
-                pts.insert(0 if sign > 0 else len(pts), pt)
-        arr = np.asarray(pts)[np.argsort([y for y, _ in pts])]
-        ys_arr, rs_arr = _dedupe_samples(arr[:, 0], arr[:, 1])
-        pieces.append((ys_arr, rs_arr, "unstable" if k % 2 else "stable", lo_end, hi_end, k))
-
-    pieces.sort(key=lambda piece: (float(piece[0][0]), float(piece[1][0]),
-                                   float(piece[0][-1])))
-    branches = tuple(Branch(*piece[:5], index=i, interval=piece[5])
-                     for i, piece in enumerate(pieces))
-    return LMIsocline(branches, folds, y_range, r_range)
+        inner = np.array([p for p in pts if y_a < p[0] < y_b]).reshape(-1, 2)
+        inner = inner[np.argsort(inner[:, 0], kind="stable")]
+        ys, rs = _dedupe_samples(np.insert(b.ys, 1, inner[:, 0]),
+                                 np.insert(b.rs, 1, inner[:, 1]))
+        branches.append(Branch(ys, rs, b.stability, b.lo_end, b.hi_end,
+                               index=b.index, interval=b.interval))
+    return LMIsocline(tuple(branches), table.folds, table.y_range, table.r_range)
 
 
 def _dedupe_samples(ys: np.ndarray, rs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Drop each sample within 1e-13 in income above the one before it, and
+    each one within 1e-13 below the last, which stays: the first and last
+    samples are a branch's exact ends."""
     keep = np.ones(len(ys), dtype=bool)
     keep[1:] = np.diff(ys) > 1e-13
+    keep[1:-1] &= ys[-1] - ys[1:-1] > 1e-13
+    keep[-1] = True
     return ys[keep], rs[keep]
 
 
@@ -411,7 +446,8 @@ def find_equilibria(spec: ModelSpec, y_range: tuple[float, float],
     "center-degenerate" with degenerate set; no sampling density enters.
     Each equilibrium's branch is the one of its rate interval that covers its
     income; a window-endpoint rate belongs to the interval above it, as in
-    `_interval_root`.
+    `_interval_root`.  Only the branches' intervals, indices and ends are
+    read, so `isocline` may be the `lm_branches` table or a trace.
     """
     curve = is_curve(spec)
     lm = spec._lm_graph

@@ -56,8 +56,11 @@ WORST_TIE_TOL = 1e-7
 # Finite-difference step, as a fraction of the axis scale.
 FD_STEP_FRACTION = 1e-6
 
-# Iteration cap of the safeguarded Newton inversions (`_invert`).
+# Iteration cap of the safeguarded Newton inversions (`_invert`), and the
+# iterations after which the elements still open bisect their brackets in the
+# order of the floats, which closes any bracket in 64 more.
 NEWTON_MAX_ITER = 100
+NEWTON_BISECT_AFTER = 16
 
 # Shoulder sizing for the slope transitions flanking each trap window: half the
 # window width, capped so neighbouring windows never share a transition zone.
@@ -533,13 +536,18 @@ def _invert(f, df, target: np.ndarray, x_lo: np.ndarray, x_hi: np.ndarray,
     residual narrows that bracket, and a Newton step that would leave it is
     replaced by bisection.  Newton steps that converge from one side never
     move the far end, so a step that stalls on the end it has just set takes
-    the next float towards the other end instead.  An element is done when
-    its residual is within `tol` or its bracket is a few ulps wide; with
-    tol 0 it ends on such a bracket, well inside NEWTON_MAX_ITER.
+    the next float towards the other end instead.  Where f in floats does
+    not follow its derivative (it rounds to one value over a vast number of
+    ulps, as Y_LM does near its zero, or is flat to high order at the root)
+    those steps creep, so an element still open after NEWTON_BISECT_AFTER
+    iterations halves its bracket in the order of the floats from then on
+    (`_float_midpoint`).  An element is done when its residual is within
+    `tol` or its bracket is a few ulps wide; with tol 0 it ends on such a
+    bracket, inside NEWTON_MAX_ITER.
     """
     x, x_lo, x_hi = x0.copy(), x_lo.copy(), x_hi.copy()
     k = np.arange(len(x))
-    for _ in range(NEWTON_MAX_ITER):
+    for i in range(NEWTON_MAX_ITER):
         res = f(x[k], k) - target[k]
         lo, hi = np.where(res < 0.0, x[k], x_lo[k]), np.where(res > 0.0, x[k], x_hi[k])
         x_lo[k], x_hi[k] = lo, hi
@@ -548,6 +556,9 @@ def _invert(f, df, target: np.ndarray, x_lo: np.ndarray, x_hi: np.ndarray,
         k, res, lo, hi = k[open_], res[open_], lo[open_], hi[open_]
         if not len(k):
             break
+        if i >= NEWTON_BISECT_AFTER:
+            x[k] = _float_midpoint(lo, hi)
+            continue
         x_k = x[k]
         with np.errstate(divide="ignore", invalid="ignore"):
             step = x_k - res / df(x_k, k)
@@ -555,6 +566,15 @@ def _invert(f, df, target: np.ndarray, x_lo: np.ndarray, x_hi: np.ndarray,
         stalled = np.nextafter(x_k, np.where(res < 0.0, hi, lo))
         x[k] = np.where(inside, step, np.where(step == x_k, stalled, 0.5 * (lo + hi)))
     return x
+
+
+def _float_midpoint(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The float halfway between a and b in the order of the floats: the
+    midpoint of their ranks, with -0.0 and 0.0 one rank."""
+    bits = np.stack([a, b]).view(np.int64)
+    rank = np.where(bits < 0, -(bits & np.int64(0x7FFFFFFFFFFFFFFF)), bits)
+    mid = (rank[0] >> 1) + (rank[1] >> 1) + (rank[0] & rank[1] & 1)
+    return np.where(mid < 0, -np.abs(mid).view(float), mid.view(float))
 
 
 @dataclass(frozen=True)

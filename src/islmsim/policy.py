@@ -364,7 +364,8 @@ def plan_stabilization(spec: ModelSpec, fold: FoldPoint, instrument: str,
     every branch horizontally by dM / (l_y - m_y), so the post-jump branch
     keeps its rate interval, which starts at the window's other endpoint
     rate, and never reaches the fold rate.  That plan relocates the fold
-    beyond a protected income instead.
+    beyond a protected income instead.  Only the isocline's rate range is
+    read, so it may be the `lm_branches` table or a trace.
     """
     if instrument not in ("inflation", "money-stock"):
         raise ValueError(f"unknown instrument {instrument!r}")

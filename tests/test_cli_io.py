@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import islmsim.cli
+import islmsim.geometry
 from islmsim.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, RUN_SECTIONS, main,
                          run_command)
 from islmsim.config import (
@@ -494,6 +495,45 @@ def test_a_jump_that_leaves_the_rate_range_is_a_validation_failure(tmp_path, cap
         assert "the up jump" in err and "leaves the rate range" in err
         assert "Traceback" not in err
         assert not list((tmp_path / cmd).glob("*.csv")), cmd
+
+
+# ---------------------------------------------------------------------------
+# results read the branch table; only drawing output samples the isocline
+
+def _no_trace(*args, **kwargs):
+    raise AssertionError("a results-only subcommand traced the isocline")
+
+
+@pytest.mark.parametrize("name", ["reference", "no_trap", "two_window",
+                                  "three_window", "steep_is", "fiscal_ramp"])
+def test_equilibria_label_their_branches_as_the_isocline_does_without_a_trace(name,
+                                                                               tmp_path):
+    cfg = write_config(tmp_path, shipped_config(name))
+    with mock.patch.object(islmsim.geometry, "_trace_lm_isocline", _no_trace):
+        assert run_command(["equilibria", "--config", str(cfg),
+                            "--out", str(tmp_path / "eq"), "--quiet"]) == 0
+    assert run_command(["isocline", "--config", str(cfg),
+                        "--out", str(tmp_path / "iso"), "--quiet"]) == 0
+    eqs = json.loads((tmp_path / "eq" / "equilibria.json").read_text())["equilibria"]
+    drawn = json.loads((tmp_path / "iso" / "isocline.json").read_text())["equilibria"]
+    assert [e["branch"] for e in eqs] == [e["branch"] for e in drawn]
+    assert eqs == drawn
+
+
+def test_stabilize_plans_on_the_branch_table_and_only_its_runs_trace(tmp_path):
+    cfg = write_config(tmp_path, shipped_config("fiscal_ramp"))
+    original, models = islmsim.geometry._trace_lm_isocline, []
+
+    def counted(spec, *args):
+        models.append(spec)
+        return original(spec, *args)
+
+    with mock.patch.object(islmsim.cli, "trace_lm_isocline", _no_trace), \
+            mock.patch.object(islmsim.geometry, "_trace_lm_isocline", counted):
+        assert run_command(["stabilize", "--config", str(cfg),
+                            "--out", str(tmp_path / "st"), "--quiet"]) == 0
+    # apply_scenario traces each model its singular-limit runs put in force
+    assert models
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from islmsim.geometry import (
     classify_jacobian,
     find_equilibria,
     is_curve,
+    lm_branches,
     lm_roots,
     shift_lm,
     trace_lm_isocline,
@@ -321,6 +322,24 @@ def test_fold_ladders_reach_both_folds_of_a_branch():
         gaps = np.abs(branch.ys - fold.y)
         assert gaps.min() == 0.0  # the fold itself
         assert np.sort(gaps)[1] <= step / 1024, fold
+
+
+def test_a_sweep_sample_just_below_a_fold_gives_way_to_the_fold(ref_spec, ref_domain):
+    # the income range puts the sweep's last inner sample 5e-14 below the
+    # highest fold's income, within the samples' 1e-13 spacing: the branches
+    # that rise to that fold still end on it, as in the branch table
+    fold = max(lm_branches(ref_spec, ref_domain["y_range"], ref_domain["r_range"]).folds,
+               key=lambda f: f.y)
+    y_range = (0.0, (fold.y - 5e-14) * 699 / 698)
+    assert 0.0 < fold.y - np.linspace(*y_range, 700)[-2] < 1e-13
+    table = lm_branches(ref_spec, y_range, ref_domain["r_range"])
+    iso = trace_lm_isocline(ref_spec, y_range, 700, ref_domain["r_range"], 500)
+    ends = [(b, t) for b, t in zip(iso.branches, table.branches) if b.hi_end[0] == "fold"]
+    assert len(ends) == 2
+    for b, t in ends:
+        assert (b.ys[-1], b.rs[-1]) == (t.ys[-1], t.rs[-1])
+        assert table.folds[b.hi_end[1]] == fold
+        assert b.ys[-1] - b.ys[-2] > 1e-13
 
 
 # ---------------------------------------------------------------------------

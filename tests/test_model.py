@@ -488,6 +488,23 @@ def test_inversion_ends_on_a_few_ulp_bracket_well_inside_the_cap():
     assert len(calls) <= 12 < NEWTON_MAX_ITER
 
 
+def test_inversion_crosses_a_stretch_that_rounds_to_one_value():
+    # (1 + 3x) - 1 rounds to 0.0 over about 1e-16 around 0, a vast number of
+    # ulps of a root of 1e-200: Newton steps of 1e-200 crept there and left
+    # the root at the cap, far from where the rounded graph meets the target
+    calls = []
+
+    def f(x, _k):
+        calls.append(len(x))
+        return (1.0 + 3.0 * x) - 1.0
+
+    x = _invert(f, lambda x, _k: np.full_like(x, 3.0), np.array([1e-200]), np.array([-0.5]),
+                np.array([0.5]), np.array([0.0]), np.array([0.0]))[0]
+    near = f(x + np.arange(-4, 5) * np.spacing(x), None)
+    assert near.min() <= 1e-200 <= near.max()
+    assert len(calls) < NEWTON_MAX_ITER
+
+
 def test_model_imports_no_other_islmsim_module():
     # geometry, dynamics and policy import the model; an import back is a cycle
     tree = ast.parse(Path(islmsim.model.__file__).read_text(encoding="utf-8"))

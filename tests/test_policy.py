@@ -93,12 +93,18 @@ def test_monetary_step_shifts_branches_exactly(ref_spec, ref_isocline, kw):
     reattach = [e for e in result.events if e["kind"] == "reattach"]
     assert len(reattach) == 1
     assert reattach[0]["t"] == pytest.approx(3.0, abs=1e-12)
-    t = result.trajectory.t
-    corner = np.nonzero(np.diff(t) < 1e-6)[0]
-    assert len(corner) == 1
-    k = int(corner[0])
-    assert result.trajectory.y[k + 1] == result.trajectory.y[k]
-    assert result.trajectory.r[k + 1] != result.trajectory.r[k]
+    # each zero-time move, the fold jump and the reattachment, is drawn as a
+    # corner at its rate before the move, then the landing at its instant
+    moves = [(e["t"], e["r_from"], e["r_to"]) for e in result.events
+             if e["kind"] in ("jump", "reattach")]
+    assert len(moves) == 2
+    tr = result.trajectory
+    corners = np.nonzero(np.diff(tr.t) < 1e-6)[0]
+    assert len(corners) == 2
+    for k, (t_move, r_from, r_to) in zip(corners.tolist(), moves):
+        assert tr.t[k + 1] == t_move
+        assert tr.y[k + 1] == tr.y[k]
+        assert (tr.r[k], tr.r[k + 1]) == (r_from, r_to)
 
 
 @pytest.mark.parametrize("mode", ["singular-limit", "full-epsilon"])

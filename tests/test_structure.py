@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from islmsim.dynamics import (Trajectory, _fold_landing, attach_to_branch, detect_cycle,
                               reduced_simulate)
 from islmsim.geometry import (FoldPoint, _trace_lm_isocline, find_equilibria, is_curve,
-                              lm_roots, shift_lm, trace_lm_isocline)
+                              lm_branches, lm_roots, shift_lm, trace_lm_isocline)
 from islmsim.model import (FD_STEP_FRACTION, SIGN_DEGENERACY_TOL, ISBlock, ModelParams,
                            ModelSpec, MoneyBlock, TrapWindow, _LMGraph, build_three_phase_money,
                            excess_money, excess_money_many, excess_money_slope, short_rate,
@@ -79,6 +79,12 @@ TWO_KNEES_AT_ONE_INCOME = ModelSpec(
 # ulp's miss.
 TOUCH_INCOME_TOL = 1e-12
 TOUCH_RATE_TOL = 1e-4
+
+# No windows, and Y_LM = 100 R exactly: near R = 0 the graph rounds to -0.0
+# over about 3e-17 of rate, a vast number of ulps of a root of a tiny income.
+GRAPH_ZERO_AT_RATE_ZERO = ModelSpec(
+    ModelParams(1.0, 0.25, 1e-3, 2.5, 0.02, 0.0), ISBlock(1.5, 0.25, 1.0, 0.5, 0.5, 1.0),
+    MoneyBlock(0.5, 0.1, 20.0, 20.0, 2.2, 0.5))
 
 
 @settings(max_examples=40, deadline=None,
@@ -177,6 +183,7 @@ def _on_the_graph(lm, y, r):
 @given(trap_specs(min_windows=0), st.floats(-2.0, 300.0), st.floats(-2.0, 300.0),
        st.lists(st.floats(*WIDE_Y), min_size=3, max_size=3),
        st.lists(st.floats(1e-7, 1e-2), min_size=1, max_size=2))
+@example(GRAPH_ZERO_AT_RATE_ZERO, 0.0, 0.0, [0.0, 5.084947971055245e-176, 1e-300], [1e-3])
 def test_lm_graph_roots_hold_on_a_widened_rate_range(spec, lo_exp, hi_exp, incomes,
                                                      fold_offsets):
     # the rate range widened by up to 1e300 on either side finds every root
@@ -200,6 +207,29 @@ def test_lm_graph_roots_hold_on_a_widened_rate_range(spec, lo_exp, hi_exp, incom
             assert b[0] == a[0] and _on_the_graph(lm, y_f, b[1]), y_f
     report = validate_properties(spec, WIDE_Y, wide)
     assert "validation run" not in [c.condition for c in report.conditions]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(trap_specs(min_windows=0),
+       st.none() | st.tuples(st.floats(-2.0, 300.0), st.floats(-2.0, 300.0)))
+def test_the_branch_table_is_the_traced_isocline_unsampled(spec, widen):
+    # the closed-form table and the trace agree bit for bit on every branch's
+    # ends and labels and on the folds, on the narrow range and on one widened
+    # by up to 1e300 on either side; each table branch holds its ends alone
+    r_range = WIDE_R if widen is None else (WIDE_R[0] - 10.0 ** widen[0],
+                                            WIDE_R[1] + 10.0 ** widen[1])
+    table = lm_branches(spec, WIDE_Y, r_range)
+    iso = trace_lm_isocline(spec, WIDE_Y, TRACE_STEPS, r_range)
+    assert table.folds == iso.folds
+    assert (table.y_range, table.r_range) == (iso.y_range, iso.r_range)
+    assert len(table.branches) == len(iso.branches) > 0
+    for t, b in zip(table.branches, iso.branches):
+        assert (t.index, t.interval, t.stability, t.lo_end, t.hi_end) == (
+            b.index, b.interval, b.stability, b.lo_end, b.hi_end)
+        assert t.ys.tolist() == [b.ys[0], b.ys[-1]]
+        assert t.rs.tolist() == [b.rs[0], b.rs[-1]]
 
 
 @settings(max_examples=30, deadline=None,
