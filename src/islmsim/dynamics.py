@@ -605,19 +605,14 @@ def detect_jumps(traj: Trajectory, spec: ModelSpec) -> list[JumpEvent]:
     return _window_traversals([(traj, spec)])
 
 
-def _levels(r: np.ndarray, rates: np.ndarray) -> np.ndarray:
-    """The window endpoints each rate has passed (r > p, r >= q): level 2g
-    is rate gap g, odd levels lie inside a window."""
-    return (r[:, None] > rates[:, 0]).sum(axis=1) + (r[:, None] >= rates[:, 1]).sum(axis=1)
-
-
 def _window_traversals(parts: list[tuple[Trajectory, ModelSpec]]) -> list[JumpEvent]:
     """Jumps across consecutive (trajectory, spec) parts of one run.
 
     The stable branches lie in the rate gaps between the trap windows, so
     the fast flow moves the state from gap to gap only by jumping.  A
-    sample's level (`_levels`) is read by its own part's window rates.  A
-    jump joins two consecutive samples in different gaps, so a canard (an
+    sample's level is its rate interval under its own part's model
+    (`_LMGraph.intervals`): even in a gap, odd inside a window.  A jump
+    joins two consecutive samples in different gaps, so a canard (an
     excursion that returns to its gap) is no jump, nor is the first exit of
     a run that starts inside a window.  Besides:
 
@@ -627,18 +622,16 @@ def _window_traversals(parts: list[tuple[Trajectory, ModelSpec]]) -> list[JumpEv
       at the arrival income is still positive at the gap's top, so no branch
       can stop it there; likewise down.
     """
-    t, y, r, level, fresh, part_of, models = [], [], [], [], [], [], []
-    for traj, spec in parts:
+    t, y, r, level, fresh, part_of = [], [], [], [], [], []
+    for n, (traj, spec) in enumerate(parts):
         if not len(traj):
             continue
-        rates = np.asarray(spec._lm_graph.ends).reshape(-1, 2)
-        lv = _levels(traj.r, rates)
+        lv = spec._lm_graph.intervals(traj.r)
         cut = np.zeros(len(lv), dtype=bool)
         cut[0] = bool(level) and lv[0] != level[-1][-1]
         for a, v in ((t, traj.t), (y, traj.y), (r, traj.r), (level, lv), (fresh, cut),
-                     (part_of, np.full(len(lv), len(models)))):
+                     (part_of, np.full(len(lv), n))):
             a.append(v)
-        models.append((spec, rates))
     if not t:
         return []
     t, y, r, level, part_of = (np.concatenate(a) for a in (t, y, r, level, part_of))
@@ -653,10 +646,9 @@ def _window_traversals(parts: list[tuple[Trajectory, ModelSpec]]) -> list[JumpEv
             continue
         up = bool(level[j] > level[i])
         if events and (events[-1].direction == "up") == up and epoch[arr] == epoch[i]:
-            spec, rates = models[part_of[arr]]
-            gap = level[arr] // 2
-            edge = rates[gap, 0] if up else rates[gap - 1, 1]
-            if (excess_money(max(float(y[arr]), 0.0), float(edge), spec) > 0.0) == up:
+            spec, k = parts[part_of[arr]][1], level[arr]
+            edge = spec._lm_graph.ends[k if up else k - 1]
+            if (excess_money(max(float(y[arr]), 0.0), edge, spec) > 0.0) == up:
                 events.pop()
                 i = dep
         dep, arr = i, j
@@ -669,15 +661,15 @@ def detect_cycle(traj: Trajectory, spec: ModelSpec) -> CycleSummary | None:
     """The run's last whole cycle (`CycleSummary`), read off its jumps.
 
     The jumps are `traj.jumps`, or else `detect_jumps(traj, spec)`, each
-    labelled by its direction and the rate gap it departs (`_levels` on the
-    windows of `spec`).  The latest jump whose label an earlier one bears
-    pairs with the latest such earlier jump; the latest pair whose window
-    fits in the run gives the cycle.  A run with no repeated label (an
-    equilibrium, no trap window, a short horizon) has none: None.
+    labelled by its direction and the rate gap it departs (its interval
+    under `spec`, a window's read as the gap below it).  The latest jump
+    whose label an earlier one bears pairs with the latest such earlier
+    jump; the latest pair whose window fits in the run gives the cycle.  A
+    run with no repeated label (an equilibrium, no trap window, a short
+    horizon) has none: None.
     """
     jumps = list(traj.jumps or detect_jumps(traj, spec))
-    rates = np.asarray(spec._lm_graph.ends).reshape(-1, 2)
-    gaps = _levels(np.array([j.r_from for j in jumps]), rates) // 2
+    gaps = spec._lm_graph.intervals([j.r_from for j in jumps]) // 2 * 2
     last: dict[tuple[str, int], int] = {}
     pairs = []
     for k, label in enumerate(zip((j.direction for j in jumps), gaps.tolist())):
@@ -685,8 +677,8 @@ def detect_cycle(traj: Trajectory, spec: ModelSpec) -> CycleSummary | None:
             pairs.append((last[label], k, label[1]))
         last[label] = k
     for e, k, gap in reversed(pairs):
-        period = (_departure(traj, jumps[k], gap, rates, spec)
-                  - _departure(traj, jumps[e], gap, rates, spec))
+        period = (_departure(traj, jumps[k], gap, spec)
+                  - _departure(traj, jumps[e], gap, spec))
         t0 = 0.5 * (jumps[e].t_end + jumps[e + 1].t_start)
         if t0 + period <= traj.t[-1]:
             break
@@ -700,17 +692,16 @@ def detect_cycle(traj: Trajectory, spec: ModelSpec) -> CycleSummary | None:
     return CycleSummary(period, orientation, inside, y_turning, r_extent, t0)
 
 
-def _departure(traj: Trajectory, jump: JumpEvent, gap: int, rates: np.ndarray,
-               spec: ModelSpec) -> float:
-    """When a jump leaves rate gap `gap`: its own time if it takes none, else
-    when the rate crosses the gap's edge, read on the cubic Hermite of the
-    departure sample and the next one.  Its end slopes are the rate's own,
-    dR/dt = beta E(max(Y, 0), R), the same in free and driven runs; the two
-    samples bracket the edge, so bisection on [0, 1] finds the crossing."""
+def _departure(traj: Trajectory, jump: JumpEvent, gap: int, spec: ModelSpec) -> float:
+    """When a jump leaves the gap of rate interval `gap`: its own time if it
+    takes none, else when the rate crosses the gap's edge, read on the cubic
+    Hermite of the departure sample and the next one.  Its end slopes are the
+    rate's own, dR/dt = beta E(max(Y, 0), R), the same in free and driven
+    runs; the two samples bracket the edge, so bisection finds the crossing."""
     if jump.t_end == jump.t_start:
         return jump.t_start
     up = jump.direction == "up"
-    edge = float(rates[gap, 0] if up else rates[gap - 1, 1])
+    edge = spec._lm_graph.ends[gap if up else gap - 1]
     i = int(np.searchsorted(traj.t, jump.t_start))
     (t0, t1), (y0, y1), (r0, r1) = (a[i:i + 2].tolist() for a in (traj.t, traj.y, traj.r))
     h, money = t1 - t0, spec._excess_money

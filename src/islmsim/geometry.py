@@ -5,7 +5,8 @@ slope vanishes only at the window-endpoint rates, so those rates cut the rate
 axis into intervals on which the excess is strictly monotone: each interval
 is one branch, stable (the fast dynamics attract to it) outside a window and
 unstable inside one, and each endpoint rate inside the domain is a fold, at
-the income where the excess vanishes there.
+the income where the excess vanishes there.  The LM graph (`_LMGraph`) lays
+out those intervals and says which one holds a rate; this module reads it.
 
 Roots come from the same intervals, not from grid sign scans: an interval
 holds a root at a given income exactly when the excess signs at its ends
@@ -28,6 +29,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
+from itertools import count
 
 import numpy as np
 
@@ -162,8 +164,9 @@ def is_curve(spec: ModelSpec) -> ISCurve:
 
 def _bisect(f, lo: float, hi: float, f_lo: float, rtol: float) -> float:
     """Bisection of f on [lo, hi], where f(lo) = f_lo and f(hi) differ in
-    sign; runs to a relative width of rtol, near machine width."""
-    for _ in range(100):
+    sign; runs to a relative width of rtol, near machine width, which any
+    finite bracket reaches within 1100 halvings (1e308 to 1e-15: 1075)."""
+    for _ in range(1100):
         if hi - lo <= rtol * max(1.0, abs(lo), abs(hi)):
             break
         mid = 0.5 * (lo + hi)
@@ -182,33 +185,25 @@ def _rate_scan(spec: ModelSpec, r_range: tuple[float, float],
     """The rate grid, the money excess E(0, .) on it, and the interval table.
 
     E(y, r) = E(0, r) + (l_y - m_y) y, so one grid evaluation serves every
-    income of a trace.  Each table row is one interval between window-endpoint
-    rates, where E(0, .) is strictly monotone: its index k among them, its
-    ends a < b, E(0, .) at both ends, and the grid nodes [i0, i1) inside it.
+    income of a trace.  Each table row is one interval of the LM graph's
+    layout (`_LMGraph._cuts`), where E(0, .) is strictly monotone: its index
+    k, ends a < b, E(0, .) at both, and the grid nodes [i0, i1) inside it.
     """
     if scan_n < 200:
         raise ValueError("scan_n must be at least 200")
     nodes = np.linspace(*r_range, scan_n + 1)
     grid, base = nodes.tolist(), excess_money_many(0.0, nodes, spec).tolist()
+    k0, cuts, _ = spec._lm_graph._cuts(*r_range)
     table = [(k, a, b, excess_money(0.0, a, spec), excess_money(0.0, b, spec),
               bisect_right(grid, a), bisect_left(grid, b))
-             for k, a, b in _intervals(spec, r_range)]
+             for k, a, b in zip(count(k0), cuts, cuts[1:])]
     return grid, base, table
-
-
-def _intervals(spec: ModelSpec, r_range: tuple[float, float]) -> list[tuple[int, float, float]]:
-    """(k, a, b) for each rate interval between window-endpoint rates that
-    meets r_range: its index k among them and its ends a < b, cut to the range."""
-    r_lo, r_hi = r_range
-    bounds = [-math.inf, *spec._lm_graph.ends, math.inf]
-    return [(k, a, b) for k in range(len(bounds) - 1)
-            if (a := max(r_lo, bounds[k])) < (b := min(r_hi, bounds[k + 1]))]
 
 
 def _interval_root(y: float, spec: ModelSpec, scan, row) -> float | None:
     """The root of the monotone E(y, .) in one table interval, if its end signs
-    differ (a root on an end belongs to the interval above it, or to the top
-    one on the rate edge); binary search narrows the bracket to a grid cell."""
+    differ (a root on an end is listed once, by the interval above it or the
+    top one on the rate edge); binary search narrows the bracket to a cell."""
     grid, base, _ = scan
     _, a, b, e_a, e_b, i0, i1 = row
     c = spec._lm_graph.k_y * y
@@ -284,14 +279,12 @@ def lm_branches(spec: ModelSpec, y_range: tuple[float, float],
                                "income, so the LM isocline is no graph over income")
     y_lo, y_hi = y_range = (float(y_range[0]), float(y_range[1]))
     r_lo, r_hi = r_range = (float(r_range[0]), float(r_range[1]))
-    intervals = _intervals(spec, r_range)
-    # Y_LM at the ends (a, b) of each interval
-    end_ys = lm.income([(a, b) for _, a, b in intervals]).tolist()
+    # the intervals, Y_LM at their ends, and the fold table, from one layout
+    cut = k0, cuts, incomes = lm._cuts(r_lo, r_hi)
 
-    # the graph's fold table, by income: endpoint j is the low end of
-    # interval j + 1; even endpoints start a window (lower knee), odd ones end
-    # it (upper knee)
-    found = sorted((y, r, j) for j, r, y in lm.folds(y_range, r_range))
+    # the fold table by income: endpoint j is the low end of interval j + 1;
+    # even endpoints start a window (lower knee), odd ones end it (upper knee)
+    found = sorted((y, r, j) for j, r, y in lm.folds(y_range, cut))
     folds = tuple(FoldPoint(y, r, ("lower-knee", "upper-knee")[j % 2]) for y, r, j in found)
     fold_of = {j: i for i, (_, _, j) in enumerate(found)}
 
@@ -309,7 +302,7 @@ def lm_branches(spec: ModelSpec, y_range: tuple[float, float],
         return ("boundary", "r_lo" if r == r_lo else "r_hi"), (y, r)
 
     pieces = []
-    for (k, a, b), (y_a, y_b) in zip(intervals, end_ys):
+    for k, a, b, y_a, y_b in zip(count(k0), cuts, cuts[1:], incomes, incomes[1:]):
         lo, hi = sorted([(a, k - 1 if a > r_lo else None, y_a),
                          (b, k if b < r_hi else None, y_b)], key=lambda e: e[2])
         if lo[2] > y_hi or hi[2] < y_lo:
@@ -444,10 +437,10 @@ def find_equilibria(spec: ModelSpec, y_range: tuple[float, float],
     differ in sign is bisected.  Degeneracy rule: when |phi(Y*)| is below
     TANGENCY_EXCESS_TOL the pair is one tangent equilibrium at Y*, reported
     "center-degenerate" with degenerate set; no sampling density enters.
-    Each equilibrium's branch is the one of its rate interval that covers its
-    income; a window-endpoint rate belongs to the interval above it, as in
-    `_interval_root`.  Only the branches' intervals, indices and ends are
-    read, so `isocline` may be the `lm_branches` table or a trace.
+    Each equilibrium's branch is the one of its rate interval
+    (`_LMGraph.intervals`) that covers its income.  Only the branches'
+    intervals, indices and ends are read, so `isocline` may be the
+    `lm_branches` table or a trace.
     """
     curve = is_curve(spec)
     lm = spec._lm_graph
@@ -487,13 +480,13 @@ def find_equilibria(spec: ModelSpec, y_range: tuple[float, float],
                      if f_a != 0.0 and f_b != 0.0 and (f_a > 0.0) != (f_b > 0.0))
 
     results: list[Equilibrium] = []
-    for y_star, tangent in sorted(found):
-        r_star = float(curve.r_at(y_star))
+    found.sort()
+    rates = [float(curve.r_at(y)) for y, _ in found]
+    for (y_star, tangent), r_star, k in zip(found, rates, lm.intervals(rates).tolist()):
         cls, eig, tr, det, disc, degen = classify_jacobian(*_jacobian(spec, r_star))
         if tangent:
             cls, degen = "center-degenerate", True
-        branch = (None if isocline is None
-                  else _interval_branch(isocline, bisect_right(lm.ends, r_star), y_star))
+        branch = None if isocline is None else _interval_branch(isocline, k, y_star)
         results.append(Equilibrium(y_star, r_star, cls, eig, tr, det, disc, degen,
                                    -1 if branch is None else branch.index))
     return results

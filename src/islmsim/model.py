@@ -347,7 +347,8 @@ class _LMGraph:
     at the window-endpoint rates `ends` (ascending; the folds sit there), so
     Y_LM is strictly monotone on each interval k, from ends[k - 1] to
     ends[k], and smooth between the money block's segment `breaks`; both are
-    in long-rate terms.  `rates_at` inverts the graph on one monotone
+    in long-rate terms.  `_cuts` lays out the intervals of a rate range and
+    `intervals` places rates in them; `rates_at` inverts the graph on one
     interval; `folds` lists a domain's folds, and `land_folds` lands them.
     Each `ModelSpec` builds its graph once (`ModelSpec._lm_graph`); the graph
     keeps the blocks it reads, not the spec.
@@ -419,50 +420,60 @@ class _LMGraph:
         far, y_far = np.where(near_lo, r_hi, r_lo), np.where(near_lo, y_hi, y_lo)
         return r_lo, r_hi, e + (y - y_e) / (y_far - y_e) * (far - e)
 
+    def intervals(self, r) -> np.ndarray:
+        """The interval index k of each rate (even between windows, odd inside
+        one): a window start is in the gap below it, a window end above it."""
+        r = np.asarray(r, dtype=float)
+        return (np.searchsorted(self.ends[0::2], r, "left")
+                + np.searchsorted(self.ends[1::2], r, "right"))
+
     def _cuts(self, r_lo: float, r_hi: float) -> tuple[int, list[float], list[float]]:
         """(k0, cuts, incomes): the range ends and the window-endpoint rates
-        strictly inside them, and Y_LM at each from one `income` call; cut
-        pair i bounds interval k0 + i.  With k_y = 0 there are no cuts."""
+        strictly inside them, and Y_LM at each from one `income` call (none
+        when k_y = 0); cut pair i bounds interval k0 + i."""
         k0 = bisect_right(self.ends, r_lo)
-        if self.k_y == 0.0:
-            return k0, [], []
         cuts = [r_lo, *(r for r in self.ends[k0:] if r < r_hi), r_hi]
-        return k0, cuts, self.income(cuts).tolist()
+        return k0, cuts, self.income(cuts).tolist() if self.k_y else []
 
     @staticmethod
-    def _crossings(y: float, cut) -> list[tuple[int, object]]:
-        """(k, where) for each interval of a `_cuts` range whose end incomes
-        lie on both sides of y, ascending in rate: `where` is an interval end
-        at which the graph equals y (it belongs to the interval above it, or
-        to the top one on r_hi), or else the bracket that holds the root, as
-        its rates of lower and higher income."""
-        k0, cuts, incomes = cut
+    def _crossings(y: float, cut) -> list[object]:
+        """Where the graph reaches y on each interval of a `_cuts` range whose
+        end incomes lie on both sides of y, ascending in rate: an interval
+        end at which the graph equals y (listed once, by the interval above
+        it, or by the top one on r_hi), or else the bracket that holds the
+        root, as its rates of lower and higher income."""
+        _, cuts, incomes = cut
         found = []
-        for k, a, b, y_a, y_b in zip(count(k0), cuts, cuts[1:], incomes, incomes[1:]):
+        for a, b, y_a, y_b in zip(cuts, cuts[1:], incomes, incomes[1:]):
             if y_a == y or (y_b == y and b == cuts[-1]):
-                found.append((k, a if y_a == y else b))
+                found.append(a if y_a == y else b)
             elif y_a < y < y_b or y_b < y < y_a:
-                found.append((k, (a, b) if y_a < y_b else (b, a)))
+                found.append((a, b) if y_a < y_b else (b, a))
         return found
 
-    def _solve(self, ys: list[float], rows: list[list]) -> list[list[tuple[int, float]]]:
-        """Each row of `_crossings` pairs at its income of ys, with its brackets
-        solved in one `rates_at` call from its default start, so a root
-        equals a branch end inverted on the same bracket.  Each root takes its
-        own Newton steps, apart from the others."""
-        brackets = [(y, x) for y, row in zip(ys, rows) for _, x in row if isinstance(x, tuple)]
+    def _solve(self, ys: list[float], rows: list[list], cut) -> list[list[tuple[int, float]]]:
+        """Each row of `_crossings` on the range `cut` at its income of ys, as
+        (k, R) pairs: the brackets solved in one `rates_at` call from its
+        default start, so a root equals a branch end inverted on the same
+        bracket, and k R's interval (`intervals`), kept to the range's own:
+        a range end on a window endpoint holds none of the gap beyond it."""
+        brackets = [(y, x) for y, row in zip(ys, rows) for x in row if isinstance(x, tuple)]
         solved = iter(())
         if brackets:
             y = np.array([y for y, _ in brackets])
             lo, hi = np.array([x for _, x in brackets]).T
             solved = iter(self.rates_at(y, lo, hi).tolist())
-        return [[(k, next(solved) if isinstance(x, tuple) else x) for k, x in row]
-                for row in rows]
+        xs = [[next(solved) if isinstance(x, tuple) else x for x in row] for row in rows]
+        k0, cuts, _ = cut
+        ks = iter(np.clip(self.intervals([x for row in xs for x in row]),
+                          k0, k0 + len(cuts) - 2).tolist())
+        return [[(next(ks), x) for x in row] for row in xs]
 
     def roots(self, y: float, r_lo: float, r_hi: float) -> list[tuple[int, float]]:
         """Every (k, R) with r_lo <= R <= r_hi and Y_LM(R) = y, ascending in R,
-        with k the index of R's interval."""
-        return self._solve([y], [self._crossings(y, self._cuts(r_lo, r_hi))])[0]
+        with k the index of R's interval (`_solve`)."""
+        cut = self._cuts(r_lo, r_hi)
+        return self._solve([y], [self._crossings(y, cut)], cut)[0]
 
     def landings(self, starts: list[tuple[float, float, bool]], r_lo: float, r_hi: float
                  ) -> list[tuple[int, float] | None]:
@@ -471,36 +482,32 @@ class _LMGraph:
         root x >= r going up (the highest x <= r going down) in [r_lo, r_hi],
         or None.  dR/dt = beta E cannot pass a zero of E, so a root where the
         graph only touches y (another fold at the same income) stops the flow
-        too.  A root on a window start is a lower knee, the top of the stable
-        interval below it."""
+        too."""
         if (y := min((y for y, _, _ in starts), default=0.0)) < 0.0:
             raise ModelDomainError(f"income must be non-negative, got {y}")
         cut, walks = self._cuts(r_lo, r_hi), []
         for y, r, up in starts:
             found, walk = self._crossings(y, cut), []
-            for k, x in found if up else reversed(found):
+            for x in found if up else reversed(found):
                 a, b = sorted(x) if isinstance(x, tuple) else (x, x)
                 if b >= r if up else a <= r:  # not behind the start
-                    walk.append((k, x))
+                    walk.append(x)
                     # a bracket around the start may hold its root behind it,
                     # so the walk ends at the first root wholly beyond it
                     if a >= r if up else b <= r:
                         break
             walks.append(walk)
-        out = []
-        for (_, r, up), walk in zip(starts, self._solve([y for y, _, _ in starts], walks)):
-            k, x = next(((k, x) for k, x in walk if (x >= r if up else x <= r)), (0, None))
-            out.append(None if x is None else
-                       ((k - 1 if k % 2 and x == self.ends[k - 1] > r_lo else k), x))
-        return out
+        solved = self._solve([y for y, _, _ in starts], walks, cut)
+        return [next(((k, x) for k, x in walk if (x >= r if up else x <= r)), None)
+                for (_, r, up), walk in zip(starts, solved)]
 
-    def folds(self, y_range: tuple[float, float], r_range: tuple[float, float]
-              ) -> list[tuple[int, float, float]]:
-        """The domain's fold table, ascending in rate: (j, R, Y) for each
-        window-endpoint rate R = ends[j] strictly inside r_range whose income
-        Y lies in y_range, from one `_cuts` call.  An even j starts a window
-        (a lower knee), an odd one ends it (an upper knee)."""
-        k0, cuts, incomes = self._cuts(*r_range)
+    @staticmethod
+    def folds(y_range: tuple[float, float], cut) -> list[tuple[int, float, float]]:
+        """The fold table of a `_cuts` range, ascending in rate: (j, R, Y) for
+        each window-endpoint rate R = ends[j] strictly inside the range whose
+        income Y lies in y_range.  An even j starts a window (a lower knee),
+        an odd one ends it (an upper knee)."""
+        k0, cuts, incomes = cut
         return [(j, r, y) for j, r, y in zip(count(k0), cuts[1:-1], incomes[1:-1])
                 if y_range[0] <= y <= y_range[1]]
 
@@ -903,7 +910,7 @@ def _fold_landing_condition(spec: ModelSpec, y_range, r_range) -> ConditionResul
     of r_range.  None when the domain shows no fold.
     """
     (r_lo, r_hi), lm = r_range, spec._lm_graph
-    folds = lm.folds(y_range, r_range)
+    folds = lm.folds(y_range, lm._cuts(r_lo, r_hi))
     if not folds:
         return None
     name = "fold jumps land inside r_range"

@@ -154,6 +154,15 @@ def _with_fiscal_shift(spec: ModelSpec, g: float) -> ModelSpec:
     return replace(spec, is_block=replace(spec.is_block, i0=spec.is_block.i0 + g))
 
 
+def _r_range_after(r_range: tuple[float, float], steps) -> tuple[float, float]:
+    """The rate range of the model in force after `steps`: r_range widened by
+    each monetary step in turn, whose inflation shift moves branches by -d_pi."""
+    r_lo, r_hi = r_range
+    for d_pi in (s.d_pi for s in steps if isinstance(s, MonetaryStep)):
+        r_lo, r_hi = min(r_lo, r_lo - d_pi), max(r_hi, r_hi - d_pi)
+    return r_lo, r_hi
+
+
 def _drive_slope(drive: FiscalDrive, y_now: float) -> float:
     y_from = drive.y_from if drive.y_from is not None else y_now
     return (drive.y_to - y_from) / (drive.t_end - drive.t_start)
@@ -229,12 +238,11 @@ def apply_scenario(spec: ModelSpec, scenario: Scenario, y0: float, r0: float,
     timeline = sorted(cuts)
 
     cur_spec = spec
-    cur_r_range = tuple(r_range)  # widened as inflation steps shift the branches
     t, y, r = 0.0, y0, r0
     reduced = mode == REDUCED_MODE
 
     if reduced:
-        isocline = trace_lm_isocline(cur_spec, y_range, y_steps, cur_r_range, scan_n)
+        isocline = trace_lm_isocline(cur_spec, y_range, y_steps, r_range, scan_n)
         branch, r = attach_to_branch(cur_spec, isocline, y, r)
         ts, ys_, rs_ = [t], [y], [r]
     else:
@@ -261,12 +269,10 @@ def apply_scenario(spec: ModelSpec, scenario: Scenario, y0: float, r0: float,
                     cur_spec = shift_lm(cur_spec, d_pi=s.d_pi, d_ms=s.d_ms)
                 except ValueError as exc:
                     raise ScenarioError(f"step {step_i}: {exc}") from exc
-                # the pure-inflation part moves every branch by exactly -d_pi
-                cur_r_range = (min(cur_r_range[0], cur_r_range[0] - s.d_pi),
-                               max(cur_r_range[1], cur_r_range[1] - s.d_pi))
                 events.append({"t": t_a, "kind": "monetary-step",
                                "d_pi": s.d_pi, "d_ms": s.d_ms})
             models.append((t_a, cur_spec))
+            cur_r_range = _r_range_after(r_range, instants[:step_i + 1])
             # the model in force, and the state, which must come to rest under it
             failed = _failed([*validate_properties(cur_spec, y_range, cur_r_range,
                                                    grid_n).conditions,
@@ -562,16 +568,17 @@ def negative_rate_probe(spec: ModelSpec, scenario: Scenario | None,
     # first sign change after its departure (in the singular limit, its
     # pre-jump corner) is its own.  A full-system jump's r_to is only its
     # arrival sample, so its landing is the first root from r_to on under the
-    # model in force at the jump; whether the samples show the fall below zero
-    # before or after the arrival then does not depend on the stride.
+    # model in force at the jump, in the rate range the run validated it on;
+    # whether the samples show the fall below zero before or after the
+    # arrival then does not depend on the stride.
     crossings: list[dict] = []
     for j in traj.jumps:
         landing = j.r_to
         if mode == FULL_MODE:
-            model = next(m for t_m, m in reversed(result.models) if t_m <= j.t_start)
-            d_pi = model.params.expected_inflation - spec.params.expected_inflation
-            (found,) = model._lm_graph.landings([(j.y_at_jump, j.r_to, j.direction == "up")],
-                                                r_range[0] - abs(d_pi), r_range[1] + abs(d_pi))
+            i = max(i for i, (t_m, _) in enumerate(result.models) if t_m <= j.t_start)
+            (found,) = result.models[i][1]._lm_graph.landings(
+                [(j.y_at_jump, j.r_to, j.direction == "up")],
+                *_r_range_after(r_range, scenario.instantaneous()[:i]))
             if found is not None:
                 landing = found[1]
         if np.sign(j.r_from) * np.sign(landing) < 0:

@@ -75,11 +75,14 @@ def test_shipped_configs_parse_and_round_trip(name, tmp_path):
     assert serialize_config(config2) == text
 
 
-def test_shipped_reference_matches_builder():
-    from islmsim.reference import reference_spec
-    raw = shipped_config("reference")
-    config = parse_config_dict(raw)
-    assert config.model == reference_spec()
+@pytest.mark.parametrize("name, builder", [
+    ("reference", "reference_spec"), ("fiscal_ramp", "reference_spec"),
+    ("no_trap", "no_trap_spec"), ("steep_is", "steep_is_spec"),
+    ("two_window", "two_window_spec"), ("three_window", "three_window_spec")])
+def test_shipped_model_matches_its_builder(name, builder):
+    import islmsim.reference
+    config = parse_config_dict(shipped_config(name))
+    assert config.model == getattr(islmsim.reference, builder)()
 
 
 def test_negative_epsilon_is_rejected_with_field_name(tmp_path):

@@ -3,10 +3,10 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from islmsim import dynamics, geometry
+from islmsim import dynamics, geometry, policy
 from islmsim.dynamics import Trajectory, attach_to_branch, reduced_simulate
 from islmsim.geometry import find_equilibria, is_curve, lm_roots, shift_lm, trace_lm_isocline
-from islmsim.model import excess_money
+from islmsim.model import _LMGraph, excess_money
 from islmsim.policy import (
     FiscalDrive,
     FiscalShift,
@@ -444,6 +444,33 @@ def test_probe_reports_crossing_after_inflation_shift(ref_spec, kw):
     assert "jump-crossing" in kinds
     jump_cross = next(c for c in report["crossings"] if c["kind"] == "jump-crossing")
     assert jump_cross["level_from"] > 0.0 > jump_cross["level_to"]
+
+
+@pytest.mark.parametrize("d_pi", [0.002, -0.002])
+def test_full_mode_probe_lands_on_the_range_its_model_was_validated_on(kw, d_pi):
+    # one rate range per model of a run: a jump after an inflation step lands
+    # on the range the run validated the shifted model on, which widens
+    # r_range on one side only
+    validated, searched = {}, []
+    validate, landings = policy.validate_properties, _LMGraph.landings
+
+    def recording_validate(spec, y_range, r_range, grid_n=200):
+        validated[spec._lm_graph] = tuple(r_range)
+        return validate(spec, y_range, r_range, grid_n)
+
+    def recording_landings(lm, starts, r_lo, r_hi):
+        searched.append((lm, (r_lo, r_hi)))
+        return landings(lm, starts, r_lo, r_hi)
+    with mock.patch.object(policy, "validate_properties", recording_validate), \
+            mock.patch.object(_LMGraph, "landings", recording_landings):
+        report = negative_rate_probe(reference_spec(epsilon=1e-2),
+                                     Scenario((MonetaryStep(100.0, d_pi=d_pi),), 700.0),
+                                     1.5, 0.01, mode="full-epsilon", **kw)
+    assert report["crossings"] == []
+    (r_lo, r_hi), shifted = kw["r_range"], list(validated.values())[1]
+    assert shifted == (min(r_lo, r_lo - d_pi), max(r_hi, r_hi - d_pi))
+    assert len(validated) == 2 and len(searched) > 2
+    assert all(r_range == validated[lm] for lm, r_range in searched)
 
 
 def test_probe_touching_classification(ref_spec, kw):

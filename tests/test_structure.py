@@ -23,7 +23,7 @@ from islmsim.model import (FD_STEP_FRACTION, SIGN_DEGENERACY_TOL, ISBlock, Model
                            excess_money, excess_money_many, excess_money_slope, short_rate,
                            start_condition, validate_properties)
 from islmsim.policy import FiscalDrive, Scenario, apply_scenario, plan_stabilization
-from islmsim.reference import no_trap_spec
+from islmsim.reference import no_trap_spec, reference_spec
 
 from oracles import (_breakpoints, brute_force_equilibria, dense_scan_roots,
                      excess_money_by_quadrature, fold_positions, grid_validation,
@@ -129,6 +129,39 @@ def test_a_fold_jump_stops_at_another_fold_at_its_income():
                          WIDE_R) == ("down", 2, lm.ends[1])
 
 
+@settings(max_examples=40, deadline=None)
+@given(trap_specs(min_windows=0), st.lists(st.floats(-0.2, 0.6), max_size=20))
+def test_a_window_endpoint_rate_is_in_the_gap_on_its_fold_side(spec, rates):
+    # a window start is in the gap below it and a window end in the gap
+    # above; every other rate is in the interval searchsorted finds
+    lm = spec._lm_graph
+    ends = np.array(lm.ends)
+    r = np.concatenate([ends, np.nextafter(ends, -1.0), np.nextafter(ends, 1.0), rates])
+    k, want = lm.intervals(r), np.searchsorted(ends, r, "right")
+    at_start = np.isin(r, ends[0::2])
+    assert (k[at_start] == want[at_start] - 1).all()
+    assert (k[~at_start] == want[~at_start]).all()
+    assert (k[np.isin(r, ends)] % 2 == 0).all()
+    assert k.tolist() == [int(lm.intervals(x)) for x in r]
+
+
+@settings(max_examples=30, deadline=None)
+@given(trap_specs(), st.data())
+def test_a_landing_on_a_window_start_is_in_the_gap_below_unless_the_range_starts_there(
+        spec, data):
+    # the fast flow from inside a window down to its start, at the start's
+    # fold income, rests on the start: the top of the gap below, or the
+    # window itself when the rate range starts there and holds no gap below
+    lm = spec._lm_graph
+    j = 2 * data.draw(st.integers(0, len(spec.money.windows) - 1))
+    p, q = lm.ends[j:j + 2]
+    y = lm._cuts(p, WIDE_R[1])[2][0]
+    mid = 0.5 * (p + q)
+    assert lm.landings([(y, mid, False)], WIDE_R[0], WIDE_R[1]) == [(j, p)]
+    assert lm.landings([(y, mid, False)], p, WIDE_R[1]) == [(j + 1, p)]
+    assert (j + 1, p) in lm.roots(y, p, WIDE_R[1])
+
+
 # the tracer's number of incomes on WIDE_Y
 TRACE_STEPS = 700
 
@@ -192,7 +225,7 @@ def test_lm_graph_roots_hold_on_a_widened_rate_range(spec, lo_exp, hi_exp, incom
     # is flat to high order, so there roots agree as roots, not as rates
     lm = spec._lm_graph
     wide = (WIDE_R[0] - 10.0 ** lo_exp, WIDE_R[1] + 10.0 ** hi_exp)
-    folds = lm.folds(WIDE_Y, WIDE_R)
+    folds = lm.folds(WIDE_Y, lm._cuts(*WIDE_R))
     near = [y_f + s * off for _, _, y_f in folds for off in fold_offsets for s in (-1.0, 1.0)]
     for y in incomes + [y for y in near if y >= 0.0]:
         narrow, widened = lm.roots(y, *WIDE_R), dict(lm.roots(y, *wide))
@@ -230,6 +263,19 @@ def test_the_branch_table_is_the_traced_isocline_unsampled(spec, widen):
             b.index, b.interval, b.stability, b.lo_end, b.hi_end)
         assert t.ys.tolist() == [b.ys[0], b.ys[-1]]
         assert t.rs.tolist() == [b.rs[0], b.rs[-1]]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("r_range", [(-0.06, 1e300), (-1e300, 0.22)])
+def test_drawing_samples_on_a_vast_rate_range_lie_between_their_branch_ends(r_range):
+    # a grid cell 2e297 wide still bisects down to the root: each branch's
+    # samples stay between its two end rates and on the graph
+    spec = reference_spec()
+    iso = trace_lm_isocline(spec, (0.0, 5.0), TRACE_STEPS, r_range)
+    for b in iso.branches:
+        lo, hi = sorted((b.rs[0], b.rs[-1]))
+        assert lo <= b.rs.min() and b.rs.max() <= hi, (b.index, b.rs.max())
+        assert np.abs(excess_money_many(b.ys, b.rs, spec)).max() < 1e-12
 
 
 @settings(max_examples=30, deadline=None,
