@@ -27,7 +27,9 @@ from .output import (
     equilibria_document,
     isocline_document,
     release_run_lock,
+    scenario_document,
     simulation_document,
+    stabilize_document,
     validation_document,
     write_provenance,
 )
@@ -156,16 +158,14 @@ def _dispatch(command: str, config: RunConfig, out_dir: Path) -> int:
                 iso, is_curve(spec), eqs, traj, dom.y_range, dom.r_range,
                 title=f"phase portrait (spec {spec.spec_id})")
             if traj is not None and "json" in want:
-                cycle = detect_cycle(traj, spec)
-                docs["simulation"] = simulation_document(traj, cycle, None)
+                docs["simulation"] = simulation_document(traj, detect_cycle(traj, spec), None)
 
     elif command == "simulate":
         if config.simulate is None:
             raise ConfigError("the 'simulate' section is required for this command")
         traj = _run_simulation(config, spec, dom)
-        cycle = detect_cycle(traj, spec)
         docs["simulation"] = simulation_document(
-            traj, cycle, "trajectory.csv" if "csv" in want else None)
+            traj, detect_cycle(traj, spec), "trajectory.csv" if "csv" in want else None)
         if "csv" in want:
             trajs["trajectory"] = traj
 
@@ -173,24 +173,20 @@ def _dispatch(command: str, config: RunConfig, out_dir: Path) -> int:
         if config.scenario is None:
             raise ConfigError("the 'scenario' section is required for this command")
         result = _run_scenario(config, spec, dom)
-        traj = result.trajectory
-        cycle = detect_cycle(traj, result.final_spec)
-        doc = simulation_document(traj, cycle, "trajectory.csv" if "csv" in want else None)
-        doc["kind"] = "scenario"
-        doc["events"] = result.events
-        docs["scenario"] = doc
+        cycle = detect_cycle(result.trajectory, result.final_spec)
+        docs["scenario"] = scenario_document(result, cycle,
+                                             "trajectory.csv" if "csv" in want else None)
         if "csv" in want:
-            trajs["trajectory"] = traj
+            trajs["trajectory"] = result.trajectory
 
     elif command == "stabilize":
         if config.stabilize is None:
             raise ConfigError("the 'stabilize' section is required for this command")
         st = config.stabilize
         table = lm_branches(spec, dom.y_range, dom.r_range)
-        folds = [f for f in table.folds if f.kind == st.fold]
-        if not folds:
+        fold = next((f for f in table.folds if f.kind == st.fold), None)
+        if fold is None:
             raise ScenarioError(f"the isocline has no {st.fold} fold")
-        fold = folds[0]
         plan = plan_stabilization(spec, fold, st.instrument, table,
                                   protect_to_y=st.protect_to_y)
         ramp_run, _ = _on_clock(spec, st.mode, "stabilize", Scenario((st.ramp,), st.ramp.t_end))
@@ -200,18 +196,7 @@ def _dispatch(command: str, config: RunConfig, out_dir: Path) -> int:
                                      mode=st.mode, margin_frac=st.margin_frac,
                                      y_steps=dom.y_steps, scan_n=dom.scan_n,
                                      grid_n=dom.grid_n)
-        doc = {
-            "schema_version": "1",
-            "kind": "stabilize",
-            "fold": {"y": fold.y, "r": fold.r, "kind": fold.kind},
-            "plan": {"instrument": plan.instrument, "delta": plan.delta,
-                     "mode": plan.mode, "matched": plan.matched,
-                     "residual": plan.residual, "diagnosis": plan.diagnosis,
-                     "jump_direction": plan.jump_direction,
-                     "r_target": plan.r_target},
-            "comparison": report.to_dict(),
-        }
-        docs["stabilize"] = doc
+        docs["stabilize"] = stabilize_document(plan, report)
         if "csv" in want:
             trajs["uncontrolled"] = report.uncontrolled.trajectory
             trajs["controlled"] = report.controlled.trajectory

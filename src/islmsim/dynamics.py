@@ -20,7 +20,7 @@ from scipy.spatial import cKDTree
 
 # `lm_roots` stays bound here, unused: bench/test_inputs.py::
 # test_tracer_wraps_every_binding_and_restores_them asserts this binding
-from .geometry import Branch, FoldPoint, LMIsocline, _interval_branch, lm_roots
+from .geometry import Branch, LMIsocline, _interval_branch, lm_roots
 from .model import (ModelDomainError, ModelSpec, _fast_rest, _invert, _read_only,
                     excess_money, excess_money_many)
 
@@ -344,26 +344,6 @@ def _landing_branch(isocline: LMIsocline, k: int, y: float, r: float) -> Branch:
     return branch
 
 
-def _fold_end(spec: ModelSpec, fold: FoldPoint) -> int:
-    """Index of the fold's window-endpoint rate in the LM graph's `ends`: a
-    lower knee sits at its window's start rate, an upper knee at its end."""
-    ends = spec._lm_graph.ends
-    return min(range(0 if fold.kind == "lower-knee" else 1, len(ends), 2),
-               key=lambda j: abs(ends[j] - fold.r))
-
-
-def _fold_landing(spec: ModelSpec, fold: FoldPoint, r_range: tuple[float, float]
-                  ) -> tuple[str, int, float]:
-    """Direction, landing interval and landing rate of the jump released at a
-    fold, landed as its row of the fold table (`_LMGraph.land_folds`), as the
-    validator lands every fold of the domain; so a validated model raises
-    nothing here."""
-    (landing,) = spec._lm_graph.land_folds([(_fold_end(spec, fold), fold.r, fold.y)], *r_range)
-    if isinstance(landing, ValueError):
-        raise landing
-    return ("up" if fold.kind == "lower-knee" else "down"), *landing
-
-
 def _branch_rates(spec: ModelSpec, branch: Branch, y: np.ndarray) -> np.ndarray:
     """Rates where the branch reaches the incomes y: the LM graph inverted,
     started from the chord between the branch's exact end points and
@@ -527,10 +507,9 @@ def advance_reduced(spec: ModelSpec, isocline: LMIsocline, branch: Branch,
                 f"slow flow is exactly zero at the fold (y={y_end}); "
                 "the continuation is undefined")
         fold = isocline.folds[end[1]]
-        direction, k, landing = _fold_landing(spec, fold, isocline.r_range)
-        jump = JumpEvent(t_hit, t_hit, fold.y, fold.r, landing, direction)
+        direction, k, landing = fold.jump()
         _append_vertical_move(ts, ys, rs, t_hit, fold.y, fold.r, landing)
-        jumps.append(jump)
+        jumps.append(JumpEvent(t_hit, t_hit, fold.y, fold.r, landing, direction))
         branch = _landing_branch(isocline, k, fold.y, landing)
         t, y, r = t_hit, fold.y, landing
     return branch, y, r, t, "horizon"

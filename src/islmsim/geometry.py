@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
 from itertools import count
 
@@ -111,11 +111,26 @@ class Branch:
 
 @dataclass(frozen=True)
 class FoldPoint:
-    """Income/rate pair where two isocline branches meet and vanish."""
+    """Income/rate pair where two isocline branches meet and vanish.  A fold
+    of `lm_branches` or a trace also carries its index j in the LM graph's
+    `ends` and its jump's landing from the fold table (`_LMGraph.folds`),
+    which no equality, hash, repr or document reads; a fold read back from
+    a document has neither (-1, None)."""
 
     y: float
     r: float
     kind: str  # "lower-knee" | "upper-knee"
+    endpoint: int = field(default=-1, compare=False, repr=False)
+    landing: tuple | ValueError | None = field(default=None, compare=False, repr=False)
+
+    def jump(self) -> tuple[str, int, float]:
+        """(direction, landing interval, landing rate) of the jump, or its error."""
+        if self.landing is None:
+            raise ValueError(f"the fold at (y={self.y}, r={self.r}) carries no landing: "
+                             "only a fold of `lm_branches` or a trace has one")
+        if isinstance(self.landing, ValueError):
+            raise type(self.landing)(*self.landing.args)
+        return ("up" if self.kind == "lower-knee" else "down"), *self.landing
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,9 +299,10 @@ def lm_branches(spec: ModelSpec, y_range: tuple[float, float],
 
     # the fold table by income: endpoint j is the low end of interval j + 1;
     # even endpoints start a window (lower knee), odd ones end it (upper knee)
-    found = sorted((y, r, j) for j, r, y in lm.folds(y_range, cut))
-    folds = tuple(FoldPoint(y, r, ("lower-knee", "upper-knee")[j % 2]) for y, r, j in found)
-    fold_of = {j: i for i, (_, _, j) in enumerate(found)}
+    folds = tuple(FoldPoint(y, r, ("lower-knee", "upper-knee")[j % 2], j, landing)
+                  for j, r, y, landing in sorted(lm.folds(y_range, cut),
+                                                 key=lambda f: (f[2], f[1])))
+    fold_of = {f.endpoint: i for i, f in enumerate(folds)}
 
     def end_at(r: float, j: int | None, y: float, bracket: tuple[float, float]):
         """The branch end towards rate r, where the graph reaches income y (j:

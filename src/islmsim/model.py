@@ -349,7 +349,7 @@ class _LMGraph:
     ends[k], and smooth between the money block's segment `breaks`; both are
     in long-rate terms.  `_cuts` lays out the intervals of a rate range and
     `intervals` places rates in them; `rates_at` inverts the graph on one
-    interval; `folds` lists a domain's folds, and `land_folds` lands them.
+    interval; `folds` lists a domain's folds and lands their jumps.
     Each `ModelSpec` builds its graph once (`ModelSpec._lm_graph`); the graph
     keeps the blocks it reads, not the spec.
     """
@@ -477,15 +477,19 @@ class _LMGraph:
 
     def landings(self, starts: list[tuple[float, float, bool]], r_lo: float, r_hi: float
                  ) -> list[tuple[int, float] | None]:
-        """Where the fast flow from each start (y, r, up) comes to rest, from
-        one `_cuts` and one `_solve` call: the interval index k and the lowest
-        root x >= r going up (the highest x <= r going down) in [r_lo, r_hi],
-        or None.  dR/dt = beta E cannot pass a zero of E, so a root where the
-        graph only touches y (another fold at the same income) stops the flow
-        too."""
+        """Where the fast flow from each start (y, r, up) comes to rest: the
+        interval index k and the lowest root x >= r going up (the highest
+        x <= r going down) in [r_lo, r_hi], or None (`_land`)."""
+        return self._land(starts, self._cuts(r_lo, r_hi))
+
+    def _land(self, starts: list[tuple[float, float, bool]], cut
+              ) -> list[tuple[int, float] | None]:
+        """`landings` on a `_cuts` range, from one `_solve` call.  dR/dt =
+        beta E cannot pass a zero of E, so a root where the graph only
+        touches y (another fold at the same income) stops the flow too."""
         if (y := min((y for y, _, _ in starts), default=0.0)) < 0.0:
             raise ModelDomainError(f"income must be non-negative, got {y}")
-        cut, walks = self._cuts(r_lo, r_hi), []
+        walks = []
         for y, r, up in starts:
             found, walk = self._crossings(y, cut), []
             for x in found if up else reversed(found):
@@ -501,37 +505,31 @@ class _LMGraph:
         return [next(((k, x) for k, x in walk if (x >= r if up else x <= r)), None)
                 for (_, r, up), walk in zip(starts, solved)]
 
-    @staticmethod
-    def folds(y_range: tuple[float, float], cut) -> list[tuple[int, float, float]]:
-        """The fold table of a `_cuts` range, ascending in rate: (j, R, Y) for
-        each window-endpoint rate R = ends[j] strictly inside the range whose
-        income Y lies in y_range.  An even j starts a window (a lower knee),
-        an odd one ends it (an upper knee)."""
+    def folds(self, y_range: tuple[float, float], cut
+              ) -> list[tuple[int, float, float, tuple[int, float] | ValueError]]:
+        """The fold table of a `_cuts` range, ascending in rate: (j, R, Y,
+        landing) for each window-endpoint rate R = ends[j] strictly inside it
+        with its income Y in y_range.  A window start (j even, a lower knee)
+        jumps up from the window's end, a window end down from its start, so
+        the fold's own double root is never a candidate; one `_land` call
+        lands them all, each as its interval and rate or the error it raises:
+        a `ModelDomainError` if it leaves the range, a `ValueError` if it
+        lands inside a window, where branches repel."""
         k0, cuts, incomes = cut
-        return [(j, r, y) for j, r, y in zip(count(k0), cuts[1:-1], incomes[1:-1])
-                if y_range[0] <= y <= y_range[1]]
-
-    def land_folds(self, folds: list[tuple[int, float, float]], r_lo: float, r_hi: float
-                   ) -> list[tuple[int, float] | ValueError]:
-        """The jump released at each fold (j, R, Y) of the table, from one
-        `landings` call: its landing interval and rate, or the error it
-        raises.  A window start (j even, a lower knee) jumps up from the
-        window's end, a window end down from its start, so the fold's own
-        double root is never a candidate.  A jump with no root beyond it in
-        [r_lo, r_hi] leaves the rate range, a `ModelDomainError`; one that
-        lands inside a window, where branches repel, a `ValueError`."""
-        starts = [(y, self.ends[j + 1 if j % 2 == 0 else j - 1], j % 2 == 0) for j, _, y in folds]
-        out = []
-        for (j, _, y), landing in zip(folds, self.landings(starts, r_lo, r_hi)):
-            where = f"the {'down' if j % 2 else 'up'} jump at (y={y}, r={self.ends[j]})"
+        found = [(j, r, y) for j, r, y in zip(count(k0), cuts[1:-1], incomes[1:-1])
+                 if y_range[0] <= y <= y_range[1]]
+        starts = [(y, self.ends[j + 1 if j % 2 == 0 else j - 1], j % 2 == 0) for j, _, y in found]
+        table = []
+        for (j, r, y), landing in zip(found, self._land(starts, cut)):
+            where = f"the {'down' if j % 2 else 'up'} jump at (y={y}, r={r})"
             if landing is None:
-                landing = ModelDomainError(f"{where} leaves the rate range [{r_lo}, {r_hi}]: "
-                                           "no branch inside it catches the jump")
+                landing = ModelDomainError(f"{where} leaves the rate range [{cuts[0]}, "
+                                           f"{cuts[-1]}]: no branch inside it catches the jump")
             elif landing[0] % 2:
                 landing = ValueError(f"malformed isocline: {where} lands on a non-attracting "
                                      f"branch at r={landing[1]}")
-            out.append(landing)
-        return out
+            table.append((j, r, y, landing))
+        return table
 
 
 def _invert(f, df, target: np.ndarray, x_lo: np.ndarray, x_hi: np.ndarray,
@@ -903,9 +901,9 @@ def _boundary_condition(spec: ModelSpec, y_range, r_range) -> ConditionResult:
 def _fold_landing_condition(spec: ModelSpec, y_range, r_range) -> ConditionResult | None:
     """Every fold of the domain releases a jump that lands inside r_range.
 
-    The folds are the LM graph's fold table (`_LMGraph.folds`), which the
-    isocline tracer lists too, and their jumps the ones a run makes there
-    (`_LMGraph.land_folds`); the first failure in endpoint order carries its
+    The folds and their jumps are the LM graph's fold table (`_LMGraph.folds`),
+    which the branch table and the tracer read too, so a run's jump at a fold
+    is the one checked here; the first failure in endpoint order carries its
     error.  The worst value is the least distance of a landing from the edges
     of r_range.  None when the domain shows no fold.
     """
@@ -914,13 +912,12 @@ def _fold_landing_condition(spec: ModelSpec, y_range, r_range) -> ConditionResul
     if not folds:
         return None
     name = "fold jumps land inside r_range"
-    landings = lm.land_folds(folds, r_lo, r_hi)
-    for (_, r_f, y_f), landing in zip(folds, landings):
+    for _, r_f, y_f, landing in folds:
         if isinstance(landing, ValueError):
             return ConditionResult(name, False, len(folds), 0, math.nan, (y_f, r_f), str(landing))
-    gaps = [min(x - r_lo, r_hi - x) for _, x in landings]
+    gaps = [min(x - r_lo, r_hi - x) for *_, (_, x) in folds]
     i = gaps.index(min(gaps))
-    return ConditionResult(name, True, len(folds), 0, gaps[i], (folds[i][2], landings[i][1]))
+    return ConditionResult(name, True, len(folds), 0, gaps[i], (folds[i][2], folds[i][3][1]))
 
 
 def _fast_rest(spec: ModelSpec, y: float, r: float, r_range) -> tuple[int, float] | None:

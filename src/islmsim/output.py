@@ -21,6 +21,7 @@ from . import __version__ as _version
 from .dynamics import FULL_MODE, CycleSummary, Trajectory
 from .geometry import Branch, Equilibrium, FoldPoint, LMIsocline
 from .model import ValidationReport
+from .policy import ControllerReport, ScenarioResult, StabilizationPlan
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -38,6 +39,8 @@ __all__ = [
     "cycle_document",
     "validation_document",
     "simulation_document",
+    "scenario_document",
+    "stabilize_document",
     "provenance_record",
     "write_provenance",
     "emit_outputs",
@@ -249,6 +252,25 @@ def simulation_document(traj: Trajectory, cycle: CycleSummary | None,
         "jumps": jumps_document(traj.jumps),
         "cycle": cycle_document(cycle),
         "trajectory_file": trajectory_file,
+    }
+
+
+def scenario_document(result: ScenarioResult, cycle: CycleSummary | None,
+                      trajectory_file: str | None) -> dict:
+    """The simulation document of a scenario's trajectory, with its events."""
+    return {**simulation_document(result.trajectory, cycle, trajectory_file),
+            "kind": "scenario", "events": result.events}
+
+
+def stabilize_document(plan: StabilizationPlan, report: ControllerReport) -> dict:
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "kind": "stabilize",
+        "fold": {"y": plan.fold.y, "r": plan.fold.r, "kind": plan.fold.kind},
+        "plan": {k: getattr(plan, k) for k in ("instrument", "delta", "mode", "matched",
+                                               "residual", "diagnosis", "jump_direction",
+                                               "r_target")},
+        "comparison": report.to_dict(),
     }
 
 

@@ -22,8 +22,6 @@ from .dynamics import (
     JumpEvent,
     Trajectory,
     _append_vertical_move,
-    _fold_end,
-    _fold_landing,
     _window_traversals,
     advance_reduced,
     attach_to_branch,
@@ -370,12 +368,14 @@ def plan_stabilization(spec: ModelSpec, fold: FoldPoint, instrument: str,
     every branch horizontally by dM / (l_y - m_y), so the post-jump branch
     keeps its rate interval, which starts at the window's other endpoint
     rate, and never reaches the fold rate.  That plan relocates the fold
-    beyond a protected income instead.  Only the isocline's rate range is
-    read, so it may be the `lm_branches` table or a trace.
+    beyond a protected income instead.  `fold` is one of the isocline's
+    folds, which carries its jump's landing (a fold read back from a document
+    carries none, and raises); of the isocline only its rate range is read,
+    so it may be the `lm_branches` table or a trace.
     """
     if instrument not in ("inflation", "money-stock"):
         raise ValueError(f"unknown instrument {instrument!r}")
-    direction, k, r_target = _fold_landing(spec, fold, isocline.r_range)
+    direction, k, r_target = fold.jump()
 
     if instrument == "inflation":
         delta = r_target - fold.r
@@ -391,7 +391,7 @@ def plan_stabilization(spec: ModelSpec, fold: FoldPoint, instrument: str,
 
     # The stock change that places the fold exactly at income y* equals the
     # money-market excess at (y*, fold rate) under the current model.
-    j = _fold_end(spec, fold) // 2 * 2  # the window's start
+    j = fold.endpoint // 2 * 2  # the window's start
     r_p, r_q = spec._lm_graph.ends[j:j + 2]
     gap = r_q - r_p
     if protect_to_y is None:

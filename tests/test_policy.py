@@ -7,6 +7,7 @@ from islmsim import dynamics, geometry, policy
 from islmsim.dynamics import Trajectory, attach_to_branch, reduced_simulate
 from islmsim.geometry import find_equilibria, is_curve, lm_roots, shift_lm, trace_lm_isocline
 from islmsim.model import _LMGraph, excess_money
+from islmsim.output import isocline_document, isocline_from_document
 from islmsim.policy import (
     FiscalDrive,
     FiscalShift,
@@ -253,6 +254,20 @@ def test_money_plan_reports_structural_no_solution(ref_spec, ref_isocline,
     assert plan.delta == pytest.approx(
         excess_money(3.6, lower_fold.r, ref_spec), abs=1e-12)
     assert plan.delta > 0.0
+
+
+@pytest.mark.parametrize("instrument", ["inflation", "money-stock"])
+def test_a_fold_read_back_from_a_document_carries_no_landing_to_plan(ref_spec, ref_isocline,
+                                                                      instrument):
+    # a document stores a fold's point and kind only: the fold read back
+    # equals the traced one, carries no landing, and no plan can start at it
+    back = isocline_from_document(isocline_document(ref_isocline))
+    for fold, traced in zip(back.folds, ref_isocline.folds):
+        assert fold == traced and hash(fold) == hash(traced)
+        assert (fold.endpoint, fold.landing) == (-1, None)
+        assert traced.endpoint >= 0 and isinstance(traced.landing, tuple)
+        with pytest.raises(ValueError, match="carries no landing"):
+            plan_stabilization(ref_spec, fold, instrument, back)
 
 
 def test_controller_prevents_the_jump(ref_spec, lower_fold, kw):

@@ -14,10 +14,10 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from islmsim.dynamics import (Trajectory, _fold_landing, attach_to_branch, detect_cycle,
-                              reduced_simulate)
-from islmsim.geometry import (FoldPoint, _trace_lm_isocline, find_equilibria, is_curve,
-                              lm_branches, lm_roots, shift_lm, trace_lm_isocline)
+from islmsim import policy
+from islmsim.dynamics import Trajectory, attach_to_branch, detect_cycle, reduced_simulate
+from islmsim.geometry import (_trace_lm_isocline, find_equilibria, is_curve, lm_branches,
+                              lm_roots, shift_lm, trace_lm_isocline)
 from islmsim.model import (FD_STEP_FRACTION, SIGN_DEGENERACY_TOL, ISBlock, ModelParams,
                            ModelSpec, MoneyBlock, TrapWindow, _LMGraph, build_three_phase_money,
                            excess_money, excess_money_many, excess_money_slope, short_rate,
@@ -58,6 +58,13 @@ def trap_specs(draw, min_windows=1, max_windows=3):
     return ModelSpec(params=params, is_block=is_block, money=money)
 
 
+def _table_fold(iso, y_f, r_f, kind):
+    """The fold of a branch table or trace that is the oracle's fold (y_f, r_f,
+    kind): the one of that kind at the nearest rate."""
+    return min((f for f in iso.folds if f.kind == kind),
+               key=lambda f: (abs(f.r - r_f), abs(f.y - y_f)))
+
+
 def _window_rates(spec, r_fold, kind):
     """Endpoint rates of the window whose start (lower knee) or end (upper
     knee) is the fold rate."""
@@ -95,8 +102,9 @@ def test_fold_jump_lands_on_first_root_beyond_the_window(spec):
     folds = fold_positions(spec, WIDE_Y)
     assume(len(folds) == 2 * len(spec.money.windows))
     off = spec.params.maturity_premium - spec.params.expected_inflation
+    table = lm_branches(spec, WIDE_Y, WIDE_R)
     for y_f, r_f, kind in folds:
-        direction, _, landing = _fold_landing(spec, FoldPoint(y_f, r_f, kind), WIDE_R)
+        direction, _, landing = _table_fold(table, y_f, r_f, kind).jump()
         # past the fold in its travel direction the fast flow pushes the rate
         travel = 1e-6 if kind == "lower-knee" else -1e-6
         push = excess_money_by_quadrature(spec, y_f + travel, r_f)
@@ -122,11 +130,11 @@ def test_fold_jump_lands_on_first_root_beyond_the_window(spec):
 
 def test_a_fold_jump_stops_at_another_fold_at_its_income():
     # handed the income at which the graph touches the other knee, the jump
-    # lands on that knee, not on the sign change at 0.03719 below it
+    # down from the upper knee at ends[3], which starts at its window's start
+    # ends[2], lands on that knee, not on the sign change at 0.03719 below it
     lm = TWO_KNEES_AT_ONE_INCOME._lm_graph
     y_touch = float(lm.income(lm.ends[1])[()])
-    assert _fold_landing(TWO_KNEES_AT_ONE_INCOME, FoldPoint(y_touch, lm.ends[3], "upper-knee"),
-                         WIDE_R) == ("down", 2, lm.ends[1])
+    assert lm.landings([(y_touch, lm.ends[2], False)], *WIDE_R) == [(2, lm.ends[1])]
 
 
 @settings(max_examples=40, deadline=None)
@@ -226,16 +234,17 @@ def test_lm_graph_roots_hold_on_a_widened_rate_range(spec, lo_exp, hi_exp, incom
     lm = spec._lm_graph
     wide = (WIDE_R[0] - 10.0 ** lo_exp, WIDE_R[1] + 10.0 ** hi_exp)
     folds = lm.folds(WIDE_Y, lm._cuts(*WIDE_R))
-    near = [y_f + s * off for _, _, y_f in folds for off in fold_offsets for s in (-1.0, 1.0)]
+    near = [y_f + s * off for _, _, y_f, _ in folds for off in fold_offsets for s in (-1.0, 1.0)]
     for y in incomes + [y for y in near if y >= 0.0]:
         narrow, widened = lm.roots(y, *WIDE_R), dict(lm.roots(y, *wide))
         assert {k for k, r in widened.items() if WIDE_R[0] < r < WIDE_R[1]} <= dict(narrow).keys()
         for k, r in narrow:
             assert _on_the_graph(lm, y, widened[k]), (y, k)
-            if all(abs(y - y_f) > 1e-2 for _, _, y_f in folds):
+            if all(abs(y - y_f) > 1e-2 for _, _, y_f, _ in folds):
                 assert widened[k] == pytest.approx(r, rel=1e-12, abs=1e-15), (y, k)
-    landed = zip(folds, lm.land_folds(folds, *WIDE_R), lm.land_folds(folds, *wide))
-    for (_, _, y_f), a, b in landed:
+    widened = {j: b for j, _, _, b in lm.folds(WIDE_Y, lm._cuts(*wide))}
+    for j, _, y_f, a in folds:
+        b = widened[j]
         if not isinstance(a, ValueError):
             assert b[0] == a[0] and _on_the_graph(lm, y_f, b[1]), y_f
     report = validate_properties(spec, WIDE_Y, wide)
@@ -314,6 +323,19 @@ def rate_ranges(draw):
     return r_lo, r_lo + draw(st.floats(0.05, 0.5))
 
 
+def _recording_folds(seen):
+    """`_LMGraph.folds` that also appends each table it returns to `seen`, as
+    {fold rate: (interval, landing rate in hex) or the error's message}."""
+    folds = _LMGraph.folds
+
+    def recording(self, *args):
+        table = folds(self, *args)
+        seen.append({r: (x[0], x[1].hex()) if isinstance(x, tuple) else str(x)
+                     for _, r, _, x in table})
+        return table
+    return recording
+
+
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(trap_specs(), rate_ranges())
@@ -322,31 +344,77 @@ def test_fold_landing_condition_fails_exactly_when_a_jump_would_raise(spec, r_ra
     raised, landed = [], {}
     for fold in iso.folds:
         try:
-            _, k, x = _fold_landing(spec, fold, r_range)
+            _, k, x = fold.jump()
             landed[fold.r] = (k, x.hex())
         except ValueError as exc:  # a ModelDomainError, or a non-attracting landing
             raised.append(exc)
             landed[fold.r] = str(exc)
     # the landings the condition reads, fold by fold
     seen = []
-    land_folds = _LMGraph.land_folds
-
-    def recording(self, folds, *args):
-        landings = land_folds(self, folds, *args)
-        seen.append({r: (x[0], x[1].hex()) if isinstance(x, tuple) else str(x)
-                     for (_, r, _), x in zip(folds, landings)})
-        return landings
-    with mock.patch.object(_LMGraph, "land_folds", recording):
+    with mock.patch.object(_LMGraph, "folds", _recording_folds(seen)):
         cond = next((c for c in validate_properties(spec, WIDE_Y, r_range).conditions
                      if c.condition == "fold jumps land inside r_range"), None)
     if not iso.folds:
-        assert cond is None and not seen
+        assert cond is None and seen == [{}]
         return
     assert seen == [landed]
     assert cond.n_checked == len(iso.folds)
     assert cond.passed == (not raised)
     if raised:  # the condition names one of the jumps
         assert cond.detail in {str(exc) for exc in raised}
+
+
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(trap_specs(), st.booleans())
+@example(TWO_KNEES_AT_ONE_INCOME, False)
+def test_runs_read_each_fold_jump_from_the_fold_table(spec, upward):
+    # each table fold carries, bit for bit, the landing the validator's
+    # condition reads, which is also the landing of that fold's jump alone;
+    # a singular-limit ramp across every fold jumps to those landings and
+    # solves no landing once it runs
+    table = lm_branches(spec, WIDE_Y, WIDE_R)
+    assume(len(table.folds) == 2 * len(spec.money.windows))
+    seen = []
+    with mock.patch.object(_LMGraph, "folds", _recording_folds(seen)):
+        validate_properties(spec, WIDE_Y, WIDE_R)
+    assert seen == [{f.r: (f.landing[0], f.landing[1].hex()) if isinstance(f.landing, tuple)
+                     else str(f.landing) for f in table.folds}]
+    lm = spec._lm_graph
+    for f in table.folds:
+        up = f.kind == "lower-knee"
+        start = lm.ends[f.endpoint + 1 if up else f.endpoint - 1]
+        assert lm.ends[f.endpoint] == f.r
+        if isinstance(f.landing, tuple):
+            assert lm.landings([(f.y, start, up)], *WIDE_R) == [f.landing]
+
+    assume(all(isinstance(f.landing, tuple) for f in table.folds))
+    fold_ys = [f.y for f in table.folds]
+    y_lo, y_hi = max(min(fold_ys) - 0.5, 0.0), min(max(fold_ys) + 0.5, WIDE_Y[1])
+    y0, y_to = (y_lo, y_hi) if upward else (y_hi, y_lo)
+    roots = lm_roots(y0, spec, WIDE_R)
+    inside, solved_inside = [False], []
+    advance, land = policy.advance_reduced, _LMGraph._land
+
+    def advancing(*args):
+        inside[0] = True
+        try:
+            return advance(*args)
+        finally:
+            inside[0] = False
+
+    def landing(self, *args):
+        solved_inside.append(inside[0])
+        return land(self, *args)
+    with mock.patch.object(policy, "advance_reduced", advancing), \
+            mock.patch.object(_LMGraph, "_land", landing):
+        result = apply_scenario(spec, Scenario((FiscalDrive(0.0, 2.0, y_to=y_to),), 4.0), y0,
+                                roots[0] if upward else roots[-1], y_range=WIDE_Y,
+                                r_range=WIDE_R, y_steps=TRACE_STEPS)
+    assert result.jumps and solved_inside and not any(solved_inside)
+    for j in result.jumps:
+        fold = next(f for f in table.folds if (f.y, f.r) == (j.y_at_jump, j.r_from))
+        assert (j.direction, j.r_to) == fold.jump()[::2]
 
 
 @settings(max_examples=60, deadline=None,
@@ -637,7 +705,7 @@ def test_money_stock_plan_relocates_the_fold(all_window_specs):
                                 dom["scan_n"])
         for y_f, r_f, kind in fold_positions(spec, dom["y_range"]):
             protect = y_f + (0.2 if kind == "lower-knee" else -0.2)
-            plan = plan_stabilization(spec, FoldPoint(y_f, r_f, kind), "money-stock",
+            plan = plan_stabilization(spec, _table_fold(iso, y_f, r_f, kind), "money-stock",
                                       iso, protect_to_y=protect)
             r_p, r_q = _window_rates(spec, r_f, kind)
             assert plan.mode == "fold-relocation"
