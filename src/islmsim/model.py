@@ -79,24 +79,37 @@ class ModelDomainError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# quintic smoothstep machinery (exact zero value and slope at both ends); plain
-# arithmetic, so every formula serves floats and numpy arrays alike
+# the money block's piece shapes: plain arithmetic, so one evaluator serves
+# floats and numpy arrays alike
+#
+# On its piece a row of the money table (`_build_rows`) gives the levels
+# f + c w P(v) and the slopes c P'(v), with v = (i - anchor) / w.  A flat
+# piece has P(v) = v.  A smooth piece has G(v) = 2.5 v^4 - 3 v^5 + v^6, the
+# integral of the quintic smoothstep s(v) = 10 v^3 - 15 v^4 + 6 v^5, which
+# climbs from 0 to 1 on [0, 1] with zero slope at both ends; G(1) = 1/2.  A
+# row's weight `smooth`, 0 or 1, picks the shape by arithmetic:
+# P(v) = (1 - smooth) v + G(smooth v), each evaluated by Horner, is v or G(v)
+# to the bit, and G never sees the unbounded v of a flat piece.
 
-def _smoothstep(v):
-    """Quintic smoothstep on [0, 1]: 0 -> 1 with zero slope at both ends."""
-    return v * v * v * (10.0 - 15.0 * v + 6.0 * v * v)
+
+def _row_levels(row, i):
+    """(f_L(i), f_M(i)) on one row of the money table.  `row` is a row tuple
+    for a float i, or the rows gathered column by column for an array i; the
+    arithmetic is the same."""
+    anchor, w, f_l, f_m, c_l, c_m, smooth = row
+    v = (i - anchor) / w
+    u = smooth * v
+    u2 = u * u
+    g = w * ((1.0 - smooth) * v + ((u - 3.0) * u + 2.5) * u2 * u2)
+    return f_l + c_l * g, f_m + c_m * g
 
 
-def _smoothstep_complement(v):
-    """1 - smoothstep(v), factored so it stays exact as v -> 1."""
-    w = 1.0 - v
-    return w * w * w * (1.0 + 3.0 * v + 6.0 * v * v)
-
-
-def _smoothstep_integral(v):
-    """Integral of the quintic smoothstep from 0 to v; equals 0.5 at v = 1."""
-    v4 = v * v * v * v
-    return v4 * (2.5 - 3.0 * v + v * v)
+def _row_slopes(row, i):
+    """(f_L'(i), f_M'(i)) on one row, as `_row_levels`."""
+    anchor, w, _, _, c_l, c_m, smooth = row
+    u = smooth * ((i - anchor) / w)
+    s = (1.0 - smooth) + ((6.0 * u - 15.0) * u + 10.0) * u * u * u
+    return c_l * s, c_m * s
 
 
 # ---------------------------------------------------------------------------
@@ -168,45 +181,10 @@ class TrapWindow:
             )
 
 
-# Segment kinds of the piecewise slope functions: a constant slope, or a slope
-# scale times smoothstep ("rise", 0 -> 1) or times its complement ("fall").
-_FLAT, _RISE, _FALL = 0, 1, 2
-
-
-def _segment_parts(kind: int, ref: float, width: float, c_l: float, c_m: float,
-                   f_l: float, f_m: float):
-    """The (levels, slopes) functions of one piece of
-    (f_L', f_M') = (c_l, c_m) * shape(u), u = (i - ref) / width, whose levels
-    are (f_l, f_m) at `ref`.  Each kind's formulas are written once and serve
-    floats and arrays alike; the constants are captured, so a scalar call is
-    one function call."""
-    if kind == _FLAT:
-        def levels(i):
-            cum = i - ref
-            return f_l + c_l * cum, f_m + c_m * cum
-
-        def slopes(_i):
-            return c_l, c_m
-        return levels, slopes
-
-    rise = kind == _RISE
-
-    def levels(i):
-        u = (i - ref) / width
-        g = _smoothstep_integral(u) if rise else u - _smoothstep_integral(u)
-        cum = width * g
-        return f_l + c_l * cum, f_m + c_m * cum
-
-    def slopes(i):
-        u = (i - ref) / width
-        s = _smoothstep(u) if rise else _smoothstep_complement(u)
-        return c_l * s, c_m * s
-    return levels, slopes
-
-
 def _fields_state(self) -> dict:
     """Pickle and copy state of a frozen dataclass: its fields only.  The
-    evaluators cached on it are closures, rebuilt on first use."""
+    tables and evaluators cached on it are derived from them and rebuilt on
+    first use."""
     return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
@@ -217,8 +195,11 @@ class MoneyBlock:
     L = l0 + l_y*Y + f_L(i_S) and M = m0 + m_y*Y + f_M(i_S), where the slope
     functions f_L' and f_M' equal -l_slope / +m_slope away from the trap
     windows, reverse sign inside each window and vanish exactly at every
-    window endpoint.  The `*_parts` methods take a float, the `*_parts_many`
-    methods an array; both evaluate the same per-segment formulas.
+    window endpoint.  Both are read off one table of rows, one per piece
+    between the `breaks` (`_build_rows`): the `*_parts` methods take a float
+    and its row, the `*_parts_many` methods an array and its rows gathered
+    by one `searchsorted`, and both run the same arithmetic on them
+    (`_row_levels`, `_row_slopes`), so their results agree bit for bit.
     """
 
     l_y: float
@@ -245,37 +226,34 @@ class MoneyBlock:
     __getstate__ = _fields_state
 
     @cached_property
-    def _table(self) -> tuple[list[float], tuple, tuple]:
-        """Segment start abscissae (the first segment's is -inf, left out),
-        and each segment's levels and slopes functions (`_segment_parts`)."""
-        return _build_segments(self)
+    def _table(self) -> tuple[list[float], list[tuple], tuple[np.ndarray, np.ndarray]]:
+        """(breaks, rows, columns): the piece start rates (the first piece's,
+        -inf, left out), one row per piece (`_build_rows`), and for gathers
+        the breaks as an array and the rows as the columns of a second."""
+        return _build_rows(self)
 
     def level_parts(self, i: float) -> tuple[float, float]:
         """Return (f_L(i), f_M(i)), the rate-dependent parts of L and M."""
-        breaks, levels, _ = self._table
-        return levels[bisect_right(breaks, i)](i)
+        breaks, rows, _ = self._table
+        return _row_levels(rows[bisect_right(breaks, i)], i)
 
     def slope_parts(self, i: float) -> tuple[float, float]:
         """Return (f_L'(i), f_M'(i)), the slopes with respect to the short rate."""
-        breaks, _, slopes = self._table
-        return slopes[bisect_right(breaks, i)](i)
+        breaks, rows, _ = self._table
+        return _row_slopes(rows[bisect_right(breaks, i)], i)
 
     def level_parts_many(self, i) -> tuple[np.ndarray, np.ndarray]:
-        return self._per_segment(i, self._table[1])
+        return _row_levels(*self._gather(i))
 
     def slope_parts_many(self, i) -> tuple[np.ndarray, np.ndarray]:
-        return self._per_segment(i, self._table[2])
+        return _row_slopes(*self._gather(i))
 
-    def _per_segment(self, i, parts) -> tuple[np.ndarray, np.ndarray]:
+    def _gather(self, i) -> tuple[np.ndarray, np.ndarray]:
+        """The rows of an array of short rates, gathered column by column, and
+        the rates as an array."""
         i = np.asarray(i, dtype=float)
-        idx = np.searchsorted(self._table[0], i, side="right")
-        out_l = np.empty_like(i)
-        out_m = np.empty_like(i)
-        for k, part in enumerate(parts):
-            mask = idx == k
-            if mask.any():
-                out_l[mask], out_m[mask] = part(i[mask])
-        return out_l, out_m
+        at, table = self._table[2]
+        return table.take(np.searchsorted(at, i, side="right"), axis=1), i
 
     def demand(self, y: float, i: float) -> float:
         return self.l0 + self.l_y * y + self.level_parts(i)[0]
@@ -287,21 +265,35 @@ class MoneyBlock:
         return [(w.p, w.q) for w in self.windows]
 
 
-def _build_segments(block: MoneyBlock) -> tuple[list[float], tuple, tuple]:
-    """Lay out the piecewise slope structure and integrate it exactly.
+def _build_rows(block: MoneyBlock
+                ) -> tuple[list[float], list[tuple], tuple[np.ndarray, np.ndarray]]:
+    """Lay out the pieces of the slope functions and integrate them exactly.
 
     Each window gets an inward-tapering shoulder on both sides over which the
     normal slopes fall smoothly to zero, so the integrated levels are C1
     while the slopes still vanish exactly at the window endpoints.  The
     reversed-slope bump inside the window rises to its peak at the midpoint
-    and falls back.  Each piece stores its levels at its start, the end value
-    of the piece before it, anchored at f_L(0) = f_M(0) = 0.
+    and falls back.
+
+    Each piece is a row (anchor, w, f_l, f_m, c_l, c_m, smooth): levels
+    (f_l, f_m) at the anchor rate, slope scales (c_l, c_m), and the shape
+    weight, 1 on a smooth piece and 0 on a flat one (`_row_levels`).  A
+    smooth piece is anchored at its window endpoint, where its slope
+    vanishes, and its signed width w reaches its other end, so v runs from 0
+    to 1 across it: a falling piece is a rising one read from its end, since
+    s(1 - u) = 1 - s(u).  There v = 0 gives the slope exactly 0 and the
+    levels exactly the anchor's, and the slope keeps its relative accuracy.
+    A flat piece is anchored at its start (the unbounded head piece at its
+    end) with w = 1, so v is i minus the anchor.  The levels accumulate from
+    zero at the head piece's end: a flat piece adds c times its length and a
+    smooth one c times half its length, since G(1) = 1/2.  Last, they are
+    re-anchored so that f_L(0) = f_M(0) = 0 exactly.
     """
     windows = block.windows
     n = len(windows)
     normal = (-block.l_slope, block.m_slope)
-    # (start, end, kind, slope scales), left to right
-    pieces: list[tuple[float, float, int, tuple[float, float]]] = []
+    # (start, end, anchor, slope scales) left to right; a flat piece has no anchor
+    pieces: list[tuple[float, float, float | None, tuple[float, float]]] = []
     cursor = -math.inf
     for j, w in enumerate(windows):
         width = w.q - w.p
@@ -312,29 +304,31 @@ def _build_segments(block: MoneyBlock) -> tuple[list[float], tuple, tuple]:
         w_r = min(SHOULDER_WIDTH_FRACTION * width, SHOULDER_GAP_FRACTION * gap_r)
         mid = 0.5 * (w.p + w.q)
         bump = (w.amp_l, -w.amp_m)
-        pieces += [(cursor, w.p - w_l, _FLAT, normal),
-                   (w.p - w_l, w.p, _FALL, normal),
-                   (w.p, mid, _RISE, bump),
-                   (mid, w.q, _FALL, bump),
-                   (w.q, w.q + w_r, _RISE, normal)]
+        pieces += [(cursor, w.p - w_l, None, normal),
+                   (w.p - w_l, w.p, w.p, normal),
+                   (w.p, mid, w.p, bump),
+                   (mid, w.q, w.q, bump),
+                   (w.q, w.q + w_r, w.q, normal)]
         cursor = w.q + w_r
-    pieces.append((cursor, math.inf, _FLAT, normal))
+    pieces.append((cursor, math.inf, None, normal))
 
-    # The head piece is unbounded below, so it stores its levels at its end
-    # (or at zero when there are no windows); levels start at zero there.
-    segments = []    # (kind, ref, width, c_l, c_m, f_l, f_m)
-    f_l = f_m = 0.0
-    for lo, hi, kind, (c_l, c_m) in pieces:
-        ref = lo if lo > -math.inf else (hi if hi < math.inf else 0.0)
-        segments.append((kind, ref, hi - lo, c_l, c_m, f_l, f_m))
-        if hi < math.inf:
-            f_l, f_m = _segment_parts(*segments[-1])[0](hi)
-    breaks = [lo for lo, _, _, _ in pieces[1:]]
+    # the levels start at zero where the head piece ends (at zero without windows)
+    rows = [(pieces[0][1] if windows else 0.0, 1.0, 0.0, 0.0, *normal, 0.0)]
+    f_l = f_m = 0.0  # the levels at the start of the piece, then at its end
+    for lo, hi, anchor, (c_l, c_m) in pieces[1:]:
+        start, gain = (f_l, f_m), (hi - lo) * (1.0 if anchor is None else 0.5)
+        f_l, f_m = f_l + c_l * gain, f_m + c_m * gain  # inf past the tail piece, unused
+        if anchor is None:
+            rows.append((lo, 1.0, *start, c_l, c_m, 0.0))
+        else:  # v runs from 0 at the anchor to 1 at the piece's other end
+            far, levels = (hi, start) if anchor == lo else (lo, (f_l, f_m))
+            rows.append((anchor, far - anchor, *levels, c_l, c_m, 1.0))
+    breaks = [lo for lo, *_ in pieces[1:]]
 
-    # Re-anchor so that f_L(0) = f_M(0) = 0 exactly.
-    off_l, off_m = _segment_parts(*segments[bisect_right(breaks, 0.0)])[0](0.0)
-    parts = [_segment_parts(*seg[:5], seg[5] - off_l, seg[6] - off_m) for seg in segments]
-    return breaks, tuple(lv for lv, _ in parts), tuple(sl for _, sl in parts)
+    # re-anchor so that f_L(0) = f_M(0) = 0 exactly
+    off_l, off_m = _row_levels(rows[bisect_right(breaks, 0.0)], 0.0)
+    rows = [(a, w, f_l - off_l, f_m - off_m, *rest) for a, w, f_l, f_m, *rest in rows]
+    return breaks, rows, (np.array(breaks), np.array(rows).T)
 
 
 class _LMGraph:
@@ -669,21 +663,25 @@ def excess_money(y: float, r: float, spec: ModelSpec) -> float:
 
 def _money_excess(spec: ModelSpec):
     """The scalar money excess E(y, r) of one model: one `bisect_right` finds
-    the segment, whose levels function runs on captured constants.  The
-    arithmetic is `excess_money_many`'s, in the same order, so the two agree
-    bit for bit.  Scalar hot loops take it once per model
-    (`ModelSpec._excess_money`) and call it directly."""
+    the row of the money table, and `_row_levels`' arithmetic, inlined on
+    this hot path, evaluates it.  The arithmetic is `excess_money_many`'s, in
+    the same order, so the two agree bit for bit.  Scalar hot loops take it
+    once per model (`ModelSpec._excess_money`) and call it directly."""
     p, m = spec.params, spec.money
     mp, pi_e, m_stock = p.maturity_premium, p.expected_inflation, p.m_stock
     c0, k_y = m.l0 - m.m0, m.l_y - m.m_y
-    breaks, levels, _ = m._table
+    breaks, rows, _ = m._table
 
     def excess(y, r):
         if y < 0.0:
             raise ModelDomainError(f"income must be non-negative, got {y}")
         i = r - mp + pi_e  # `short_rate`
-        f_l, f_m = levels[bisect_right(breaks, i)](i)
-        return c0 + k_y * y + (f_l - f_m) - m_stock
+        anchor, w, f_l, f_m, c_l, c_m, smooth = rows[bisect_right(breaks, i)]
+        v = (i - anchor) / w
+        u = smooth * v
+        u2 = u * u
+        g = w * ((1.0 - smooth) * v + ((u - 3.0) * u + 2.5) * u2 * u2)
+        return c0 + k_y * y + ((f_l + c_l * g) - (f_m + c_m * g)) - m_stock
     return excess
 
 

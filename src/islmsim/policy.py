@@ -130,14 +130,14 @@ class Scenario:
                       key=lambda s: s.t_start)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioResult:
     """A scenario run; `models` holds the models in force as (t, spec) pairs:
     the start, then one after each applied step."""
 
     trajectory: Trajectory
-    events: list[dict]
-    models: list[tuple[float, ModelSpec]]
+    events: tuple[dict, ...]
+    models: tuple[tuple[float, ModelSpec], ...]
 
     @property
     def jumps(self) -> tuple[JumpEvent, ...]:
@@ -319,7 +319,7 @@ def apply_scenario(spec: ModelSpec, scenario: Scenario, y0: float, r0: float,
                        "r_from": j.r_from, "r_to": j.r_to,
                        "direction": j.direction})
     events.sort(key=lambda e: e["t"])
-    return ScenarioResult(traj, events, models)
+    return ScenarioResult(traj, tuple(events), tuple(models))
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +406,7 @@ def plan_stabilization(spec: ModelSpec, fold: FoldPoint, instrument: str,
                              direction, r_target, gap, diagnosis)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ControllerReport:
     uncontrolled: ScenarioResult
     controlled: ScenarioResult

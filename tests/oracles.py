@@ -1,8 +1,9 @@
 """Independent oracles for the test suite.
 
 Everything here recomputes expected values through routes the library does
-not use: numerical quadrature of the slope functions instead of closed-form
-integrals, brute-force dense scans instead of continuation, finite-difference
+not use: numerical quadrature of slope functions rebuilt from the documented
+piece layout instead of closed-form integrals, exact rational sums for fold
+incomes, brute-force dense scans instead of continuation, finite-difference
 Jacobians and eigenvalue classification instead of the analytic trace and
 determinant shortcut, and sign validation at every point of the full grid
 instead of once along the axis each derivative varies on.
@@ -11,20 +12,65 @@ instead of once along the axis each derivative varies on.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 
 from islmsim.model import (FD_STEP_FRACTION, SIGN_DEGENERACY_TOL, WORST_TIE_TOL,
-                           ConditionResult, ModelSpec, ValidationReport, _boundary_condition,
-                           _fold_landing_condition, excess_goods, excess_money, short_rate)
+                           ConditionResult, ModelSpec, MoneyBlock, ValidationReport,
+                           _boundary_condition, _fold_landing_condition, excess_goods,
+                           excess_money, short_rate)
+
+
+def _smoothstep(u: float) -> float:
+    """Quintic smoothstep on [0, 1]: 0 -> 1 with zero slope at both ends."""
+    return u * u * u * (10.0 - 15.0 * u + 6.0 * u * u)
+
+
+@lru_cache(maxsize=256)
+def _pieces(money: MoneyBlock, num=float) -> tuple[tuple, ...]:
+    """The money block's pieces per the documented shoulder sizing rule, left
+    to right, as (lo, hi, shape, c_l, c_m): each window gets a shoulder on
+    either side of half its width, capped at 45% of the gap to the
+    neighbouring window (the first one at the gap down to zero), over which
+    the normal slopes (-l_slope, m_slope) fall to zero at the window and
+    rise back after it; inside, the reversed bump (amp_l, -amp_m) rises to
+    its midpoint and falls back.  The slope is c times 1 on a "flat" piece,
+    times the smoothstep of (i - lo) / (hi - lo) on a "rise" and times one
+    minus it on a "fall".  The boundaries are computed in `num` from the
+    config's floats: `float` rounds them as the library does, `Fraction`
+    keeps them exact."""
+    ws = money.windows
+    half, share = num(0.5), num(0.45)
+    normal = (-money.l_slope, money.m_slope)
+    pieces, cursor = [], -math.inf
+    for j, w in enumerate(ws):
+        p, q = num(w.p), num(w.q)
+        width = q - p
+        w_l = min(half * width, p if j == 0 else share * (p - num(ws[j - 1].q)))
+        w_r = half * width if j == len(ws) - 1 else min(half * width,
+                                                       share * (num(ws[j + 1].p) - q))
+        mid, bump = half * (p + q), (w.amp_l, -w.amp_m)
+        pieces += [(cursor, p - w_l, "flat", *normal), (p - w_l, p, "fall", *normal),
+                   (p, mid, "rise", *bump), (mid, q, "fall", *bump),
+                   (q, q + w_r, "rise", *normal)]
+        cursor = q + w_r
+    pieces.append((cursor, math.inf, "flat", *normal))
+    return tuple(pieces)
 
 
 def rate_gap_slope(spec: ModelSpec, i: float) -> float:
-    """d(L - M)/d(i_S) straight from the block's slope description."""
-    d_l, d_m = spec.money.slope_parts(i)
-    return d_l - d_m
+    """d(L - M)/d(i_S) from the oracle's own piece layout (`_pieces`) and
+    smoothstep, with no use of the library's evaluator; a piece boundary
+    belongs to the piece it starts."""
+    lo, hi, shape, c_l, c_m = next(p for p in _pieces(spec.money) if i < p[1])
+    if shape == "flat":
+        return c_l - c_m
+    s = _smoothstep((i - lo) / (hi - lo))
+    return (c_l - c_m) * (s if shape == "rise" else 1.0 - s)
 
 
 def rate_gap_by_quadrature(spec: ModelSpec, i: float) -> float:
@@ -35,21 +81,37 @@ def rate_gap_by_quadrature(spec: ModelSpec, i: float) -> float:
     return val
 
 
-def _breakpoints(spec: ModelSpec, a: float, b: float) -> list[float]:
-    # piece boundaries per the documented shoulder sizing rule: half the
-    # window width, capped at 45% of the gap to the neighbouring window
-    ws = spec.money.windows
-    pts = []
-    for j, w in enumerate(ws):
-        width = w.q - w.p
-        gap_l = w.p if j == 0 else w.p - ws[j - 1].q
-        gap_r = math.inf if j == len(ws) - 1 else ws[j + 1].p - w.q
-        w_l = min(0.5 * width, gap_l if j == 0 else 0.45 * gap_l)
-        w_r = min(0.5 * width, 0.45 * gap_r)
-        for x in (w.p - w_l, w.p, 0.5 * (w.p + w.q), w.q, w.q + w_r):
-            if min(a, b) < x < max(a, b):
-                pts.append(x)
-    return sorted(pts) or None
+def _breakpoints(spec: ModelSpec, a: float, b: float) -> list[float] | None:
+    """The piece boundaries strictly between a and b (`_pieces`), ascending:
+    shoulder starts, window endpoints, bump midpoints and shoulder ends."""
+    pts = [lo for lo, *_ in _pieces(spec.money)[1:] if min(a, b) < lo < max(a, b)]
+    return pts or None
+
+
+def fold_income_exact(spec: ModelSpec, i_s: float) -> float:
+    """Y_LM at the window-endpoint short rate i_s, correctly rounded.
+
+    The levels there are the piece integrals from zero on the `_pieces`
+    layout, kept exact: c times the length on a flat piece and c times half
+    the length on a smooth one, since the smoothstep integrates to 1/2.  They
+    are summed in `fractions.Fraction` from the config's binary floats, the
+    income Y = -(l0 - m0 + f_L - f_M - M_S) / (l_y - m_y) is formed exactly
+    too, and the result is rounded once.
+    """
+    m = spec.money
+    assert i_s in [x for w in m.windows for x in (w.p, w.q)], i_s
+    end = Fraction(i_s)
+    f_l = f_m = Fraction(0)
+    for lo, hi, shape, c_l, c_m in _pieces(m, Fraction):
+        if lo < end and hi > 0:
+            length = min(hi, end) - max(lo, Fraction(0))
+            assert shape == "flat" or lo >= 0, "zero inside a smooth piece"
+            if shape != "flat":
+                length /= 2
+            f_l += Fraction(c_l) * length
+            f_m += Fraction(c_m) * length
+    excess = Fraction(m.l0) - Fraction(m.m0) + f_l - f_m - Fraction(spec.params.m_stock)
+    return float(-excess / (Fraction(m.l_y) - Fraction(m.m_y)))
 
 
 def excess_money_by_quadrature(spec: ModelSpec, y: float, r: float) -> float:

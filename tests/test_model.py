@@ -222,8 +222,8 @@ def test_scalar_and_vector_money_paths_agree(i):
 
 
 def test_an_evaluated_spec_pickles_and_copies_unchanged():
-    # the evaluators cached on a spec and its money block are closures;
-    # pickles and copies carry the fields only
+    # the evaluators and the row table cached on a spec and its money block
+    # are derived from the fields; pickles and copies carry the fields only
     spec = two_window_spec()
     points = [(y, r) for y in (0.0, 1.3, 4.2) for r in (-0.05, 0.031, 0.07, 0.2)]
     before = [(excess_money(y, r, spec), excess_goods(y, r, spec)) for y, r in points]

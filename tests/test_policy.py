@@ -130,6 +130,7 @@ def test_scenario_result_keeps_the_model_timeline(ref_spec, kw, mode):
              MonetaryStep(1.5, d_ms=0.1))
     result = apply_scenario(ref_spec, Scenario(steps, 2.0), 1.5, 0.01, mode, **kw)
     # the start, then one model after each instantaneous step
+    assert isinstance(result.models, tuple) and isinstance(result.events, tuple)
     assert [t for t, _ in result.models] == [0.0, 0.5, 1.0, 1.5]
     start, shifted, inflated, stocked = (m for _, m in result.models)
     assert start is ref_spec

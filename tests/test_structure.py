@@ -7,6 +7,9 @@ model objects cannot change after construction.
 """
 
 import dataclasses
+import json
+import math
+from importlib import resources
 from unittest import mock
 
 import numpy as np
@@ -15,6 +18,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from islmsim import policy
+from islmsim.config import parse_config_dict
 from islmsim.dynamics import Trajectory, attach_to_branch, detect_cycle, reduced_simulate
 from islmsim.geometry import (_trace_lm_isocline, find_equilibria, is_curve, lm_branches,
                               lm_roots, shift_lm, trace_lm_isocline)
@@ -23,11 +27,12 @@ from islmsim.model import (FD_STEP_FRACTION, SIGN_DEGENERACY_TOL, ISBlock, Model
                            excess_money, excess_money_many, excess_money_slope, short_rate,
                            start_condition, validate_properties)
 from islmsim.policy import FiscalDrive, Scenario, apply_scenario, plan_stabilization
-from islmsim.reference import no_trap_spec, reference_spec
+from islmsim.reference import (multiwindow_domain, no_trap_spec, reference_domain,
+                               reference_spec, three_window_spec, two_window_spec)
 
 from oracles import (_breakpoints, brute_force_equilibria, dense_scan_roots,
-                     excess_money_by_quadrature, fold_positions, grid_validation,
-                     rate_gap_slope, reduced_period_by_quadrature)
+                     excess_money_by_quadrature, fold_income_exact, fold_positions,
+                     grid_validation, rate_gap_slope, reduced_period_by_quadrature)
 
 WIDE_Y = (0.0, 40.0)
 WIDE_R = (-0.1, 0.6)
@@ -135,6 +140,39 @@ def test_a_fold_jump_stops_at_another_fold_at_its_income():
     lm = TWO_KNEES_AT_ONE_INCOME._lm_graph
     y_touch = float(lm.income(lm.ends[1])[()])
     assert lm.landings([(y_touch, lm.ends[2], False)], *WIDE_R) == [(2, lm.ends[1])]
+
+
+# Fold incomes are not correctly rounded yet (an open item on the roadmap):
+# the levels at a window endpoint are sums over the pieces below it, taken in
+# floats.  On the set below that summation errs by at most 4 ulps (the lower
+# knee of the one-window reference), and the money block may not lose
+# accuracy at any fold here.
+FOLD_INCOME_ULPS = 4
+
+
+def _fold_income_cases():
+    for name in ("fiscal_ramp", "no_trap", "reference", "steep_is", "three_window",
+                 "two_window"):
+        text = resources.files("islmsim").joinpath(f"configs/{name}.json").read_text()
+        config = parse_config_dict(json.loads(text))
+        yield pytest.param(config.model, config.domain.y_range, config.domain.r_range,
+                           id=f"{name}.json")
+    for spec, domain, name in ((reference_spec(), reference_domain(), "reference"),
+                               (two_window_spec(), multiwindow_domain(), "two_window"),
+                               (three_window_spec(), multiwindow_domain(), "three_window")):
+        yield pytest.param(spec, domain["y_range"], domain["r_range"], id=name)
+    yield pytest.param(TWO_KNEES_AT_ONE_INCOME, WIDE_Y, WIDE_R, id="two-knees-at-one-income")
+
+
+@pytest.mark.parametrize("spec, y_range, r_range", _fold_income_cases())
+def test_fold_incomes_match_the_exact_rational_oracle(spec, y_range, r_range):
+    windows = spec.money.windows
+    folds = lm_branches(spec, y_range, r_range).folds
+    assert len(folds) == 2 * len(windows)
+    for fold in folds:
+        w = windows[fold.endpoint // 2]
+        exact = fold_income_exact(spec, (w.p, w.q)[fold.endpoint % 2])
+        assert abs(fold.y - exact) <= FOLD_INCOME_ULPS * math.ulp(exact), (fold, exact)
 
 
 @settings(max_examples=40, deadline=None)
@@ -683,6 +721,22 @@ def test_scalar_and_vector_money_excess_agree_exactly(spec, y, r):
         assert excess_money(y, float(x), spec) == excess_money_many(y, x, spec)[()], (y, x)
 
 
+@settings(max_examples=60, deadline=None)
+@given(trap_specs(min_windows=1))
+def test_window_endpoints_hold_their_levels_to_the_bit(spec):
+    # at a window endpoint the slope is exactly zero and the levels are flat
+    # to fourth order, and both pieces beside it are anchored there: one ulp
+    # either side reads the endpoint's levels exactly, so a fold's income
+    # does not depend on which side of it its long rate rounds to
+    money = spec.money
+    for w in money.windows:
+        for e in (w.p, w.q):
+            at = money.level_parts(e)
+            assert money.slope_parts(e) == (0.0, 0.0)
+            for x in (np.nextafter(e, -1.0), np.nextafter(e, 1.0)):
+                assert money.level_parts(float(x)) == at, (e, x)
+
+
 @settings(max_examples=40, deadline=None)
 @given(trap_specs(min_windows=1))
 def test_money_parts_are_continuous_across_segment_boundaries(spec):
@@ -717,9 +771,12 @@ def test_money_stock_plan_relocates_the_fold(all_window_specs):
             assert y_new == pytest.approx(protect, abs=1e-9)
 
 
-def test_model_objects_are_frozen(ref_isocline):
+def test_model_objects_are_frozen(ref_isocline, ref_spec):
     traj = Trajectory(np.array([0.0, 1.0]), np.zeros(2), np.zeros(2), "full-epsilon", "x")
-    for obj in (ref_isocline.branches[0], ref_isocline, traj):
+    result = policy.ScenarioResult(traj, (), ((0.0, ref_spec),))
+    report = policy.ControllerReport(result, result, None, None, None, 0, 0, 0.0, 0.0, 0.0,
+                                     False)
+    for obj in (ref_isocline.branches[0], ref_isocline, traj, result, report):
         for f in dataclasses.fields(obj):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(obj, f.name, getattr(obj, f.name))
