@@ -29,9 +29,12 @@ __all__ = [
     "FoldStallError",
     "Trajectory",
     "JumpEvent",
+    "Leg",
+    "Move",
     "CycleSummary",
     "integrate",
     "reduced_simulate",
+    "render_legs",
     "detect_jumps",
     "detect_cycle",
     "attach_to_branch",
@@ -41,8 +44,8 @@ __all__ = [
     "excess_money_scale",
 ]
 
-# Time offset used to keep the pre-jump corner sample strictly before the
-# post-jump sample in singular-limit trajectories.
+# Time offset of the corner sample that `render_legs` draws before each
+# zero-time move of a singular-limit table, strictly before its landing.
 CORNER_DT = 1e-9
 
 # A full-system run whose steps stay below this fraction of its horizon for
@@ -59,6 +62,11 @@ BATCH_STEPS = 64
 # on each piece of the integrand between segment breaks.
 QUAD_ORDER = 16
 QUAD_PANELS = 8
+
+# `Leg.max_rate`: grid points per piece of a leg's rate span, and the rounds
+# of as many points between the best point's neighbours.
+SUP_GRID = 33
+SUP_ROUNDS = 6
 
 # The longest segment `cycle_points` keeps, relative to the loop's extents.
 CYCLE_MAX_GAP = 0.002
@@ -344,12 +352,11 @@ def _landing_branch(isocline: LMIsocline, k: int, y: float, r: float) -> Branch:
     return branch
 
 
-def _branch_rates(spec: ModelSpec, branch: Branch, y: np.ndarray) -> np.ndarray:
-    """Rates where the branch reaches the incomes y: the LM graph inverted,
-    started from the chord between the branch's exact end points and
-    bracketed by their rates, so the result does not depend on the sample
-    density."""
-    ends, rates = branch.ys[[0, -1]], branch.rs[[0, -1]]
+def _branch_rates(spec: ModelSpec, ends, rates, y: np.ndarray) -> np.ndarray:
+    """Rates where a branch with end points (ends, rates) reaches the
+    incomes y: the LM graph inverted, started from the chord between the
+    branch's exact end points and bracketed by their rates, so the result
+    does not depend on the sample density."""
     return spec._lm_graph.rates_at(y, rates[0], rates[1], np.interp(y, ends, rates),
                                    1e-13 * np.maximum(1.0, np.abs(y)))
 
@@ -416,6 +423,16 @@ class _FreeLeg:
         return (half * ((slope - self.c / (nodes - self.r_end)) @ _GL_WEIGHTS)
                 + self.c * np.log((r - self.r_end) / (r_a - self.r_end)))
 
+    def time_at(self, r: float) -> float:
+        """When the leg reaches the rate r: the clock at the start of the
+        panel that holds r, plus the rule across the rest of that panel."""
+        ascending = self.ends[-1] > self.ends[0]
+        j = int(np.clip(np.searchsorted(self.ends if ascending else -self.ends,
+                                        r if ascending else -r, side="right") - 1,
+                        0, len(self.ends) - 2))
+        with np.errstate(divide="ignore"):  # the log is -inf at R* itself
+            return float(self.times[j] + self.time_from(self.ends[j:j + 1], np.array([r]))[0])
+
     def rates_at(self, t: np.ndarray) -> np.ndarray:
         """Rates reached at the times t: the panel ends interpolated, or the
         log model R* + (r_a - R*) exp((t - t_a) / c) within the panel, then
@@ -434,33 +451,134 @@ class _FreeLeg:
                            lambda r, _k: self.time_slope(r), t, r_a, r_b, x0, tol)
 
 
-def _append_samples(ts: list[float], ys: list[float], rs: list[float],
-                    t: np.ndarray, y: np.ndarray, r: np.ndarray) -> None:
-    ts.extend(t.tolist())
-    ys.extend(y.tolist())
-    rs.extend(r.tolist())
+@dataclass(frozen=True)
+class Move:
+    """A zero-time move of the rate at income `y` and slow time `t`: a fold
+    jump (`kind` "jump") or a reattachment after a model change
+    ("reattach")."""
+
+    t: float
+    y: float
+    r_from: float
+    r_to: float
+    kind: str  # "jump" | "reattach"
+
+    def event(self) -> JumpEvent:
+        """The move as a `JumpEvent` that takes no time."""
+        return JumpEvent(self.t, self.t, self.y, self.r_from, self.r_to,
+                         "up" if self.r_to > self.r_from else "down")
+
+
+@dataclass(frozen=True, eq=False)
+class Leg:
+    """One slow leg of a singular-limit run on one stable branch, from
+    (t0, y0, r0) to (t1, y1, r1), with the rate slaved to the branch.
+
+    A free leg has its `clock` (`_FreeLeg`), a driven leg the ramp's `slope`
+    (income linear in time), and a leg at rest neither.  `end` says how it
+    ends: "fold" (a jump follows), "domain-exit" (a branch end that is no
+    fold) or "horizon" (its run segment's stop, where the end state is the
+    leg's own at t1).  `bracket` holds the branch's end points, which bracket
+    a driven leg's rates.  Equality is identity."""
+
+    spec: ModelSpec
+    bracket: tuple[tuple[float, float], tuple[float, float]]  # (Y ends, R ends)
+    t0: float
+    y0: float
+    r0: float
+    t1: float
+    end: str  # "fold" | "domain-exit" | "horizon"
+    slope: float | None = None
+    clock: _FreeLeg | None = None
+    y1: float | None = None
+    r1: float | None = None
+
+    def __post_init__(self):
+        if self.y1 is None:
+            (y1,), (r1,) = self.at(np.array([self.t1]))
+            object.__setattr__(self, "y1", float(y1))
+            object.__setattr__(self, "r1", float(r1))
+
+    def at(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Incomes and rates at the times t."""
+        if self.clock is not None:
+            r = self.clock.rates_at(t)
+            return self.spec._lm_graph.income(r), r
+        if self.slope is not None:
+            y = self.y0 + self.slope * (t - self.t0)
+            return y, _branch_rates(self.spec, *self.bracket, y)
+        return np.full(len(t), self.y0), np.full(len(t), self.r0)
+
+    def time_at_rate(self, r: float) -> float:
+        """When the leg reaches the rate r: the free leg's clock, or the
+        ramp's closed form at the income Y_LM(r)."""
+        if self.clock is not None:
+            return self.clock.time_at(r)
+        return self.time_at_income(float(self.spec._lm_graph.income(np.array([r]))[0]))
+
+    def time_at_income(self, y: float) -> float:
+        """When the leg reaches the income y: t0 + (y - y0) / slope on a
+        driven leg, the clock at the branch's rate for y on a free one."""
+        if self.clock is None:
+            return self.t0 + (y - self.y0) / self.slope
+        return self.time_at_rate(float(_branch_rates(self.spec, *self.bracket,
+                                                     np.array([y]))[0]))
+
+    def max_rate(self) -> float:
+        """The supremum of |dR/dt| over the leg.  A leg that reaches a fold
+        has none: Y_LM' vanishes there like (R - R_f)^3, so the speed is
+        unbounded (inf).  Otherwise it is the largest of |slope / Y_LM'(R)|
+        (driven) or |alpha G(R) / Y_LM'(R)| (free) over the leg's rates."""
+        if self.end == "fold":
+            return math.inf
+        if self.clock is None and self.slope is None:
+            return 0.0
+        lm = self.spec._lm_graph
+
+        def speed(r):
+            clock = self.clock
+            push = self.slope if clock is None else clock.alpha * clock.goods_along(r)
+            with np.errstate(divide="ignore"):
+                return np.abs(push / lm.income_slope(r))
+        return _largest(speed, self.r0, self.r1, lm.breaks)
+
+
+def _largest(f, a: float, b: float, breaks: np.ndarray) -> float:
+    """The largest value of f on the rates between a and b: SUP_GRID points
+    on each piece between the breaks, then SUP_ROUNDS grids of as many points
+    between the best point's neighbours."""
+    lo, hi = min(a, b), max(a, b)
+    cuts = [lo, *breaks[(breaks > lo) & (breaks < hi)], hi]
+    x = np.concatenate([np.linspace(p, q, SUP_GRID) for p, q in zip(cuts[:-1], cuts[1:])])
+    best = -math.inf
+    for _ in range(SUP_ROUNDS):
+        v = f(x)
+        i = int(np.argmax(v))
+        best = max(best, float(v[i]))
+        x = np.linspace(x[max(i - 1, 0)], x[min(i + 1, len(x) - 1)], SUP_GRID)
+    return best
 
 
 def advance_reduced(spec: ModelSpec, isocline: LMIsocline, branch: Branch,
-                    y: float, r: float, t: float, t_stop: float, stride: float,
-                    ts: list[float], ys: list[float], rs: list[float],
-                    jumps: list[JumpEvent], slope: float | None = None
-                    ) -> tuple[Branch, float, float, float, str]:
-    """Advance the singular-limit state (y, r) on `branch` to t_stop,
-    appending samples in place.
+                    y: float, r: float, t: float, t_stop: float, slope: float | None = None
+                    ) -> tuple[list[Leg | Move], Branch, float, float, float, str]:
+    """Advance the singular-limit state (y, r) on `branch` to t_stop.
 
     Income follows the slow flow, or the ramp dY/dt = slope when a slope is
     given; the rate stays slaved to the branch and jumps at its folds.  No
     ODE is integrated: each leg runs in the rate coordinate.  A ramp reaches
-    the branch end at a closed-form time and its sample rates solve
-    Y(R) = Y(t); a free leg takes its times and rates from the quadrature of
-    dt/dR = Y'(R) / (alpha G(R)), on a log clock towards an equilibrium.
+    the branch end at a closed-form time; a free leg takes its clock from
+    the quadrature of dt/dR = Y'(R) / (alpha G(R)), on a log clock towards
+    an equilibrium (`_FreeLeg`).
 
-    Returns the final (branch, income, rate, time, status); status is
-    "horizon" when t_stop was reached and "domain-exit" when the state
-    drifted off the traced income range through a non-fold branch end.
+    Returns the legs and fold jumps (`Leg`, `Move`) in time order, then the
+    final (branch, income, rate, time, status); status is "horizon" when
+    t_stop was reached and "domain-exit" when the state drifted off the
+    traced income range through a non-fold branch end.  `render_legs` draws
+    the legs into a table.
     """
-    lm, goods = spec._lm_graph, spec._excess_goods
+    goods = spec._excess_goods
+    legs: list[Leg | Move] = []
     while t < t_stop - 1e-12:
         drift = goods(y, r) if slope is None else slope
         up = drift > 0.0
@@ -468,78 +586,88 @@ def advance_reduced(spec: ModelSpec, isocline: LMIsocline, branch: Branch,
         y_end = branch.y_hi if up else branch.y_lo
         r_end = float(branch.rs[-1] if up else branch.rs[0])
         g_end = goods(y_end, r_end)
-        rates_at = None  # the free flow's rate as a function of time
+        bracket = (tuple(branch.ys[[0, -1]].tolist()), tuple(branch.rs[[0, -1]].tolist()))
+        clock = None
         if drift == 0.0:  # at rest: an equilibrium, or a flat ramp
             t_hit = math.inf
         elif slope is not None:
             t_hit = t + (y_end - y) / slope
         else:
-            leg = _FreeLeg(spec, r, r_end, t, drift, g_end, end[0] == "fold")
-            rates_at, t_hit = leg.rates_at, leg.t_end
+            clock = _FreeLeg(spec, r, r_end, t, drift, g_end, end[0] == "fold")
+            t_hit = clock.t_end
+        ramp = None if drift == 0.0 else slope
 
-        stop = t_hit > t_stop
-        times = np.arange(ts[-1] + stride, min(t_hit, t_stop), stride)
-        if stop:
-            times = np.append(times, t_stop)
-        if rates_at is not None:
-            r_k = rates_at(times)
-            y_k = lm.income(r_k)
-        elif drift != 0.0:
-            y_k = y + slope * (times - t)
-            r_k = _branch_rates(spec, branch, y_k)
-        else:
-            y_k, r_k = np.full(len(times), y), np.full(len(times), r)
-        if stop:
-            # the state at t_stop is a sample unless the last one is already there
-            n = len(times) - ((times[-2] if len(times) > 1 else ts[-1]) >= t_stop - 1e-12)
-            _append_samples(ts, ys, rs, times[:n], y_k[:n], r_k[:n])
-            return branch, float(y_k[-1]), float(r_k[-1]), t_stop, "horizon"
-        _append_samples(ts, ys, rs, times, y_k, r_k)
-
+        if t_hit > t_stop:
+            legs.append(Leg(spec, bracket, t, y, r, t_stop, "horizon", ramp, clock))
+            return legs, branch, legs[-1].y1, legs[-1].r1, t_stop, "horizon"
+        legs.append(Leg(spec, bracket, t, y, r, t_hit, end[0], ramp, clock, y_end, r_end))
         if end[0] != "fold":
-            if t_hit > ts[-1]:
-                ts.append(t_hit)
-                ys.append(y_end)
-                rs.append(r_end)
-            return branch, y_end, r_end, t_hit, "domain-exit"
+            return legs, branch, y_end, r_end, t_hit, "domain-exit"
         if slope is None and g_end == 0.0:
             raise FoldStallError(
                 f"slow flow is exactly zero at the fold (y={y_end}); "
                 "the continuation is undefined")
         fold = isocline.folds[end[1]]
-        direction, k, landing = fold.jump()
-        _append_vertical_move(ts, ys, rs, t_hit, fold.y, fold.r, landing)
-        jumps.append(JumpEvent(t_hit, t_hit, fold.y, fold.r, landing, direction))
+        _, k, landing = fold.jump()
+        legs.append(Move(t_hit, fold.y, fold.r, landing, "jump"))
         branch = _landing_branch(isocline, k, fold.y, landing)
         t, y, r = t_hit, fold.y, landing
-    return branch, y, r, t, "horizon"
+    return legs, branch, y, r, t, "horizon"
 
 
-def _append_vertical_move(ts: list[float], ys: list[float], rs: list[float],
-                          t: float, y: float, r_from: float, r_to: float) -> None:
-    """Write the samples of a zero-time move of the rate at income y.
+def render_legs(start: tuple[float, float, float], legs, stride: float,
+                spec_id: str) -> Trajectory:
+    """Draw a singular-limit run, its legs and moves in time order, into
+    its sampled table, which opens with the start state (t, y, r).
 
-    A fold jump and a reattachment after a model change both take this form.
-    The pre-move corner (t - CORNER_DT max(1, |t|), y, r_from) goes in when
-    it falls after the last sample; a last sample already at t (the state at
-    a scenario step) moves back to it instead, unless that would reach the
-    sample before it.  The landing (t, y, r_to) is then appended, or, where
-    no corner could go in, overwrites the last sample at t.
+    Each leg is sampled at the stride from the last sample on, short of its
+    end.  A leg cut by the horizon adds its state there, unless a sample is
+    already within 1e-12 of it; one that leaves the traced income range adds
+    its end.  Every move (`Move`) is drawn the same way: a corner sample
+    (t - CORNER_DT max(1, |t|), y, r_from), when it falls after the last
+    sample, then the landing (t, y, r_to).  A last sample already at t (the
+    state at a scenario step) moves back to the corner instead, unless that
+    would reach the sample before it; where no corner could go in, the
+    landing overwrites the last sample.  The jumps of the table are the
+    run's fold-jump moves.
     """
-    corner_t = t - CORNER_DT * max(1.0, abs(t))
-    if corner_t > ts[-1]:
-        ts.append(corner_t)
-        ys.append(y)
-        rs.append(r_from)
-    elif ts[-1] == t and len(ts) > 1 and corner_t > ts[-2]:
-        ts[-1] = corner_t
-    if t > ts[-1]:
-        ts.append(t)
-        ys.append(y)
-        rs.append(r_to)
-    else:
-        ys[-1] = y
-        rs[-1] = r_to
+    ts, ys, rs = ([v] for v in start)
+    for piece in legs:
+        if isinstance(piece, Move):
+            t = piece.t
+            corner_t = t - CORNER_DT * max(1.0, abs(t))
+            if corner_t > ts[-1]:
+                ts.append(corner_t)
+                ys.append(piece.y)
+                rs.append(piece.r_from)
+            elif ts[-1] == t and len(ts) > 1 and corner_t > ts[-2]:
+                ts[-1] = corner_t
+            if t > ts[-1]:
+                ts.append(t)
+                ys.append(piece.y)
+                rs.append(piece.r_to)
+            else:
+                ys[-1] = piece.y
+                rs[-1] = piece.r_to
+            continue
+        times = np.arange(ts[-1] + stride, piece.t1, stride)
+        cut = piece.end == "horizon"
+        if cut:
+            times = np.append(times, piece.t1)
+        y_k, r_k = piece.at(times)
+        n = len(times)
+        if cut and (times[-2] if n > 1 else ts[-1]) >= piece.t1 - 1e-12:
+            n -= 1  # the state at the horizon is a sample unless the last one is there
+        ts.extend(times[:n].tolist())
+        ys.extend(y_k[:n].tolist())
+        rs.extend(r_k[:n].tolist())
+        if piece.end == "domain-exit" and piece.t1 > ts[-1]:
+            ts.append(piece.t1)
+            ys.append(piece.y1)
+            rs.append(piece.r1)
+    jumps = tuple(m.event() for m in legs if isinstance(m, Move) and m.kind == "jump")
+    return Trajectory(np.asarray(ts), np.asarray(ys), np.asarray(rs), REDUCED_MODE,
+                      spec_id, jumps)
 
 
 def reduced_simulate(spec: ModelSpec, y0: float, branch0: int | Branch, t_end: float,
@@ -548,8 +676,7 @@ def reduced_simulate(spec: ModelSpec, y0: float, branch0: int | Branch, t_end: f
     of t_end / 2000: slow drift along stable arcs, vertical jumps.
 
     Stored times are slow time (the epsilon-scaled clock of the full system).
-    Each fold passage appends the pre-jump corner, the zero-duration jump
-    event, and continues on the branch the fast flow lands on.
+    The run's legs (`advance_reduced`) are drawn by `render_legs`.
     """
     branch = isocline.branches[branch0] if isinstance(branch0, int) else branch0
     if branch.stability != "stable":
@@ -557,15 +684,10 @@ def reduced_simulate(spec: ModelSpec, y0: float, branch0: int | Branch, t_end: f
     if not branch.covers(y0):
         raise ValueError(f"income {y0} is outside the starting branch domain")
 
-    r0 = float(_branch_rates(spec, branch, np.array([float(y0)]))[0])
-    ts: list[float] = [0.0]
-    ys: list[float] = [y0]
-    rs: list[float] = [r0]
-    jumps: list[JumpEvent] = []
-    advance_reduced(spec, isocline, branch, y0, r0, 0.0, t_end, t_end / 2000.0,
-                    ts, ys, rs, jumps)
-    return Trajectory(np.asarray(ts), np.asarray(ys), np.asarray(rs),
-                      REDUCED_MODE, spec.spec_id, tuple(jumps))
+    r0 = float(_branch_rates(spec, branch.ys[[0, -1]], branch.rs[[0, -1]],
+                             np.array([float(y0)]))[0])
+    legs = advance_reduced(spec, isocline, branch, y0, r0, 0.0, t_end)[0]
+    return render_legs((0.0, y0, r0), legs, t_end / 2000.0, spec.spec_id)
 
 
 # ---------------------------------------------------------------------------

@@ -16,17 +16,18 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dynamics import (
-    CORNER_DT,
     FULL_MODE,
     REDUCED_MODE,
     JumpEvent,
+    Leg,
+    Move,
     Trajectory,
-    _append_vertical_move,
     _window_traversals,
     advance_reduced,
     attach_to_branch,
     detect_cycle,
     integrate,
+    render_legs,
 )
 # `lm_roots` stays bound here, unused: bench/test_inputs.py::
 # test_tracer_wraps_every_binding_and_restores_them asserts this binding
@@ -133,11 +134,15 @@ class Scenario:
 @dataclass(frozen=True)
 class ScenarioResult:
     """A scenario run; `models` holds the models in force as (t, spec) pairs:
-    the start, then one after each applied step."""
+    the start, then one after each applied step.  A singular-limit run keeps
+    its `legs`: the slow legs and the zero-time moves between them (fold
+    jumps and reattachments), in time order (`dynamics.Leg`, `Move`); its
+    trajectory is their rendering.  A full-system run has none."""
 
     trajectory: Trajectory
     events: tuple[dict, ...]
     models: tuple[tuple[float, ModelSpec], ...]
+    legs: tuple[Leg | Move, ...] = ()
 
     @property
     def jumps(self) -> tuple[JumpEvent, ...]:
@@ -221,7 +226,7 @@ def apply_scenario(spec: ModelSpec, scenario: Scenario, y0: float, r0: float,
     if stride is None:
         stride = scenario.horizon / 2000.0
     events: list[dict] = []
-    jumps: list[JumpEvent] = []
+    legs: list[Leg | Move] = []
     models = [(0.0, spec)]
     preflight(spec, y0, r0, y_range=y_range, r_range=r_range, grid_n=grid_n)
 
@@ -242,10 +247,9 @@ def apply_scenario(spec: ModelSpec, scenario: Scenario, y0: float, r0: float,
     if reduced:
         isocline = trace_lm_isocline(cur_spec, y_range, y_steps, r_range, scan_n)
         branch, r = attach_to_branch(cur_spec, isocline, y, r)
-        ts, ys_, rs_ = [t], [y], [r]
+        start = (t, y, r)
     else:
         parts: list[tuple[Trajectory, ModelSpec]] = []
-        ts, ys_, rs_ = [], [], []  # unused in full mode
 
     def active_drive(t_seg):
         for d in drives:
@@ -284,7 +288,7 @@ def apply_scenario(spec: ModelSpec, scenario: Scenario, y0: float, r0: float,
                 if abs(r_new - r) > 1e-12:
                     events.append({"t": t_a, "kind": "reattach", "y": y,
                                    "r_from": r, "r_to": r_new})
-                    _append_vertical_move(ts, ys_, rs_, t_a, y, r, r_new)
+                    legs.append(Move(t_a, y, r, r_new, "reattach"))
                 r = r_new
         if t_b is None:  # steps at the horizon start no segment
             break
@@ -297,9 +301,9 @@ def apply_scenario(spec: ModelSpec, scenario: Scenario, y0: float, r0: float,
         elif drive.t_start == t_a:
             slope = _drive_slope(drive, y)
         if reduced:
-            branch, y, r, t, status = advance_reduced(
-                cur_spec, isocline, branch, y, r, t_a, t_b, stride,
-                ts, ys_, rs_, jumps, slope)
+            made, branch, y, r, t, status = advance_reduced(
+                cur_spec, isocline, branch, y, r, t_a, t_b, slope)
+            legs += made
             if status == "domain-exit":
                 events.append({"t": t, "kind": "domain-exit", "y": y})
                 break
@@ -310,8 +314,7 @@ def apply_scenario(spec: ModelSpec, scenario: Scenario, y0: float, r0: float,
             y, r, t = float(part.y[-1]), float(part.r[-1]), float(part.t[-1])
 
     if reduced:
-        traj = Trajectory(np.asarray(ts), np.asarray(ys_), np.asarray(rs_),
-                          REDUCED_MODE, spec.spec_id, tuple(jumps))
+        traj = render_legs(start, legs, stride, spec.spec_id)
     else:
         traj = _concat(parts, spec.spec_id)
     for j in traj.jumps:
@@ -319,7 +322,7 @@ def apply_scenario(spec: ModelSpec, scenario: Scenario, y0: float, r0: float,
                        "r_from": j.r_from, "r_to": j.r_to,
                        "direction": j.direction})
     events.sort(key=lambda e: e["t"])
-    return ScenarioResult(traj, tuple(events), tuple(models))
+    return ScenarioResult(traj, tuple(events), tuple(models), tuple(legs))
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +418,8 @@ class ControllerReport:
     y_fired: float | None
     jumps_uncontrolled: int
     jumps_controlled: int
-    max_rate_uncontrolled: float
-    max_rate_controlled: float
+    max_rate_uncontrolled: float  # largest |dR/dt| (`_max_rate`): inf in the
+    max_rate_controlled: float    # singular limit when a leg reaches a fold
     r_band_controlled: float      # max |R - R at trigger| after the trigger
     controller_late: bool
 
@@ -437,38 +440,27 @@ class ControllerReport:
 
 
 def _max_rate(result: ScenarioResult) -> float:
-    """The largest |dR/dt| between consecutive samples.  A singular-limit
-    run's jumps and reattachments take no time, so they are left out: the
-    step onto each landing counts for nothing, and a pre-move corner sample
-    (at the landing's income) is read at the move's own instant, so the value
-    is a slow-flow rate that no `CORNER_DT` sets."""
+    """The largest |dR/dt| of a run.  In the full system, between consecutive
+    samples.  In the singular limit, the supremum of the slow flow's speed
+    over the legs (`Leg.max_rate`), inf when a leg reaches a fold; jumps and
+    reattachments take no time and count for nothing."""
     traj = result.trajectory
+    if traj.mode == REDUCED_MODE:
+        return max((leg.max_rate() for leg in result.legs if isinstance(leg, Leg)), default=0.0)
     if len(traj) < 2:
         return 0.0
-    t, dr = traj.t, np.abs(np.diff(traj.r))
-    if traj.mode == REDUCED_MODE:
-        moves = [e["t"] for e in result.events if e["kind"] in ("jump", "reattach")]
-        landing = np.isin(t[1:], moves)  # the step into sample i + 1 is a move
-        corner = landing[1:] & (traj.y[1:-1] == traj.y[2:])
-        t = t.copy()
-        t[1:-1][corner] = t[2:][corner]
-        dr[landing] = 0.0
-    return float(np.max(dr / np.maximum(np.diff(t), 1e-300)))
+    return float(np.max(np.abs(np.diff(traj.r)) / np.maximum(np.diff(traj.t), 1e-300)))
 
 
-def _first_crossing_time(traj: Trajectory, level: float, upward: bool) -> float | None:
-    y, t = traj.y, traj.t
-    if upward:
-        hits = np.nonzero((y[:-1] < level) & (y[1:] >= level))[0]
-    else:
-        hits = np.nonzero((y[:-1] > level) & (y[1:] <= level))[0]
-    if len(hits) == 0:
-        if len(y) and ((y[0] >= level) if upward else (y[0] <= level)):
-            return float(t[0])
-        return None
-    k = int(hits[0])
-    frac = (level - y[k]) / (y[k + 1] - y[k])
-    return float(t[k] + frac * (t[k + 1] - t[k]))
+def _first_leg_crossing(legs, level: float, upward: bool) -> float | None:
+    """The first instant at which a singular-limit run's income is at or
+    past the level, read off the leg that reaches it (`Leg.time_at_income`:
+    t_a + (level - y_a) / slope on a driven leg)."""
+    past = (lambda y: y >= level) if upward else (lambda y: y <= level)
+    for leg in legs:
+        if isinstance(leg, Leg) and past(leg.y1):
+            return leg.t0 if past(leg.y0) else leg.time_at_income(level)
+    return None
 
 
 def _first_monitored_crossing(traj: Trajectory, level: float, upward: bool,
@@ -496,10 +488,11 @@ def run_with_controller(spec: ModelSpec, ramp: FiscalDrive, plan: StabilizationP
     The controller watches the uncontrolled run's income and fires the plan's
     step when it comes within the trigger margin of the watched fold.  In the
     singular limit the firing time is the exact crossing of the trigger
-    level.  In the full system income is monitored at the instants
-    k * monitor_stride (k = 1, 2, ...) and at the horizon, and the step fires
-    at the first of them at which income is at or past the trigger, so a late
-    trigger is possible and is reported.  The controlled run is
+    level, read off the leg that reaches it.  In the full system income is
+    monitored at the instants k * monitor_stride (k = 1, 2, ...) and at the
+    horizon, and the step fires at the first of them at which income is at
+    or past the trigger, so a late trigger is possible and is reported.  The
+    controlled run is
     `apply_scenario` on the ramp and that step; both runs validate at
     `grid_n` points per axis.
     """
@@ -517,7 +510,7 @@ def run_with_controller(spec: ModelSpec, ramp: FiscalDrive, plan: StabilizationP
     approaching_up = _drive_slope(ramp, y0) > 0
     trigger_y = fold.y - margin if approaching_up else fold.y + margin
     if mode == REDUCED_MODE:
-        t_fired = _first_crossing_time(base.trajectory, trigger_y, approaching_up)
+        t_fired = _first_leg_crossing(base.legs, trigger_y, approaching_up)
         y_fired = None if t_fired is None else trigger_y
     else:
         t_fired, y_fired = _first_monitored_crossing(
@@ -551,6 +544,11 @@ def run_with_controller(spec: ModelSpec, ramp: FiscalDrive, plan: StabilizationP
     )
 
 
+def _opposite(a, b):
+    """Whether the rates a and b (elementwise) lie strictly on opposite sides of zero."""
+    return np.sign(a) * np.sign(b) < 0
+
+
 def negative_rate_probe(spec: ModelSpec, scenario: Scenario | None,
                         y0: float, r0: float, *,
                         y_range: tuple[float, float], r_range: tuple[float, float],
@@ -563,14 +561,17 @@ def negative_rate_probe(spec: ModelSpec, scenario: Scenario | None,
                             r_range=r_range, stride=stride)
     traj = result.trajectory
     r = traj.r
-    flips = list(np.nonzero(np.sign(r[:-1]) * np.sign(r[1:]) < 0)[0])
-    # A jump crosses zero when it departs and lands on opposite sides, and the
-    # first sign change after its departure (in the singular limit, its
-    # pre-jump corner) is its own.  A full-system jump's r_to is only its
-    # arrival sample, so its landing is the first root from r_to on under the
-    # model in force at the jump, in the rate range the run validated it on;
-    # whether the samples show the fall below zero before or after the
-    # arrival then does not depend on the stride.
+    # A jump crosses zero when it departs and lands on opposite sides.  A
+    # full-system jump's r_to is only its arrival sample, so its landing is
+    # the first root from r_to on under the model in force at the jump, in
+    # the rate range the run validated it on, and the first sign change of
+    # the samples from its departure on is its own: whether the samples show
+    # the fall below zero before or after the arrival then does not depend
+    # on the stride.  The other sign changes are drift crossings.  In the
+    # singular limit they are read off the legs instead: each leg's clock at
+    # R = 0 (the closed form on a driven leg), and a reattachment that moves
+    # the rate through zero at its instant.
+    flips = list(np.nonzero(_opposite(r[:-1], r[1:]))[0]) if mode == FULL_MODE else []
     crossings: list[dict] = []
     for j in traj.jumps:
         landing = j.r_to
@@ -581,11 +582,10 @@ def negative_rate_probe(spec: ModelSpec, scenario: Scenario | None,
                 *_r_range_after(r_range, scenario.instantaneous()[:i]))
             if found is not None:
                 landing = found[1]
-        if np.sign(j.r_from) * np.sign(landing) < 0:
+        if _opposite(j.r_from, landing):
             crossings.append({"t": j.t_start, "kind": "jump-crossing",
                               "level_from": j.r_from, "level_to": landing})
-            departure = j.t_start - CORNER_DT * max(1.0, abs(j.t_start))
-            own = next((k for k in flips if traj.t[k] >= departure), None)
+            own = next((k for k in flips if traj.t[k] >= j.t_start), None)
             if own is not None:
                 flips.remove(own)
     for k in flips:
@@ -593,6 +593,13 @@ def negative_rate_probe(spec: ModelSpec, scenario: Scenario | None,
         crossings.append({"t": float(traj.t[k] + frac * (traj.t[k + 1] - traj.t[k])),
                           "kind": "drift-crossing",
                           "level_from": float(r[k]), "level_to": float(r[k + 1])})
+    for leg in result.legs:
+        if isinstance(leg, Leg) and _opposite(leg.r0, leg.r1):
+            crossings.append({"t": leg.time_at_rate(0.0), "kind": "drift-crossing",
+                              "level_from": leg.r0, "level_to": leg.r1})
+        elif isinstance(leg, Move) and leg.kind == "reattach" and _opposite(leg.r_from, leg.r_to):
+            crossings.append({"t": leg.t, "kind": "drift-crossing",
+                              "level_from": leg.r_from, "level_to": leg.r_to})
     crossings.sort(key=lambda c: c["t"])
 
     cycle = detect_cycle(traj, result.final_spec)

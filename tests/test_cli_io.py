@@ -500,6 +500,23 @@ def test_a_jump_that_leaves_the_rate_range_is_a_validation_failure(tmp_path, cap
         assert not list((tmp_path / cmd).glob("*.csv")), cmd
 
 
+def test_a_model_that_fails_a_sign_condition_runs_nothing(tmp_path, capsys):
+    # A money slope of 1e300 fails dM_dY < dL_dY: validate exits 1, and so
+    # does simulate over 20 time units, whose steps would stall near 1e-299,
+    # before it writes a table.
+    raw = shipped_config("no_trap")
+    raw["model"]["money"]["l_slope"] = 1e300
+    raw["simulate"]["t_end"] = 20.0
+    cfg = write_config(tmp_path, raw)
+    for cmd in ("validate", "simulate"):
+        assert run_command([cmd, "--config", str(cfg),
+                            "--out", str(tmp_path / cmd), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert "dM_dY < dL_dY" in err
+        assert "Traceback" not in err
+        assert not list((tmp_path / cmd).glob("*.csv")), cmd
+
+
 # ---------------------------------------------------------------------------
 # results read the branch table; only drawing output samples the isocline
 

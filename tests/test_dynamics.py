@@ -11,6 +11,7 @@ from islmsim import dynamics
 from islmsim.dynamics import (
     FULL_MODE,
     IntegrationError,
+    Leg,
     Trajectory,
     _window_traversals,
     attach_to_branch,
@@ -356,6 +357,27 @@ def test_equilibrium_bound_leg_keeps_the_quadrature_clock(make_spec, y0, r0, ref
         k = int(np.searchsorted(traj.t, t))
         assert traj.t[k] - traj.t[0] == pytest.approx(
             reduced_leg_time(spec, traj.r[0], traj.r[k]), abs=1e-10)
+
+
+def test_a_leg_reads_the_instant_of_its_own_incomes_and_rates(ref_spec, ref_isocline,
+                                                              ref_domain):
+    # free legs of the relaxation cycle and the driven leg of a ramp: the
+    # instant a leg gives for an income or rate on its way is the one at
+    # which its motion is there
+    free = apply_scenario(ref_spec, Scenario((), 8.0), 1.5, 0.01,
+                          y_range=ref_domain["y_range"], r_range=ref_domain["r_range"])
+    driven = apply_scenario(ref_spec, Scenario((FiscalDrive(0.0, 3.5, y_to=3.5),), 3.5), 2.8,
+                            0.02, y_range=ref_domain["y_range"], r_range=ref_domain["r_range"])
+    legs = [leg for leg in free.legs + driven.legs if isinstance(leg, Leg)]
+    assert {leg.clock is None for leg in legs} == {True, False}
+    for leg in legs:
+        for s in (0.25, 0.5, 0.75):
+            y = leg.y0 + s * (leg.y1 - leg.y0)
+            t = leg.time_at_income(y)
+            assert leg.t0 < t < leg.t1
+            (y_t,), (r_t,) = leg.at(np.array([t]))
+            assert y_t == pytest.approx(y, rel=1e-9)
+            assert leg.time_at_rate(r_t) == pytest.approx(t, rel=1e-9)
 
 
 def test_reduced_runs_solve_no_ode(monkeypatch, ref_spec, ref_isocline, ref_domain):

@@ -23,6 +23,8 @@ from islmsim.policy import (
 from islmsim.reference import (census_runs, multiwindow_domain, reference_spec, three_window_spec,
                                two_window_spec)
 
+from oracles import reduced_leg_time
+
 
 @pytest.fixture
 def kw(ref_domain):
@@ -306,6 +308,46 @@ def test_singular_limit_max_rates_leave_the_zero_time_moves_out(ref_spec, ref_is
     for corner_dt in (1e-7, 1e-11):
         with mock.patch.object(dynamics, "CORNER_DT", corner_dt):
             assert max_rates() == want
+
+
+# the strides of the singular-limit report gates below
+REPORT_STRIDES = (0.2, 0.02, 0.002)
+
+
+def test_singular_limit_max_rates_read_the_legs(ref_spec, ref_isocline, lower_fold, kw):
+    # the uncontrolled ramp reaches the fold, where Y_LM' vanishes and the
+    # rate's speed has no bound; the controlled run never gets there, and its
+    # largest speed is read off its legs, not off the samples' secants
+    plan = plan_stabilization(ref_spec, lower_fold, "inflation", ref_isocline)
+    ramp = FiscalDrive(0.0, 3.5, y_to=3.5)
+    reports = [run_with_controller(ref_spec, ramp, plan, 2.8, 0.02, mode="singular-limit",
+                                   stride=stride, **kw) for stride in REPORT_STRIDES]
+    assert all(rep.max_rate_uncontrolled == np.inf for rep in reports)
+    want = reports[0].max_rate_controlled
+    assert np.isfinite(want)
+    for rep in reports:
+        assert rep.max_rate_controlled == pytest.approx(want, rel=1e-6)
+        assert rep.t_fired == reports[0].t_fired
+
+
+def test_singular_limit_drift_crossings_read_the_leg_clock(ref_spec, kw):
+    # the rate drifts up through zero on the leg from the down jump's
+    # landing: its crossing time is that leg's clock at R = 0, the same at
+    # every stride, and the oracle's quadrature from the landing to zero
+    spec = shift_lm(ref_spec, d_pi=0.004)
+    firsts = []
+    for stride in REPORT_STRIDES:
+        crossings = negative_rate_probe(spec, None, 1.5, 0.01, horizon=40.0, stride=stride,
+                                        **kw)["crossings"]
+        k = next(k for k, c in enumerate(crossings) if c["kind"] == "drift-crossing")
+        jump = crossings[k - 1]
+        assert jump["kind"] == "jump-crossing" and jump["level_to"] < 0.0
+        firsts.append((crossings[k]["t"], jump))
+    t, jump = firsts[0]
+    assert all(other == pytest.approx(t, rel=1e-12) for other, _ in firsts)
+    assert t - jump["t"] == pytest.approx(reduced_leg_time(spec, jump["level_to"], 0.0),
+                                          rel=1e-8)
+    assert t == pytest.approx(5.82753087, abs=1e-8)
 
 
 def test_a_reused_plan_is_unchanged_by_controller_runs(ref_spec, ref_isocline, lower_fold, kw):

@@ -22,10 +22,10 @@ from islmsim.config import parse_config_dict
 from islmsim.dynamics import Trajectory, attach_to_branch, detect_cycle, reduced_simulate
 from islmsim.geometry import (_trace_lm_isocline, find_equilibria, is_curve, lm_branches,
                               lm_roots, shift_lm, trace_lm_isocline)
-from islmsim.model import (FD_STEP_FRACTION, SIGN_DEGENERACY_TOL, ISBlock, ModelParams,
-                           ModelSpec, MoneyBlock, TrapWindow, _LMGraph, build_three_phase_money,
-                           excess_money, excess_money_many, excess_money_slope, short_rate,
-                           start_condition, validate_properties)
+from islmsim.model import (FD_STEP_FRACTION, SIGN_DEGENERACY_TOL, ISBlock, ModelDomainError,
+                           ModelParams, ModelSpec, MoneyBlock, TrapWindow, _LMGraph,
+                           build_three_phase_money, excess_money, excess_money_many,
+                           excess_money_slope, short_rate, start_condition, validate_properties)
 from islmsim.policy import FiscalDrive, Scenario, apply_scenario, plan_stabilization
 from islmsim.reference import (multiwindow_domain, no_trap_spec, reference_domain,
                                reference_spec, three_window_spec, two_window_spec)
@@ -192,17 +192,31 @@ def test_a_window_endpoint_rate_is_in_the_gap_on_its_fold_side(spec, rates):
 
 
 @settings(max_examples=30, deadline=None)
-@given(trap_specs(), st.data())
+@given(trap_specs(), st.integers(0, 2))
+# the third window starts where the LM graph's income is below zero
+@example(ModelSpec(params=ModelParams(alpha=1.0, beta=0.25, epsilon=1e-3, m_stock=2.0,
+                                      maturity_premium=0.02, expected_inflation=0.0),
+                   is_block=ISBlock(i0=1.5, i_y=0.25, i_r=1.0, s0=0.5, s_y=0.5, s_r=1.0),
+                   money=build_three_phase_money(0.5, 0.1, 20.0, 20.0, 2.2, 0.5, [
+                       TrapWindow(p=0.015625, q=0.0703125, amp_l=8.0, amp_m=8.0),
+                       TrapWindow(p=0.0859375, q=0.14453125, amp_l=17.0, amp_m=25.0),
+                       TrapWindow(p=0.17578125, q=0.20703125, amp_l=8.0, amp_m=8.0)])), 2)
 def test_a_landing_on_a_window_start_is_in_the_gap_below_unless_the_range_starts_there(
-        spec, data):
+        spec, window):
     # the fast flow from inside a window down to its start, at the start's
     # fold income, rests on the start: the top of the gap below, or the
-    # window itself when the rate range starts there and holds no gap below
+    # window itself when the rate range starts there and holds no gap below.
+    # A start whose fold income is negative has no landing: the graph
+    # refuses the income
     lm = spec._lm_graph
-    j = 2 * data.draw(st.integers(0, len(spec.money.windows) - 1))
+    j = 2 * (window % len(spec.money.windows))
     p, q = lm.ends[j:j + 2]
     y = lm._cuts(p, WIDE_R[1])[2][0]
     mid = 0.5 * (p + q)
+    if y < 0.0:
+        with pytest.raises(ModelDomainError, match="income must be non-negative"):
+            lm.landings([(y, mid, False)], WIDE_R[0], WIDE_R[1])
+        return
     assert lm.landings([(y, mid, False)], WIDE_R[0], WIDE_R[1]) == [(j, p)]
     assert lm.landings([(y, mid, False)], p, WIDE_R[1]) == [(j + 1, p)]
     assert (j + 1, p) in lm.roots(y, p, WIDE_R[1])
